@@ -28,6 +28,13 @@ cargo build --release
 echo "== tier-1 tests =="
 cargo test -q
 
+echo "== benchmark self-test (perfbench output check) =="
+# The repository benchmark builds against the crates by path; its
+# self-test runs every workload on a tiny model and checks that outputs
+# repeat and that a corrupted plan fails the output check, so an optimizer
+# change that breaks the benchmark fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== determinism (workers=1 vs N bit-identity) =="
 cargo test -q --test determinism
 

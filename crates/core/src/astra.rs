@@ -37,9 +37,10 @@ use crate::error::AstraError;
 use crate::parallel::{effective_workers, parallel_map, WorkerPool};
 use crate::persist::{DriverStore, WarmState};
 use crate::plan::{
-    bind_libs, build_units_fragmented, emit_schedule, epoch_features, fusion_features,
-    gradient_sync_bytes, kernel_features, placement_candidates, placement_features,
-    DevicePlacement, ExecConfig, PlanCache, PlanContext, PlanKey, ProbeSpec, Probes, Unit,
+    bind_libs, build_units_fragmented, candidate_features, emit_schedule, epoch_features,
+    fusion_features, gradient_sync_bytes, kernel_features, placement_candidates,
+    placement_features, DevicePlacement, ExecConfig, PlanCache, PlanContext, PlanKey, ProbeSpec,
+    Probes, Unit,
 };
 use crate::predictor::Pruner;
 use crate::profile::{ProfileIndex, ProfileKey};
@@ -2502,6 +2503,9 @@ impl<'g> Astra<'g> {
             epoch_opts.keys().enumerate().map(|(v, id)| (id.clone(), v)).collect();
         let mut best_measured: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
         let bound_topo = self.opts.bound_prune.then(|| self.lint_topology());
+        // Candidates differ from `cfg` only in their stream maps, which the
+        // candidate base does not read: build it once for the phase.
+        let base = candidate_features(cfg, self.topo_fp());
 
         let apply = |cfg: &mut ExecConfig, asg: &BTreeMap<String, usize>| {
             cfg.streams.clear();
@@ -2604,9 +2608,8 @@ impl<'g> Astra<'g> {
                 active_vidx.insert(id_pos[*id], id_vidx[*id]);
                 active_slot.insert(id_pos[*id], slot);
             }
-            let fp_self = self.topo_fp();
             let mut feats: BatchFeats = Vec::with_capacity(cfgs.len());
-            for ((c, p), asg) in cfgs.iter().zip(&prepared).zip(&batch) {
+            for (p, asg) in prepared.iter().zip(&batch) {
                 feats.push(p.as_ref().map(|_| {
                     active
                         .iter()
@@ -2618,8 +2621,7 @@ impl<'g> Astra<'g> {
                                 vidx: id_vidx[*id],
                                 choice,
                                 feat: epoch_features(
-                                    c,
-                                    fp_self,
+                                    &base,
                                     sei,
                                     ei,
                                     choice,
@@ -2768,8 +2770,7 @@ impl<'g> Astra<'g> {
                                 // than the few actively-varying trials would.
                                 let choice = asg[&id];
                                 let f = epoch_features(
-                                    &cfgs[bi],
-                                    fp_self,
+                                    &base,
                                     sei,
                                     ei,
                                     choice,

@@ -31,11 +31,11 @@
 //!   quarantine marks, predictor weights, full-run memos) via
 //!   `astra-store`; an interrupted `optimize` resumed against the same
 //!   store produces the bit-identical final plan.
-//! * [`fusion_features`] / [`kernel_features`] / [`epoch_features`] /
-//!   [`placement_features`] — plan feature extraction for the in-tree
-//!   learned cost model (`astra-predict`), which prunes each lookahead
-//!   batch to its predicted top-k plus an epsilon tail under a
-//!   bounded-regret guard (`AstraOptions::predictor`).
+//! * [`candidate_features`] / [`fusion_features`] / [`kernel_features`] /
+//!   [`epoch_features`] / [`placement_features`] — plan feature extraction
+//!   for the in-tree learned cost model (`astra-predict`), which prunes
+//!   each lookahead batch to its predicted top-k plus an epsilon tail under
+//!   a bounded-regret guard (`AstraOptions::predictor`).
 //!
 //! ## Example
 //!
@@ -80,10 +80,10 @@ pub use error::AstraError;
 pub use parallel::{effective_workers, parallel_map, WorkerPool};
 pub use persist::compact_store;
 pub use plan::{
-    bind_libs, build_allocation_plan, build_units, build_units_fragmented, emit_schedule,
-    epoch_features, flop_balanced_cuts, fusion_features, gradient_sync_bytes, kernel_features,
-    placement_candidates, placement_features, DevicePlacement, ExecConfig, PlanCache, PlanContext,
-    PlanKey, ProbeSpec, Probes, Unit, UnitId, SYNTHETIC_BUF_BASE,
+    bind_libs, build_allocation_plan, build_units, build_units_fragmented, candidate_features,
+    emit_schedule, epoch_features, flop_balanced_cuts, fusion_features, gradient_sync_bytes,
+    kernel_features, placement_candidates, placement_features, DevicePlacement, ExecConfig,
+    PlanCache, PlanContext, PlanKey, ProbeSpec, Probes, Unit, UnitId, SYNTHETIC_BUF_BASE,
 };
 pub use profile::{ProfileIndex, ProfileKey, SampleStats};
 pub use recompute::{explore_recompute, peak_activation_bytes, RecomputePoint, RecomputeReport};

@@ -1029,22 +1029,8 @@ pub fn emit_schedule(
     let mut sched = Schedule::new(num_streams);
     let mut probes = Probes::default();
 
-    let stream_of = |u: &Unit| -> usize {
-        cfg.streams.get(&u.id).copied().unwrap_or(0).min(num_streams - 1)
-    };
-
-    // Which units need completion events (consumer on a different stream).
-    let mut needs_event = vec![false; units.len()];
-    if num_streams > 1 {
-        for u in units {
-            let s = stream_of(u);
-            for &d in &u.deps {
-                if stream_of(&units[d]) != s {
-                    needs_event[d] = true;
-                }
-            }
-        }
-    }
+    let stream_of = unit_streams(cfg, units, num_streams);
+    let needs_event = cross_stream_producers(units, &stream_of);
 
     let mut done_event: Vec<Option<EventId>> = vec![None; units.len()];
     let mut seen_sets: HashSet<usize> = HashSet::new();
@@ -1057,17 +1043,11 @@ pub fn emit_schedule(
     }
 
     let mut emit_unit = |sched: &mut Schedule, probes: &mut Probes, idx: usize, u: &Unit| {
-        let stream = StreamId(stream_of(u));
+        let stream = StreamId(stream_of[idx]);
         let waits: Vec<EventId> = u
             .deps
             .iter()
-            .filter_map(|&d| {
-                if stream_of(&units[d]) != stream.0 {
-                    done_event[d]
-                } else {
-                    None
-                }
-            })
+            .filter_map(|&d| if stream_of[d] != stream.0 { done_event[d] } else { None })
             .collect();
         // Profiling probes: first block of each set, first GEMM per shape.
         // The region opens before any gather copy so that chunk metrics
@@ -1141,7 +1121,7 @@ pub fn emit_schedule(
                 for (ei, epoch) in se.epochs.iter().enumerate() {
                     let mut streams_used: HashSet<usize> = HashSet::new();
                     for &ui in &epoch.units {
-                        streams_used.insert(stream_of(&units[ui]));
+                        streams_used.insert(stream_of[ui]);
                         emit_unit(&mut sched, &mut probes, ui, &units[ui]);
                         sched.mark_boundary();
                     }
@@ -1166,6 +1146,27 @@ pub fn emit_schedule(
 
     let _ = ctx;
     (sched, probes)
+}
+
+/// Stream of every unit under `cfg.streams`, clamped to `per` streams
+/// (unmapped units run on stream 0). Resolved once per emission, so the
+/// dependency scans index a vector instead of searching the map.
+fn unit_streams(cfg: &ExecConfig, units: &[Unit], per: usize) -> Vec<usize> {
+    units.iter().map(|u| cfg.streams.get(&u.id).copied().unwrap_or(0).min(per - 1)).collect()
+}
+
+/// Which units need a completion event: those with a consumer on another
+/// stream.
+fn cross_stream_producers(units: &[Unit], stream_of: &[usize]) -> Vec<bool> {
+    let mut needs_event = vec![false; units.len()];
+    for (i, u) in units.iter().enumerate() {
+        for &d in &u.deps {
+            if stream_of[d] != stream_of[i] {
+                needs_event[d] = true;
+            }
+        }
+    }
+    needs_event
 }
 
 /// Stream → device map giving device `d` the stream block
@@ -1244,35 +1245,18 @@ fn emit_data_parallel(
     let per = cfg.num_streams.max(1);
     let total: u64 = shares.iter().map(|&s| u64::from(s.max(1))).sum();
     let mut sched = Schedule::with_devices(ndev * per, device_stream_map(ndev, per));
-    let stream_of = |u: &Unit| cfg.streams.get(&u.id).copied().unwrap_or(0).min(per - 1);
-
-    let mut needs_event = vec![false; units.len()];
-    if per > 1 {
-        for u in units {
-            let s = stream_of(u);
-            for &d in &u.deps {
-                if stream_of(&units[d]) != s {
-                    needs_event[d] = true;
-                }
-            }
-        }
-    }
+    let stream_of = unit_streams(cfg, units, per);
+    let needs_event = cross_stream_producers(units, &stream_of);
 
     let mut done: Vec<Vec<Option<EventId>>> = vec![vec![None; units.len()]; ndev];
     for (i, u) in units.iter().enumerate() {
         for dev in 0..ndev {
             let num = u64::from(shares[dev].max(1));
-            let stream = StreamId(dev * per + stream_of(u));
+            let stream = StreamId(dev * per + stream_of[i]);
             let waits: Vec<EventId> = u
                 .deps
                 .iter()
-                .filter_map(|&d| {
-                    if stream_of(&units[d]) != stream_of(u) {
-                        done[dev][d]
-                    } else {
-                        None
-                    }
-                })
+                .filter_map(|&d| if stream_of[d] != stream_of[i] { done[dev][d] } else { None })
                 .collect();
             if u.pre_copy_bytes > 0.0 {
                 let c = sched.launch_after(
@@ -1320,7 +1304,7 @@ fn emit_model_parallel(cfg: &ExecConfig, units: &[Unit], cuts: &[usize]) -> Sche
     let per = cfg.num_streams.max(1);
     let mut sched = Schedule::with_devices(ndev * per, device_stream_map(ndev, per));
     let dev_of = |i: usize| cuts.iter().take_while(|&&c| c <= i).count();
-    let stream_of = |u: &Unit| cfg.streams.get(&u.id).copied().unwrap_or(0).min(per - 1);
+    let stream_of = unit_streams(cfg, units, per);
 
     // A unit needs a completion event when any consumer runs on a different
     // physical stream: another logical stream of the same device, or any
@@ -1328,7 +1312,7 @@ fn emit_model_parallel(cfg: &ExecConfig, units: &[Unit], cuts: &[usize]) -> Sche
     let mut needs_event = vec![false; units.len()];
     for (i, u) in units.iter().enumerate() {
         for &d in &u.deps {
-            if dev_of(d) != dev_of(i) || stream_of(&units[d]) != stream_of(u) {
+            if dev_of(d) != dev_of(i) || stream_of[d] != stream_of[i] {
                 needs_event[d] = true;
             }
         }
@@ -1339,12 +1323,12 @@ fn emit_model_parallel(cfg: &ExecConfig, units: &[Unit], cuts: &[usize]) -> Sche
     let mut shipped: HashMap<(usize, usize), EventId> = HashMap::new();
     for (i, u) in units.iter().enumerate() {
         let du = dev_of(i);
-        let stream = StreamId(du * per + stream_of(u));
+        let stream = StreamId(du * per + stream_of[i]);
         let mut waits: Vec<EventId> = Vec::new();
         for &d in &u.deps {
             let dd = dev_of(d);
             if dd == du {
-                if stream_of(&units[d]) != stream_of(u) {
+                if stream_of[d] != stream_of[i] {
                     if let Some(e) = done[d] {
                         waits.push(e);
                     }
@@ -1466,7 +1450,12 @@ pub fn placement_candidates(
 /// strategy, placement, topology)` candidates always have distinct
 /// fingerprints regardless of hash-bucket collisions, while the model's
 /// bucketed view keeps only features it can generalize over.
-fn candidate_base(cfg: &ExecConfig, topo_fp: u64) -> FeatureVec {
+///
+/// Choice features extend this base: [`fusion_features`],
+/// [`kernel_features`] and [`placement_features`] build it per call, and
+/// [`epoch_features`] extends a base the caller builds once per phase
+/// (stream exploration never changes what the base reads).
+pub fn candidate_features(cfg: &ExecConfig, topo_fp: u64) -> FeatureVec {
     let mut f = FeatureVec::new();
     f.tag("strategy", &cfg.strategy.to_string());
     f.push("num_streams", cfg.num_streams as f64);
@@ -1501,7 +1490,7 @@ pub fn fusion_features(
     rc: usize,
     cc: usize,
 ) -> FeatureVec {
-    let mut f = candidate_base(cfg, topo_fp);
+    let mut f = candidate_features(cfg, topo_fp);
     f.tag("set", &set.id);
     f.push("row_chunk", rc as f64);
     f.push("col_chunk", cc as f64);
@@ -1532,7 +1521,7 @@ pub fn kernel_features(
     shape: GemmShape,
     lib: GemmLibrary,
 ) -> FeatureVec {
-    let mut f = candidate_base(cfg, topo_fp);
+    let mut f = candidate_features(cfg, topo_fp);
     f.tag("lib", &format!("{lib:?}"));
     f.push_log("gemm_m", shape.m as f64);
     f.push_log("gemm_k", shape.k as f64);
@@ -1546,17 +1535,17 @@ pub fn kernel_features(
 /// Features of one epoch stream-mapping choice: fanout, occupancy, and
 /// FLOP balance of the assignment, plus the epoch's position in the
 /// partition (the epoch metric spans from the super-epoch start, so later
-/// epochs inherit their prefix's elapsed time).
+/// epochs inherit their prefix's elapsed time), over `base` — the
+/// [`candidate_features`] of the phase's configuration.
 pub fn epoch_features(
-    cfg: &ExecConfig,
-    topo_fp: u64,
+    base: &FeatureVec,
     sei: usize,
     ei: usize,
     choice: usize,
     assignment: &[(UnitId, usize)],
     flops_of: &BTreeMap<UnitId, f64>,
 ) -> FeatureVec {
-    let mut f = candidate_base(cfg, topo_fp);
+    let mut f = base.clone();
     f.tag("epoch", &format!("se{sei}.e{ei}"));
     f.push("epoch_pos", ei as f64);
     f.push("epoch_units", assignment.len() as f64);
@@ -1590,7 +1579,7 @@ pub fn placement_features(
     units: &[Unit],
     sync_bytes: u64,
 ) -> FeatureVec {
-    let mut f = candidate_base(cfg, topo_fp);
+    let mut f = candidate_features(cfg, topo_fp);
     let footprint: f64 = units.iter().map(|u| u.out_bytes).sum();
     f.push_log("footprint", footprint);
     match &cfg.placement {

@@ -9,6 +9,7 @@
 
 use crate::device::DeviceSpec;
 use crate::gemm::{time_gemm, GemmLibrary, GemmShape};
+use crate::schedule::fold_hash;
 
 /// Arithmetic efficiency of (possibly fused) element-wise kernels.
 const ELEMENTWISE_EFF: f64 = 0.5;
@@ -89,6 +90,44 @@ pub enum KernelDesc {
         /// Columns of the implied GEMM (`c_out`).
         gemm_n: u64,
     },
+}
+
+impl KernelDesc {
+    /// Folds the variant tag and every field into the rolling schedule hash
+    /// (f64 fields by their bits, so `0.0` and `-0.0` differ). The
+    /// destructures are exhaustive: a new variant or field does not compile
+    /// until it is hashed.
+    pub(crate) fn fold_into(&self, h: u64) -> u64 {
+        match *self {
+            KernelDesc::Gemm { shape: GemmShape { m, k, n }, lib } => {
+                let lib = match lib {
+                    GemmLibrary::CublasLike => 0,
+                    GemmLibrary::OaiWide => 1,
+                    GemmLibrary::OaiTall => 2,
+                };
+                [0, m, k, n, lib].into_iter().fold(h, fold_hash)
+            }
+            KernelDesc::Elementwise { elements, flops_per_element, inputs, outputs } => {
+                [1, elements, flops_per_element.to_bits(), u64::from(inputs), u64::from(outputs)]
+                    .into_iter()
+                    .fold(h, fold_hash)
+            }
+            KernelDesc::Softmax { rows, cols } => [2, rows, cols].into_iter().fold(h, fold_hash),
+            KernelDesc::EmbeddingLookup { rows, width } => {
+                [3, rows, width].into_iter().fold(h, fold_hash)
+            }
+            KernelDesc::Compound { flops, bytes } => {
+                [4, flops.to_bits(), bytes.to_bits()].into_iter().fold(h, fold_hash)
+            }
+            KernelDesc::MemCopy { bytes } => [5, bytes.to_bits()].into_iter().fold(h, fold_hash),
+            KernelDesc::HostRoundtrip { bytes } => {
+                [6, bytes.to_bits()].into_iter().fold(h, fold_hash)
+            }
+            KernelDesc::Conv { batch, gemm_m, gemm_k, gemm_n } => {
+                [7, batch, gemm_m, gemm_k, gemm_n].into_iter().fold(h, fold_hash)
+            }
+        }
+    }
 }
 
 /// Evaluated cost of a kernel on a device.

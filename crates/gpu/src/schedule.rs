@@ -92,6 +92,44 @@ pub enum Cmd {
     },
 }
 
+impl Cmd {
+    /// Folds the variant tag and every field into the rolling prefix hash:
+    /// streams, events, the kernel (see [`KernelDesc`]), waits (length
+    /// first, so order and count matter), the explicit label (`Some`/`None`
+    /// tag, then its length and bytes), and the transfer and all-reduce
+    /// fields. The destructures are exhaustive, so a new variant or field
+    /// does not compile until it is hashed.
+    fn fold_into(&self, h: u64) -> u64 {
+        let fold_waits = |h, waits: &[EventId]| {
+            let h = fold_hash(h, waits.len() as u64);
+            waits.iter().fold(h, |h, w| fold_hash(h, u64::from(w.0)))
+        };
+        match self {
+            Cmd::Launch { stream: StreamId(s), kernel, waits, label } => {
+                let h = kernel.fold_into(fold_hash(fold_hash(h, 0), *s as u64));
+                let h = fold_waits(h, waits);
+                match label {
+                    None => fold_hash(h, 0),
+                    Some(l) => fold_bytes(fold_hash(h, 1), l.as_bytes()),
+                }
+            }
+            Cmd::Record { stream: StreamId(s), event: EventId(e) } => {
+                [1, *s as u64, u64::from(*e)].into_iter().fold(h, fold_hash)
+            }
+            Cmd::Barrier => fold_hash(h, 2),
+            Cmd::HostSync => fold_hash(h, 3),
+            Cmd::Transfer { stream: StreamId(s), bytes, src, dst, waits } => {
+                let h =
+                    [4, *s as u64, *bytes, *src as u64, *dst as u64].into_iter().fold(h, fold_hash);
+                fold_waits(h, waits)
+            }
+            Cmd::AllReduce { stream: StreamId(s), bytes, group } => {
+                [5, *s as u64, *bytes, u64::from(*group)].into_iter().fold(h, fold_hash)
+            }
+        }
+    }
+}
+
 /// An ordered multi-stream command list, plus the number of streams it uses.
 ///
 /// # Examples
@@ -114,9 +152,9 @@ pub struct Schedule {
     // Queue items each stream will receive (launches + records + barriers),
     // maintained incrementally so the engine can pre-size its FIFOs.
     stream_cmds: Vec<usize>,
-    // Rolling hash of every command appended so far (content hash: kernel
-    // descriptors, streams, waits, labels). Folded left-to-right, so equal
-    // hashes mean equal command prefixes (modulo 64-bit collisions).
+    // Rolling hash of every command appended so far (a structural fold of
+    // each command's fields, see `Cmd::fold_into`). Folded left-to-right, so
+    // equal hashes mean equal command prefixes (modulo 64-bit collisions).
     prefix_hash: u64,
     // (command index, prefix hash at that index) for each marked boundary,
     // strictly increasing in the index.
@@ -143,7 +181,18 @@ pub(crate) fn fold_hash(h: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over a byte string; feeds [`fold_hash`] with command content.
+/// Folds a byte string's length, then its bytes eight at a time
+/// (little-endian, the last word zero-padded), into `h`.
+fn fold_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes.chunks(8).fold(fold_hash(h, bytes.len() as u64), |h, c| {
+        let mut word = [0u8; 8];
+        word[..c.len()].copy_from_slice(c);
+        fold_hash(h, u64::from_le_bytes(word))
+    })
+}
+
+/// FNV-1a over a byte string; feeds [`fold_hash`] with device and link
+/// names when fingerprinting a topology.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325_u64;
     for &b in bytes {
@@ -325,13 +374,10 @@ impl Schedule {
         self.tags[cmd_idx] = Some(tag);
     }
 
-    /// Folds the just-pushed command into the rolling prefix hash. Hashes
-    /// the command's debug rendering: every field (kernel descriptor bits,
-    /// stream, waits, label) participates, and the encoding tracks
-    /// [`KernelDesc`] growth automatically.
+    /// Folds the just-pushed command into the rolling prefix hash.
     fn absorb_last(&mut self) {
         let cmd = self.cmds.last().expect("called right after a push");
-        self.prefix_hash = fold_hash(self.prefix_hash, fnv1a(format!("{cmd:?}").as_bytes()));
+        self.prefix_hash = cmd.fold_into(self.prefix_hash);
     }
 
     /// Appends an unlabelled launch with no waits. Returns the command index.
@@ -604,6 +650,18 @@ mod tests {
         let one = Schedule::new(1);
         let two = Schedule::new(2);
         assert_ne!(one.prefix_hash(), two.prefix_hash());
+    }
+
+    #[test]
+    fn fold_sees_fields_the_builders_fix() {
+        // The builders assign a record's event id and tie a transfer's
+        // destination to its stream, so only a direct fold can vary either
+        // field alone.
+        let rec = |event| Cmd::Record { stream: StreamId(0), event: EventId(event) };
+        assert_ne!(rec(0).fold_into(7), rec(1).fold_into(7));
+        let xfer =
+            |dst| Cmd::Transfer { stream: StreamId(0), bytes: 8, src: 0, dst, waits: vec![] };
+        assert_ne!(xfer(1).fold_into(7), xfer(2).fold_into(7));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use astra::core::{
 };
 use astra::exec::{fuse_elementwise_chains, lower, native_schedule};
 use astra::gpu::{
-    DeviceSpec, Engine, GemmLibrary, GemmShape, KernelDesc, Schedule, StreamId,
+    Cmd, DeviceSpec, Engine, EventId, GemmLibrary, GemmShape, KernelDesc, Schedule, StreamId,
 };
 use astra::ir::{append_backward, Graph, OpKind, Provenance, Shape, TensorId};
 use astra_util::Rng64;
@@ -464,6 +464,157 @@ fn enumerated_plans_verify_clean_across_the_zoo() {
     }
 }
 
+/// Checks one emitted schedule against its unit program, `replicas` copies
+/// of it (data parallelism runs one per device): every launch carries its
+/// unit index as a tag, runs on the stream `stream_of(unit, replica)`, and
+/// has the span label its explicit label or kernel implies; each replica of
+/// a unit launches once, after a gather copy when the unit has one. On
+/// single-device schedules the launches are the unit's own copy and kernel,
+/// and a unit's first launch waits exactly on the completion events of its
+/// dependencies on other streams, in dependency order.
+fn check_emission(
+    what: &str,
+    units: &[astra::core::Unit],
+    sched: &Schedule,
+    replicas: usize,
+    stream_of: &dyn Fn(usize, usize) -> usize,
+) {
+    let single = !sched.is_multi_device();
+    let tags = sched.tags();
+    let labels = sched.span_labels();
+    let launches_per_replica = |i: usize| 1 + usize::from(units[i].pre_copy_bytes > 0.0);
+    let mut launches = vec![0usize; units.len()];
+    // A unit records its completion event right after its kernel launch.
+    let mut done: Vec<Option<EventId>> = vec![None; units.len()];
+    for (j, cmd) in sched.cmds().iter().enumerate() {
+        match cmd {
+            Cmd::Launch { stream, kernel, waits, label } => {
+                let expect = label.clone().unwrap_or_else(|| kernel.label());
+                assert_eq!(labels[j].as_deref(), Some(expect.as_str()), "{what}: cmd {j} label");
+                let Some(i) = tags[j].map(|t| t as usize) else {
+                    panic!("{what}: launch {j} has no unit tag");
+                };
+                let u = &units[i];
+                let replica = launches[i] / launches_per_replica(i);
+                let first = launches[i].is_multiple_of(launches_per_replica(i));
+                launches[i] += 1;
+                assert_eq!(stream.0, stream_of(i, replica), "{what}: unit {i} stream");
+                if !single {
+                    continue;
+                }
+                if first && u.pre_copy_bytes > 0.0 {
+                    assert_eq!(*kernel, KernelDesc::MemCopy { bytes: u.pre_copy_bytes });
+                } else {
+                    assert_eq!(*kernel, u.kernel, "{what}: unit {i} kernel");
+                }
+                let expect: Vec<EventId> = if first {
+                    u.deps
+                        .iter()
+                        .filter(|&&d| stream_of(d, 0) != stream_of(i, 0))
+                        .map(|&d| done[d].expect("cross-stream producers record an event"))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                assert_eq!(waits, &expect, "{what}: unit {i} waits");
+            }
+            Cmd::Record { event, .. } if single => {
+                let i = tags[j - 1].expect("records follow a tagged launch") as usize;
+                done[i] = Some(*event);
+                assert!(labels[j].is_none());
+            }
+            _ => assert!(tags[j].is_none(), "{what}: cmd {j} is not a launch but is tagged"),
+        }
+    }
+    for (i, &n) in launches.iter().enumerate() {
+        assert_eq!(n, replicas * launches_per_replica(i), "{what}: unit {i} launches");
+    }
+}
+
+/// Emission resolves each unit's stream from the configuration's stream map
+/// (unmapped units on stream 0, out-of-range streams clamped to the last),
+/// tags every launch with its unit, labels it with its explicit label or
+/// its kernel's, and wires exactly the cross-stream dependencies — across
+/// the model zoo, for the baseline config and seeded random fusion choices
+/// and stream maps, with and without a super-epoch partition, and under
+/// data- and model-parallel placements.
+#[test]
+fn emission_follows_the_stream_map_across_the_zoo() {
+    use astra::core::enumerate::epochs::partition_units;
+    use astra::core::{flop_balanced_cuts, DevicePlacement};
+    use astra::models::Model;
+
+    let mut rng = Rng64::new(0x5eed_e417);
+    for m in Model::all() {
+        let mut c = m.default_config(8);
+        c.hidden = 64;
+        c.input = 64;
+        c.vocab = 128;
+        c.seq_len = 3;
+        c.layers = c.layers.min(2);
+        let built = m.build(&c);
+        let ctx = PlanContext::new(&built.graph);
+
+        for trial in 0..4 {
+            let mut cfg = ExecConfig::baseline();
+            if trial > 0 {
+                cfg.strategy = rng.gen_range_usize(0, ctx.alloc.strategies.len().max(1) - 1);
+                for set in &ctx.sets {
+                    let rcs = set.row_chunks();
+                    let ccs = set.col_chunks();
+                    let rc = rcs[rng.gen_range_usize(0, rcs.len() - 1)];
+                    let cc = ccs[rng.gen_range_usize(0, ccs.len() - 1)];
+                    let prev = cfg.chunks.insert(set.id.clone(), (rc, cc));
+                    if build_units(&ctx, &cfg).is_err() {
+                        match prev {
+                            Some(p) => cfg.chunks.insert(set.id.clone(), p),
+                            None => cfg.chunks.remove(&set.id),
+                        };
+                    }
+                }
+            }
+            let units = build_units(&ctx, &cfg).expect("reverted chunk choices stay valid");
+            if trial > 0 {
+                // Leave some units unmapped and map some past the last stream.
+                cfg.num_streams = rng.gen_range_usize(1, 4);
+                for u in &units {
+                    if rng.gen_range_u32(0, 4) > 0 {
+                        cfg.streams.insert(u.id, rng.gen_range_usize(0, cfg.num_streams));
+                    }
+                }
+            }
+            let per = cfg.num_streams.max(1);
+            let mapped = |i: usize| cfg.streams.get(&units[i].id).copied().unwrap_or(0).min(per - 1);
+            let what = format!("{m} trial {trial}");
+
+            let (sched, _) = emit_schedule(&ctx, &cfg, &units, None, &ProbeSpec::none());
+            check_emission(&what, &units, &sched, 1, &|i, _| mapped(i));
+
+            let total: f64 = units.iter().map(|u| u.flops).sum();
+            let partition = partition_units(&units, (total / 4.0).max(1.0));
+            let (sched, _) =
+                emit_schedule(&ctx, &cfg, &units, Some(&partition), &ProbeSpec::none());
+            check_emission(&format!("{what} partitioned"), &units, &sched, 1, &|i, _| mapped(i));
+
+            // Data parallelism: replica `d` runs on device `d`'s stream block.
+            let mut dp = cfg.clone();
+            dp.placement = DevicePlacement::DataParallel { shares: vec![2, 1] };
+            let (sched, _) = emit_schedule(&ctx, &dp, &units, None, &ProbeSpec::none());
+            check_emission(&format!("{what} dp"), &units, &sched, 2, &|i, d| d * per + mapped(i));
+
+            // Model parallelism: unit `i` runs on its segment's device.
+            let cuts = flop_balanced_cuts(&units, &[1.0, 1.0]);
+            let dev_of = |i: usize| cuts.iter().take_while(|&&c| c <= i).count();
+            let mut mp = cfg.clone();
+            mp.placement = DevicePlacement::ModelParallel { cuts: cuts.clone() };
+            let (sched, _) = emit_schedule(&ctx, &mp, &units, None, &ProbeSpec::none());
+            check_emission(&format!("{what} mp"), &units, &sched, 1, &|i, _| {
+                dev_of(i) * per + mapped(i)
+            });
+        }
+    }
+}
+
 /// Dynamic-graph coverage: the schedule of every PTB bucket length (§5.5)
 /// verifies clean under a two-stream round-robin assignment.
 #[test]
@@ -652,6 +803,207 @@ fn device_maps_perturb_the_prefix_hash() {
     assert_eq!(zeroed.render(), plain.render());
 }
 
+/// The next representable `f64` above `x` (one ulp up).
+fn ulp_up(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() + 1)
+}
+
+/// Every kernel variant, each with copies that differ from it in exactly one
+/// field, plus the f64 fields set to `0.0` and `-0.0`.
+fn kernel_field_mutants() -> Vec<(KernelDesc, Vec<KernelDesc>)> {
+    use KernelDesc as K;
+    let shape = |m, k, n| GemmShape { m, k, n };
+    let gemm = |s, lib| K::Gemm { shape: s, lib };
+    let ew = |elements, flops_per_element, inputs, outputs| K::Elementwise {
+        elements,
+        flops_per_element,
+        inputs,
+        outputs,
+    };
+    let conv = |batch, gemm_m, gemm_k, gemm_n| K::Conv { batch, gemm_m, gemm_k, gemm_n };
+    let cublas = GemmLibrary::CublasLike;
+    vec![
+        (
+            gemm(shape(16, 32, 64), cublas),
+            vec![
+                gemm(shape(17, 32, 64), cublas),
+                gemm(shape(16, 33, 64), cublas),
+                gemm(shape(16, 32, 65), cublas),
+                gemm(shape(16, 32, 64), GemmLibrary::OaiWide),
+                gemm(shape(16, 32, 64), GemmLibrary::OaiTall),
+            ],
+        ),
+        (
+            ew(4096, 2.5, 2, 1),
+            vec![
+                ew(4097, 2.5, 2, 1),
+                ew(4096, ulp_up(2.5), 2, 1),
+                ew(4096, 0.0, 2, 1),
+                ew(4096, -0.0, 2, 1),
+                ew(4096, 2.5, 3, 1),
+                ew(4096, 2.5, 2, 2),
+            ],
+        ),
+        (K::Softmax { rows: 8, cols: 16 }, vec![
+            K::Softmax { rows: 9, cols: 16 },
+            K::Softmax { rows: 8, cols: 17 },
+        ]),
+        (K::EmbeddingLookup { rows: 8, width: 16 }, vec![
+            K::EmbeddingLookup { rows: 9, width: 16 },
+            K::EmbeddingLookup { rows: 8, width: 17 },
+        ]),
+        (K::Compound { flops: 1e6, bytes: 4096.0 }, vec![
+            K::Compound { flops: ulp_up(1e6), bytes: 4096.0 },
+            K::Compound { flops: 0.0, bytes: 4096.0 },
+            K::Compound { flops: -0.0, bytes: 4096.0 },
+            K::Compound { flops: 1e6, bytes: ulp_up(4096.0) },
+            K::Compound { flops: 1e6, bytes: 0.0 },
+            K::Compound { flops: 1e6, bytes: -0.0 },
+        ]),
+        (K::MemCopy { bytes: 512.0 }, vec![
+            K::MemCopy { bytes: ulp_up(512.0) },
+            K::MemCopy { bytes: 0.0 },
+            K::MemCopy { bytes: -0.0 },
+        ]),
+        (K::HostRoundtrip { bytes: 512.0 }, vec![
+            K::HostRoundtrip { bytes: ulp_up(512.0) },
+            K::HostRoundtrip { bytes: 0.0 },
+            K::HostRoundtrip { bytes: -0.0 },
+        ]),
+        (
+            conv(2, 8, 16, 32),
+            vec![conv(3, 8, 16, 32), conv(2, 9, 16, 32), conv(2, 8, 17, 32), conv(2, 8, 16, 33)],
+        ),
+    ]
+}
+
+/// Every command variant, each with copies that differ from it in exactly
+/// one field the schedule builders let a caller choose. (A record's event
+/// id is assigned by the schedule, and a transfer's destination is pinned
+/// by its stream's device; the crate's unit tests cover those two fields.)
+fn cmd_field_mutants() -> Vec<(Cmd, Vec<Cmd>)> {
+    let (s0, s1, s2, s3) = (StreamId(0), StreamId(1), StreamId(2), StreamId(3));
+    let (e0, e1) = (EventId(0), EventId(1));
+    let copy = KernelDesc::MemCopy { bytes: 64.0 };
+    let launch = |stream, kernel, waits: Vec<EventId>, label: Option<&str>| Cmd::Launch {
+        stream,
+        kernel,
+        waits,
+        label: label.map(str::to_owned),
+    };
+    let xfer = |stream, bytes, src, waits| Cmd::Transfer { stream, bytes, src, dst: 1, waits };
+    let ar = |stream, bytes, group| Cmd::AllReduce { stream, bytes, group };
+    let mut out = vec![
+        (launch(s0, copy, vec![e0, e1], Some("mine")), vec![
+            launch(s2, copy, vec![e0, e1], Some("mine")),
+            launch(s0, copy, vec![e0, EventId(5)], Some("mine")),
+            launch(s0, copy, vec![e1, e0], Some("mine")),
+            launch(s0, copy, vec![e0], Some("mine")),
+            launch(s0, copy, vec![e0, e1], None),
+            launch(s0, copy, vec![e0, e1], Some("")),
+            launch(s0, copy, vec![e0, e1], Some("mind")),
+            launch(s0, copy, vec![e0, e1], Some("mine\0")),
+        ]),
+        (Cmd::Record { stream: s0, event: e0 }, vec![Cmd::Record { stream: s1, event: e0 }]),
+        (Cmd::Barrier, vec![]),
+        (Cmd::HostSync, vec![]),
+        (xfer(s1, 4096, 0, vec![e0]), vec![
+            xfer(s3, 4096, 0, vec![e0]),
+            xfer(s1, 4097, 0, vec![e0]),
+            xfer(s1, 4096, 2, vec![e0]),
+            xfer(s1, 4096, 0, vec![e1]),
+            xfer(s1, 4096, 0, vec![]),
+            xfer(s1, 4096, 0, vec![e0, e1]),
+            xfer(s1, 4096, 0, vec![e1, e0]),
+        ]),
+        (ar(s0, 1024, 0), vec![ar(s1, 1024, 0), ar(s0, 1025, 0), ar(s0, 1024, 1)]),
+    ];
+    // Launches of every kernel variant and of each of its one-field mutants.
+    for (kernel, mutants) in kernel_field_mutants() {
+        let on = |k| launch(s0, k, vec![], None);
+        out.push((on(kernel), mutants.into_iter().map(on).collect()));
+    }
+    out
+}
+
+/// Appends `cmd` through the public builder that makes it (a record takes
+/// the schedule's next event id, whatever `cmd` names).
+fn append_cmd(s: &mut Schedule, cmd: Cmd) {
+    match cmd {
+        Cmd::Launch { stream, kernel, waits, label: None } => {
+            s.launch_after(stream, kernel, waits);
+        }
+        Cmd::Launch { stream, kernel, waits, label: Some(l) } => {
+            s.launch_labeled(stream, kernel, waits, l);
+        }
+        Cmd::Record { stream, .. } => {
+            s.record(stream);
+        }
+        Cmd::Barrier => s.barrier(),
+        Cmd::HostSync => s.host_sync(),
+        Cmd::Transfer { stream, bytes, src, dst, waits } => {
+            s.transfer(stream, bytes, src, dst, waits);
+        }
+        Cmd::AllReduce { stream, bytes, group } => {
+            s.all_reduce(stream, bytes, group);
+        }
+    }
+}
+
+/// Streams 0..4 on devices 0, 1, 2, 1, so transfers into device 1 can come
+/// from two sources on two streams.
+fn four_stream_schedule() -> Schedule {
+    Schedule::with_devices(4, vec![0, 1, 2, 1])
+}
+
+/// The prefix hash of a fixed prefix followed by `cmd`.
+fn hash_after_prefix(cmd: &Cmd) -> u64 {
+    let mut s = four_stream_schedule();
+    s.launch(StreamId(0), KernelDesc::MemCopy { bytes: 32.0 });
+    s.record(StreamId(0));
+    append_cmd(&mut s, cmd.clone());
+    s.prefix_hash()
+}
+
+/// The structural prefix hash sees every field of every command and kernel
+/// variant: changing any single one (an f64 by one ulp, `0.0` to `-0.0`, one
+/// wait id, the order of two waits, a label to `None`) changes the hash, no
+/// two of these commands share a hash, and rebuilding any of them — or a
+/// whole schedule of all of them — independently hashes equal.
+#[test]
+fn prefix_hash_sees_every_command_and_kernel_field() {
+    let cases = cmd_field_mutants();
+    let mut seen: std::collections::HashMap<u64, String> = std::collections::HashMap::new();
+    for (base, mutants) in &cases {
+        let h = hash_after_prefix(base);
+        assert_eq!(h, hash_after_prefix(base), "{base:?}: rebuilding must rehash equal");
+        for m in mutants {
+            assert_ne!(hash_after_prefix(m), h, "{m:?} must hash apart from {base:?}");
+        }
+        for c in std::iter::once(base).chain(mutants) {
+            if let Some(prev) = seen.insert(hash_after_prefix(c), format!("{c:?}")) {
+                panic!("{c:?} collides with {prev}");
+            }
+        }
+    }
+    assert!(seen.len() > 60, "expected a full variant sweep, got {}", seen.len());
+
+    // Two independently built schedules holding every case hash equal at
+    // every command.
+    let build = || {
+        let mut s = four_stream_schedule();
+        let mut hashes = Vec::new();
+        for (base, mutants) in cmd_field_mutants() {
+            for c in std::iter::once(base).chain(mutants) {
+                append_cmd(&mut s, c);
+                hashes.push(s.prefix_hash());
+            }
+        }
+        hashes
+    };
+    assert_eq!(build(), build());
+}
+
 // ---------------------------------------------------------------------------
 // Predictor properties: feature extraction and training order.
 // ---------------------------------------------------------------------------
@@ -719,7 +1071,7 @@ fn candidate_features_are_deterministic_and_injective() {
 /// for a fixed shape, stream assignment for a fixed epoch.
 #[test]
 fn kernel_and_epoch_features_distinguish_choices() {
-    use astra::core::{epoch_features, kernel_features};
+    use astra::core::{candidate_features, epoch_features, kernel_features};
     use astra::gpu::{GemmLibrary, GemmShape};
     use std::collections::BTreeMap;
 
@@ -734,8 +1086,9 @@ fn kernel_and_epoch_features_distinguish_choices() {
     let flops: BTreeMap<_, _> = [(u0, 1e6), (u1, 2e6)].into();
     let asg_a = [(u0, 0), (u1, 0)];
     let asg_b = [(u0, 0), (u1, 1)];
-    let ea = epoch_features(&cfg, 0, 0, 1, 0, &asg_a, &flops);
-    let eb = epoch_features(&cfg, 0, 0, 1, 1, &asg_b, &flops);
+    let base = candidate_features(&cfg, 0);
+    let ea = epoch_features(&base, 0, 1, 0, &asg_a, &flops);
+    let eb = epoch_features(&base, 0, 1, 1, &asg_b, &flops);
     assert_ne!(ea.fingerprint(), eb.fingerprint(), "assignments must be distinct");
     assert_ne!(ea.values(), eb.values(), "fanout/balance features must differ");
 }
