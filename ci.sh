@@ -159,8 +159,16 @@ if [[ "$(field "$cold_json" steady_ns)" != "$(field "$ref_json" steady_ns)" \
     exit 1
 fi
 # Crash the store mid-run (the optimize itself must still succeed), then
-# resume against whatever survived.
-ASTRA_STORE_CRASH_AFTER=4096 ./target/release/astra-cli "${st_args[@]}" --store "$cr_dir" >/dev/null
+# resume against whatever survived. The crash must really fire: the cold
+# journal is longer than the budget and the crashed one stops exactly at
+# it — otherwise the resume below would check nothing.
+crash_after=4096
+ASTRA_STORE_CRASH_AFTER=$crash_after ./target/release/astra-cli "${st_args[@]}" --store "$cr_dir" >/dev/null
+cold_len=$(wc -c < "$st_dir/journal.astra") && cr_len=$(wc -c < "$cr_dir/journal.astra")
+if (( cold_len <= crash_after || cr_len != crash_after )); then
+    echo "ci: FAIL — crash hook did not fire (cold journal $cold_len B, crashed $cr_len B, budget $crash_after B)" >&2
+    exit 1
+fi
 resumed_json=$(./target/release/astra-cli "${st_args[@]}" --store "$cr_dir")
 if [[ "$(bool_field "$resumed_json" warm_start)" != "true" ]]; then
     echo "ci: FAIL — resumed run did not warm-start from the crashed store" >&2
@@ -190,6 +198,17 @@ if [[ "$(field "$flip_json" store_corrupt_records)" == 0 \
     exit 1
 fi
 ./target/release/astra-cli store fsck --dir "$st_dir" >/dev/null   # clean after recovery
+# Profile samples reach the journal as per-key stats, never one record
+# per sample: a warm re-run's journal holds no profile_sample records.
+# Capture first so a failing `store stats` aborts the gate instead of
+# reading as "no match".
+./target/release/astra-cli "${st_args[@]}" --store "$cr_dir" >/dev/null
+st_out=$(./target/release/astra-cli store stats --dir "$cr_dir")
+if grep -q profile_sample <<<"$st_out" || ! grep -q profile_stats <<<"$st_out"; then
+    echo "ci: FAIL — profile state not journaled as per-key stats:" >&2
+    echo "$st_out" >&2
+    exit 1
+fi
 # Maintenance commands work and a compacted store still resumes identically.
 ./target/release/astra-cli store stats --dir "$st_dir" >/dev/null
 ./target/release/astra-cli store compact --dir "$st_dir" >/dev/null

@@ -29,7 +29,7 @@ fn main() {
     print_row(&["Link", "P=1", "P=2", "P=4", "P=8", "best"].map(String::from));
     for link in [LinkSpec::nvlink(), LinkSpec::pcie3(), LinkSpec::ethernet()] {
         let report =
-            explore_scaling(&build, global_batch, &[1, 2, 4, 8], &dev, &link, &opts);
+            explore_scaling(build, global_batch, &[1, 2, 4, 8], &dev, &link, &opts);
         let mut cells = vec![link.name.clone()];
         for p in [1u32, 2, 4, 8] {
             let v = report

@@ -18,7 +18,7 @@
 //! configuration; after running a mini-batch under it, per-variable metrics
 //! are reported back with [`UpdateTree::record`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// How an interior node explores its children.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,23 +240,22 @@ impl UpdateNode {
             }
         }
     }
-
-    fn visit_vars_mut<'a>(&'a mut self, out: &mut Vec<&'a mut AdaptiveVar>) {
-        match self {
-            UpdateNode::Var(v) => out.push(v),
-            UpdateNode::Group { children, .. } => {
-                for c in children {
-                    c.visit_vars_mut(out);
-                }
-            }
-        }
-    }
 }
 
 /// The update tree: drives exploration trials and records metrics.
+///
+/// Every variable has a *slot*: its position in the tree's depth-first
+/// variable order, fixed at construction. [`UpdateTree::record_at`] and
+/// [`UpdateTree::poison_at`] address a variable by slot; the by-id forms
+/// resolve the id through an index built once, so neither walks the tree
+/// comparing names.
 #[derive(Debug, Clone)]
 pub struct UpdateTree {
     root: UpdateNode,
+    /// Child-index path from the root to each slot's variable.
+    paths: Vec<Vec<usize>>,
+    /// Variable id → slot (the first variable carrying the id).
+    slots: HashMap<String, usize>,
     started: bool,
     trials: usize,
 }
@@ -264,7 +263,47 @@ pub struct UpdateTree {
 impl UpdateTree {
     /// Wraps a root node.
     pub fn new(root: UpdateNode) -> Self {
-        UpdateTree { root, started: false, trials: 0 }
+        fn walk(
+            node: &UpdateNode,
+            path: &mut Vec<usize>,
+            paths: &mut Vec<Vec<usize>>,
+            slots: &mut HashMap<String, usize>,
+        ) {
+            match node {
+                UpdateNode::Var(v) => {
+                    slots.entry(v.id.clone()).or_insert(paths.len());
+                    paths.push(path.clone());
+                }
+                UpdateNode::Group { children, .. } => {
+                    for (i, c) in children.iter().enumerate() {
+                        path.push(i);
+                        walk(c, path, paths, slots);
+                        path.pop();
+                    }
+                }
+            }
+        }
+        let mut paths = Vec::new();
+        let mut slots = HashMap::new();
+        walk(&root, &mut Vec::new(), &mut paths, &mut slots);
+        UpdateTree { root, paths, slots, started: false, trials: 0 }
+    }
+
+    /// The slot of the variable named `id`, if the tree has one.
+    pub fn slot(&self, id: &str) -> Option<usize> {
+        self.slots.get(id).copied()
+    }
+
+    fn var_at_mut(&mut self, slot: usize) -> &mut AdaptiveVar {
+        let mut node = &mut self.root;
+        for &i in &self.paths[slot] {
+            let UpdateNode::Group { children, .. } = node else {
+                unreachable!("slot paths run through groups")
+            };
+            node = &mut children[i];
+        }
+        let UpdateNode::Var(v) = node else { unreachable!("slot paths end at variables") };
+        v
     }
 
     /// The assignment (variable id → choice) for the next trial, or `None`
@@ -333,15 +372,20 @@ impl UpdateTree {
     }
 
     /// Reports the measured metric for a variable in the *current* trial.
+    /// Unknown ids are ignored.
     pub fn record(&mut self, id: &str, metric: f64) {
-        let mut vars = Vec::new();
-        self.root.visit_vars_mut(&mut vars);
-        for v in vars {
-            if v.id == id {
-                v.record(metric);
-                return;
-            }
+        if let Some(slot) = self.slot(id) {
+            self.record_at(slot, metric);
         }
+    }
+
+    /// [`UpdateTree::record`] for the variable in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not a slot of this tree.
+    pub fn record_at(&mut self, slot: usize, metric: f64) {
+        self.var_at_mut(slot).record(metric);
     }
 
     /// Quarantines a variable's *current* choice: records +inf for it, so
@@ -351,6 +395,15 @@ impl UpdateTree {
     /// structurally invalid configurations.
     pub fn poison(&mut self, id: &str) {
         self.record(id, f64::INFINITY);
+    }
+
+    /// [`UpdateTree::poison`] for the variable in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not a slot of this tree.
+    pub fn poison_at(&mut self, slot: usize) {
+        self.record_at(slot, f64::INFINITY);
     }
 
     /// Freezes every variable at its best observed choice and returns the
@@ -369,7 +422,7 @@ impl UpdateTree {
     pub fn best_of(&self, id: &str) -> Option<(usize, f64)> {
         let mut vars = Vec::new();
         self.root.visit_vars(&mut vars);
-        vars.into_iter().find(|v| v.id == id).and_then(|v| v.best)
+        vars[self.slot(id)?].best
     }
 }
 
@@ -432,7 +485,7 @@ mod tests {
             // Metric: e0 best at 2, e1 best at 1.
             tree.record("e0", (asg["e0"] as f64 - 2.0).abs());
             tree.record("e1", (asg["e1"] as f64 - 1.0).abs());
-            if prev_e1.map_or(false, |p| p != asg["e1"]) {
+            if prev_e1.is_some_and(|p| p != asg["e1"]) {
                 e0_during_e1.push(asg["e0"]);
             }
             prev_e1 = Some(asg["e1"]);
@@ -576,6 +629,92 @@ mod tests {
         assert!(tree.next_trial().is_some()); // choice 2
         tree.record("v", 11.0);
         assert_eq!(tree.best_assignment()["v"], 1, "poisoned choice must lose to any finite");
+    }
+
+    /// A random tree of nested groups over uniquely named variables
+    /// (leaves carry 1–3 choices).
+    fn random_tree(rng: &mut astra_util::Rng64, depth: u32, next_id: &mut usize) -> UpdateNode {
+        if depth == 0 || rng.gen_range_u32(0, 3) == 0 {
+            *next_id += 1;
+            return UpdateNode::var(format!("v{next_id}"), rng.gen_range_usize(1, 3));
+        }
+        let mode = match rng.gen_range_u32(0, 2) {
+            0 => ExploreMode::Parallel,
+            1 => ExploreMode::Exhaustive,
+            _ => ExploreMode::Prefix,
+        };
+        // At most 2^3 leaves of at most 3 choices: an exhaustive-only tree
+        // stays under 3^8 trials.
+        let n = rng.gen_range_usize(1, 2);
+        let children = (0..n).map(|_| random_tree(rng, depth - 1, next_id)).collect();
+        UpdateNode::group(mode, children)
+    }
+
+    /// The reference lookup the slot index replaces: the first variable
+    /// named `id` in depth-first order, found by comparing names.
+    fn scan_var_mut<'a>(node: &'a mut UpdateNode, id: &str) -> Option<&'a mut AdaptiveVar> {
+        match node {
+            UpdateNode::Var(v) => (v.id == id).then_some(v),
+            UpdateNode::Group { children, .. } => {
+                children.iter_mut().find_map(|c| scan_var_mut(c, id))
+            }
+        }
+    }
+
+    #[test]
+    fn driving_by_slot_matches_driving_by_id() {
+        let mut rng = astra_util::Rng64::new(0x5107);
+        for case in 0..200 {
+            let mut next_id = 0;
+            let root = random_tree(&mut rng, 3, &mut next_id);
+            let mut by_id = UpdateTree::new(root.clone());
+            let mut by_slot = UpdateTree::new(root);
+            let mut trials = 0;
+            loop {
+                let a = by_id.next_trial();
+                assert_eq!(a, by_slot.next_trial(), "case {case}: trial sequences diverged");
+                let Some(asg) = a else { break };
+                trials += 1;
+                assert!(trials < 10_000, "runaway exploration");
+                for id in asg.keys() {
+                    let slot = by_slot.slot(id).expect("every assigned variable has a slot");
+                    match rng.gen_range_u32(0, 5) {
+                        0 => {
+                            scan_var_mut(&mut by_id.root, id).unwrap().record(f64::INFINITY);
+                            by_slot.poison_at(slot);
+                        }
+                        1 => {} // unmeasured this trial
+                        _ => {
+                            let m = rng.gen_range_f64(0.0, 10.0);
+                            scan_var_mut(&mut by_id.root, id).unwrap().record(m);
+                            by_slot.record_at(slot, m);
+                        }
+                    }
+                }
+            }
+            for id in by_id.assignment().keys() {
+                let best = scan_var_mut(&mut by_id.root, id).unwrap().best();
+                assert_eq!(best, by_slot.best_of(id), "case {case}: {id}");
+            }
+            assert_eq!(by_id.best_assignment(), by_slot.best_assignment(), "case {case}");
+            assert_eq!(by_id.trials(), by_slot.trials());
+        }
+    }
+
+    #[test]
+    fn slots_follow_depth_first_variable_order() {
+        let tree = UpdateTree::new(UpdateNode::group(
+            ExploreMode::Parallel,
+            vec![
+                UpdateNode::group(
+                    ExploreMode::Prefix,
+                    vec![UpdateNode::var("b", 2), UpdateNode::var("a", 2)],
+                ),
+                UpdateNode::var("c", 3),
+            ],
+        ));
+        assert_eq!((tree.slot("b"), tree.slot("a"), tree.slot("c")), (Some(0), Some(1), Some(2)));
+        assert_eq!(tree.slot("missing"), None);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! A final playoff runs the best configuration of each allocation context
 //! and picks the overall winner (§4.5.2).
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use astra_exec::native_schedule;
@@ -40,7 +42,7 @@ use crate::plan::{
     bind_libs, build_units_fragmented, candidate_features, emit_schedule, epoch_features,
     fusion_features, gradient_sync_bytes, kernel_features, placement_candidates,
     placement_features, DevicePlacement, ExecConfig, PlanCache, PlanContext, PlanKey, ProbeSpec,
-    Probes, Unit,
+    Probes, Unit, UnitId,
 };
 use crate::predictor::Pruner;
 use crate::profile::{ProfileIndex, ProfileKey};
@@ -87,8 +89,11 @@ fn is_outlier(index: &ProfileIndex, key: &ProfileKey, metric: f64) -> bool {
 /// individual per-variable keys — per-variable marks from two different
 /// quarantined candidates could otherwise combine to falsely match a
 /// never-quarantined third combination.
-fn quarantine_id(phase: &str, keys: impl IntoIterator<Item = ProfileKey>) -> ProfileKey {
-    let contexts: Vec<String> = keys.into_iter().map(|k| k.to_string()).collect();
+fn quarantine_id<K: Borrow<ProfileKey>>(
+    phase: &str,
+    keys: impl IntoIterator<Item = K>,
+) -> ProfileKey {
+    let contexts: Vec<String> = keys.into_iter().map(|k| k.borrow().to_string()).collect();
     ProfileKey::from_parts(contexts, format!("quarantine:{phase}"), 0)
 }
 
@@ -123,16 +128,120 @@ struct Prepared {
 type TrialOut = Option<(RunResult, Probes)>;
 
 /// One trial's predictor features for one *active* adaptive variable: the
-/// variable's tree id, its index in the phase's active-variable list, the
-/// choice this trial assigns, the extracted features, and the
+/// variable's update-tree slot, its index in the phase's active-variable
+/// list, the choice this trial assigns, the extracted features, and the
 /// selection-time prediction (0 until the batch is scored, and forever in
 /// cold batches — a zero prediction is never counted toward the MAE).
 struct VarFeat {
-    var: String,
+    slot: usize,
     vidx: usize,
     choice: usize,
-    feat: FeatureVec,
+    feat: Rc<FeatureVec>,
     pred: f64,
+}
+
+/// One choice of a stream-phase epoch variable: the stream of each of the
+/// epoch's units, and the predictor features and profile key every trial
+/// carrying this choice shares.
+struct EpochChoice {
+    assignment: EpochAssignment,
+    feat: Rc<FeatureVec>,
+    key: ProfileKey,
+}
+
+/// One epoch adaptive variable of the stream phase.
+struct EpochVar {
+    /// Update-tree id, `se{sei}.e{ei}`.
+    id: String,
+    /// (super-epoch, epoch) position in the partition.
+    pos: (usize, usize),
+    /// The variable's slot in the phase's update tree.
+    slot: usize,
+    choices: Vec<EpochChoice>,
+}
+
+/// The stream phase's search space over one partition, with everything
+/// about a choice that no trial changes computed once.
+struct EpochSpace {
+    /// Epochs with more than one choice, in id order (the order of a tree
+    /// assignment's keys); a variable's position here is its `vidx`.
+    vars: Vec<EpochVar>,
+    /// The update tree over `vars`: super-epochs in parallel, epochs
+    /// prefix-wise within each. `None` when no epoch has a choice.
+    tree: Option<UpdateTree>,
+    /// The only assignment of every single-choice epoch.
+    fixed: Vec<(UnitId, usize)>,
+}
+
+/// Builds the [`EpochSpace`] of `partition`: per-epoch stream choices,
+/// and for each choice its [`epoch_features`] over `base` and its
+/// [`epoch_key`] under the given contexts. Epochs with a single choice
+/// (one class member, or one stream) get no adaptive variable and no
+/// probe.
+fn epoch_space(
+    units: &[Unit],
+    partition: &Partition,
+    num_streams: usize,
+    base: &FeatureVec,
+    strat_ctx: Option<&str>,
+    key_context: Option<&str>,
+) -> EpochSpace {
+    let flops_of: BTreeMap<UnitId, f64> = units.iter().map(|u| (u.id, u.flops)).collect();
+    let mut fixed = Vec::new();
+    let mut vars = Vec::new();
+    let mut se_children = Vec::new();
+    for (sei, se) in partition.super_epochs.iter().enumerate() {
+        let mut epoch_nodes = Vec::new();
+        for (ei, epoch) in se.epochs.iter().enumerate() {
+            let options = epoch_choices(units, epoch, num_streams);
+            if options.len() <= 1 {
+                fixed.extend(options.into_iter().flatten());
+                continue;
+            }
+            let id = format!("se{sei}.e{ei}");
+            epoch_nodes.push(UpdateNode::var(id.clone(), options.len()));
+            let choices = options
+                .into_iter()
+                .enumerate()
+                .map(|(c, assignment)| EpochChoice {
+                    feat: Rc::new(epoch_features(base, sei, ei, c, &assignment, &flops_of)),
+                    key: epoch_key(&id, c, strat_ctx, key_context),
+                    assignment,
+                })
+                .collect();
+            vars.push(EpochVar { id, pos: (sei, ei), slot: 0, choices });
+        }
+        if !epoch_nodes.is_empty() {
+            se_children.push(UpdateNode::group(ExploreMode::Prefix, epoch_nodes));
+        }
+    }
+    let tree = (!se_children.is_empty())
+        .then(|| UpdateTree::new(UpdateNode::group(ExploreMode::Parallel, se_children)));
+    vars.sort_by(|a, b| a.id.cmp(&b.id));
+    if let Some(tree) = &tree {
+        for var in &mut vars {
+            var.slot = tree.slot(&var.id).expect("every epoch variable is in the tree");
+        }
+    }
+    EpochSpace { vars, tree, fixed }
+}
+
+/// Profile key of an epoch variable's choice, under the allocation
+/// strategy context and the bucket context when set.
+fn epoch_key(
+    id: &str,
+    choice: usize,
+    strat_ctx: Option<&str>,
+    key_context: Option<&str>,
+) -> ProfileKey {
+    let mut key = ProfileKey::entity(format!("epoch:{id}"), choice);
+    if let Some(c) = strat_ctx {
+        key = key.in_context(c);
+    }
+    if let Some(b) = key_context {
+        key = key.in_context(b);
+    }
+    key
 }
 
 /// Per-trial feature sets for a lookahead batch, parallel to the prepared
@@ -888,12 +997,20 @@ impl<'g> Astra<'g> {
         self.sim_cache.absorb_ctx(&ctx, salt, captured);
     }
 
-    /// Commits one measurement: profile index always, store journal when
-    /// persistence is on.
+    /// Commits one measurement: profile index always, the store's fold
+    /// when persistence is on.
     fn commit_sample(&mut self, key: &ProfileKey, value_ns: f64) {
         self.index.record(key, value_ns);
         if let Some(store) = self.store.as_mut() {
-            store.journal_sample(key, value_ns);
+            store.fold_sample(key, value_ns);
+        }
+    }
+
+    /// Ends an exploration phase: journals the profile stats its samples
+    /// changed.
+    fn end_phase(&mut self) {
+        if let Some(store) = self.store.as_mut() {
+            store.flush_profile();
         }
     }
 
@@ -1381,6 +1498,18 @@ impl<'g> Astra<'g> {
     /// Returns an error if the underlying simulation fails; invalid fusion
     /// configurations (cyclic unit graphs) are skipped, not fatal.
     pub fn optimize(&mut self) -> Result<Report, AstraError> {
+        let result = self.explore_and_seal();
+        if result.is_err() {
+            // A failed run never reaches `finish_run`: journal the samples
+            // its unfinished phase folded, as the phase end would have.
+            self.end_phase();
+        }
+        result
+    }
+
+    /// The body of [`Astra::optimize`]: every phase per allocation
+    /// strategy, the playoff, and the end-of-run store bookkeeping.
+    fn explore_and_seal(&mut self) -> Result<Report, AstraError> {
         let mut stats = ExploreStats::default();
         let native_salt = self.fault_seq;
         self.fault_seq += 1;
@@ -1417,17 +1546,21 @@ impl<'g> Astra<'g> {
 
             if dims.fusion {
                 self.explore_fusion(&mut cfg, strat_ctx.as_deref(), &mut stats)?;
+                self.end_phase();
             }
             if dims.kernel {
                 self.explore_kernels(&mut cfg, &mut stats)?;
+                self.end_phase();
             }
             let mut partition = None;
             if dims.streams {
                 partition = self.explore_streams(&mut cfg, strat_ctx.as_deref(), &mut stats)?;
+                self.end_phase();
             }
             // Phase P: placement across the node's devices (no-op without a
             // multi-device topology).
             self.explore_placements(&mut cfg, strat_ctx.as_deref(), &mut stats)?;
+            self.end_phase();
 
             // Context playoff run: best configuration end-to-end (§4.7).
             // Bounded fault retries keep the strategy comparison honest — a
@@ -1666,10 +1799,10 @@ impl<'g> Astra<'g> {
                 .map(|((c, p), asg)| {
                     p.as_ref().map(|_| {
                         vec![VarFeat {
-                            var: "placement".to_owned(),
+                            slot: 0, // the tree's only variable
                             vidx: 0,
                             choice: asg["placement"],
-                            feat: placement_features(c, fp_self, &units, sync_bytes),
+                            feat: Rc::new(placement_features(c, fp_self, &units, sync_bytes)),
                             pred: 0.0,
                         }]
                     })
@@ -1696,7 +1829,7 @@ impl<'g> Astra<'g> {
                     }
                     BatchOutcome::Pruned | BatchOutcome::BoundPruned => {
                         for vf in feats[bi].iter().flatten() {
-                            tree.record(&vf.var, vf.pred);
+                            tree.record_at(vf.slot, vf.pred);
                         }
                         continue;
                     }
@@ -1981,10 +2114,10 @@ impl<'g> Astra<'g> {
                                 .find(|s| s.id == *set_id)
                                 .expect("explored sets come from the enumeration");
                             VarFeat {
-                                var: set_id.clone(),
+                                slot: tree.slot(set_id).expect("explored sets are tree variables"),
                                 vidx,
                                 choice: asg[set_id],
-                                feat: fusion_features(c, fp_self, set, rc, cc),
+                                feat: Rc::new(fusion_features(c, fp_self, set, rc, cc)),
                                 pred: 0.0,
                             }
                         })
@@ -2029,7 +2162,7 @@ impl<'g> Astra<'g> {
                         // either way every recorded value is strictly above
                         // the committed measured best.
                         for vf in feats[bi].iter().flatten() {
-                            tree.record(&vf.var, vf.pred);
+                            tree.record_at(vf.slot, vf.pred);
                         }
                         continue;
                     }
@@ -2301,10 +2434,12 @@ impl<'g> Astra<'g> {
                         .map(|(vidx, shape)| {
                             let choice = asg[&format!("{shape}")];
                             VarFeat {
-                                var: format!("{shape}"),
+                                slot: tree
+                                    .slot(&format!("{shape}"))
+                                    .expect("explored shapes are tree variables"),
                                 vidx,
                                 choice,
-                                feat: kernel_features(c, fp_self, *shape, libs[choice]),
+                                feat: Rc::new(kernel_features(c, fp_self, *shape, libs[choice])),
                                 pred: 0.0,
                             }
                         })
@@ -2343,7 +2478,7 @@ impl<'g> Astra<'g> {
                         // floors); every recorded value is strictly above
                         // the committed measured best.
                         for vf in feats[bi].iter().flatten() {
-                            tree.record(&vf.var, vf.pred);
+                            tree.record_at(vf.slot, vf.pred);
                         }
                         continue;
                     }
@@ -2460,58 +2595,37 @@ impl<'g> Astra<'g> {
         let budget = self.opts.super_epoch_flops.unwrap_or(total_flops / 8.0).max(1.0);
         let partition = partition_units(&units, budget);
 
-        // Per-epoch choice lists. Epochs with a single choice (one class
-        // member, or one stream) get no adaptive variable and no probe —
-        // their only assignment is applied statically.
-        let mut epoch_opts: BTreeMap<String, Vec<EpochAssignment>> = BTreeMap::new();
-        let mut id_pos: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        let mut fixed_assignment: Vec<(crate::plan::UnitId, usize)> = Vec::new();
-        let mut probed: std::collections::HashSet<(usize, usize)> =
-            std::collections::HashSet::new();
-        let mut se_children = Vec::new();
-        for (sei, se) in partition.super_epochs.iter().enumerate() {
-            let mut epoch_vars = Vec::new();
-            for (ei, epoch) in se.epochs.iter().enumerate() {
-                let choices = epoch_choices(&units, epoch, cfg.num_streams);
-                if choices.len() <= 1 {
-                    fixed_assignment.extend(choices.into_iter().flatten());
-                    continue;
-                }
-                let id = format!("se{sei}.e{ei}");
-                epoch_vars.push(UpdateNode::var(id.clone(), choices.len()));
-                id_pos.insert(id.clone(), (sei, ei));
-                epoch_opts.insert(id, choices);
-                probed.insert((sei, ei));
-            }
-            if !epoch_vars.is_empty() {
-                se_children.push(UpdateNode::group(ExploreMode::Prefix, epoch_vars));
-            }
-        }
-        if se_children.is_empty() {
-            cfg.streams = fixed_assignment.into_iter().collect();
-            return Ok(Some(partition));
-        }
-        let mut tree = UpdateTree::new(UpdateNode::group(ExploreMode::Parallel, se_children));
-        let probe_spec = ProbeSpec::epochs(probed);
-
-        // Predictor bookkeeping. Variable indices are positions in
-        // `epoch_opts` iteration order — stable across batches, so the
-        // regret guard's measured minima accumulate per epoch variable.
-        let flops_of: BTreeMap<crate::plan::UnitId, f64> =
-            units.iter().map(|u| (u.id, u.flops)).collect();
-        let id_vidx: BTreeMap<String, usize> =
-            epoch_opts.keys().enumerate().map(|(v, id)| (id.clone(), v)).collect();
-        let mut best_measured: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
-        let bound_topo = self.opts.bound_prune.then(|| self.lint_topology());
         // Candidates differ from `cfg` only in their stream maps, which the
         // candidate base does not read: build it once for the phase.
         let base = candidate_features(cfg, self.topo_fp());
+        let key_context = self.opts.key_context.as_deref();
+        let EpochSpace { vars, tree, fixed } =
+            epoch_space(&units, &partition, cfg.num_streams, &base, strat_ctx, key_context);
+        let Some(mut tree) = tree else {
+            cfg.streams = fixed.into_iter().collect();
+            return Ok(Some(partition));
+        };
+        let probe_spec = ProbeSpec::epochs(vars.iter().map(|v| v.pos).collect());
+        let pos_vidx: BTreeMap<(usize, usize), usize> =
+            vars.iter().enumerate().map(|(v, var)| (var.pos, v)).collect();
 
-        let apply = |cfg: &mut ExecConfig, asg: &BTreeMap<String, usize>| {
+        // Predictor bookkeeping. Variable indices are positions in `vars`
+        // (id order) — stable across batches, so the regret guard's
+        // measured minima accumulate per epoch variable.
+        let mut best_measured: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
+        let bound_topo = self.opts.bound_prune.then(|| self.lint_topology());
+
+        // A trial's choices by variable index: tree assignments are keyed
+        // by variable id, which is exactly `vars` order.
+        let picks_of = |asg: &BTreeMap<String, usize>| -> Vec<usize> {
+            debug_assert!(asg.keys().eq(vars.iter().map(|v| &v.id)));
+            asg.values().copied().collect()
+        };
+        let apply = |cfg: &mut ExecConfig, pick: &[usize]| {
             cfg.streams.clear();
-            cfg.streams.extend(fixed_assignment.iter().copied());
-            for (id, &choice) in asg {
-                for &(uid, s) in &epoch_opts[id][choice] {
+            cfg.streams.extend(fixed.iter().copied());
+            for (var, &choice) in vars.iter().zip(pick) {
+                for &(uid, s) in &var.choices[choice].assignment {
                     cfg.streams.insert(uid, s);
                 }
             }
@@ -2533,11 +2647,12 @@ impl<'g> Astra<'g> {
             if batch.is_empty() {
                 break;
             }
-            let cfgs: Vec<ExecConfig> = batch
+            let picks: Vec<Vec<usize>> = batch.iter().map(picks_of).collect();
+            let cfgs: Vec<ExecConfig> = picks
                 .iter()
-                .map(|asg| {
+                .map(|pick| {
                     let mut c = cfg.clone();
-                    apply(&mut c, asg);
+                    apply(&mut c, pick);
                     c
                 })
                 .collect();
@@ -2595,41 +2710,24 @@ impl<'g> Astra<'g> {
             // Active epoch variables: those whose choice varies across this
             // batch. Frozen (prefix-fixed) epochs carry no features — their
             // metrics are still committed, but never drive pruning.
-            let active: Vec<&String> = epoch_opts
-                .keys()
-                .filter(|id| {
-                    let first = batch[0][*id];
-                    batch.iter().any(|asg| asg[*id] != first)
-                })
+            let active: Vec<usize> = (0..vars.len())
+                .filter(|&v| picks.iter().any(|pick| pick[v] != picks[0][v]))
                 .collect();
-            let mut active_vidx: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-            let mut active_slot: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-            for (slot, id) in active.iter().enumerate() {
-                active_vidx.insert(id_pos[*id], id_vidx[*id]);
-                active_slot.insert(id_pos[*id], slot);
+            let mut active_pos: Vec<Option<usize>> = vec![None; vars.len()];
+            for (i, &v) in active.iter().enumerate() {
+                active_pos[v] = Some(i);
             }
             let mut feats: BatchFeats = Vec::with_capacity(cfgs.len());
-            for (p, asg) in prepared.iter().zip(&batch) {
+            for (p, pick) in prepared.iter().zip(&picks) {
                 feats.push(p.as_ref().map(|_| {
                     active
                         .iter()
-                        .map(|id| {
-                            let (sei, ei) = id_pos[*id];
-                            let choice = asg[*id];
-                            VarFeat {
-                                var: (*id).clone(),
-                                vidx: id_vidx[*id],
-                                choice,
-                                feat: epoch_features(
-                                    &base,
-                                    sei,
-                                    ei,
-                                    choice,
-                                    &epoch_opts[*id][choice],
-                                    &flops_of,
-                                ),
-                                pred: 0.0,
-                            }
+                        .map(|&v| VarFeat {
+                            slot: vars[v].slot,
+                            vidx: v,
+                            choice: pick[v],
+                            feat: Rc::clone(&vars[v].choices[pick[v]].feat),
+                            pred: 0.0,
                         })
                         .collect()
                 }));
@@ -2648,14 +2746,14 @@ impl<'g> Astra<'g> {
                         p.as_ref().map_or(Vec::new(), |p| {
                             let mut vidxs = Vec::new();
                             let mut spans = Vec::new();
-                            for id in &active {
-                                let (sei, ei) = id_pos[*id];
+                            for &v in &active {
+                                let (sei, ei) = vars[v].pos;
                                 let start = p.probes.se_starts.get(&sei);
                                 let ends = p.probes.epoch_ends.get(&(sei, ei));
                                 let (Some(&start), Some(ends)) = (start, ends) else {
                                     continue;
                                 };
-                                vidxs.push(id_vidx[*id]);
+                                vidxs.push(v);
                                 spans.push((start, ends.as_slice()));
                             }
                             let floors =
@@ -2675,7 +2773,10 @@ impl<'g> Astra<'g> {
                 |probes, r| {
                     epoch_metrics_of(probes, r)
                         .into_iter()
-                        .filter_map(|(pos, m)| active_vidx.get(&pos).map(|&v| (v, m)))
+                        .filter_map(|(pos, m)| {
+                            let v = *pos_vidx.get(&pos)?;
+                            active_pos[v].map(|_| (v, m))
+                        })
                         .collect()
                 },
                 stats,
@@ -2684,12 +2785,13 @@ impl<'g> Astra<'g> {
             for (bi, outcome) in outcomes.into_iter().enumerate() {
                 let asg = tree.next_trial().expect("lookahead bounds the batch");
                 debug_assert_eq!(asg, batch[bi]);
+                let pick = &picks[bi];
                 let salt = salt0 + bi as u64;
                 let mut o = match outcome {
                     BatchOutcome::Invalid => {
                         // Verify-rejected candidate: poison its choices.
-                        for id in epoch_opts.keys() {
-                            tree.poison(id);
+                        for var in &vars {
+                            tree.poison_at(var.slot);
                         }
                         continue;
                     }
@@ -2698,7 +2800,7 @@ impl<'g> Astra<'g> {
                         // active variables; the regret guard keeps them
                         // strictly above the measured best.
                         for vf in feats[bi].iter().flatten() {
-                            tree.record(&vf.var, vf.pred);
+                            tree.record_at(vf.slot, vf.pred);
                         }
                         continue;
                     }
@@ -2709,23 +2811,13 @@ impl<'g> Astra<'g> {
                         epoch_metrics: epoch_metrics_of(&probes, &r),
                     },
                 };
-                let qid = quarantine_id(
-                    "epoch",
-                    active.iter().map(|id| {
-                        let mut key = ProfileKey::entity(format!("epoch:{id}"), asg[*id]);
-                        if let Some(c) = strat_ctx {
-                            key = key.in_context(c.to_owned());
-                        }
-                        if let Some(b) = &self.opts.key_context {
-                            key = key.in_context(b.clone());
-                        }
-                        key
-                    }),
-                );
-                if self.warm_quarantine.contains(&qid) {
+                let qid = || {
+                    quarantine_id("epoch", active.iter().map(|&v| &vars[v].choices[pick[v]].key))
+                };
+                if !self.warm_quarantine.is_empty() && self.warm_quarantine.contains(&qid()) {
                     stats.quarantined += 1;
-                    for id in epoch_opts.keys() {
-                        tree.poison(id);
+                    for var in &vars {
+                        tree.poison_at(var.slot);
                     }
                     continue;
                 }
@@ -2741,21 +2833,14 @@ impl<'g> Astra<'g> {
                     // with later-epoch stream assignments (processor
                     // sharing), so only a reported fault marks a suspect.
                     if !o.faulted {
-                        for ((sei, ei), metric) in o.epoch_metrics {
-                            let id = format!("se{sei}.e{ei}");
-                            tree.record(&id, metric);
-                            let mut key = ProfileKey::entity(format!("epoch:{id}"), asg[&id]);
-                            if let Some(c) = strat_ctx {
-                                key = key.in_context(c.to_owned());
-                            }
-                            if let Some(b) = &self.opts.key_context {
-                                key = key.in_context(b.clone());
-                            }
-                            self.commit_sample(&key, metric);
-                            if let (Some(&slot), Some(fs)) =
-                                (active_slot.get(&(sei, ei)), feats[bi].as_ref())
-                            {
-                                let vf = &fs[slot];
+                        for (pos, metric) in o.epoch_metrics {
+                            let Some(&v) = pos_vidx.get(&pos) else { continue };
+                            let var = &vars[v];
+                            let choice = &var.choices[pick[v]];
+                            tree.record_at(var.slot, metric);
+                            self.commit_sample(&choice.key, metric);
+                            if let (Some(i), Some(fs)) = (active_pos[v], feats[bi].as_ref()) {
+                                let vf = &fs[i];
                                 self.pruner.observe("epoch", &vf.feat, vf.pred, metric);
                                 let e = best_measured
                                     .entry(vf.vidx)
@@ -2768,16 +2853,7 @@ impl<'g> Astra<'g> {
                                 // metrics are committed anyway, and the extra
                                 // samples warm the epoch model much faster
                                 // than the few actively-varying trials would.
-                                let choice = asg[&id];
-                                let f = epoch_features(
-                                    &base,
-                                    sei,
-                                    ei,
-                                    choice,
-                                    &epoch_opts[&id][choice],
-                                    &flops_of,
-                                );
-                                self.pruner.observe("epoch", &f, 0.0, metric);
+                                self.pruner.observe("epoch", &choice.feat, 0.0, metric);
                             }
                         }
                         break true;
@@ -2809,16 +2885,16 @@ impl<'g> Astra<'g> {
                 };
                 if !committed {
                     stats.quarantined += 1;
-                    for id in epoch_opts.keys() {
-                        tree.poison(id);
+                    for var in &vars {
+                        tree.poison_at(var.slot);
                     }
-                    self.journal_quarantine(&qid);
+                    self.journal_quarantine(&qid());
                 }
             }
         }
 
         let best = tree.best_assignment();
-        apply(cfg, &best);
+        apply(cfg, &picks_of(&best));
         Ok(Some(partition))
     }
 }
@@ -2843,6 +2919,65 @@ mod tests {
         let dev = DeviceSpec::p100();
         let mut astra = Astra::new(&built.graph, &dev, AstraOptions { dims, ..Default::default() });
         astra.optimize().expect("optimization succeeds")
+    }
+
+    #[test]
+    fn epoch_space_entries_equal_direct_feature_and_key_builds() {
+        for m in Model::all() {
+            let built = tiny(m);
+            let dev = DeviceSpec::p100();
+            let mut astra = Astra::new(&built.graph, &dev, AstraOptions::default());
+            for streams in [2, 3] {
+                let cfg = ExecConfig { num_streams: streams, ..ExecConfig::baseline() };
+                let units = astra.plan_cache.units_for(&astra.ctx, &cfg).unwrap();
+                let total: f64 = units.iter().map(|u| u.flops).sum();
+                let partition = partition_units(&units, (total / 8.0).max(1.0));
+                let base = candidate_features(&cfg, 0);
+                let (strat, bucket) = (Some("alloc:1"), Some("bucket:3"));
+                let space = epoch_space(&units, &partition, streams, &base, strat, bucket);
+                let flops_of: BTreeMap<UnitId, f64> =
+                    units.iter().map(|u| (u.id, u.flops)).collect();
+                let mut probed = 0;
+                for (sei, se) in partition.super_epochs.iter().enumerate() {
+                    for (ei, epoch) in se.epochs.iter().enumerate() {
+                        let options = epoch_choices(&units, epoch, streams);
+                        let id = format!("se{sei}.e{ei}");
+                        let Some(var) = space.vars.iter().find(|v| v.id == id) else {
+                            assert!(options.len() <= 1, "{m}: {id} has choices but no variable");
+                            continue;
+                        };
+                        probed += 1;
+                        assert_eq!(var.pos, (sei, ei));
+                        assert_eq!(var.choices.len(), options.len());
+                        let pairs = var.choices.iter().zip(&options);
+                        for (c, (choice, assignment)) in pairs.enumerate() {
+                            assert_eq!(&choice.assignment, assignment);
+                            let direct = epoch_features(&base, sei, ei, c, assignment, &flops_of);
+                            let bits = |f: &FeatureVec| -> Vec<u64> {
+                                f.values().iter().map(|v| v.to_bits()).collect()
+                            };
+                            assert_eq!(bits(&choice.feat), bits(&direct), "{m}: {id} choice {c}");
+                            assert_eq!(choice.feat.fingerprint(), direct.fingerprint());
+                            let key = ProfileKey::entity(format!("epoch:{id}"), c)
+                                .in_context("alloc:1")
+                                .in_context("bucket:3");
+                            assert_eq!(choice.key, key);
+                        }
+                    }
+                }
+                assert_eq!(space.vars.len(), probed);
+                assert!(space.vars.windows(2).all(|w| w[0].id < w[1].id), "vars in id order");
+                if let Some(mut tree) = space.tree {
+                    let asg = tree.next_trial().unwrap();
+                    assert!(asg.keys().eq(space.vars.iter().map(|v| &v.id)));
+                    for var in &space.vars {
+                        assert_eq!(tree.slot(&var.id), Some(var.slot));
+                    }
+                } else {
+                    assert!(space.vars.is_empty());
+                }
+            }
+        }
     }
 
     #[test]

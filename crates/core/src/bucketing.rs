@@ -225,8 +225,8 @@ mod tests {
             Model::Scrnn.build(&cfg).graph
         };
         let opts = AstraOptions { dims: Dims::f(), ..Default::default() };
-        let one = optimize_bucketed(&build, &[3, 3], &[3], &dev, &opts).unwrap();
-        let two = optimize_bucketed(&build, &[3, 5], &[3, 5], &dev, &opts).unwrap();
+        let one = optimize_bucketed(build, &[3, 3], &[3], &dev, &opts).unwrap();
+        let two = optimize_bucketed(build, &[3, 5], &[3, 5], &dev, &opts).unwrap();
         assert!(two.configs_explored > one.configs_explored);
     }
 }

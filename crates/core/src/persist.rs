@@ -11,11 +11,18 @@
 //! (the conversions in this module are the single meeting point).
 //!
 //! [`DriverStore`] also owns the *authoritative persisted state*: the
-//! loaded records folded into typed structures, extended by every journal
-//! append. Compaction snapshots that state rather than re-reading the
-//! files, so a compacted store is exactly the fold of everything written
-//! — loaded or journaled — with samples collapsed into running stats and
-//! superseded predictor snapshots dropped.
+//! loaded records folded into typed structures, extended by everything
+//! the run journals. Compaction snapshots that state rather than
+//! re-reading the files, so a compacted store is exactly the fold of
+//! everything written — loaded or journaled — with superseded stats and
+//! predictor snapshots dropped.
+//!
+//! What is journaled when: memos, verdicts and quarantine marks are
+//! appended as they are produced (crash-resume replays only these).
+//! Profile samples are folded in memory and reach the journal as one
+//! cumulative stats record per changed key at [`DriverStore::flush_profile`]
+//! — the end of each exploration phase and of the run — so an interrupted
+//! phase loses its samples but nothing the resumed run depends on.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
@@ -27,16 +34,17 @@ use astra_gpu::{
 };
 use astra_predict::CostModelState;
 use astra_store::{
-    MemoKey, MemoRec, MemoSpan, PredictorRec, ProfileSampleRec, ProfileStatsRec, QuarantineRec,
+    MemoKey, MemoRec, MemoSpan, PredictorRec, ProfileStatsRec, QuarantineRec,
     Record, Store, StoreOptions, VerdictKind, VerdictRec,
 };
 
 use crate::profile::{ProfileIndex, ProfileKey, SampleStats};
 use crate::simcache::SimKey;
 
-/// Auto-compaction threshold: when a run ends with at least this many
-/// journal appends since the last compaction, the journal is folded into
-/// the snapshot. High enough that short runs never pay the rewrite, low
+/// Auto-compaction threshold: when a run ends with the journal holding at
+/// least this many records — the ones it was opened with plus this run's
+/// appends, so the count spans sessions — the journal is folded into the
+/// snapshot. High enough that short runs never pay the rewrite, low
 /// enough that the journal cannot grow without bound across sessions.
 const AUTO_COMPACT_APPENDS: u64 = 4096;
 
@@ -71,17 +79,8 @@ fn memo_key(key: &SimKey) -> MemoKey {
     }
 }
 
-/// Journal form of one profile observation.
-pub(crate) fn sample_record(key: &ProfileKey, value_ns: f64) -> Record {
-    Record::ProfileSample(ProfileSampleRec {
-        contexts: key.contexts().to_vec(),
-        entity: key.entity_name().to_owned(),
-        choice: key.choice() as u64,
-        value_ns,
-    })
-}
-
-/// Snapshot form of one profile key's running stats.
+/// Cumulative form of one profile key's running stats: on load it
+/// replaces whatever the key held, so the latest record wins.
 fn stats_record(key: &ProfileKey, stats: &SampleStats) -> Record {
     let (count, mean, m2, min) = stats.raw();
     Record::ProfileStats(ProfileStatsRec {
@@ -286,8 +285,9 @@ pub(crate) struct WarmState {
     pub lint: HashMap<u64, bool>,
     /// Quarantine marks with the fault fingerprint they were earned under.
     pub quarantine: Vec<(ProfileKey, u64)>,
-    /// The persisted profile index (stats snapshots replayed, then journal
-    /// samples on top, in record order).
+    /// The persisted profile index: stats records and legacy sample
+    /// records replayed in record order, each stats record replacing its
+    /// key's stats.
     pub index: ProfileIndex,
     /// Latest persisted cost-model snapshot per phase kind.
     pub predictors: Vec<(String, CostModelState)>,
@@ -304,8 +304,10 @@ pub(crate) struct WarmState {
 pub(crate) struct DriverStore {
     store: Store,
     /// Persisted profile state: loaded records replayed, plus every sample
-    /// journaled through this handle.
+    /// folded through this handle.
     profile: ProfileIndex,
+    /// Keys whose stats changed since they were last journaled.
+    dirty: BTreeSet<ProfileKey>,
     /// Persisted verdicts keyed `(kind tag, plan fingerprint)`.
     verdicts: BTreeMap<(u8, u64), bool>,
     /// Persisted quarantine marks.
@@ -329,6 +331,7 @@ impl DriverStore {
         let mut ds = DriverStore {
             store,
             profile: ProfileIndex::new(),
+            dirty: BTreeSet::new(),
             verdicts: BTreeMap::new(),
             quarantine: BTreeSet::new(),
             predictors: BTreeMap::new(),
@@ -444,10 +447,23 @@ impl DriverStore {
         }
     }
 
-    /// Journals one committed profile sample.
-    pub fn journal_sample(&mut self, key: &ProfileKey, value_ns: f64) {
+    /// Folds one committed profile sample; its key's stats reach the
+    /// journal at the next [`DriverStore::flush_profile`].
+    pub fn fold_sample(&mut self, key: &ProfileKey, value_ns: f64) {
         self.profile.record(key, value_ns);
-        self.append(&sample_record(key, value_ns));
+        if !self.dirty.contains(key) {
+            self.dirty.insert(key.clone());
+        }
+    }
+
+    /// Journals one cumulative stats record per key folded since the last
+    /// flush, in key order.
+    pub fn flush_profile(&mut self) {
+        for key in std::mem::take(&mut self.dirty) {
+            let Some(stats) = self.profile.stats(&key) else { continue };
+            let rec = stats_record(&key, stats);
+            self.append(&rec);
+        }
     }
 
     /// Journals one fresh verify/lint verdict (deduped: re-deriving an
@@ -488,10 +504,11 @@ impl DriverStore {
         self.memos.insert(mkey, rec);
     }
 
-    /// End-of-run bookkeeping: snapshot changed predictor models, flush
-    /// the journal to disk, and fold it into the snapshot if it has grown
-    /// past the auto-compaction threshold.
+    /// End-of-run bookkeeping: journal changed profile stats, snapshot
+    /// changed predictor models, flush the journal to disk, and fold it
+    /// into the snapshot once it holds [`AUTO_COMPACT_APPENDS`] records.
     pub fn finish_run(&mut self, models: Vec<(&'static str, CostModelState)>) {
+        self.flush_profile();
         for (kind, state) in models {
             if self.predictors.get(kind) == Some(&state) {
                 continue;
@@ -504,7 +521,7 @@ impl DriverStore {
                 self.degraded = Some(e.to_string());
             }
         }
-        if self.store.journal_appends() >= AUTO_COMPACT_APPENDS {
+        if self.store.journal_records() >= AUTO_COMPACT_APPENDS {
             self.compact();
         }
     }
@@ -521,7 +538,7 @@ impl DriverStore {
         }
     }
 
-    /// The compacted record set: profile stats (samples folded), verdicts,
+    /// The compacted record set: profile stats, verdicts,
     /// quarantine marks, predictor snapshots, memos — each group in its
     /// deterministic key order.
     pub fn snapshot_records(&self) -> Vec<Record> {
@@ -548,7 +565,7 @@ impl DriverStore {
         out
     }
 
-    /// Journal appends since open (or the last compaction).
+    /// Journal appends since open.
     pub fn journal_appends(&self) -> u64 {
         self.store.journal_appends()
     }
@@ -567,8 +584,9 @@ impl DriverStore {
 /// Opens the store at `dir`, recovers whatever survives, and compacts the
 /// full fold into the snapshot — the `astra-cli store compact` entry
 /// point. Returns `(records_loaded, records_in_snapshot)`: loaded counts
-/// every clean record replayed, the snapshot count is smaller when
-/// samples fold into stats or duplicate marks collapse.
+/// every clean record replayed, the snapshot count is smaller when a
+/// key's successive stats (or legacy samples) fold into one stats record
+/// or duplicate marks collapse.
 ///
 /// # Errors
 ///
@@ -676,9 +694,9 @@ mod tests {
         {
             let (mut ds, warm) = DriverStore::open(&dir, &opts).unwrap();
             assert_eq!(warm.loaded_records, 0);
-            ds.journal_sample(&key_a, 100.0);
-            ds.journal_sample(&key_a, 90.0);
-            ds.journal_sample(&key_b, 55.5);
+            ds.fold_sample(&key_a, 100.0);
+            ds.fold_sample(&key_a, 90.0);
+            ds.fold_sample(&key_b, 55.5);
             ds.journal_verdict(VerdictKind::Verify, 42, true);
             ds.journal_verdict(VerdictKind::Verify, 42, true); // deduped
             ds.journal_verdict(VerdictKind::Lint, 43, false);
@@ -694,8 +712,12 @@ mod tests {
             };
             ds.journal_memo(&skey, &ck);
             ds.journal_memo(&skey, &ck); // deduped
-            assert_eq!(ds.journal_appends(), 7);
+            // Verdicts, the mark and the memo are journaled as produced;
+            // the three samples wait for the flush.
+            assert_eq!(ds.journal_appends(), 4);
             ds.finish_run(Vec::new());
+            // One cumulative stats record per sampled key.
+            assert_eq!(ds.journal_appends(), 6);
         }
         let warm1 = {
             let (mut ds, warm) = DriverStore::open(&dir, &opts).unwrap();
@@ -717,6 +739,160 @@ mod tests {
         assert_eq!(warm2.quarantine, warm1.quarantine);
         assert_eq!(warm2.memos.len(), warm1.memos.len());
         assert_eq!(warm2.corrupt_records, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "astra-driverstore-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Raw accumulator bits of `key` in `index`.
+    fn raw_bits(index: &ProfileIndex, key: &ProfileKey) -> Option<[u64; 4]> {
+        let (count, mean, m2, min) = index.stats(key)?.raw();
+        Some([count, mean.to_bits(), m2.to_bits(), min.to_bits()])
+    }
+
+    fn assert_bit_equal(a: &ProfileIndex, b: &ProfileIndex, what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: key count");
+        for (key, _) in a.iter() {
+            assert_eq!(raw_bits(a, key), raw_bits(b, key), "{what}: {key}");
+        }
+    }
+
+    #[test]
+    fn reopened_profile_stats_are_bit_equal_to_the_fold_and_the_compacted_store() {
+        let dir = scratch_dir("stats");
+        let opts = StoreOptions::default();
+        let keys: Vec<ProfileKey> = (0..5)
+            .map(|i| ProfileKey::entity(format!("epoch:se0.e{i}"), i % 3).in_context("alloc:1"))
+            .collect();
+        let values = [0.1, 1e9 + 0.3, 10.0 / 3.0, 7.25e-3, 123_456.789, 2.0_f64.sqrt()];
+        let fold = {
+            let (mut ds, _) = DriverStore::open(&dir, &opts).unwrap();
+            // Two phases touching overlapping keys: a key re-flushed in
+            // the second phase carries its cumulative stats.
+            for (i, v) in values.iter().enumerate() {
+                ds.fold_sample(&keys[i % 3], *v);
+            }
+            ds.flush_profile();
+            assert_eq!(ds.journal_appends(), 3, "one record per dirty key");
+            ds.flush_profile();
+            assert_eq!(ds.journal_appends(), 3, "a flush with nothing dirty writes nothing");
+            for (i, v) in values.iter().enumerate() {
+                ds.fold_sample(&keys[2 + i % 3], v * 1.5);
+            }
+            ds.finish_run(Vec::new());
+            assert_eq!(ds.journal_appends(), 6);
+            ds.profile.clone()
+        };
+        let (_, warm) = DriverStore::open(&dir, &opts).unwrap();
+        assert_bit_equal(&warm.index, &fold, "reopened journal vs in-memory fold");
+        let counts = astra_store::fsck(&dir).unwrap().counts;
+        assert!(!counts.contains_key("profile_sample"), "no per-sample records: {counts:?}");
+
+        // A second session continues the loaded fold.
+        let fold = {
+            let (mut ds, _) = DriverStore::open(&dir, &opts).unwrap();
+            ds.fold_sample(&keys[0], 0.05);
+            ds.fold_sample(&keys[4], 9e9);
+            ds.finish_run(Vec::new());
+            ds.profile.clone()
+        };
+        let (mut ds, warm) = DriverStore::open(&dir, &opts).unwrap();
+        assert_bit_equal(&warm.index, &fold, "second session vs its fold");
+        ds.compact();
+        drop(ds);
+        let (_, compacted) = DriverStore::open(&dir, &opts).unwrap();
+        assert_bit_equal(&compacted.index, &fold, "compacted store vs fold");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn auto_compaction_counts_the_journal_across_sessions() {
+        let dir = scratch_dir("cadence");
+        let opts = StoreOptions::default();
+        // Each session re-flushes the same keys, as warm runs do: below
+        // the threshold on its own, so only a count that spans sessions
+        // ever compacts.
+        let per_session = 1500;
+        let keys: Vec<ProfileKey> =
+            (0..per_session).map(|i| ProfileKey::entity(format!("epoch:se0.e{i}"), 1)).collect();
+        let mut compacted_in = Vec::new();
+        for session in 0..7 {
+            let (mut ds, warm) = DriverStore::open(&dir, &opts).unwrap();
+            let held = ds.store.journal_records();
+            assert!(held < AUTO_COMPACT_APPENDS, "session {session} opened {held} journal records");
+            assert_eq!(warm.index.len(), if session == 0 { 0 } else { per_session as usize });
+            for key in &keys {
+                ds.fold_sample(key, 10.0 + session as f64);
+            }
+            ds.finish_run(Vec::new());
+            assert_eq!(ds.journal_appends(), per_session);
+            if ds.compactions() > 0 {
+                assert_eq!(ds.store.journal_records(), 0);
+                compacted_in.push(session);
+            } else {
+                assert_eq!(ds.store.journal_records(), held + per_session);
+            }
+        }
+        // 1500, 3000, 4500 -> compact; again every third session.
+        assert_eq!(compacted_in, [2, 5]);
+        let (_, warm) = DriverStore::open(&dir, &opts).unwrap();
+        let stats = warm.index.stats(&keys[0]).unwrap();
+        assert_eq!(stats.raw().0, 7, "every session's sample survives compaction");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn legacy_profile_sample_records_fold_as_before() {
+        let dir = scratch_dir("legacy");
+        let opts = StoreOptions::default();
+        let key_a = ProfileKey::entity("fuse:0", 1).in_context("alloc:0");
+        let key_b = ProfileKey::entity("kern:gemm", 2);
+        let sample = |key: &ProfileKey, value_ns: f64| {
+            Record::ProfileSample(astra_store::ProfileSampleRec {
+                contexts: key.contexts().to_vec(),
+                entity: key.entity_name().to_owned(),
+                choice: key.choice() as u64,
+                value_ns,
+            })
+        };
+        // A store as the per-sample writer left it: a compacted stats
+        // record for one key, then journaled samples for both.
+        let mut reference = ProfileIndex::new();
+        {
+            let (mut store, _) = Store::open(&dir, &opts).unwrap();
+            let stats = SampleStats::from_raw(3, 41.5, 2.25, 40.0).unwrap();
+            store.append(&stats_record(&key_a, &stats)).unwrap();
+            reference.insert_stats(key_a.clone(), stats);
+            for (key, v) in [(&key_a, 39.0), (&key_b, 12.5), (&key_a, 44.1), (&key_b, 11.0)] {
+                store.append(&sample(key, v)).unwrap();
+                reference.record(key, v);
+            }
+            store.sync().unwrap();
+        }
+        let fold = {
+            let (mut ds, warm) = DriverStore::open(&dir, &opts).unwrap();
+            assert_eq!(warm.corrupt_records, 0);
+            assert_bit_equal(&warm.index, &reference, "legacy samples vs reference fold");
+            // A new session folds on top and writes cumulative stats,
+            // which replace the legacy samples' fold on the next load.
+            ds.fold_sample(&key_b, 10.0);
+            ds.finish_run(Vec::new());
+            ds.profile.clone()
+        };
+        let (mut ds, warm) = DriverStore::open(&dir, &opts).unwrap();
+        assert_bit_equal(&warm.index, &fold, "legacy samples + stats vs fold");
+        ds.compact();
+        drop(ds);
+        let (_, compacted) = DriverStore::open(&dir, &opts).unwrap();
+        assert_bit_equal(&compacted.index, &fold, "compacted legacy store vs fold");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

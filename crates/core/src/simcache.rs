@@ -909,7 +909,7 @@ mod tests {
         let mut cache = cache;
         cache.merge_shard(shard);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert!(cache.len() > 0);
+        assert!(!cache.is_empty());
         let rebase = cache.trial_base(&b, &ctx, 2);
         assert!(rebase.resume.is_some(), "merged captures serve later batches");
     }

@@ -312,7 +312,7 @@ mod tests {
         };
         // With p = 0.001 over 20k draws the expected count is 20; two salts
         // giving the exact same positions would be astronomically unlikely.
-        let a: Vec<usize> = (0..4).map(|s| spikes(s)).collect();
+        let a: Vec<usize> = (0..4).map(spikes).collect();
         assert!(a.iter().sum::<usize>() > 0, "spikes fire at all: {a:?}");
     }
 
@@ -323,7 +323,7 @@ mod tests {
         let mut max_seen = 0.0_f64;
         for _ in 0..10_000 {
             let f = inj.draw_spike().expect("p=1 always spikes");
-            assert!(f >= SPIKE_MIN_FACTOR && f <= SPIKE_MAX_FACTOR, "factor {f} out of range");
+            assert!((SPIKE_MIN_FACTOR..=SPIKE_MAX_FACTOR).contains(&f), "factor {f} out of range");
             max_seen = max_seen.max(f);
         }
         // The tail actually reaches well past the minimum.

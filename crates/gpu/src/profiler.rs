@@ -116,7 +116,7 @@ mod tests {
         let mut prof = ProfilePlan::new();
         let k = KernelDesc::MemCopy { bytes: 4_000_000.0 };
         let outer_start = prof.open_region(&mut sched, StreamId(0));
-        sched.launch(StreamId(0), k.clone());
+        sched.launch(StreamId(0), k);
         let inner_start = prof.open_region(&mut sched, StreamId(0));
         sched.launch(StreamId(0), k);
         prof.close_region(&mut sched, StreamId(0), "inner", inner_start);

@@ -108,6 +108,9 @@ pub struct Graph {
     nodes: Vec<Node>,
     /// Producer node of each tensor (None for inputs/params).
     producer: Vec<Option<NodeId>>,
+    /// Consumer nodes of each tensor, in node order, each listed once
+    /// however many of its operands read the tensor.
+    consumers: Vec<Vec<NodeId>>,
     /// Ambient provenance applied to newly added nodes.
     ctx: Provenance,
 }
@@ -132,6 +135,7 @@ impl Graph {
         let id = TensorId(self.tensors.len() as u32);
         self.tensors.push(TensorInfo { shape, kind, name });
         self.producer.push(None);
+        self.consumers.push(Vec::new());
         id
     }
 
@@ -169,6 +173,12 @@ impl Graph {
             prov.role = if prov.role.is_empty() { role.to_owned() } else { format!("{}.{role}", prov.role) };
         }
         let node_id = NodeId(self.nodes.len() as u32);
+        for t in inputs {
+            let users = &mut self.consumers[t.0 as usize];
+            if users.last() != Some(&node_id) {
+                users.push(node_id);
+            }
+        }
         self.nodes.push(Node { op, inputs: inputs.to_vec(), output, prov });
         self.producer[output.0 as usize] = Some(node_id);
         output
@@ -270,14 +280,9 @@ impl Graph {
         self.producer[t.0 as usize]
     }
 
-    /// Ids of all nodes that consume `t`.
-    pub fn consumers(&self, t: TensorId) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.inputs.contains(&t))
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
+    /// Ids of all nodes that consume `t`, in node order, each once.
+    pub fn consumers(&self, t: TensorId) -> &[NodeId] {
+        &self.consumers[t.0 as usize]
     }
 
     /// Whether node `b` (transitively) depends on node `a`'s output.
@@ -358,6 +363,18 @@ impl Graph {
             if self.producer[node.output.0 as usize] != Some(NodeId(i as u32)) {
                 return Err(format!("producer table wrong for {}", node.output));
             }
+        }
+        let mut users: Vec<Vec<NodeId>> = vec![Vec::new(); self.tensors.len()];
+        for (i, node) in self.nodes.iter().enumerate() {
+            for t in &node.inputs {
+                let u = &mut users[t.0 as usize];
+                if u.last() != Some(&NodeId(i as u32)) {
+                    u.push(NodeId(i as u32));
+                }
+            }
+        }
+        if let Some(t) = (0..self.tensors.len()).find(|&t| users[t] != self.consumers[t]) {
+            return Err(format!("consumer table wrong for {}", TensorId(t as u32)));
         }
         Ok(())
     }

@@ -168,7 +168,7 @@ mod tests {
                     TensorKind::Input | TensorKind::Param => {
                         // Token index inputs must be valid rows; 0.5-ish
                         // dense values elsewhere. Use small indices.
-                        let fill = if info.name.as_deref().map_or(false, |n| n.contains("tok")) {
+                        let fill = if info.name.as_deref().is_some_and(|n| n.contains("tok")) {
                             1.0
                         } else {
                             0.01

@@ -267,6 +267,9 @@ pub struct Store {
     budget: Option<u64>,
     crashed: bool,
     journal_appends: u64,
+    /// Records the journal holds now: its clean records at open plus
+    /// every append, back to zero at compaction.
+    journal_records: u64,
     compactions: u64,
     load: LoadSummary,
 }
@@ -289,6 +292,7 @@ impl Store {
         }
         let mut records = Vec::new();
         let mut load = LoadSummary::default();
+        let mut journal_records = 0;
         let mut sidecar: Vec<String> = Vec::new();
 
         for (name, is_journal) in [(SNAPSHOT, false), (JOURNAL, true)] {
@@ -298,12 +302,13 @@ impl Store {
                 Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
                 Err(e) => return Err(e),
             };
+            let scanned = scan(name, &bytes);
             if is_journal {
                 load.journal_bytes = bytes.len() as u64;
+                journal_records = scanned.records.len() as u64;
             } else {
                 load.snapshot_bytes = bytes.len() as u64;
             }
-            let scanned = scan(name, &bytes);
             load.records += scanned.records.len() as u64;
             load.corrupt_records += scanned.diags.len() as u64;
             for (diag, raw) in &scanned.diags {
@@ -347,6 +352,7 @@ impl Store {
             budget: opts.fail_after_bytes,
             crashed: false,
             journal_appends: 0,
+            journal_records,
             compactions: 0,
             load,
         };
@@ -367,6 +373,13 @@ impl Store {
     /// Records appended since open.
     pub fn journal_appends(&self) -> u64 {
         self.journal_appends
+    }
+
+    /// Records in the journal: those it held at open plus every append
+    /// since, reset by compaction. Unlike [`Store::journal_appends`] this
+    /// spans sessions, so it measures what the next open has to replay.
+    pub fn journal_records(&self) -> u64 {
+        self.journal_records
     }
 
     /// Compactions performed since open.
@@ -421,6 +434,7 @@ impl Store {
         self.journal = Some(journal);
         r?;
         self.journal_appends += 1;
+        self.journal_records += 1;
         Ok(())
     }
 
@@ -476,6 +490,7 @@ impl Store {
         f.write_all(MAGIC)?;
         f.sync_data()?;
         self.journal = Some(OpenOptions::new().append(true).open(&journal_path)?);
+        self.journal_records = 0;
         self.compactions += 1;
         Ok(())
     }
@@ -608,6 +623,7 @@ mod tests {
         let (s2, loaded) = Store::open(&dir, &StoreOptions::default()).unwrap();
         assert_eq!(s2.load_summary().corrupt_records, 1);
         assert_eq!(loaded.len(), 7, "one record lost, the rest survive");
+        assert_eq!(s2.journal_records(), 7, "quarantined records are not counted");
         assert!(fs::read_to_string(dir.join(SIDECAR)).unwrap().contains("checksum"));
         drop(s2);
         // The rewrite scrubbed the corruption: fsck is clean now.
@@ -633,6 +649,33 @@ mod tests {
         let (_, loaded) = Store::open(&dir, &StoreOptions::default()).unwrap();
         assert_eq!(loaded.len(), 6);
         assert_eq!(loaded[5], sample(5));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn journal_records_span_sessions_and_reset_at_compaction() {
+        let dir = tmpdir("journal-records");
+        let (mut s, _) = Store::open(&dir, &StoreOptions::default()).unwrap();
+        for i in 0..4 {
+            s.append(&sample(i)).unwrap();
+        }
+        assert_eq!((s.journal_appends(), s.journal_records()), (4, 4));
+        drop(s);
+        // A later session starts its append count at zero but still sees
+        // what the journal holds.
+        let (mut s, _) = Store::open(&dir, &StoreOptions::default()).unwrap();
+        assert_eq!((s.journal_appends(), s.journal_records()), (0, 4));
+        s.append(&sample(4)).unwrap();
+        assert_eq!((s.journal_appends(), s.journal_records()), (1, 5));
+        let state: Vec<Record> = (0..5).map(sample).collect();
+        s.compact(&state).unwrap();
+        assert_eq!(s.journal_records(), 0);
+        s.append(&sample(5)).unwrap();
+        drop(s);
+        // Snapshot records do not count as journal records.
+        let (s, loaded) = Store::open(&dir, &StoreOptions::default()).unwrap();
+        assert_eq!(loaded.len(), 6);
+        assert_eq!(s.journal_records(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,9 +1,13 @@
 //! Randomized tests of the IR: autodiff correctness against finite
-//! differences on generated graphs, and structural invariants of the
-//! generated backward pass. Cases come from a seeded in-tree PRNG so every
-//! run checks the same graphs.
+//! differences on generated graphs, structural invariants of the
+//! generated backward pass, and the graph's consumer index against a
+//! brute-force scan. Cases come from a seeded in-tree PRNG so every run
+//! checks the same graphs.
 
-use astra::ir::{append_backward, evaluate, Env, Graph, Pass, Provenance, Shape, TensorId, TensorKind};
+use astra::ir::{
+    append_backward, evaluate, Env, Graph, NodeId, Pass, Provenance, Shape, TensorId, TensorKind,
+};
+use astra::models::Model;
 use astra_util::Rng64;
 
 /// A random differentiable network driven by choice bytes. Every op used
@@ -158,5 +162,92 @@ fn evaluation_is_deterministic() {
         let b = run();
         assert_eq!(a, b);
         assert!(a.is_finite());
+    }
+}
+
+/// Every node reading `t`, in node order, once each — the reference for
+/// [`Graph::consumers`].
+fn scan_consumers(g: &Graph, t: TensorId) -> Vec<NodeId> {
+    g.nodes()
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| n.inputs.contains(&t))
+        .map(|(i, _)| NodeId(i as u32))
+        .collect()
+}
+
+fn assert_consumer_index(g: &Graph, what: &str) {
+    for t in 0..g.num_tensors() as u32 {
+        let t = TensorId(t);
+        let got = g.consumers(t);
+        assert_eq!(got, scan_consumers(g, t).as_slice(), "{what}: consumers({t})");
+        assert!(
+            got.windows(2).all(|w| w[0] < w[1]),
+            "{what}: consumers({t}) must be in node order without duplicates: {got:?}"
+        );
+    }
+    g.validate().unwrap_or_else(|e| panic!("{what}: {e}"));
+}
+
+/// Appends `n` random same-shape operators over the graph's existing
+/// `[4, 4]` tensors, drawing operands with replacement so binary ops
+/// often read one tensor twice (`mul(x, x)`, `add(x, x)`).
+fn grow_random(g: &mut Graph, pool: &mut Vec<TensorId>, rng: &mut Rng64, n: usize) {
+    for _ in 0..n {
+        let a = pool[rng.gen_range_usize(0, pool.len() - 1)];
+        let b = pool[rng.gen_range_usize(0, pool.len() - 1)];
+        let t = match rng.gen_range_u32(0, 6) {
+            0 => g.mul(a, a),
+            1 => g.add(a, b),
+            2 => g.mul(a, b),
+            3 => g.sub(b, a),
+            4 => g.mm(a, b),
+            5 => g.sigmoid(a),
+            _ => g.tanh(b),
+        };
+        pool.push(t);
+    }
+}
+
+/// The consumer index equals a brute-force scan on every tensor of every
+/// zoo model's training graph.
+#[test]
+fn consumer_index_matches_a_scan_on_the_zoo() {
+    for m in Model::all() {
+        let mut c = m.default_config(4);
+        c.seq_len = c.seq_len.min(3);
+        let built = m.build(&c);
+        assert_consumer_index(&built.graph, &format!("{m}"));
+    }
+}
+
+/// The consumer index equals a brute-force scan on seeded random graphs
+/// with repeated operands, and a clone keeps its own index: extending the
+/// clone leaves the original's consumers untouched.
+#[test]
+fn consumer_index_matches_a_scan_on_random_graphs() {
+    let mut rng = Rng64::new(0xc0_5e);
+    for case in 0..64 {
+        let mut g = Graph::new();
+        let mut pool = vec![g.input(Shape::matrix(4, 4), "x"), g.param(Shape::matrix(4, 4), "w")];
+        let x = pool[0];
+        let sq = g.mul(x, x);
+        pool.push(sq);
+        let n = rng.gen_range_usize(1, 40);
+        grow_random(&mut g, &mut pool, &mut rng, n);
+        assert_consumer_index(&g, &format!("case {case}"));
+        assert_eq!(g.consumers(x).first(), Some(&NodeId(0)), "mul(x, x) lists its node once");
+
+        let before: Vec<Vec<NodeId>> =
+            (0..g.num_tensors() as u32).map(|t| g.consumers(TensorId(t)).to_vec()).collect();
+        let mut grown = g.clone();
+        let mut grown_pool = pool.clone();
+        let n = rng.gen_range_usize(1, 20);
+        grow_random(&mut grown, &mut grown_pool, &mut rng, n);
+        assert_consumer_index(&grown, &format!("case {case}, grown clone"));
+        assert_consumer_index(&g, &format!("case {case}, original after clone grew"));
+        for (t, users) in before.iter().enumerate() {
+            assert_eq!(g.consumers(TensorId(t as u32)), users.as_slice());
+        }
     }
 }

@@ -7,7 +7,12 @@
 //! records: a flipped journal byte is quarantined with diagnostics while
 //! every unaffected key keeps warming the next run. With no store
 //! configured, every store-related report field is exactly zero/false.
+//!
+//! Journaling contract: memos, verdicts and quarantine marks are appended
+//! as they are produced; profile samples reach the journal as cumulative
+//! per-key stats at the end of each exploration phase.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use astra::core::{Astra, AstraOptions, Dims, Report};
@@ -260,4 +265,129 @@ fn persisted_quarantine_marks_skip_the_retry_budget_under_the_same_faults() {
     assert_eq!(clean_warm.quarantined, 0, "fault-scoped marks must not leak into clean runs");
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The journal's records with the byte offset each frame ends at.
+fn journal_frames(dir: &Path) -> Vec<(u64, store::Record)> {
+    let bytes = std::fs::read(dir.join("journal.astra")).unwrap();
+    assert_eq!(&bytes[..store::MAGIC.len()], store::MAGIC);
+    let mut pos = store::MAGIC.len();
+    let mut out = Vec::new();
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let payload = &bytes[pos + 12..pos + 12 + len];
+        pos += 12 + len;
+        out.push((pos as u64, store::Record::decode(payload).expect("clean journal frame")));
+    }
+    out
+}
+
+/// Every clean record the store at `dir` holds, snapshot first.
+fn stored_records(dir: &Path) -> Vec<store::Record> {
+    store::Store::open(dir, &store::StoreOptions::default()).unwrap().1
+}
+
+/// Each profile key's raw stats bits as a load replays them: a stats
+/// record replaces the key's earlier value.
+fn loaded_stats(records: &[store::Record]) -> BTreeMap<(Vec<String>, String, u64), [u64; 4]> {
+    let mut out = BTreeMap::new();
+    for rec in records {
+        match rec {
+            store::Record::ProfileStats(r) => {
+                out.insert(
+                    (r.contexts.clone(), r.entity.clone(), r.choice),
+                    [r.count, r.mean.to_bits(), r.m2.to_bits(), r.min.to_bits()],
+                );
+            }
+            store::Record::ProfileSample(_) => panic!("a run journaled a per-sample record"),
+            _ => {}
+        }
+    }
+    out
+}
+
+#[test]
+fn profile_stats_are_journaled_per_phase_and_compact_to_the_same_bits() {
+    let built = tiny();
+    let dir = tmpdir("stats");
+    let cold = run(&built, &RunSpec::stored(&dir, 1));
+    let frames = journal_frames(&dir);
+    let is_stats = |r: &store::Record| matches!(r, store::Record::ProfileStats(_));
+    let stats = frames.iter().filter(|(_, r)| is_stats(r)).count();
+    let first_stats =
+        frames.iter().position(|(_, r)| is_stats(r)).expect("a cold run journals profile stats");
+    assert!(
+        frames[first_stats..]
+            .iter()
+            .any(|(_, r)| matches!(r, store::Record::Memo(_) | store::Record::Verdict(_))),
+        "the fusion phase's stats are journaled when it ends, before the kernel phase's records"
+    );
+    assert_eq!(cold.store_journal_appends as usize, frames.len());
+    let journaled = loaded_stats(&stored_records(&dir));
+    assert!(stats >= journaled.len(), "at least one stats record per sampled key");
+
+    // A warm re-run re-samples every key and journals its stats again.
+    let warm = run(&built, &RunSpec::stored(&dir, 1));
+    assert!(warm.store_journal_appends > 0);
+    let rewarmed = loaded_stats(&stored_records(&dir));
+    assert_eq!(rewarmed.keys().collect::<Vec<_>>(), journaled.keys().collect::<Vec<_>>());
+
+    astra::core::compact_store(&dir).unwrap();
+    assert_eq!(loaded_stats(&stored_records(&dir)), rewarmed, "compaction keeps the stats bits");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_crash_mid_phase_keeps_every_record_written_before_it() {
+    let built = tiny();
+    // Chaos seed 120 quarantines candidates on this workload, so the
+    // journal holds marks as well as memos and verdicts.
+    let faults = FaultPlan::chaos(120);
+    let spec = |dir: &Path, crash_after: Option<u64>| RunSpec {
+        dir: Some(dir.to_path_buf()),
+        crash_after,
+        workers: 1,
+        faults,
+    };
+    let reference = run(&built, &RunSpec { dir: None, ..spec(Path::new(""), None) });
+    let probe = tmpdir("midphase-probe");
+    run(&built, &spec(&probe, None));
+    let frames = journal_frames(&probe);
+    std::fs::remove_dir_all(&probe).unwrap();
+
+    let is_stats = |r: &store::Record| matches!(r, store::Record::ProfileStats(_));
+    let first_stats = frames.iter().position(|(_, r)| is_stats(r)).expect("stats journaled");
+    let first_mark = frames
+        .iter()
+        .position(|(_, r)| matches!(r, store::Record::Quarantine(_)))
+        .expect("chaos seed 120 journals a quarantine mark");
+    assert!(first_stats > 0, "the first phase journals memos or verdicts before its stats");
+    // Cuts: inside the first phase (before its stats flush), right after
+    // the first quarantine mark, and one byte into the frame after it.
+    let cuts = [
+        frames[first_stats / 2].0,
+        frames[first_stats - 1].0,
+        frames[first_mark].0,
+        frames[first_mark].0 + 1,
+    ];
+    for (i, &cut) in cuts.iter().enumerate() {
+        let dir = tmpdir(&format!("midphase-{i}"));
+        let crashed = run(&built, &spec(&dir, Some(cut)));
+        assert_same_plan(&reference, &crashed, &format!("crashed run, cut={cut}"));
+        let len = std::fs::metadata(dir.join("journal.astra")).unwrap().len();
+        assert_eq!(len, cut, "the crash hook fired at the cut");
+
+        let kept: Vec<store::Record> =
+            frames.iter().take_while(|(end, _)| *end <= cut).map(|(_, r)| r.clone()).collect();
+        assert!(
+            kept.iter().any(|r| matches!(r, store::Record::Memo(_) | store::Record::Verdict(_))),
+            "cut={cut} keeps memos or verdicts"
+        );
+        assert_eq!(stored_records(&dir), kept, "cut={cut}: every record before the crash survives");
+
+        let resumed = run(&built, &spec(&dir, None));
+        assert_same_plan(&reference, &resumed, &format!("resumed run, cut={cut}"));
+        assert!(resumed.warm_start);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
