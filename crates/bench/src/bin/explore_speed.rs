@@ -30,11 +30,9 @@
 //! prediction MAE; the MiLSTM gate row must save >= 30% of simulated
 //! trials while selecting the unpruned baseline's plan bit-for-bit.
 //!
-//! **Lint-derived driver features.** Sound bound pruning and
-//! redundant-sync elision on the MiLSTM gate, each against a same-dims
-//! baseline. The bound-prune row must skip >= 10% of trials with a
-//! bit-identical plan; the elision row must remove waits while keeping
-//! the simulated cost bit-identical.
+//! **Bound pruning.** Sound critical-path bound pruning on the MiLSTM
+//! gate against a same-dims baseline. The row must skip >= 10% of trials
+//! with a bit-identical plan.
 //!
 //! Prints one JSON document (`ci.sh bench` redirects it to
 //! `BENCH_explore_speed.json`).
@@ -555,23 +553,19 @@ fn main() {
         ));
     }
 
-    // Lint-derived driver features on the MiLSTM gate, each mode against
-    // a same-dims baseline with the feature off, interleaved min-of-N.
-    // Bound pruning runs the fusion+kernel dims (where span floors bite on
-    // the single-stream probe regions) and must skip >= 10% of trials with
-    // a bit-identical plan; redundant-sync elision runs with the streams
-    // dimension open (single-stream plans carry no elidable waits) and
-    // must keep the simulated cost bit-identical while removing waits.
+    // Bound pruning on the MiLSTM gate against a same-dims baseline with
+    // the veto off, interleaved min-of-N. It runs the fusion+kernel dims
+    // (where span floors bite on the single-stream probe regions) and must
+    // skip >= 10% of trials with a bit-identical plan.
     let mut lint_rows = Vec::new();
     {
         let cfg = Model::MiLstm.default_config(16);
         let built = Model::MiLstm.build(&cfg);
-        let run_mode = |dims: Dims, bound_prune: bool, elide_syncs: bool| {
+        let run_mode = |bound_prune: bool| {
             let opts = AstraOptions {
-                dims,
+                dims: Dims::fk(),
                 faults: FaultPlan::none(),
                 bound_prune,
-                elide_syncs,
                 ..Default::default()
             };
             let mut astra = Astra::new(&built.graph, &dev, opts);
@@ -580,67 +574,53 @@ fn main() {
             (r, t0.elapsed().as_secs_f64() * 1e3)
         };
         let reps = 3;
-        // (mode label, dims label, dims, bound_prune, elide_syncs)
-        let modes = [
-            ("bound_prune", "fk", Dims::fk(), true, false),
-            ("elide_syncs", "fks", Dims::fks(), false, true),
-        ];
-        for (mode, dims_label, dims, bound_prune, elide_syncs) in modes {
-            let mut base_ms = Vec::with_capacity(reps);
-            let mut on_ms = Vec::with_capacity(reps);
-            let mut base: Option<Report> = None;
-            let mut on: Option<Report> = None;
-            for _ in 0..reps {
-                let (r, ms) = run_mode(dims, false, false);
-                base_ms.push(ms);
-                if let Some(p) = &base {
-                    assert_eq!(
-                        p.steady_ns.to_bits(),
-                        r.steady_ns.to_bits(),
-                        "{mode}: baseline drifted across reps"
-                    );
-                }
-                base = Some(r);
-                let (r, ms) = run_mode(dims, bound_prune, elide_syncs);
-                on_ms.push(ms);
-                on = Some(r);
-            }
-            let (base, on) = (base.unwrap(), on.unwrap());
-            assert_eq!(
-                (base.bound_pruned, base.syncs_elided, base.lint_rejects),
-                (0, 0, 0),
-                "{mode}: counters must be zero with the features off"
-            );
-            assert_eq!(
-                on.steady_ns.to_bits(),
-                base.steady_ns.to_bits(),
-                "{mode}: must keep the simulated cost bit-identical"
-            );
-            assert_eq!(on.best, base.best, "{mode}: winner drifted from baseline");
-            let considered = on.configs_explored + on.bound_pruned;
-            if bound_prune {
-                assert!(
-                    on.bound_pruned * 10 >= considered,
-                    "{mode}: skipped only {} of {considered} trials (< 10%)",
-                    on.bound_pruned
+        let mut base_ms = Vec::with_capacity(reps);
+        let mut on_ms = Vec::with_capacity(reps);
+        let mut base: Option<Report> = None;
+        let mut on: Option<Report> = None;
+        for _ in 0..reps {
+            let (r, ms) = run_mode(false);
+            base_ms.push(ms);
+            if let Some(p) = &base {
+                assert_eq!(
+                    p.steady_ns.to_bits(),
+                    r.steady_ns.to_bits(),
+                    "bound_prune: baseline drifted across reps"
                 );
             }
-            if elide_syncs {
-                assert!(on.syncs_elided > 0, "{mode}: gate workload must carry redundant waits");
-            }
-            lint_rows.push(format!(
-                "{{\"mode\":\"{mode}\",\"model\":\"milstm\",\"dims\":\"{dims_label}\",\
-                 \"reps\":{reps},\"base_ms\":{:.1},\"on_ms\":{:.1},\
-                 \"bound_pruned\":{},\"trials_simulated\":{},\
-                 \"bound_skipped_frac\":{:.3},\"syncs_elided\":{}}}",
-                min_ms(&base_ms),
-                min_ms(&on_ms),
-                on.bound_pruned,
-                on.configs_explored,
-                on.bound_pruned as f64 / considered as f64,
-                on.syncs_elided,
-            ));
+            base = Some(r);
+            let (r, ms) = run_mode(true);
+            on_ms.push(ms);
+            on = Some(r);
         }
+        let (base, on) = (base.unwrap(), on.unwrap());
+        assert_eq!(
+            (base.bound_pruned, base.lint_rejects),
+            (0, 0),
+            "bound_prune: counters must be zero with the features off"
+        );
+        assert_eq!(
+            on.steady_ns.to_bits(),
+            base.steady_ns.to_bits(),
+            "bound_prune: must keep the simulated cost bit-identical"
+        );
+        assert_eq!(on.best, base.best, "bound_prune: winner drifted from baseline");
+        let considered = on.configs_explored + on.bound_pruned;
+        assert!(
+            on.bound_pruned * 10 >= considered,
+            "bound_prune: skipped only {} of {considered} trials (< 10%)",
+            on.bound_pruned
+        );
+        lint_rows.push(format!(
+            "{{\"mode\":\"bound_prune\",\"model\":\"milstm\",\"dims\":\"fk\",\
+             \"reps\":{reps},\"base_ms\":{:.1},\"on_ms\":{:.1},\
+             \"bound_pruned\":{},\"trials_simulated\":{},\"bound_skipped_frac\":{:.3}}}",
+            min_ms(&base_ms),
+            min_ms(&on_ms),
+            on.bound_pruned,
+            on.configs_explored,
+            on.bound_pruned as f64 / considered as f64,
+        ));
     }
 
     // Multi-device placement search: the same exploration on 1/2/4-device

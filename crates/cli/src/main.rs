@@ -85,9 +85,6 @@ commands:
             [--lint on|off]   static resource lint gate on candidate plans (default on):
                               plans whose peak live memory exceeds device capacity are
                               quarantined before simulation (lint-mem-capacity)
-            [--elide-syncs]   drop transitively-implied event waits from every explored
-                              schedule before simulating; the rewrite is verify-clean and
-                              the simulated cost is bit-identical
             [--bound-prune on|off]
                               skip candidates whose critical-path lower bound already
                               exceeds the measured best (default off); composes with the
@@ -288,7 +285,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     let (predictor, predictor_top_k, predictor_epsilon) = parse_predictor(&opts)?;
     let lint = parse_on_off(&opts, "--lint", true)?;
     let bound_prune = parse_on_off(&opts, "--bound-prune", false)?;
-    let elide_syncs = opts.flag("--elide-syncs");
     let node = parse_node(&opts, &dev)?;
     let store_dir = opts.get("--store").map(std::path::PathBuf::from);
     let store_on = store_dir.is_some();
@@ -306,7 +302,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         predictor_top_k,
         predictor_epsilon,
         lint,
-        elide_syncs,
         bound_prune,
         store_dir,
         warm_index,
@@ -366,10 +361,7 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         r.fault_events, r.retries, r.quarantined
     );
     println!("verify: {} plans analyzed, {} rejected", r.plans_verified, r.verify_rejects);
-    println!(
-        "lint: {} plans rejected, {} syncs elided, {} trials bound-pruned",
-        r.lint_rejects, r.syncs_elided, r.bound_pruned
-    );
+    println!("lint: {} plans rejected, {} trials bound-pruned", r.lint_rejects, r.bound_pruned);
     println!(
         "predictor: {} trials pruned / {} simulated ({} model updates, MAE {:.2} us)",
         r.trials_pruned,
@@ -439,7 +431,6 @@ fn report_json(r: &astra_core::Report, node: Option<&astra_gpu::Topology>) -> St
         format!("\"plans_verified\":{}", r.plans_verified),
         format!("\"verify_rejects\":{}", r.verify_rejects),
         format!("\"lint_rejects\":{}", r.lint_rejects),
-        format!("\"syncs_elided\":{}", r.syncs_elided),
         format!("\"bound_pruned\":{}", r.bound_pruned),
         format!("\"warm_start\":{}", r.warm_start),
         format!("\"store_loaded_keys\":{}", r.store_loaded_keys),
@@ -690,27 +681,43 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     print_verify_results(&plans, json)
 }
 
-/// Verifies every rendered-schedule fixture (`*.txt`) in `dir`. Fixtures
-/// carry no unit footprints or allocation plan, so this audits the event
-/// structure only (wait/record liveness, cycles, orphan barriers).
-fn verify_fixtures(dir: &str, json: bool, workers: usize) -> Result<(), String> {
+/// The golden report digests share the fixture directory but are not a
+/// rendered schedule.
+const REPORT_DIGESTS: &str = "report_digests.txt";
+
+/// Every rendered-schedule fixture (`*.txt`) in `dir`, parsed, with its
+/// path, in path order.
+fn schedule_fixtures(dir: &str) -> Result<Vec<(String, astra_gpu::Schedule)>, String> {
     let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("{dir}: {e}"))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+        .filter(|p| p.file_name().is_none_or(|n| n != REPORT_DIGESTS))
         .collect();
     paths.sort();
     if paths.is_empty() {
         return Err(format!("no .txt fixtures in {dir}"));
     }
+    paths
+        .iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
+            let sched = astra_verify::parse_rendered(&text)
+                .map_err(|e| format!("{}: {e}", p.display()))?;
+            Ok((p.display().to_string(), sched))
+        })
+        .collect()
+}
+
+/// Verifies every rendered-schedule fixture in `dir`. Fixtures carry no
+/// unit footprints or allocation plan, so this audits the event structure
+/// only (wait/record liveness, cycles, orphan barriers).
+fn verify_fixtures(dir: &str, json: bool, workers: usize) -> Result<(), String> {
     let mut plans = Vec::new();
-    for p in &paths {
-        let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-        let sched = astra_verify::parse_rendered(&text)
-            .map_err(|e| format!("{}: {e}", p.display()))?;
+    for (label, sched) in schedule_fixtures(dir)? {
         let report =
             astra_verify::verify(&sched, None, None, &astra_verify::VerifyOptions { workers });
-        plans.push(VerifiedPlan { label: p.display().to_string(), report });
+        plans.push(VerifiedPlan { label, report });
     }
     print_verify_results(&plans, json)
 }
@@ -830,24 +837,12 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     print_lint_results(&plans, json)
 }
 
-/// Lints every rendered-schedule fixture (`*.txt`) in `dir`. Fixtures
-/// carry no unit footprints or allocation plan, so the peak-memory
-/// analysis is skipped: sync redundancy and the critical-path floor only.
+/// Lints every rendered-schedule fixture in `dir`. Fixtures carry no unit
+/// footprints or allocation plan, so the peak-memory analysis is skipped:
+/// sync redundancy and the critical-path floor only.
 fn lint_fixtures(dir: &str, json: bool, workers: usize, dev: &DeviceSpec) -> Result<(), String> {
-    let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("{dir}: {e}"))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "txt"))
-        .collect();
-    paths.sort();
-    if paths.is_empty() {
-        return Err(format!("no .txt fixtures in {dir}"));
-    }
     let mut plans = Vec::new();
-    for p in &paths {
-        let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-        let sched = astra_verify::parse_rendered(&text)
-            .map_err(|e| format!("{}: {e}", p.display()))?;
+    for (label, sched) in schedule_fixtures(dir)? {
         // Multi-device fixtures carry a device map; size a homogeneous
         // topology to it so per-device accounting has a slot for every
         // device the schedule names.
@@ -856,7 +851,7 @@ fn lint_fixtures(dir: &str, json: bool, workers: usize, dev: &DeviceSpec) -> Res
             astra_gpu::Topology::homogeneous(dev.clone(), n, astra_gpu::LinkDesc::nvlink());
         let report =
             astra_lint::lint(&sched, &topo, None, None, &astra_lint::LintOptions { workers });
-        plans.push(LintedPlan { label: p.display().to_string(), report });
+        plans.push(LintedPlan { label, report });
     }
     print_lint_results(&plans, json)
 }

@@ -406,6 +406,13 @@ impl UpdateTree {
         self.record_at(slot, f64::INFINITY);
     }
 
+    /// [`UpdateTree::poison`] for every variable's current choice.
+    pub fn poison_all(&mut self) {
+        for slot in 0..self.paths.len() {
+            self.poison_at(slot);
+        }
+    }
+
     /// Freezes every variable at its best observed choice and returns the
     /// final assignment.
     pub fn best_assignment(&mut self) -> BTreeMap<String, usize> {

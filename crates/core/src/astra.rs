@@ -18,6 +18,11 @@
 //!
 //! A final playoff runs the best configuration of each allocation context
 //! and picks the overall winner (§4.5.2).
+//!
+//! Every phase runs through one trial pipeline, [`Astra::run_phase`]; the
+//! [`phases`] module holds what each phase supplies to it.
+
+mod phases;
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -26,29 +31,25 @@ use std::sync::Arc;
 
 use astra_exec::native_schedule;
 use astra_gpu::{
-    ClockMode, DeviceSpec, Engine, EngineCheckpoint, FaultPlan, GemmLibrary, GemmShape,
-    RunResult, Schedule, Topology,
+    ClockMode, DeviceSpec, Engine, EngineCheckpoint, FaultPlan, RunResult, Schedule, Topology,
 };
 use astra_ir::Graph;
 use astra_predict::{FeatureVec, PredEntry};
 use astra_store::{StoreOptions, VerdictKind};
 
-use crate::adaptive::{ExploreMode, UpdateNode, UpdateTree};
-use crate::enumerate::epochs::{epoch_choices, partition_units, EpochAssignment, Partition};
 use crate::error::AstraError;
-use crate::parallel::{effective_workers, parallel_map, WorkerPool};
+use crate::parallel::{effective_workers, WorkerPool};
 use crate::persist::{DriverStore, WarmState};
 use crate::plan::{
-    bind_libs, build_units_fragmented, candidate_features, emit_schedule, epoch_features,
-    fusion_features, gradient_sync_bytes, kernel_features, placement_candidates,
-    placement_features, DevicePlacement, ExecConfig, PlanCache, PlanContext, PlanKey, ProbeSpec,
-    Probes, Unit, UnitId,
+    build_units_fragmented, emit_schedule, DevicePlacement, ExecConfig, PlanCache, PlanContext,
+    PlanKey, ProbeSpec, Probes, Unit,
 };
 use crate::predictor::Pruner;
 use crate::profile::{ProfileIndex, ProfileKey};
 use crate::simcache::{
     plan_prefix_batch, GroupShard, KeyCtx, PrefixPlan, SimCache, TrialBase, HIT_DEPTH_BUCKETS,
 };
+use phases::{FusionPhase, KernelPhase, Phase, PlacementPhase, Space, StreamPhase};
 
 /// Maximum fault-triggered re-measurements per candidate before it is
 /// quarantined. Each retry is a real training mini-batch (work-conserving),
@@ -69,7 +70,7 @@ const OUTLIER_FACTOR: f64 = 1.5;
 /// any worker count. 32 trials give the prefix trie enough material to
 /// group on while keeping the batch's emitted schedules bounded in
 /// memory. (Trial *outcomes* never depend on the batch size at all —
-/// [`UpdateTree::lookahead`] batches replay the exact sequential trial
+/// [`crate::UpdateTree::lookahead`] batches replay the exact sequential trial
 /// sequence.)
 const LOOKAHEAD_TRIALS: usize = 32;
 
@@ -97,9 +98,9 @@ fn quarantine_id<K: Borrow<ProfileKey>>(
     ProfileKey::from_parts(contexts, format!("quarantine:{phase}"), 0)
 }
 
-/// Running totals for one [`Astra::optimize`] call, threaded through every
-/// exploration phase.
-#[derive(Default)]
+/// Running totals for one [`Astra::optimize`] call, reset at its start and
+/// reported flat in its [`Report`].
+#[derive(Debug, Default)]
 struct ExploreStats {
     trials: usize,
     exploration_ns: f64,
@@ -110,6 +111,13 @@ struct ExploreStats {
     placements: usize,
     pruned: usize,
     bound_pruned: usize,
+    /// Verifier executions (verdict-cache misses) and the plans rejected.
+    plans_verified: u64,
+    verify_rejects: u64,
+    /// Plans the linter rejected (over capacity).
+    lint_rejects: u64,
+    /// Prefix groups formed by cache-aware batch scheduling.
+    prefix_groups: u64,
 }
 
 /// One prepared candidate simulation: the emitted schedule, its probes,
@@ -128,120 +136,17 @@ struct Prepared {
 type TrialOut = Option<(RunResult, Probes)>;
 
 /// One trial's predictor features for one *active* adaptive variable: the
-/// variable's update-tree slot, its index in the phase's active-variable
-/// list, the choice this trial assigns, the extracted features, and the
-/// selection-time prediction (0 until the batch is scored, and forever in
-/// cold batches — a zero prediction is never counted toward the MAE).
+/// variable's update-tree slot, its variable index (its position in
+/// [`Phase::vars`]), the choice this trial assigns, the extracted
+/// features, and the selection-time prediction (0 until the batch is
+/// scored, and forever in cold batches — a zero prediction is never
+/// counted toward the MAE).
 struct VarFeat {
     slot: usize,
     vidx: usize,
     choice: usize,
     feat: Rc<FeatureVec>,
     pred: f64,
-}
-
-/// One choice of a stream-phase epoch variable: the stream of each of the
-/// epoch's units, and the predictor features and profile key every trial
-/// carrying this choice shares.
-struct EpochChoice {
-    assignment: EpochAssignment,
-    feat: Rc<FeatureVec>,
-    key: ProfileKey,
-}
-
-/// One epoch adaptive variable of the stream phase.
-struct EpochVar {
-    /// Update-tree id, `se{sei}.e{ei}`.
-    id: String,
-    /// (super-epoch, epoch) position in the partition.
-    pos: (usize, usize),
-    /// The variable's slot in the phase's update tree.
-    slot: usize,
-    choices: Vec<EpochChoice>,
-}
-
-/// The stream phase's search space over one partition, with everything
-/// about a choice that no trial changes computed once.
-struct EpochSpace {
-    /// Epochs with more than one choice, in id order (the order of a tree
-    /// assignment's keys); a variable's position here is its `vidx`.
-    vars: Vec<EpochVar>,
-    /// The update tree over `vars`: super-epochs in parallel, epochs
-    /// prefix-wise within each. `None` when no epoch has a choice.
-    tree: Option<UpdateTree>,
-    /// The only assignment of every single-choice epoch.
-    fixed: Vec<(UnitId, usize)>,
-}
-
-/// Builds the [`EpochSpace`] of `partition`: per-epoch stream choices,
-/// and for each choice its [`epoch_features`] over `base` and its
-/// [`epoch_key`] under the given contexts. Epochs with a single choice
-/// (one class member, or one stream) get no adaptive variable and no
-/// probe.
-fn epoch_space(
-    units: &[Unit],
-    partition: &Partition,
-    num_streams: usize,
-    base: &FeatureVec,
-    strat_ctx: Option<&str>,
-    key_context: Option<&str>,
-) -> EpochSpace {
-    let flops_of: BTreeMap<UnitId, f64> = units.iter().map(|u| (u.id, u.flops)).collect();
-    let mut fixed = Vec::new();
-    let mut vars = Vec::new();
-    let mut se_children = Vec::new();
-    for (sei, se) in partition.super_epochs.iter().enumerate() {
-        let mut epoch_nodes = Vec::new();
-        for (ei, epoch) in se.epochs.iter().enumerate() {
-            let options = epoch_choices(units, epoch, num_streams);
-            if options.len() <= 1 {
-                fixed.extend(options.into_iter().flatten());
-                continue;
-            }
-            let id = format!("se{sei}.e{ei}");
-            epoch_nodes.push(UpdateNode::var(id.clone(), options.len()));
-            let choices = options
-                .into_iter()
-                .enumerate()
-                .map(|(c, assignment)| EpochChoice {
-                    feat: Rc::new(epoch_features(base, sei, ei, c, &assignment, &flops_of)),
-                    key: epoch_key(&id, c, strat_ctx, key_context),
-                    assignment,
-                })
-                .collect();
-            vars.push(EpochVar { id, pos: (sei, ei), slot: 0, choices });
-        }
-        if !epoch_nodes.is_empty() {
-            se_children.push(UpdateNode::group(ExploreMode::Prefix, epoch_nodes));
-        }
-    }
-    let tree = (!se_children.is_empty())
-        .then(|| UpdateTree::new(UpdateNode::group(ExploreMode::Parallel, se_children)));
-    vars.sort_by(|a, b| a.id.cmp(&b.id));
-    if let Some(tree) = &tree {
-        for var in &mut vars {
-            var.slot = tree.slot(&var.id).expect("every epoch variable is in the tree");
-        }
-    }
-    EpochSpace { vars, tree, fixed }
-}
-
-/// Profile key of an epoch variable's choice, under the allocation
-/// strategy context and the bucket context when set.
-fn epoch_key(
-    id: &str,
-    choice: usize,
-    strat_ctx: Option<&str>,
-    key_context: Option<&str>,
-) -> ProfileKey {
-    let mut key = ProfileKey::entity(format!("epoch:{id}"), choice);
-    if let Some(c) = strat_ctx {
-        key = key.in_context(c);
-    }
-    if let Some(b) = key_context {
-        key = key.in_context(b);
-    }
-    key
 }
 
 /// Per-trial feature sets for a lookahead batch, parallel to the prepared
@@ -459,7 +364,7 @@ pub struct AstraOptions {
     pub key_context: Option<String>,
     /// Worker threads for evaluating candidate trials. The exploration
     /// driver batches metric-independent trials from the update tree
-    /// ([`UpdateTree::lookahead`]), simulates them concurrently, and
+    /// ([`crate::UpdateTree::lookahead`]), simulates them concurrently, and
     /// commits measurements in candidate order — so results are
     /// bit-identical at every setting. `0` = one worker per available CPU
     /// core; `1` = fully sequential evaluation.
@@ -492,14 +397,6 @@ pub struct AstraOptions {
     /// spent on it. Verdicts are cached per plan key and placement, so
     /// repeated geometries cost nothing. On by default.
     pub lint: bool,
-    /// Whether to rewrite every emitted candidate schedule without its
-    /// redundant event waits (see [`astra_lint::elide_redundant_syncs`])
-    /// before simulating. The rewrite is reachability-preserving (elided
-    /// schedules stay verify-clean) and keeps at least one wait per
-    /// non-empty wait list, so the engine charges the same sync
-    /// penalties and the simulated cost is bit-identical; only the
-    /// schedules get shorter. Off by default.
-    pub elide_syncs: bool,
     /// Whether sound critical-path lower bounds veto lookahead trials
     /// before simulation (see [`astra_lint::region_floors`]): a trial
     /// whose floor for *every* active variable strictly exceeds that
@@ -567,7 +464,6 @@ impl Default for AstraOptions {
             sim_cache: true,
             verify: true,
             lint: true,
-            elide_syncs: false,
             bound_prune: false,
             predictor: true,
             predictor_top_k: 2,
@@ -629,10 +525,6 @@ pub struct Report {
     /// quarantined before simulating. Zero with [`AstraOptions::lint`]
     /// off.
     pub lint_rejects: u64,
-    /// Redundant event waits elided from emitted candidate schedules
-    /// (summed over every prepared trial). Zero with
-    /// [`AstraOptions::elide_syncs`] off.
-    pub syncs_elided: u64,
     /// Lookahead trials vetoed by sound critical-path lower bounds
     /// instead of simulating — skipped *in addition to* the learned
     /// predictor's `trials_pruned`, with the final plan provably
@@ -730,17 +622,11 @@ pub struct Astra<'g> {
     /// collectives — without changing the unit geometry, so it must key
     /// the verdict alongside the plan key.)
     verify_cache: HashMap<(PlanKey, DevicePlacement), bool>,
-    /// Cumulative count of verifier executions (cache misses).
-    plans_verified: u64,
-    /// Cumulative count of rejected plans.
-    verify_rejects: u64,
     /// Static-lint verdicts, keyed like `verify_cache` (peak memory
     /// depends on both the unit geometry and the placement's wiring).
     lint_cache: HashMap<(PlanKey, DevicePlacement), bool>,
-    /// Cumulative count of plans the linter rejected (over capacity).
-    lint_rejects: u64,
-    /// Cumulative count of redundant waits elided from emitted schedules.
-    syncs_elided: u64,
+    /// The current `optimize` call's exploration counters.
+    stats: ExploreStats,
     /// Monotonic fault-salt counter: every measured mini-batch gets the next
     /// salt, assigned in candidate order *before* a batch evaluates. Batch
     /// boundaries partition the same candidate sequence at every worker
@@ -751,9 +637,6 @@ pub struct Astra<'g> {
     /// first multi-group batch when `workers > 1` and reused for the
     /// optimizer's whole lifetime (no per-batch thread spawns).
     pool: Option<WorkerPool>,
-    /// Cumulative count of prefix groups formed by cache-aware batch
-    /// scheduling (stays zero while the sim cache is off).
-    prefix_groups: u64,
     /// The learned cost predictor: model, pruning policy, epsilon RNG, and
     /// cumulative counters. Persists across `optimize` calls like the
     /// profile index, so steady-state re-exploration prunes from the first
@@ -838,14 +721,10 @@ impl<'g> Astra<'g> {
             plan_cache: PlanCache::new(),
             sim_cache: SimCache::new(),
             verify_cache: HashMap::new(),
-            plans_verified: 0,
-            verify_rejects: 0,
             lint_cache: HashMap::new(),
-            lint_rejects: 0,
-            syncs_elided: 0,
+            stats: ExploreStats::default(),
             fault_seq: 0,
             pool: None,
-            prefix_groups: 0,
             pruner,
             store: None,
             store_error: None,
@@ -1054,7 +933,7 @@ impl<'g> Astra<'g> {
             .collect();
         let plan = if use_cache {
             let plan = plan_prefix_batch(&chains);
-            self.prefix_groups += plan.groups.len() as u64;
+            self.stats.prefix_groups += plan.groups.len() as u64;
             plan
         } else {
             PrefixPlan::naive(prepared.len())
@@ -1162,7 +1041,6 @@ impl<'g> Astra<'g> {
         feats: &mut BatchFeats,
         dom: DominanceCtx<'_>,
         decode: impl Fn(&Probes, &RunResult) -> Vec<(usize, f64)>,
-        stats: &mut ExploreStats,
     ) -> Result<Vec<BatchOutcome>, AstraError> {
         let DominanceCtx { bounds, prior_best } = dom;
         // Sound lower-bound veto, ahead of (and composing with) the
@@ -1185,7 +1063,7 @@ impl<'g> Astra<'g> {
                 if prepared[i].is_some() && bound_veto(feats, bounds, i, prior_best) {
                     prepared[i] = None;
                     vetoed[i] = true;
-                    stats.bound_pruned += 1;
+                    self.stats.bound_pruned += 1;
                 }
             }
         }
@@ -1227,7 +1105,7 @@ impl<'g> Astra<'g> {
                     if slots[i].is_some() && bound_veto(feats, bounds, i, &best) {
                         slots[i] = None;
                         vetoed[i] = true;
-                        stats.bound_pruned += 1;
+                        self.stats.bound_pruned += 1;
                     }
                 }
                 let wave: Vec<Option<Prepared>> = slots
@@ -1332,7 +1210,7 @@ impl<'g> Astra<'g> {
             outs.push(match res {
                 Some((r, p)) => BatchOutcome::Measured(r, p),
                 None if slot.is_some() => {
-                    stats.pruned += 1;
+                    self.stats.pruned += 1;
                     BatchOutcome::Pruned
                 }
                 None if vetoed[i] => BatchOutcome::BoundPruned,
@@ -1366,10 +1244,10 @@ impl<'g> Astra<'g> {
         }
         let workers = self.workers();
         let report = crate::verify::verify_plan(&self.ctx, cfg, units, sched, workers);
-        self.plans_verified += 1;
+        self.stats.plans_verified += 1;
         let clean = report.is_clean();
         if !clean {
-            self.verify_rejects += 1;
+            self.stats.verify_rejects += 1;
         }
         self.verify_cache.insert(key, clean);
         if let Some(store) = self.store.as_mut() {
@@ -1400,7 +1278,7 @@ impl<'g> Astra<'g> {
             crate::verify::lint_plan(&self.ctx, cfg, units, sched, &self.lint_topology(), 1);
         let clean = report.errors() == 0;
         if !clean {
-            self.lint_rejects += 1;
+            self.stats.lint_rejects += 1;
         }
         self.lint_cache.insert(key, clean);
         if let Some(store) = self.store.as_mut() {
@@ -1424,20 +1302,6 @@ impl<'g> Astra<'g> {
             Some(t) => t.clone(),
             None => Topology::single(self.dev.clone()),
         }
-    }
-
-    /// Applies redundant-sync elision to an emitted schedule when
-    /// [`AstraOptions::elide_syncs`] is on (counting the removed waits);
-    /// a no-op pass-through otherwise. Elision preserves the verifier's
-    /// verdict and the engine's simulated cost bit-for-bit, so it is
-    /// applied after admission and before the trial runs.
-    fn maybe_elide(&mut self, sched: Schedule) -> Schedule {
-        if !self.opts.elide_syncs {
-            return sched;
-        }
-        let (out, n) = astra_lint::elide_redundant_syncs(&sched);
-        self.syncs_elided += n as u64;
-        out
     }
 
     /// One simulated mini-batch through the sim cache: probe, run
@@ -1465,7 +1329,6 @@ impl<'g> Astra<'g> {
         &mut self,
         sched: &Schedule,
         salt: u64,
-        stats: &mut ExploreStats,
     ) -> Result<(RunResult, usize, f64), AstraError> {
         let mut runs = 0usize;
         let mut spent = 0.0;
@@ -1476,7 +1339,7 @@ impl<'g> Astra<'g> {
             spent += r.total_ns;
             let faulted = r.faults.any();
             if faulted {
-                stats.fault_events += 1;
+                self.stats.fault_events += 1;
             }
             if best.as_ref().is_none_or(|b| r.total_ns < b.total_ns) {
                 best = Some(r);
@@ -1485,7 +1348,7 @@ impl<'g> Astra<'g> {
                 break;
             }
             if attempt < MAX_FAULT_RETRIES {
-                stats.retries += 1;
+                self.stats.retries += 1;
             }
         }
         Ok((best.expect("at least one attempt ran"), runs, spent))
@@ -1510,11 +1373,11 @@ impl<'g> Astra<'g> {
     /// The body of [`Astra::optimize`]: every phase per allocation
     /// strategy, the playoff, and the end-of-run store bookkeeping.
     fn explore_and_seal(&mut self) -> Result<Report, AstraError> {
-        let mut stats = ExploreStats::default();
+        self.stats = ExploreStats::default();
         let native_salt = self.fault_seq;
         self.fault_seq += 1;
         let native_sched = native_schedule(&self.ctx.lowering);
-        let (native, _, _) = self.measured_run(&native_sched, native_salt, &mut stats)?;
+        let (native, _, _) = self.measured_run(&native_sched, native_salt)?;
         let native_ns = native.total_ns;
         let cache_hits0 = self.plan_cache.hits();
         let cache_misses0 = self.plan_cache.misses();
@@ -1523,11 +1386,6 @@ impl<'g> Astra<'g> {
         let sim_resumed0 = self.sim_cache.resumed_cmds();
         let sim_total0 = self.sim_cache.total_cmds();
         let sim_depth0 = self.sim_cache.hit_depth();
-        let groups0 = self.prefix_groups;
-        let verified0 = self.plans_verified;
-        let rejects0 = self.verify_rejects;
-        let lint_rejects0 = self.lint_rejects;
-        let syncs_elided0 = self.syncs_elided;
         let pred_upd0 = self.pruner.updates();
         let pred_err0 = self.pruner.abs_err_ns;
         let pred_errn0 = self.pruner.err_samples;
@@ -1543,24 +1401,26 @@ impl<'g> Astra<'g> {
             let mut cfg = ExecConfig::baseline();
             cfg.strategy = strategy;
             let strat_ctx = (strategies > 1).then(|| format!("alloc:{strategy}"));
+            let strat_ctx = strat_ctx.as_deref();
 
             if dims.fusion {
-                self.explore_fusion(&mut cfg, strat_ctx.as_deref(), &mut stats)?;
-                self.end_phase();
+                let phase = FusionPhase::new(self, &mut cfg, strat_ctx);
+                self.run_phase(phase, &mut cfg)?;
             }
             if dims.kernel {
-                self.explore_kernels(&mut cfg, &mut stats)?;
-                self.end_phase();
+                let phase = KernelPhase::new(self, &mut cfg)?;
+                self.run_phase(phase, &mut cfg)?;
             }
             let mut partition = None;
             if dims.streams {
-                partition = self.explore_streams(&mut cfg, strat_ctx.as_deref(), &mut stats)?;
-                self.end_phase();
+                let (p, phase) = StreamPhase::new(self, &mut cfg, strat_ctx)?;
+                partition = Some(p);
+                self.run_phase(phase, &mut cfg)?;
             }
-            // Phase P: placement across the node's devices (no-op without a
-            // multi-device topology).
-            self.explore_placements(&mut cfg, strat_ctx.as_deref(), &mut stats)?;
-            self.end_phase();
+            // Placement across the node's devices (nothing to explore
+            // without a multi-device topology).
+            let phase = PlacementPhase::new(self, &mut cfg, strat_ctx)?;
+            self.run_phase(phase, &mut cfg)?;
 
             // Context playoff run: best configuration end-to-end (§4.7).
             // Bounded fault retries keep the strategy comparison honest — a
@@ -1573,15 +1433,14 @@ impl<'g> Astra<'g> {
             let (sched, _) =
                 emit_schedule(&self.ctx, &cfg, &units, playoff_partition, &ProbeSpec::none());
             if !self.admit_candidate(&cfg, &units, &sched) {
-                stats.quarantined += 1;
+                self.stats.quarantined += 1;
                 continue;
             }
-            let sched = self.maybe_elide(sched);
             let salt = self.fault_seq;
             self.fault_seq += 1;
-            let (r, runs, spent) = self.measured_run(&sched, salt, &mut stats)?;
-            stats.trials += runs;
-            stats.exploration_ns += spent;
+            let (r, runs, spent) = self.measured_run(&sched, salt)?;
+            self.stats.trials += runs;
+            self.stats.exploration_ns += spent;
             let se_count = playoff_partition.map_or(0, |p| p.super_epochs.len());
             if best_overall.as_ref().is_none_or(|(b, ..)| r.total_ns < *b) {
                 // Utilization covers every device in the node, including
@@ -1595,8 +1454,7 @@ impl<'g> Astra<'g> {
         let Some((steady_ns, best, super_epochs, device_utilization)) = best_overall else {
             return Err(AstraError::AllPlansRejected(format!(
                 "{} verify reject(s), {} lint reject(s) across {strategies} strategies",
-                self.verify_rejects - rejects0,
-                self.lint_rejects - lint_rejects0,
+                self.stats.verify_rejects, self.stats.lint_rejects,
             )));
         };
         let cost_per_throughput = match self.topo {
@@ -1609,6 +1467,7 @@ impl<'g> Astra<'g> {
         if let Some(store) = self.store.as_mut() {
             store.finish_run(self.pruner.export_models());
         }
+        let stats = &self.stats;
         Ok(Report {
             native_ns,
             steady_ns,
@@ -1628,10 +1487,9 @@ impl<'g> Astra<'g> {
             fault_events: stats.fault_events,
             retries: stats.retries,
             quarantined: stats.quarantined,
-            plans_verified: self.plans_verified - verified0,
-            verify_rejects: self.verify_rejects - rejects0,
-            lint_rejects: self.lint_rejects - lint_rejects0,
-            syncs_elided: self.syncs_elided - syncs_elided0,
+            plans_verified: stats.plans_verified,
+            verify_rejects: stats.verify_rejects,
+            lint_rejects: stats.lint_rejects,
             bound_pruned: stats.bound_pruned,
             sim_cache_hits: self.sim_cache.hits() - sim_hits0,
             sim_cache_misses: self.sim_cache.misses() - sim_misses0,
@@ -1647,7 +1505,7 @@ impl<'g> Astra<'g> {
                 let now = self.sim_cache.hit_depth();
                 std::array::from_fn(|b| now[b] - sim_depth0[b])
             },
-            prefix_group_count: self.prefix_groups - groups0,
+            prefix_group_count: stats.prefix_groups,
             device_utilization,
             cost_per_throughput,
             placements_explored: stats.placements,
@@ -1677,60 +1535,74 @@ impl<'g> Astra<'g> {
         })
     }
 
-    /// Phase P: placement exploration across the node's devices. The
-    /// candidate placements — single-device, data-parallel batch splits
-    /// (equal and, on heterogeneous mixes, capability-proportional), and
-    /// layer-wise model-parallel cuts — form one parallel adaptive
-    /// variable, explored through the same lookahead / batched /
-    /// cache-aware trial machinery as the other phases. The metric is the
-    /// whole mini-batch time; profile keys fold the topology fingerprint
-    /// so a shared index never leaks timings across device mixes.
-    fn explore_placements(
-        &mut self,
-        cfg: &mut ExecConfig,
-        strat_ctx: Option<&str>,
-        stats: &mut ExploreStats,
-    ) -> Result<(), AstraError> {
-        let Some(topo) = self.topo else { return Ok(()) };
-        if !topo.is_multi() {
-            return Ok(());
-        }
-        let units = self.plan_cache.units_for(&self.ctx, cfg)?;
-        let candidates = placement_candidates(topo, &units);
-        stats.placements = stats.placements.max(candidates.len());
-        if candidates.len() <= 1 {
-            return Ok(());
-        }
-
-        let bucket_ctx = self.opts.key_context.clone();
-        let fp = topo.fingerprint();
-        let strat_owned = strat_ctx.map(str::to_owned);
-        let key_for = move |choice: usize| {
-            let mut k = ProfileKey::entity(format!("place:{fp:016x}"), choice);
-            if let Some(c) = &strat_owned {
-                k = k.in_context(c.clone());
-            }
-            if let Some(b) = &bucket_ctx {
-                k = k.in_context(b.clone());
-            }
-            k
+    /// Emits candidate `c` for the attempt salted `salt`: on a fragmented
+    /// build of its geometry when the salt draws a transient allocation
+    /// failure (built outside the plan cache, so the clean geometry stays
+    /// cached), else on its `clean` units. A fragmented build has the clean
+    /// build's unit set, ids, dependencies and order — so partitions and
+    /// probe specs stay valid — and fails only where the clean build does.
+    fn emit_attempt<P: Phase>(
+        &self,
+        phase: &P,
+        c: &ExecConfig,
+        clean: &Arc<[Unit]>,
+        salt: u64,
+    ) -> Option<(Arc<[Unit]>, Schedule, Probes)> {
+        let units = match self.opts.faults.alloc_event(salt) {
+            Some(word) => Arc::from(build_units_fragmented(&self.ctx, c, word).ok()?),
+            None => Arc::clone(clean),
         };
+        let (sched, probes) =
+            emit_schedule(&self.ctx, c, &units, phase.partition(), phase.probe_spec());
+        Some((units, sched, probes))
+    }
 
-        let all_hit = (0..candidates.len()).all(|c| self.index.contains(&key_for(c)));
-        if all_hit {
-            let (best, _) = self
-                .index
-                .best_choice(&key_for, candidates.len())
-                .expect("all hits implies a best");
-            cfg.placement = candidates[best].clone();
-            return Ok(());
-        }
-
-        let mut tree = UpdateTree::new(UpdateNode::group(
-            ExploreMode::Parallel,
-            vec![UpdateNode::var("placement".to_owned(), candidates.len())],
-        ));
-        let sync_bytes = gradient_sync_bytes(self.ctx.graph);
+    /// Runs one exploration phase to completion — the custom wirer of
+    /// §4.7, shared by every phase — and applies the best assignment to
+    /// `cfg`. Each lookahead batch is:
+    ///
+    /// 1. materialized into candidate configurations, with one fault salt
+    ///    per candidate assigned in candidate order before the batch
+    ///    evaluates (so injected faults are worker-count invariant);
+    /// 2. prepared sequentially in candidate order: emitted (see
+    ///    [`Astra::emit_attempt`]) and admitted by the verifier and linter
+    ///    — fault-fragmented geometries skip admission, since their
+    ///    placements differ from the clean plan a cached verdict is keyed
+    ///    on;
+    /// 3. run through [`Astra::run_batch_predicted`] with the phase's
+    ///    features and floors;
+    /// 4. committed in candidate order, so the update tree, the profile
+    ///    index and the predictor see exactly a sequential driver's
+    ///    updates. A measured candidate is re-measured under the next
+    ///    attempt salt while its run reports a fault or an outlier metric,
+    ///    up to [`MAX_FAULT_RETRIES`] times; still suspect, it is
+    ///    quarantined — every variable's choice poisoned, no sample
+    ///    indexed, a mark journaled. Persisted marks under this fault plan
+    ///    poison a candidate without spending the retries.
+    ///
+    /// Ends the phase (see [`Astra::end_phase`]) when it explored anything.
+    fn run_phase<P: Phase>(
+        &mut self,
+        space: Space<P>,
+        cfg: &mut ExecConfig,
+    ) -> Result<(), AstraError> {
+        let Some((phase, mut tree)) = space else { return Ok(()) };
+        let phase = &phase;
+        let vars = phase.vars();
+        // A tree assignment lists every variable in id order; scatter it
+        // into variable-index order without a lookup per variable.
+        let mut by_id: Vec<usize> = (0..vars.len()).collect();
+        by_id.sort_by(|&a, &b| vars[a].id.cmp(&vars[b].id));
+        let pick_of = |asg: &BTreeMap<String, usize>| -> Vec<usize> {
+            debug_assert!(asg.keys().eq(by_id.iter().map(|&v| &vars[v].id)));
+            let mut pick = vec![0; vars.len()];
+            for (&v, &choice) in by_id.iter().zip(asg.values()) {
+                pick[v] = choice;
+            }
+            pick
+        };
+        // Committed per-variable measured minima, for the bound veto and
+        // the regret guard.
         let mut best_measured: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
         let bound_topo = self.opts.bound_prune.then(|| self.lint_topology());
 
@@ -1739,94 +1611,76 @@ impl<'g> Astra<'g> {
             if batch.is_empty() {
                 break;
             }
-            let cfgs: Vec<ExecConfig> = batch
+            let picks: Vec<Vec<usize>> = batch.iter().map(pick_of).collect();
+            let cfgs: Vec<ExecConfig> = picks
                 .iter()
-                .map(|asg| {
+                .map(|pick| {
                     let mut c = cfg.clone();
-                    c.placement = candidates[asg["placement"]].clone();
+                    phase.materialize(&mut c, pick);
                     c
                 })
                 .collect();
+            let clean = phase.units(self, &cfgs)?;
 
             let salt0 = self.fault_seq;
             self.fault_seq += batch.len() as u64;
-
-            // Sequential prepare in candidate order: placements share the
-            // unit geometry, so every trial is a schedule-cache hit and
-            // only the wiring differs.
             let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(cfgs.len());
-            for (i, c) in cfgs.iter().enumerate() {
+            for (i, (c, units)) in cfgs.iter().zip(&clean).enumerate() {
                 let salt = salt0 + i as u64;
-                let alloc_fault = self.opts.faults.alloc_event(salt);
-                let frag;
-                let units_run: &[Unit] = match alloc_fault {
-                    Some(word) => {
-                        frag = build_units_fragmented(&self.ctx, c, word)?;
-                        &frag
+                let emitted = units.as_ref().and_then(|u| self.emit_attempt(phase, c, u, salt));
+                prepared.push(emitted.and_then(|(units, sched, probes)| {
+                    let fragmented = self.opts.faults.alloc_event(salt).is_some();
+                    if !fragmented && !self.admit_candidate(c, &units, &sched) {
+                        self.stats.quarantined += 1;
+                        return None;
                     }
-                    None => &units,
-                };
-                let (sched, probes) =
-                    emit_schedule(&self.ctx, c, units_run, None, &ProbeSpec::none());
-                if alloc_fault.is_none() && !self.admit_candidate(c, units_run, &sched) {
-                    stats.quarantined += 1;
-                    prepared.push(None);
-                    continue;
-                }
-                prepared.push(Some(Prepared { sched: self.maybe_elide(sched), probes, salt }));
+                    Some(Prepared { sched, probes, salt })
+                }));
             }
 
-            // Whole-run lower bound per candidate: the placement metric is
-            // the mini-batch time itself, so the critical-path floor over
-            // the emitted wiring bounds it directly.
+            let active = phase.active(&picks);
             let bounds: Vec<Vec<(usize, f64)>> = match &bound_topo {
                 Some(t) => prepared
                     .iter()
-                    .map(|p| {
-                        p.as_ref().map_or(Vec::new(), |p| {
-                            vec![(0, astra_lint::critical_path_floor(&p.sched, t, &|_, _| None))]
-                        })
-                    })
+                    .map(|p| p.as_ref().map_or(Vec::new(), |p| phase.floors(p, &active, t)))
                     .collect(),
                 None => Vec::new(),
             };
-
-            let fp_self = self.topo_fp();
-            let mut feats: BatchFeats = cfgs
-                .iter()
-                .zip(&prepared)
-                .zip(&batch)
-                .map(|((c, p), asg)| {
-                    p.as_ref().map(|_| {
-                        vec![VarFeat {
-                            slot: 0, // the tree's only variable
-                            vidx: 0,
-                            choice: asg["placement"],
-                            feat: Rc::new(placement_features(c, fp_self, &units, sync_bytes)),
+            let mut feats: BatchFeats = Vec::with_capacity(cfgs.len());
+            for ((p, c), pick) in prepared.iter().zip(&cfgs).zip(&picks) {
+                feats.push(p.as_ref().map(|_| {
+                    active
+                        .iter()
+                        .map(|&v| VarFeat {
+                            slot: vars[v].slot,
+                            vidx: v,
+                            choice: pick[v],
+                            feat: phase.features(&self.ctx, c, v, pick[v]),
                             pred: 0.0,
-                        }]
-                    })
-                })
-                .collect();
+                        })
+                        .collect()
+                }));
+            }
 
             let outcomes = self.run_batch_predicted(
-                "place",
+                P::KIND,
                 prepared,
                 &mut feats,
                 DominanceCtx { bounds: &bounds, prior_best: &best_measured },
-                |_, r| vec![(0, r.total_ns)],
-                stats,
+                |probes, r| phase.decode(probes, r),
             )?;
 
             for (bi, outcome) in outcomes.into_iter().enumerate() {
                 let asg = tree.next_trial().expect("lookahead bounds the batch");
                 debug_assert_eq!(asg, batch[bi]);
-                let salt = salt0 + bi as u64;
-                let (r, _) = match outcome {
+                let (mut run, mut probes) = match outcome {
+                    // Invalid or admission-rejected candidate.
                     BatchOutcome::Invalid => {
-                        tree.poison("placement");
+                        tree.poison_all();
                         continue;
                     }
+                    // Predicted metrics or proven floors: either way every
+                    // recorded value is strictly above the measured best.
                     BatchOutcome::Pruned | BatchOutcome::BoundPruned => {
                         for vf in feats[bi].iter().flatten() {
                             tree.record_at(vf.slot, vf.pred);
@@ -1835,1067 +1689,81 @@ impl<'g> Astra<'g> {
                     }
                     BatchOutcome::Measured(r, p) => (r, p),
                 };
-                let pkey = key_for(asg["placement"]);
-                if self.warm_quarantine.contains(&pkey) {
-                    // Persisted mark under this exact fault plan: the
-                    // failures are deterministic, so skip the retry budget
-                    // and poison directly.
-                    stats.quarantined += 1;
-                    tree.poison("placement");
+                let pick = &picks[bi];
+                let fs = feats[bi].as_deref().unwrap_or_default();
+                let qid =
+                    || quarantine_id(P::KIND, fs.iter().map(|vf| &vars[vf.vidx].keys[vf.choice]));
+                if !self.warm_quarantine.is_empty() && self.warm_quarantine.contains(&qid()) {
+                    self.stats.quarantined += 1;
+                    tree.poison_all();
                     continue;
                 }
-                let mut total = r.total_ns;
-                let mut faulted = r.faults.any();
                 let mut attempt = 0u32;
                 let committed = loop {
-                    stats.trials += 1;
-                    stats.exploration_ns += total;
+                    let metrics = phase.decode(&probes, &run);
+                    let faulted = run.faults.any();
+                    self.stats.trials += 1;
+                    self.stats.exploration_ns += run.total_ns;
+                    self.stats.overhead_ns +=
+                        probes.probe_records as f64 * self.dev.event_record_cost_ns;
                     if faulted {
-                        stats.fault_events += 1;
+                        self.stats.fault_events += 1;
                     }
-                    let suspect = faulted || is_outlier(&self.index, &pkey, total);
-                    if !suspect {
-                        tree.record("placement", total);
-                        self.commit_sample(&pkey, total);
-                        if let Some(vf) = feats[bi].iter().flatten().next() {
-                            self.pruner.observe("place", &vf.feat, vf.pred, total);
-                        }
-                        let choice = asg["placement"];
-                        let e = best_measured.entry(0).or_insert((f64::INFINITY, choice));
-                        if total < e.0 {
-                            *e = (total, choice);
-                        }
-                        break true;
-                    }
-                    if attempt >= MAX_FAULT_RETRIES {
-                        break false;
-                    }
-                    attempt += 1;
-                    stats.retries += 1;
-                    let rsalt = FaultPlan::attempt_salt(salt, attempt);
-                    let frag;
-                    let units_r: &[Unit] = match self.opts.faults.alloc_event(rsalt) {
-                        Some(word) => {
-                            frag = build_units_fragmented(&self.ctx, &cfgs[bi], word)?;
-                            &frag
-                        }
-                        None => &units,
-                    };
-                    let (sched, _) =
-                        emit_schedule(&self.ctx, &cfgs[bi], units_r, None, &ProbeSpec::none());
-                    let sched = self.maybe_elide(sched);
-                    let r = self.sim_run(&sched, rsalt)?;
-                    total = r.total_ns;
-                    faulted = r.faults.any();
-                };
-                if !committed {
-                    stats.quarantined += 1;
-                    tree.poison("placement");
-                    self.journal_quarantine(&pkey);
-                }
-            }
-        }
-
-        let best = tree.best_assignment();
-        cfg.placement = candidates[best["placement"]].clone();
-        Ok(())
-    }
-
-    /// Phase F: parallel exploration of per-set chunk choices.
-    fn explore_fusion(
-        &mut self,
-        cfg: &mut ExecConfig,
-        strat_ctx: Option<&str>,
-        stats: &mut ExploreStats,
-    ) -> Result<(), AstraError> {
-        // Choice list per set: cartesian (row chunk, col chunk).
-        type ChoiceList = (String, Vec<(usize, usize)>, bool);
-        let mut choice_lists: Vec<ChoiceList> = Vec::new();
-        for set in &self.ctx.sets {
-            let mut choices = Vec::new();
-            for &rc in &set.row_chunks() {
-                for &cc in &set.col_chunks() {
-                    choices.push((rc, cc));
-                }
-            }
-            let ctx_dependent = self.ctx.alloc.conflicted_sets.contains(&set.id);
-            choice_lists.push((set.id.clone(), choices, ctx_dependent));
-        }
-
-        let bucket_ctx = self.opts.key_context.clone();
-        let key_for = move |set_id: &str, ctx_dep: bool, choice: usize| {
-            let mut k = ProfileKey::entity(format!("fuse:{set_id}"), choice);
-            if let (true, Some(c)) = (ctx_dep, strat_ctx) {
-                k = k.in_context(c.to_owned());
-            }
-            if let Some(b) = &bucket_ctx {
-                k = k.in_context(b.clone());
-            }
-            k
-        };
-
-        // Sets whose every choice is already indexed (from a previous
-        // strategy) need no re-exploration: pick best from the index.
-        let mut vars = Vec::new();
-        let mut explored_sets = Vec::new();
-        for (set_id, choices, ctx_dep) in &choice_lists {
-            let all_hit = choices
-                .iter()
-                .enumerate()
-                .all(|(ci, _)| self.index.contains(&key_for(set_id, *ctx_dep, ci)));
-            if all_hit {
-                let (best_ci, _) = self
-                    .index
-                    .best_choice(|c| key_for(set_id, *ctx_dep, c), choices.len())
-                    .expect("all hits implies a best");
-                cfg.chunks.insert(set_id.clone(), choices[best_ci]);
-            } else {
-                vars.push(UpdateNode::var(set_id.clone(), choices.len()));
-                explored_sets.push((set_id.clone(), choices.clone(), *ctx_dep));
-            }
-        }
-        if vars.is_empty() {
-            return Ok(());
-        }
-        let mut tree = UpdateTree::new(UpdateNode::group(ExploreMode::Parallel, vars));
-        let workers = self.workers();
-
-        // Fusion-set index (into `ctx.sets`) → active-variable index, for
-        // mapping probe metrics to predictor variables.
-        let mut si_vidx: BTreeMap<usize, usize> = BTreeMap::new();
-        for (vidx, (set_id, _, _)) in explored_sets.iter().enumerate() {
-            if let Some(si) = self.ctx.sets.iter().position(|s| s.id == *set_id) {
-                si_vidx.insert(si, vidx);
-            }
-        }
-        let mut best_measured: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
-        let bound_topo = self.opts.bound_prune.then(|| self.lint_topology());
-
-        // A valid candidate's harvested measurements, computed on a worker.
-        struct Outcome {
-            total_ns: f64,
-            probe_records: usize,
-            faulted: bool,
-            set_metrics: Vec<(usize, f64)>,
-        }
-
-        loop {
-            let batch = tree.lookahead(LOOKAHEAD_TRIALS);
-            if batch.is_empty() {
-                break;
-            }
-            let cfgs: Vec<ExecConfig> = batch
-                .iter()
-                .map(|asg| {
-                    let mut c = cfg.clone();
-                    for (set_id, choices, _) in &explored_sets {
-                        c.chunks.insert(set_id.clone(), choices[asg[set_id]]);
-                    }
-                    c
-                })
-                .collect();
-
-            // Schedule-cache bookkeeping happens in candidate order so the
-            // hit/miss counters are deterministic, then the batch's missing
-            // geometries build on the worker pool.
-            let keys: Vec<PlanKey> = cfgs.iter().map(|c| PlanCache::key(&self.ctx, c)).collect();
-            let mut to_build: Vec<usize> = Vec::new();
-            for (i, key) in keys.iter().enumerate() {
-                if self.plan_cache.contains(key) || to_build.iter().any(|&j| keys[j] == *key) {
-                    self.plan_cache.count_hit();
-                } else {
-                    self.plan_cache.count_miss();
-                    to_build.push(i);
-                }
-            }
-            let ctx = &self.ctx;
-            let built = parallel_map(workers, &to_build, |_, &i| {
-                PlanCache::build_structural(ctx, &cfgs[i])
-            });
-            for (&i, r) in to_build.iter().zip(built) {
-                self.plan_cache.insert(keys[i].clone(), r);
-            }
-
-            // One salt per candidate, assigned in candidate order before the
-            // batch evaluates: the injected faults are worker-count
-            // invariant. Retries re-use the candidate's salt with an attempt
-            // index, consuming no further sequence numbers.
-            let salt0 = self.fault_seq;
-            self.fault_seq += batch.len() as u64;
-
-            // Sequential prepare, in candidate order: select this salt's
-            // unit geometry (the alloc-fault draw is salt-determined, so a
-            // degraded placement is known up front) and emit the schedule.
-            // `None` marks an invalid (cyclic) or verify-rejected
-            // combination.
-            let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(cfgs.len());
-            for (i, c) in cfgs.iter().enumerate() {
-                let salt = salt0 + i as u64;
-                let alloc_fault = self.opts.faults.alloc_event(salt);
-                let units: Option<Arc<[Unit]>> = match alloc_fault {
-                    // Transient allocation failure: this run sees the
-                    // degraded, fragmented placement. Built outside the
-                    // schedule cache so the clean geometry stays cached.
-                    Some(word) => build_units_fragmented(&self.ctx, c, word).ok().map(Arc::from),
-                    None => match self.plan_cache.get(&keys[i]).expect("batch keys are built") {
-                        Err(_) => None,
-                        Ok(u) => Some(bind_libs(u, c)),
-                    },
-                };
-                let trial = match units {
-                    None => None,
-                    Some(u) => {
-                        let (sched, probes) =
-                            emit_schedule(&self.ctx, c, &u, None, &ProbeSpec::fusion_sets());
-                        // Fragmented (fault-degraded) geometries skip the
-                        // verifier: their placements differ from the clean
-                        // plan the cached verdict would be keyed on.
-                        if alloc_fault.is_none() && !self.admit_candidate(c, &u, &sched) {
-                            stats.quarantined += 1;
-                            None
-                        } else {
-                            Some(Prepared { sched: self.maybe_elide(sched), probes, salt })
-                        }
-                    }
-                };
-                prepared.push(trial);
-            }
-
-            let set_metrics_of = |probes: &Probes, r: &RunResult| -> Vec<(usize, f64)> {
-                let mut m = Vec::new();
-                for (si, nblocks, start, end) in &probes.set_regions {
-                    if let Some(dt) = r.elapsed(*start, *end) {
-                        m.push((*si, dt.max(0.0) * *nblocks as f64));
-                    }
-                }
-                m
-            };
-
-            // Per-set metric floors: the probe-region floor scaled by the
-            // same block count the measured metric is scaled by.
-            let bounds: Vec<Vec<(usize, f64)>> = match &bound_topo {
-                Some(t) => prepared
-                    .iter()
-                    .map(|p| {
-                        p.as_ref().map_or(Vec::new(), |p| {
-                            let regions: Vec<_> =
-                                p.probes.set_regions.iter().map(|&(_, _, s, e)| (s, e)).collect();
-                            let floors =
-                                astra_lint::region_floors(&p.sched, &regions, t, &|_, _| None);
-                            p.probes
-                                .set_regions
-                                .iter()
-                                .zip(floors)
-                                .filter_map(|(&(si, nb, _, _), f)| {
-                                    si_vidx.get(&si).map(|&v| (v, f * nb as f64))
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect(),
-                None => Vec::new(),
-            };
-
-            // Per-trial predictor features: one entry per explored set,
-            // in active-variable order.
-            let fp_self = self.topo_fp();
-            let mut feats: BatchFeats = Vec::with_capacity(cfgs.len());
-            for ((c, p), asg) in cfgs.iter().zip(&prepared).zip(&batch) {
-                feats.push(p.as_ref().map(|_| {
-                    explored_sets
-                        .iter()
-                        .enumerate()
-                        .map(|(vidx, (set_id, choices, _))| {
-                            let (rc, cc) = choices[asg[set_id]];
-                            let set = self
-                                .ctx
-                                .sets
-                                .iter()
-                                .find(|s| s.id == *set_id)
-                                .expect("explored sets come from the enumeration");
-                            VarFeat {
-                                slot: tree.slot(set_id).expect("explored sets are tree variables"),
-                                vidx,
-                                choice: asg[set_id],
-                                feat: Rc::new(fusion_features(c, fp_self, set, rc, cc)),
-                                pred: 0.0,
-                            }
-                        })
-                        .collect()
-                }));
-            }
-
-            // Fan the prepared batch out through the cache-aware runner
-            // (prefix-grouped order, per-group shards, persistent pool),
-            // pruning predicted-slow candidates once the model is warm.
-            let outcomes = self.run_batch_predicted(
-                "fuse",
-                prepared,
-                &mut feats,
-                DominanceCtx { bounds: &bounds, prior_best: &best_measured },
-                |probes, r| {
-                    set_metrics_of(probes, r)
-                        .into_iter()
-                        .filter_map(|(si, m)| si_vidx.get(&si).map(|&v| (v, m)))
-                        .collect()
-                },
-                stats,
-            )?;
-
-            // Commit measurements in candidate order: the tree and the
-            // profile index see exactly the sequential driver's updates.
-            for (bi, outcome) in outcomes.into_iter().enumerate() {
-                let asg = tree.next_trial().expect("lookahead bounds the batch");
-                debug_assert_eq!(asg, batch[bi]);
-                let salt = salt0 + bi as u64;
-                let mut o = match outcome {
-                    BatchOutcome::Invalid => {
-                        // Invalid or verify-rejected combination: poison
-                        // these choices.
-                        for (set_id, _, _) in &explored_sets {
-                            tree.poison(set_id);
-                        }
-                        continue;
-                    }
-                    BatchOutcome::Pruned | BatchOutcome::BoundPruned => {
-                        // Inherit predicted set metrics (or proven floors);
-                        // either way every recorded value is strictly above
-                        // the committed measured best.
-                        for vf in feats[bi].iter().flatten() {
-                            tree.record_at(vf.slot, vf.pred);
-                        }
-                        continue;
-                    }
-                    BatchOutcome::Measured(r, probes) => Outcome {
-                        total_ns: r.total_ns,
-                        probe_records: probes.probe_records,
-                        faulted: r.faults.any(),
-                        set_metrics: set_metrics_of(&probes, &r),
-                    },
-                };
-                let qid = quarantine_id(
-                    "fuse",
-                    explored_sets.iter().map(|(id, _, ctx_dep)| key_for(id, *ctx_dep, asg[id])),
-                );
-                if self.warm_quarantine.contains(&qid) {
-                    stats.quarantined += 1;
-                    for (set_id, _, _) in &explored_sets {
-                        tree.poison(set_id);
-                    }
-                    continue;
-                }
-                let mut attempt = 0u32;
-                let committed = loop {
-                    stats.trials += 1;
-                    stats.exploration_ns += o.total_ns;
-                    stats.overhead_ns += o.probe_records as f64 * self.dev.event_record_cost_ns;
-                    if o.faulted {
-                        stats.fault_events += 1;
-                    }
-                    // Probe regions are single-stream and interference-free,
-                    // so a measurement far above the key's recorded minimum
+                    // A checked metric far above its key's recorded minimum
                     // is noise even when the run reported no fault.
-                    let suspect = o.faulted
-                        || o.set_metrics.iter().any(|&(si, metric)| {
-                            let set_id = &self.ctx.sets[si].id;
-                            explored_sets.iter().any(|(id, _, ctx_dep)| {
-                                id == set_id
-                                    && is_outlier(
-                                        &self.index,
-                                        &key_for(set_id, *ctx_dep, asg[set_id]),
-                                        metric,
-                                    )
-                            })
-                        });
+                    let suspect = faulted
+                        || phase.outlier_checked()
+                            && metrics
+                                .iter()
+                                .any(|&(v, m)| is_outlier(&self.index, &vars[v].keys[pick[v]], m));
                     if !suspect {
-                        for (si, metric) in o.set_metrics {
-                            let set_id = &self.ctx.sets[si].id;
-                            tree.record(set_id, metric);
-                            if let Some((_, _, ctx_dep)) =
-                                explored_sets.iter().find(|(id, _, _)| id == set_id)
-                            {
-                                let key = key_for(set_id, *ctx_dep, asg[set_id]);
-                                self.commit_sample(&key, metric);
-                            }
-                            if let (Some(&v), Some(fs)) =
-                                (si_vidx.get(&si), feats[bi].as_ref())
-                            {
-                                let vf = &fs[v];
-                                self.pruner.observe("fuse", &vf.feat, vf.pred, metric);
-                                let e =
-                                    best_measured.entry(v).or_insert((f64::INFINITY, vf.choice));
-                                if metric < e.0 {
-                                    *e = (metric, vf.choice);
+                        for &(v, m) in &metrics {
+                            tree.record_at(vars[v].slot, m);
+                            self.commit_sample(&vars[v].keys[pick[v]], m);
+                            match fs.binary_search_by_key(&v, |vf| vf.vidx) {
+                                Ok(i) => self.pruner.observe(P::KIND, &fs[i].feat, fs[i].pred, m),
+                                Err(_) => {
+                                    if let Some(f) = phase.frozen_feature(v, pick[v]) {
+                                        self.pruner.observe(P::KIND, f, 0.0, m);
+                                    }
                                 }
                             }
                         }
+                        fold_best(&mut best_measured, &feats, bi, &metrics);
                         break true;
                     }
                     if attempt >= MAX_FAULT_RETRIES {
                         break false;
                     }
-                    // Deterministic backoff: the retry re-measures under the
+                    // Deterministic backoff: re-measure under the
                     // candidate's salt at the next attempt index,
                     // sequentially and through the sim cache.
                     attempt += 1;
-                    stats.retries += 1;
-                    let rsalt = FaultPlan::attempt_salt(salt, attempt);
-                    let units: Option<Arc<[Unit]>> = match self.opts.faults.alloc_event(rsalt) {
-                        Some(word) => {
-                            build_units_fragmented(&self.ctx, &cfgs[bi], word).ok().map(Arc::from)
-                        }
-                        None => match self.plan_cache.get(&keys[bi]).expect("batch keys are built")
-                        {
-                            Err(_) => None,
-                            Ok(u) => Some(bind_libs(u, &cfgs[bi])),
-                        },
-                    };
-                    match units {
-                        None => break false,
-                        Some(u) => {
-                            let (sched, probes) =
-                                emit_schedule(&self.ctx, &cfgs[bi], &u, None, &ProbeSpec::fusion_sets());
-                            let sched = self.maybe_elide(sched);
-                            let r = self.sim_run(&sched, rsalt)?;
-                            o = Outcome {
-                                total_ns: r.total_ns,
-                                probe_records: probes.probe_records,
-                                faulted: r.faults.any(),
-                                set_metrics: set_metrics_of(&probes, &r),
-                            };
-                        }
-                    }
-                };
-                if !committed {
-                    // Still faulted after the retry budget: quarantine. The
-                    // update tree sees +inf for these choices (so the best
-                    // known configuration wins), and the profile index keeps
-                    // no sample, leaving the candidate re-measurable later.
-                    stats.quarantined += 1;
-                    for (set_id, _, _) in &explored_sets {
-                        tree.poison(set_id);
-                    }
-                    self.journal_quarantine(&qid);
-                }
-            }
-        }
-
-        let best = tree.best_assignment();
-        for (set_id, choices, _) in &explored_sets {
-            cfg.chunks.insert(set_id.clone(), choices[best[set_id]]);
-        }
-        Ok(())
-    }
-
-    /// Phase K: parallel exploration of kernel libraries per realized shape.
-    fn explore_kernels(
-        &mut self,
-        cfg: &mut ExecConfig,
-        stats: &mut ExploreStats,
-    ) -> Result<(), AstraError> {
-        let libs = GemmLibrary::all();
-        let units = self.plan_cache.units_for(&self.ctx, cfg)?;
-        let mut shapes: Vec<GemmShape> = units.iter().filter_map(|u| u.gemm_shape).collect();
-        shapes.sort_unstable();
-        shapes.dedup();
-
-        // Kernel timings depend only on (shape, lib): context-free keys.
-        let key_for =
-            |shape: &GemmShape, choice: usize| ProfileKey::entity(format!("kern:{shape}"), choice);
-
-        let mut vars = Vec::new();
-        let mut explored: Vec<GemmShape> = Vec::new();
-        for shape in &shapes {
-            let all_hit = (0..libs.len()).all(|c| self.index.contains(&key_for(shape, c)));
-            if all_hit {
-                let (ci, _) = self
-                    .index
-                    .best_choice(|c| key_for(shape, c), libs.len())
-                    .expect("all hits");
-                cfg.libs.insert(*shape, libs[ci]);
-            } else {
-                vars.push(UpdateNode::var(format!("{shape}"), libs.len()));
-                explored.push(*shape);
-            }
-        }
-        if vars.is_empty() {
-            return Ok(());
-        }
-        let mut tree = UpdateTree::new(UpdateNode::group(ExploreMode::Parallel, vars));
-
-        // Realized GEMM shape → active-variable index for the predictor.
-        let shape_vidx: BTreeMap<GemmShape, usize> =
-            explored.iter().enumerate().map(|(v, s)| (*s, v)).collect();
-        let mut best_measured: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
-        let bound_topo = self.opts.bound_prune.then(|| self.lint_topology());
-
-        struct Outcome {
-            total_ns: f64,
-            probe_records: usize,
-            faulted: bool,
-            shape_metrics: Vec<(GemmShape, f64)>,
-        }
-
-        loop {
-            let batch = tree.lookahead(LOOKAHEAD_TRIALS);
-            if batch.is_empty() {
-                break;
-            }
-            let cfgs: Vec<ExecConfig> = batch
-                .iter()
-                .map(|asg| {
-                    let mut c = cfg.clone();
-                    for shape in &explored {
-                        c.libs.insert(*shape, libs[asg[&format!("{shape}")]]);
-                    }
-                    c
-                })
-                .collect();
-            // Library trials share one chunk geometry: every request after
-            // the phase's first is a schedule-cache hit, and bind_libs
-            // patches the per-candidate library choices in.
-            let mut bound = Vec::with_capacity(cfgs.len());
-            for c in &cfgs {
-                bound.push(self.plan_cache.units_for(&self.ctx, c)?);
-            }
-
-            let salt0 = self.fault_seq;
-            self.fault_seq += batch.len() as u64;
-
-            // Sequential prepare in candidate order: emit each schedule.
-            // Library trials share a prefix up to the first differing
-            // GEMM, so late-differing candidates resume deep into the
-            // common geometry once the batch runner groups them.
-            let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(cfgs.len());
-            for (i, c) in cfgs.iter().enumerate() {
-                let salt = salt0 + i as u64;
-                let alloc_fault = self.opts.faults.alloc_event(salt);
-                let frag;
-                let units: &[Unit] = match alloc_fault {
-                    Some(word) => {
-                        frag = build_units_fragmented(&self.ctx, c, word)?;
-                        &frag
-                    }
-                    None => &bound[i],
-                };
-                let (sched, probes) =
-                    emit_schedule(&self.ctx, c, units, None, &ProbeSpec::gemm_shapes());
-                if alloc_fault.is_none() && !self.admit_candidate(c, units, &sched) {
-                    stats.quarantined += 1;
-                    prepared.push(None);
-                    continue;
-                }
-                prepared.push(Some(Prepared { sched: self.maybe_elide(sched), probes, salt }));
-            }
-
-            let shape_metrics_of = |probes: &Probes, r: &RunResult| -> Vec<(GemmShape, f64)> {
-                let mut m = Vec::new();
-                for (shape, start, end) in &probes.shape_regions {
-                    if let Some(dt) = r.elapsed(*start, *end) {
-                        m.push((*shape, dt.max(0.0)));
-                    }
-                }
-                m
-            };
-
-            // Per-shape metric floors over the probe regions.
-            let bounds: Vec<Vec<(usize, f64)>> = match &bound_topo {
-                Some(t) => prepared
-                    .iter()
-                    .map(|p| {
-                        p.as_ref().map_or(Vec::new(), |p| {
-                            let regions: Vec<_> =
-                                p.probes.shape_regions.iter().map(|&(_, s, e)| (s, e)).collect();
-                            let floors =
-                                astra_lint::region_floors(&p.sched, &regions, t, &|_, _| None);
-                            p.probes
-                                .shape_regions
-                                .iter()
-                                .zip(floors)
-                                .filter_map(|(&(sh, _, _), f)| {
-                                    shape_vidx.get(&sh).map(|&v| (v, f))
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect(),
-                None => Vec::new(),
-            };
-
-            // Per-trial predictor features: one entry per explored shape,
-            // in active-variable order.
-            let fp_self = self.topo_fp();
-            let mut feats: BatchFeats = Vec::with_capacity(cfgs.len());
-            for ((c, p), asg) in cfgs.iter().zip(&prepared).zip(&batch) {
-                feats.push(p.as_ref().map(|_| {
-                    explored
-                        .iter()
-                        .enumerate()
-                        .map(|(vidx, shape)| {
-                            let choice = asg[&format!("{shape}")];
-                            VarFeat {
-                                slot: tree
-                                    .slot(&format!("{shape}"))
-                                    .expect("explored shapes are tree variables"),
-                                vidx,
-                                choice,
-                                feat: Rc::new(kernel_features(c, fp_self, *shape, libs[choice])),
-                                pred: 0.0,
-                            }
-                        })
-                        .collect()
-                }));
-            }
-
-            let outcomes = self.run_batch_predicted(
-                "kern",
-                prepared,
-                &mut feats,
-                DominanceCtx { bounds: &bounds, prior_best: &best_measured },
-                |probes, r| {
-                    shape_metrics_of(probes, r)
-                        .into_iter()
-                        .filter_map(|(s, m)| shape_vidx.get(&s).map(|&v| (v, m)))
-                        .collect()
-                },
-                stats,
-            )?;
-
-            for (bi, outcome) in outcomes.into_iter().enumerate() {
-                let asg = tree.next_trial().expect("lookahead bounds the batch");
-                debug_assert_eq!(asg, batch[bi]);
-                let salt = salt0 + bi as u64;
-                let mut o = match outcome {
-                    BatchOutcome::Invalid => {
-                        // Verify-rejected candidate: poison its choices.
-                        for shape in &explored {
-                            tree.poison(&format!("{shape}"));
-                        }
-                        continue;
-                    }
-                    BatchOutcome::Pruned | BatchOutcome::BoundPruned => {
-                        // Inherit predicted per-shape metrics (or proven
-                        // floors); every recorded value is strictly above
-                        // the committed measured best.
-                        for vf in feats[bi].iter().flatten() {
-                            tree.record_at(vf.slot, vf.pred);
-                        }
-                        continue;
-                    }
-                    BatchOutcome::Measured(r, probes) => Outcome {
-                        total_ns: r.total_ns,
-                        probe_records: probes.probe_records,
-                        faulted: r.faults.any(),
-                        shape_metrics: shape_metrics_of(&probes, &r),
-                    },
-                };
-                let qid = quarantine_id(
-                    "kern",
-                    explored.iter().map(|shape| key_for(shape, asg[&format!("{shape}")])),
-                );
-                if self.warm_quarantine.contains(&qid) {
-                    stats.quarantined += 1;
-                    for shape in &explored {
-                        tree.poison(&format!("{shape}"));
-                    }
-                    continue;
-                }
-                let mut attempt = 0u32;
-                let committed = loop {
-                    stats.trials += 1;
-                    stats.exploration_ns += o.total_ns;
-                    stats.overhead_ns += o.probe_records as f64 * self.dev.event_record_cost_ns;
-                    if o.faulted {
-                        stats.fault_events += 1;
-                    }
-                    let suspect = o.faulted
-                        || o.shape_metrics.iter().any(|(shape, metric)| {
-                            explored.contains(shape)
-                                && is_outlier(
-                                    &self.index,
-                                    &key_for(shape, asg[&format!("{shape}")]),
-                                    *metric,
-                                )
-                        });
-                    if !suspect {
-                        for (shape, metric) in o.shape_metrics {
-                            let id = format!("{shape}");
-                            tree.record(&id, metric);
-                            if explored.contains(&shape) {
-                                let key = key_for(&shape, asg[&id]);
-                                self.commit_sample(&key, metric);
-                            }
-                            if let (Some(&v), Some(fs)) =
-                                (shape_vidx.get(&shape), feats[bi].as_ref())
-                            {
-                                let vf = &fs[v];
-                                self.pruner.observe("kern", &vf.feat, vf.pred, metric);
-                                let e =
-                                    best_measured.entry(v).or_insert((f64::INFINITY, vf.choice));
-                                if metric < e.0 {
-                                    *e = (metric, vf.choice);
-                                }
-                            }
-                        }
-                        break true;
-                    }
-                    if attempt >= MAX_FAULT_RETRIES {
+                    self.stats.retries += 1;
+                    let rsalt = FaultPlan::attempt_salt(salt0 + bi as u64, attempt);
+                    let clean = clean[bi].as_ref().expect("measured candidates have units");
+                    let Some((_, sched, p)) = self.emit_attempt(phase, &cfgs[bi], clean, rsalt)
+                    else {
                         break false;
-                    }
-                    attempt += 1;
-                    stats.retries += 1;
-                    let rsalt = FaultPlan::attempt_salt(salt, attempt);
-                    let frag;
-                    let units_r: &[Unit] = match self.opts.faults.alloc_event(rsalt) {
-                        Some(word) => {
-                            frag = build_units_fragmented(&self.ctx, &cfgs[bi], word)?;
-                            &frag
-                        }
-                        None => &bound[bi],
                     };
-                    let (sched, probes) =
-                        emit_schedule(&self.ctx, &cfgs[bi], units_r, None, &ProbeSpec::gemm_shapes());
-                    let sched = self.maybe_elide(sched);
-                    let r = self.sim_run(&sched, rsalt)?;
-                    o = Outcome {
-                        total_ns: r.total_ns,
-                        probe_records: probes.probe_records,
-                        faulted: r.faults.any(),
-                        shape_metrics: shape_metrics_of(&probes, &r),
-                    };
+                    run = self.sim_run(&sched, rsalt)?;
+                    probes = p;
                 };
                 if !committed {
-                    stats.quarantined += 1;
-                    for shape in &explored {
-                        tree.poison(&format!("{shape}"));
-                    }
-                    self.journal_quarantine(&qid);
-                }
-            }
-        }
-
-        let best = tree.best_assignment();
-        for shape in &explored {
-            cfg.libs.insert(*shape, libs[best[&format!("{shape}")]]);
-        }
-        Ok(())
-    }
-
-    /// Phase S: stream exploration — parallel across super-epochs, prefix
-    /// across epochs, equivalence-class splits within an epoch.
-    fn explore_streams(
-        &mut self,
-        cfg: &mut ExecConfig,
-        strat_ctx: Option<&str>,
-        stats: &mut ExploreStats,
-    ) -> Result<Option<Partition>, AstraError> {
-        cfg.num_streams = self.opts.num_streams.max(2);
-        let units = self.plan_cache.units_for(&self.ctx, cfg)?;
-        let total_flops: f64 = units.iter().map(|u| u.flops).sum();
-        let budget = self.opts.super_epoch_flops.unwrap_or(total_flops / 8.0).max(1.0);
-        let partition = partition_units(&units, budget);
-
-        // Candidates differ from `cfg` only in their stream maps, which the
-        // candidate base does not read: build it once for the phase.
-        let base = candidate_features(cfg, self.topo_fp());
-        let key_context = self.opts.key_context.as_deref();
-        let EpochSpace { vars, tree, fixed } =
-            epoch_space(&units, &partition, cfg.num_streams, &base, strat_ctx, key_context);
-        let Some(mut tree) = tree else {
-            cfg.streams = fixed.into_iter().collect();
-            return Ok(Some(partition));
-        };
-        let probe_spec = ProbeSpec::epochs(vars.iter().map(|v| v.pos).collect());
-        let pos_vidx: BTreeMap<(usize, usize), usize> =
-            vars.iter().enumerate().map(|(v, var)| (var.pos, v)).collect();
-
-        // Predictor bookkeeping. Variable indices are positions in `vars`
-        // (id order) — stable across batches, so the regret guard's
-        // measured minima accumulate per epoch variable.
-        let mut best_measured: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
-        let bound_topo = self.opts.bound_prune.then(|| self.lint_topology());
-
-        // A trial's choices by variable index: tree assignments are keyed
-        // by variable id, which is exactly `vars` order.
-        let picks_of = |asg: &BTreeMap<String, usize>| -> Vec<usize> {
-            debug_assert!(asg.keys().eq(vars.iter().map(|v| &v.id)));
-            asg.values().copied().collect()
-        };
-        let apply = |cfg: &mut ExecConfig, pick: &[usize]| {
-            cfg.streams.clear();
-            cfg.streams.extend(fixed.iter().copied());
-            for (var, &choice) in vars.iter().zip(pick) {
-                for &(uid, s) in &var.choices[choice].assignment {
-                    cfg.streams.insert(uid, s);
-                }
-            }
-        };
-
-        struct Outcome {
-            total_ns: f64,
-            probe_records: usize,
-            faulted: bool,
-            epoch_metrics: Vec<((usize, usize), f64)>,
-        }
-
-        loop {
-            // Prefix epochs freeze at their best between exploration steps,
-            // so lookahead batches stop at those metric-dependent
-            // boundaries; super-epochs still explore in parallel inside a
-            // batch.
-            let batch = tree.lookahead(LOOKAHEAD_TRIALS);
-            if batch.is_empty() {
-                break;
-            }
-            let picks: Vec<Vec<usize>> = batch.iter().map(picks_of).collect();
-            let cfgs: Vec<ExecConfig> = picks
-                .iter()
-                .map(|pick| {
-                    let mut c = cfg.clone();
-                    apply(&mut c, pick);
-                    c
-                })
-                .collect();
-
-            let salt0 = self.fault_seq;
-            self.fault_seq += batch.len() as u64;
-
-            // Sequential prepare in candidate order. Prefix exploration is
-            // where the sim cache pays off most: earlier epochs are frozen
-            // at their best assignment, so every candidate in the batch
-            // shares the schedule prefix up to the epoch under exploration
-            // and resumes a checkpoint captured just before it.
-            let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(cfgs.len());
-            for (i, c) in cfgs.iter().enumerate() {
-                let salt = salt0 + i as u64;
-                let alloc_fault = self.opts.faults.alloc_event(salt);
-                // A fragmented build keeps unit ids, dependencies, and
-                // order, so the partition and probe spec stay valid.
-                let frag;
-                let units_run: &[Unit] = match alloc_fault {
-                    Some(word) => {
-                        frag = build_units_fragmented(&self.ctx, c, word)?;
-                        &frag
-                    }
-                    None => &units,
-                };
-                let (sched, probes) =
-                    emit_schedule(&self.ctx, c, units_run, Some(&partition), &probe_spec);
-                if alloc_fault.is_none() && !self.admit_candidate(c, units_run, &sched) {
-                    stats.quarantined += 1;
-                    prepared.push(None);
-                    continue;
-                }
-                prepared.push(Some(Prepared { sched: self.maybe_elide(sched), probes, salt }));
-            }
-
-            // Epoch metric: time from super-epoch start to the last kernel
-            // dispatched in any stream up to this epoch (§4.7).
-            let epoch_metrics_of = |probes: &Probes, r: &RunResult| -> Vec<((usize, usize), f64)> {
-                let mut m = Vec::new();
-                for (&(sei, ei), ends) in &probes.epoch_ends {
-                    let Some(&start_ev) = probes.se_starts.get(&sei) else { continue };
-                    let Some(&start) = r.event_ns.get(&start_ev) else { continue };
-                    let end = ends
-                        .iter()
-                        .filter_map(|e| r.event_ns.get(e).copied())
-                        .fold(f64::NAN, f64::max);
-                    if end.is_finite() {
-                        m.push(((sei, ei), (end - start).max(0.0)));
-                    }
-                }
-                m
-            };
-
-            // Active epoch variables: those whose choice varies across this
-            // batch. Frozen (prefix-fixed) epochs carry no features — their
-            // metrics are still committed, but never drive pruning.
-            let active: Vec<usize> = (0..vars.len())
-                .filter(|&v| picks.iter().any(|pick| pick[v] != picks[0][v]))
-                .collect();
-            let mut active_pos: Vec<Option<usize>> = vec![None; vars.len()];
-            for (i, &v) in active.iter().enumerate() {
-                active_pos[v] = Some(i);
-            }
-            let mut feats: BatchFeats = Vec::with_capacity(cfgs.len());
-            for (p, pick) in prepared.iter().zip(&picks) {
-                feats.push(p.as_ref().map(|_| {
-                    active
-                        .iter()
-                        .map(|&v| VarFeat {
-                            slot: vars[v].slot,
-                            vidx: v,
-                            choice: pick[v],
-                            feat: Rc::clone(&vars[v].choices[pick[v]].feat),
-                            pred: 0.0,
-                        })
-                        .collect()
-                }));
-            }
-
-            // Epoch metric floors: the epoch's span floor — the longest
-            // happens-before path from the super-epoch start record to any
-            // of the epoch's per-stream end records under per-command
-            // duration floors (see [`astra_lint::span_floors`]). The
-            // measured metric is a max over those end records, so one
-            // reachable end already bounds it from below.
-            let bounds: Vec<Vec<(usize, f64)>> = match &bound_topo {
-                Some(t) => prepared
-                    .iter()
-                    .map(|p| {
-                        p.as_ref().map_or(Vec::new(), |p| {
-                            let mut vidxs = Vec::new();
-                            let mut spans = Vec::new();
-                            for &v in &active {
-                                let (sei, ei) = vars[v].pos;
-                                let start = p.probes.se_starts.get(&sei);
-                                let ends = p.probes.epoch_ends.get(&(sei, ei));
-                                let (Some(&start), Some(ends)) = (start, ends) else {
-                                    continue;
-                                };
-                                vidxs.push(v);
-                                spans.push((start, ends.as_slice()));
-                            }
-                            let floors =
-                                astra_lint::span_floors(&p.sched, &spans, t, &|_, _| None);
-                            vidxs.into_iter().zip(floors).collect()
-                        })
-                    })
-                    .collect(),
-                None => Vec::new(),
-            };
-
-            let outcomes = self.run_batch_predicted(
-                "epoch",
-                prepared,
-                &mut feats,
-                DominanceCtx { bounds: &bounds, prior_best: &best_measured },
-                |probes, r| {
-                    epoch_metrics_of(probes, r)
-                        .into_iter()
-                        .filter_map(|(pos, m)| {
-                            let v = *pos_vidx.get(&pos)?;
-                            active_pos[v].map(|_| (v, m))
-                        })
-                        .collect()
-                },
-                stats,
-            )?;
-
-            for (bi, outcome) in outcomes.into_iter().enumerate() {
-                let asg = tree.next_trial().expect("lookahead bounds the batch");
-                debug_assert_eq!(asg, batch[bi]);
-                let pick = &picks[bi];
-                let salt = salt0 + bi as u64;
-                let mut o = match outcome {
-                    BatchOutcome::Invalid => {
-                        // Verify-rejected candidate: poison its choices.
-                        for var in &vars {
-                            tree.poison_at(var.slot);
-                        }
-                        continue;
-                    }
-                    BatchOutcome::Pruned | BatchOutcome::BoundPruned => {
-                        // Inherit predicted epoch metrics for the batch's
-                        // active variables; the regret guard keeps them
-                        // strictly above the measured best.
-                        for vf in feats[bi].iter().flatten() {
-                            tree.record_at(vf.slot, vf.pred);
-                        }
-                        continue;
-                    }
-                    BatchOutcome::Measured(r, probes) => Outcome {
-                        total_ns: r.total_ns,
-                        probe_records: probes.probe_records,
-                        faulted: r.faults.any(),
-                        epoch_metrics: epoch_metrics_of(&probes, &r),
-                    },
-                };
-                let qid = || {
-                    quarantine_id("epoch", active.iter().map(|&v| &vars[v].choices[pick[v]].key))
-                };
-                if !self.warm_quarantine.is_empty() && self.warm_quarantine.contains(&qid()) {
-                    stats.quarantined += 1;
-                    for var in &vars {
-                        tree.poison_at(var.slot);
-                    }
-                    continue;
-                }
-                let mut attempt = 0u32;
-                let committed = loop {
-                    stats.trials += 1;
-                    stats.exploration_ns += o.total_ns;
-                    stats.overhead_ns += o.probe_records as f64 * self.dev.event_record_cost_ns;
-                    if o.faulted {
-                        stats.fault_events += 1;
-                    }
-                    // No outlier check here: epoch metrics legitimately vary
-                    // with later-epoch stream assignments (processor
-                    // sharing), so only a reported fault marks a suspect.
-                    if !o.faulted {
-                        for (pos, metric) in o.epoch_metrics {
-                            let Some(&v) = pos_vidx.get(&pos) else { continue };
-                            let var = &vars[v];
-                            let choice = &var.choices[pick[v]];
-                            tree.record_at(var.slot, metric);
-                            self.commit_sample(&choice.key, metric);
-                            if let (Some(i), Some(fs)) = (active_pos[v], feats[bi].as_ref()) {
-                                let vf = &fs[i];
-                                self.pruner.observe("epoch", &vf.feat, vf.pred, metric);
-                                let e = best_measured
-                                    .entry(vf.vidx)
-                                    .or_insert((f64::INFINITY, vf.choice));
-                                if metric < e.0 {
-                                    *e = (metric, vf.choice);
-                                }
-                            } else if self.opts.predictor {
-                                // Frozen epochs train the model too — their
-                                // metrics are committed anyway, and the extra
-                                // samples warm the epoch model much faster
-                                // than the few actively-varying trials would.
-                                self.pruner.observe("epoch", &choice.feat, 0.0, metric);
-                            }
-                        }
-                        break true;
-                    }
-                    if attempt >= MAX_FAULT_RETRIES {
-                        break false;
-                    }
-                    attempt += 1;
-                    stats.retries += 1;
-                    let rsalt = FaultPlan::attempt_salt(salt, attempt);
-                    let frag;
-                    let units_r: &[Unit] = match self.opts.faults.alloc_event(rsalt) {
-                        Some(word) => {
-                            frag = build_units_fragmented(&self.ctx, &cfgs[bi], word)?;
-                            &frag
-                        }
-                        None => &units,
-                    };
-                    let (sched, probes) =
-                        emit_schedule(&self.ctx, &cfgs[bi], units_r, Some(&partition), &probe_spec);
-                    let sched = self.maybe_elide(sched);
-                    let r = self.sim_run(&sched, rsalt)?;
-                    o = Outcome {
-                        total_ns: r.total_ns,
-                        probe_records: probes.probe_records,
-                        faulted: r.faults.any(),
-                        epoch_metrics: epoch_metrics_of(&probes, &r),
-                    };
-                };
-                if !committed {
-                    stats.quarantined += 1;
-                    for var in &vars {
-                        tree.poison_at(var.slot);
-                    }
+                    // The update tree sees +inf for these choices (so the
+                    // best known configuration wins); the profile index
+                    // keeps no sample, leaving the candidate re-measurable.
+                    self.stats.quarantined += 1;
+                    tree.poison_all();
                     self.journal_quarantine(&qid());
                 }
             }
         }
 
         let best = tree.best_assignment();
-        apply(cfg, &picks_of(&best));
-        Ok(Some(partition))
+        phase.materialize(cfg, &pick_of(&best));
+        self.end_phase();
+        Ok(())
     }
 }
 
@@ -2919,65 +1787,6 @@ mod tests {
         let dev = DeviceSpec::p100();
         let mut astra = Astra::new(&built.graph, &dev, AstraOptions { dims, ..Default::default() });
         astra.optimize().expect("optimization succeeds")
-    }
-
-    #[test]
-    fn epoch_space_entries_equal_direct_feature_and_key_builds() {
-        for m in Model::all() {
-            let built = tiny(m);
-            let dev = DeviceSpec::p100();
-            let mut astra = Astra::new(&built.graph, &dev, AstraOptions::default());
-            for streams in [2, 3] {
-                let cfg = ExecConfig { num_streams: streams, ..ExecConfig::baseline() };
-                let units = astra.plan_cache.units_for(&astra.ctx, &cfg).unwrap();
-                let total: f64 = units.iter().map(|u| u.flops).sum();
-                let partition = partition_units(&units, (total / 8.0).max(1.0));
-                let base = candidate_features(&cfg, 0);
-                let (strat, bucket) = (Some("alloc:1"), Some("bucket:3"));
-                let space = epoch_space(&units, &partition, streams, &base, strat, bucket);
-                let flops_of: BTreeMap<UnitId, f64> =
-                    units.iter().map(|u| (u.id, u.flops)).collect();
-                let mut probed = 0;
-                for (sei, se) in partition.super_epochs.iter().enumerate() {
-                    for (ei, epoch) in se.epochs.iter().enumerate() {
-                        let options = epoch_choices(&units, epoch, streams);
-                        let id = format!("se{sei}.e{ei}");
-                        let Some(var) = space.vars.iter().find(|v| v.id == id) else {
-                            assert!(options.len() <= 1, "{m}: {id} has choices but no variable");
-                            continue;
-                        };
-                        probed += 1;
-                        assert_eq!(var.pos, (sei, ei));
-                        assert_eq!(var.choices.len(), options.len());
-                        let pairs = var.choices.iter().zip(&options);
-                        for (c, (choice, assignment)) in pairs.enumerate() {
-                            assert_eq!(&choice.assignment, assignment);
-                            let direct = epoch_features(&base, sei, ei, c, assignment, &flops_of);
-                            let bits = |f: &FeatureVec| -> Vec<u64> {
-                                f.values().iter().map(|v| v.to_bits()).collect()
-                            };
-                            assert_eq!(bits(&choice.feat), bits(&direct), "{m}: {id} choice {c}");
-                            assert_eq!(choice.feat.fingerprint(), direct.fingerprint());
-                            let key = ProfileKey::entity(format!("epoch:{id}"), c)
-                                .in_context("alloc:1")
-                                .in_context("bucket:3");
-                            assert_eq!(choice.key, key);
-                        }
-                    }
-                }
-                assert_eq!(space.vars.len(), probed);
-                assert!(space.vars.windows(2).all(|w| w[0].id < w[1].id), "vars in id order");
-                if let Some(mut tree) = space.tree {
-                    let asg = tree.next_trial().unwrap();
-                    assert!(asg.keys().eq(space.vars.iter().map(|v| &v.id)));
-                    for var in &space.vars {
-                        assert_eq!(tree.slot(&var.id), Some(var.slot));
-                    }
-                } else {
-                    assert!(space.vars.is_empty());
-                }
-            }
-        }
     }
 
     #[test]
@@ -3132,34 +1941,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_elision_is_cost_invariant_and_counted() {
-        let built = tiny(Model::SubLstm);
-        let dev = DeviceSpec::p100();
-        let base = Astra::new(
-            &built.graph,
-            &dev,
-            AstraOptions { dims: Dims::fks(), ..Default::default() },
-        )
-        .optimize()
-        .expect("baseline optimization");
-        let elided = Astra::new(
-            &built.graph,
-            &dev,
-            AstraOptions { dims: Dims::fks(), elide_syncs: true, ..Default::default() },
-        )
-        .optimize()
-        .expect("elided optimization");
-        assert_eq!(base.syncs_elided, 0, "elision off must count nothing");
-        assert!(elided.syncs_elided > 0, "multi-stream schedules carry redundant waits");
-        assert_eq!(
-            elided.steady_ns, base.steady_ns,
-            "elision must keep the simulated cost bit-identical"
-        );
-        assert_eq!(elided.best, base.best, "elision must not change the winning plan");
-        assert_eq!(elided.verify_rejects, 0, "elided schedules stay verify-clean");
-    }
-
-    #[test]
     fn bound_pruning_preserves_the_final_plan() {
         let built = tiny(Model::MiLstm);
         let dev = DeviceSpec::p100();
@@ -3244,7 +2025,6 @@ mod tests {
         let mut astra = Astra::new(&built.graph, &dev, AstraOptions::default());
         let r = astra.optimize().expect("optimization succeeds");
         assert_eq!(r.lint_rejects, 0, "zoo-sized plans fit comfortably");
-        assert_eq!(r.syncs_elided, 0, "elision is off by default");
         assert_eq!(r.bound_pruned, 0, "bound pruning is off by default");
     }
 

@@ -8,7 +8,7 @@
 //! forward ones — including the mm/mm/add *fusion ladders* that gradient
 //! accumulation naturally produces (§4.4.1).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::graph::{Graph, Pass, Provenance};
 use crate::op::OpKind;
@@ -66,7 +66,9 @@ pub fn append_backward(g: &mut Graph, loss: TensorId) -> BackwardResult {
     let mut grads: HashMap<TensorId, TensorId> = HashMap::new();
     grads.insert(loss, seed);
     // Per embedding table: (indices, upstream gradient) of every lookup.
-    let mut embed_contribs: HashMap<TensorId, Vec<(TensorId, TensorId)>> = HashMap::new();
+    // Ordered by table, so the backward graph's node order is the same in
+    // every process.
+    let mut embed_contribs: BTreeMap<TensorId, Vec<(TensorId, TensorId)>> = BTreeMap::new();
 
     let n_forward = g.nodes().len();
     for idx in (0..n_forward).rev() {
