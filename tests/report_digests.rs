@@ -7,13 +7,18 @@
 //! to one line:
 //!
 //! ```text
-//! <label> steady=<steady_ns bits> trials=<configs_explored> plan=<fnv(best.summary())> report=<fnv(fields)>
+//! <label> steady=<steady_ns bits> trials=<configs_explored> plan=<fnv(best.summary())> report=<fnv(fields)> simcache=<fnv(sim-cache counters)>
 //! ```
 //!
-//! where the last hash folds every other deterministic `Report` field. A
-//! refactor of the exploration driver either leaves the checked-in file
-//! byte-identical or explains each changed line; deliberate changes
-//! regenerate it with
+//! where `report` folds every other deterministic `Report` field except
+//! the sim-cache counters, and `simcache` folds those counters alone
+//! (hits, misses, and the `resumed_fraction` bits). The split lets a
+//! change to the sim cache's bookkeeping move only the last column while
+//! the plan columns stay pinned. The zoo's `all/clean` and `all/chaos7`
+//! runs also run at `workers = 4`, whose lines must equal the
+//! `workers = 1` lines. A refactor of the exploration driver either
+//! leaves the checked-in file byte-identical or explains each changed
+//! line; deliberate changes regenerate it with
 //!
 //! ```text
 //! ASTRA_REGEN_GOLDEN=1 cargo test --test report_digests
@@ -38,8 +43,14 @@ fn tiny(model: Model) -> BuiltModel {
     model.build(&c)
 }
 
+fn words_digest(words: &[u64]) -> u64 {
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    fnv1a64(&bytes)
+}
+
 /// FNV-1a hash of every deterministic report field except the three
-/// printed on the line itself (`steady_ns`, `configs_explored`, `best`).
+/// printed on the line itself (`steady_ns`, `configs_explored`, `best`)
+/// and the sim-cache counters ([`simcache_digest`]).
 fn fields_digest(r: &Report) -> u64 {
     let f = f64::to_bits;
     let mut words = vec![f(r.native_ns), f(r.exploration_ns), f(r.profiling_overhead_frac)];
@@ -47,26 +58,29 @@ fn fields_digest(r: &Report) -> u64 {
     words.extend([r.plan_cache_hits, r.plan_cache_misses]);
     words.extend([r.fault_events, r.retries, r.quarantined].map(|v| v as u64));
     words.extend([r.plans_verified, r.verify_rejects, r.lint_rejects]);
-    words.extend([r.bound_pruned as u64, r.sim_cache_hits, r.sim_cache_misses]);
-    words.push(f(r.resumed_fraction));
-    words.extend(r.sim_cache_hit_depth);
-    words.extend([r.prefix_group_count, r.device_utilization.len() as u64]);
+    words.extend([r.bound_pruned as u64, r.device_utilization.len() as u64]);
     words.extend(r.device_utilization.iter().map(|&u| f(u)));
     words.extend([f(r.cost_per_throughput), r.placements_explored as u64]);
     words.extend([r.trials_pruned as u64, r.predictor_updates, f(r.predicted_vs_measured_mae)]);
     words.extend([u64::from(r.warm_start), r.store_loaded_keys, r.store_corrupt_records]);
     words.extend([r.store_journal_appends, r.store_compactions]);
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-    fnv1a64(&bytes)
+    words_digest(&words)
+}
+
+/// FNV-1a hash of the sim-cache counters: hits, misses, and the
+/// `resumed_fraction` bits.
+fn simcache_digest(r: &Report) -> u64 {
+    words_digest(&[r.sim_cache_hits, r.sim_cache_misses, r.resumed_fraction.to_bits()])
 }
 
 fn digest_line(label: &str, r: &Report) -> String {
     format!(
-        "{label} steady={:016x} trials={} plan={:016x} report={:016x}",
+        "{label} steady={:016x} trials={} plan={:016x} report={:016x} simcache={:016x}",
         r.steady_ns.to_bits(),
         r.configs_explored,
         fnv1a64(r.best.summary().as_bytes()),
         fields_digest(r),
+        simcache_digest(r),
     )
 }
 
@@ -88,7 +102,8 @@ fn dims_named(name: &str) -> Dims {
     }
 }
 
-/// `m` under every ablation column, clean, then under chaos faults.
+/// `m` under every ablation column, clean, then under chaos faults. The
+/// `all` runs repeat at `workers = 4` and must reproduce their line.
 fn zoo_lines(m: Model) -> Vec<String> {
     let built = tiny(m);
     let mut lines = Vec::new();
@@ -98,6 +113,19 @@ fn zoo_lines(m: Model) -> Vec<String> {
     }
     let r = run(&built, AstraOptions { faults: FaultPlan::chaos(7), ..opts(Dims::all()) });
     lines.push(digest_line(&format!("{m:?}/all/chaos7"), &r));
+
+    let clean = opts(Dims::all());
+    let chaos = AstraOptions { faults: FaultPlan::chaos(7), ..clean.clone() };
+    for (label, o) in [("clean", clean), ("chaos7", chaos)] {
+        let label = format!("{m:?}/all/{label}");
+        let r = run(&built, AstraOptions { workers: 4, ..o });
+        let want = lines.iter().find(|l| l.split(' ').next() == Some(label.as_str()));
+        assert_eq!(
+            Some(&digest_line(&label, &r)),
+            want,
+            "{label}: workers = 4 drifted from workers = 1"
+        );
+    }
     lines
 }
 
