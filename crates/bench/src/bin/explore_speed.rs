@@ -1,28 +1,16 @@
-//! Wall-clock benchmarks for the exploration engine, in two parts.
-//!
-//! **Exhaustive sweep (the sim-cache headline).** For SC-RNN and subLSTM,
-//! exhaustively enumerates per-unit stream assignments over the last `k`
-//! units in segment order (lexicographic, last unit varying fastest), so
-//! consecutive candidates share long schedule prefixes — the structure the
-//! update tree's prefix exploration produces. Every candidate schedule is
-//! emitted once up front; the timed region is pure trial simulation, once
-//! with the [`SimCache`] resuming engine checkpoints and once cold from
-//! `t = 0`. Interleaved min-of-7 sweeps each. Both modes are asserted bit-identical
-//! per trial, and the cached mode must deliver at least a 2x
-//! simulated-trial throughput at workers=1.
+//! Wall-clock benchmarks for the exploration driver.
 //!
 //! **Driver scaling.** Runs the full `Astra_all` optimization at worker
 //! counts 1, 4, and 8 (plus workers=1 with the sim cache disabled), each
 //! setting twice on one `Astra` instance: a **cold** pass (first-ever
-//! exploration, prefix groups and branch-point captures doing the heavy
-//! lifting) and a **warm** pass (steady-state re-exploration — the
+//! exploration) and a **warm** pass (steady-state re-exploration — the
 //! paper's repeated-mini-batch regime, where every trial replays its
-//! full-run memo). Results must be bit-identical across all settings and
-//! across the two passes; the warm pass must resume >= 70% of simulated
-//! commands and beat the cache-off wall-clock outright. Interpret
-//! `speedup_vs_workers1` against `host_cpus`: candidate evaluation is
-//! pure CPU-bound simulation, so on a 1-CPU host extra workers can only
-//! time-slice.
+//! full-run memo from the sim cache). Results must be bit-identical
+//! across all settings and across the two passes; the warm pass must
+//! resume >= 70% of simulated commands and beat the cache-off wall-clock
+//! outright. Interpret `speedup_vs_workers1` against `host_cpus`:
+//! candidate evaluation is pure CPU-bound simulation, so on a 1-CPU host
+//! extra workers can only time-slice.
 //!
 //! **Predictor pruning.** The full exploration with the learned cost
 //! model on versus off, interleaved min-of-N, each mode timed over a cold
@@ -39,107 +27,13 @@
 
 use std::time::Instant;
 
-use astra_core::{
-    build_units, emit_schedule, Astra, AstraOptions, Dims, ExecConfig, PlanContext, ProbeSpec,
-    Report, SimCache,
-};
+use astra_core::{Astra, AstraOptions, Dims, Report};
 use astra_distrib::node_topology;
-use astra_gpu::{ClockMode, DeviceSpec, Engine, FaultPlan, Schedule};
+use astra_gpu::{DeviceSpec, FaultPlan};
 use astra_models::Model;
 
 fn min_ms(samples: &[f64]) -> f64 {
     samples.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// Emits the candidate schedules of an exhaustive stream-assignment sweep:
-/// the last `k` units each pick a stream in {0, 1}, enumerated with the
-/// last unit varying fastest. Fixed head + lexicographic order means deep
-/// prefix sharing between consecutive candidates.
-fn sweep_schedules(model: Model, k: usize) -> Vec<Schedule> {
-    let mut cfg = model.default_config(16);
-    cfg.seq_len = 16;
-    let built = model.build(&cfg);
-    let ctx = PlanContext::new(&built.graph);
-    let mut exec = ExecConfig::baseline();
-    exec.num_streams = 2;
-    let units = build_units(&ctx, &exec).expect("baseline config is valid");
-    let k = k.min(units.len());
-    let first_varying = units.len() - k;
-    let mut scheds = Vec::with_capacity(1 << k);
-    for pattern in 0u32..(1 << k) {
-        let mut c = exec.clone();
-        for (i, u) in units.iter().enumerate() {
-            let s = if i < first_varying {
-                i % 2
-            } else {
-                ((pattern >> (units.len() - 1 - i)) & 1) as usize
-            };
-            c.streams.insert(u.id, s);
-        }
-        let (sched, _) = emit_schedule(&ctx, &c, &units, None, &ProbeSpec::none());
-        scheds.push(sched);
-    }
-    scheds
-}
-
-struct SweepResult {
-    on_ms: f64,
-    off_ms: f64,
-    hits: u64,
-    misses: u64,
-    resumed_fraction: f64,
-}
-
-fn run_sweep(dev: &DeviceSpec, scheds: &[Schedule], reps: usize) -> SweepResult {
-    let plan = FaultPlan::none();
-    let clock = ClockMode::Fixed;
-
-    // Cold reference results, also the bit-identity oracle.
-    let reference: Vec<u64> = scheds
-        .iter()
-        .map(|s| Engine::new(dev).run(s).expect("cold trial").total_ns.to_bits())
-        .collect();
-
-    // Cache-off and cache-on sweeps interleave, and each mode keeps its
-    // *minimum* wall-clock: host noise only ever adds time, so the min is
-    // the robust estimate on a shared box.
-    let mut off = Vec::with_capacity(reps);
-    let mut on = Vec::with_capacity(reps);
-    let mut counters = (0, 0, 0.0);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for s in scheds {
-            let r = Engine::new(dev).run(s).expect("cold trial");
-            std::hint::black_box(r.total_ns);
-        }
-        off.push(t0.elapsed().as_secs_f64() * 1e3);
-
-        // Fresh cache per repetition: each sample is one exploration pass.
-        let mut cache = SimCache::with_capacity(8 * scheds.len());
-        let t0 = Instant::now();
-        for (i, s) in scheds.iter().enumerate() {
-            let (resume, caps) = cache.probe_and_plan(s, dev, clock, &plan, i as u64);
-            let (r, captured) = Engine::with_faults(dev, clock, plan, i as u64)
-                .run_incremental(s, resume.as_deref(), &caps)
-                .expect("resumed trial");
-            cache.absorb(dev, clock, &plan, i as u64, captured);
-            assert_eq!(
-                r.total_ns.to_bits(),
-                reference[i],
-                "trial {i}: resumed run drifted from cold run"
-            );
-        }
-        on.push(t0.elapsed().as_secs_f64() * 1e3);
-        counters = (cache.hits(), cache.misses(), cache.resumed_fraction());
-    }
-
-    SweepResult {
-        on_ms: min_ms(&on),
-        off_ms: min_ms(&off),
-        hits: counters.0,
-        misses: counters.1,
-        resumed_fraction: counters.2,
-    }
 }
 
 fn run_driver(
@@ -203,29 +97,6 @@ fn main() {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let models = [("sc-rnn", Model::Scrnn), ("sublstm", Model::SubLstm)];
 
-    let mut sweep_rows = Vec::new();
-    for (name, model) in models {
-        let scheds = sweep_schedules(model, 8);
-        let reps = 7;
-        let r = run_sweep(&dev, &scheds, reps);
-        let trials = scheds.len();
-        let thr_on = trials as f64 / (r.on_ms / 1e3);
-        let thr_off = trials as f64 / (r.off_ms / 1e3);
-        let speedup = thr_on / thr_off;
-        assert!(
-            speedup >= 2.0,
-            "{name}: sim cache must give >= 2x trial throughput, got {speedup:.2}x"
-        );
-        sweep_rows.push(format!(
-            "{{\"model\":\"{name}\",\"trials\":{trials},\"reps\":{reps},\
-             \"cache_on_ms\":{:.1},\"cache_off_ms\":{:.1},\
-             \"trials_per_sec_on\":{thr_on:.0},\"trials_per_sec_off\":{thr_off:.0},\
-             \"throughput_speedup\":{speedup:.2},\
-             \"sim_cache_hits\":{},\"sim_cache_misses\":{},\"resumed_fraction\":{:.3}}}",
-            r.on_ms, r.off_ms, r.hits, r.misses, r.resumed_fraction,
-        ));
-    }
-
     let mut driver_rows = Vec::new();
     for (name, model) in models {
         let mut cfg = model.default_config(16);
@@ -281,14 +152,6 @@ fn main() {
                         assert_eq!(b.sim_cache_hits, r.sim_cache_hits, "hits drifted");
                         assert_eq!(b.sim_cache_misses, r.sim_cache_misses, "misses drifted");
                         assert_eq!(
-                            b.sim_cache_hit_depth, r.sim_cache_hit_depth,
-                            "hit-depth histogram drifted"
-                        );
-                        assert_eq!(
-                            b.prefix_group_count, r.prefix_group_count,
-                            "prefix group count drifted"
-                        );
-                        assert_eq!(
                             b.resumed_fraction.to_bits(),
                             r.resumed_fraction.to_bits(),
                             "resumed fraction drifted"
@@ -317,19 +180,11 @@ fn main() {
                         (0, 0),
                         "disabled sim cache must report zero counters"
                     );
-                    assert_eq!(r.prefix_group_count, 0, "no grouping with the cache off");
-                    assert_eq!(
-                        r.sim_cache_hit_depth.iter().sum::<u64>(),
-                        0,
-                        "no hit depths with the cache off"
-                    );
                 }
                 off_warm_ms = warm_ms;
             }
 
             let speedup = base.as_ref().map_or(1.0, |(_, _, w1, _)| w1 / cold_ms);
-            let depth: Vec<String> =
-                warm.sim_cache_hit_depth.iter().map(|c| c.to_string()).collect();
             driver_rows.push(format!(
                 "{{\"model\":\"{name}\",\"workers\":{workers},\"sim_cache\":{sim_cache},\
                  \"cold_wall_ms\":{cold_ms:.1},\"warm_wall_ms\":{warm_ms:.1},\"reps\":{reps},\
@@ -337,7 +192,6 @@ fn main() {
                  \"plan_cache_hits\":{},\"plan_cache_misses\":{},\
                  \"sim_cache_hits\":{},\"sim_cache_misses\":{},\
                  \"cold_resumed_fraction\":{:.3},\"warm_resumed_fraction\":{:.3},\
-                 \"prefix_groups\":{},\"warm_hit_depth\":[{}],\
                  \"fault_events\":{},\"retries\":{},\"quarantined\":{},\"sim_speedup\":{:.2}}}",
                 cold.configs_explored,
                 cold.plan_cache_hits,
@@ -346,8 +200,6 @@ fn main() {
                 cold.sim_cache_misses + warm.sim_cache_misses,
                 cold.resumed_fraction,
                 warm.resumed_fraction,
-                cold.prefix_group_count,
-                depth.join(","),
                 cold.fault_events,
                 cold.retries,
                 cold.quarantined,
@@ -701,8 +553,7 @@ fn main() {
     }
 
     println!(
-        "{{\n\"host_cpus\":{host_cpus},\n\"exhaustive_sweep\":[\n{}\n],\n\"driver\":[\n{}\n],\n\"verify_overhead\":[\n{}\n],\n\"predictor\":[\n{}\n],\n\"lint\":[\n{}\n],\n\"devices_sweep\":[\n{}\n]\n}}",
-        sweep_rows.join(",\n"),
+        "{{\n\"host_cpus\":{host_cpus},\n\"driver\":[\n{}\n],\n\"verify_overhead\":[\n{}\n],\n\"predictor\":[\n{}\n],\n\"lint\":[\n{}\n],\n\"devices_sweep\":[\n{}\n]\n}}",
         driver_rows.join(",\n"),
         verify_rows.join(",\n"),
         predictor_rows.join(",\n"),

@@ -74,8 +74,8 @@ commands:
             [--fault none|spikes|launch|alloc|straggler|chaos] [--fault-seed <n>]
                               inject deterministic faults into every simulated mini-batch
                               (default none; seed defaults to 42)
-            [--no-sim-cache]  simulate every trial from t=0 instead of resuming cached
-                              engine checkpoints (results are identical either way)
+            [--no-sim-cache]  simulate every trial from t=0 instead of replaying memoized
+                              full runs (results are identical either way)
             [--predictor on|off] [--top-k <n>] [--epsilon <p>]
                               learned cost model that prunes each lookahead batch to the
                               predicted top-k choices per variable plus an epsilon tail of
@@ -352,11 +352,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         r.resumed_fraction * 100.0
     );
     println!(
-        "prefix groups: {} (hit depth histogram: {})",
-        r.prefix_group_count,
-        r.sim_cache_hit_depth.map(|c| c.to_string()).join("/")
-    );
-    println!(
         "faults: {} events, {} retries, {} quarantined",
         r.fault_events, r.retries, r.quarantined
     );
@@ -424,7 +419,6 @@ fn report_json(r: &astra_core::Report, node: Option<&astra_gpu::Topology>) -> St
         format!("\"sim_cache_hits\":{}", r.sim_cache_hits),
         format!("\"sim_cache_misses\":{}", r.sim_cache_misses),
         format!("\"resumed_fraction\":{:.6}", r.resumed_fraction),
-        format!("\"prefix_group_count\":{}", r.prefix_group_count),
         format!("\"fault_events\":{}", r.fault_events),
         format!("\"retries\":{}", r.retries),
         format!("\"quarantined\":{}", r.quarantined),

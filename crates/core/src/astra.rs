@@ -31,7 +31,8 @@ use std::sync::Arc;
 
 use astra_exec::native_schedule;
 use astra_gpu::{
-    ClockMode, DeviceSpec, Engine, EngineCheckpoint, FaultPlan, RunResult, Schedule, Topology,
+    ClockMode, DeviceSpec, Engine, EngineCheckpoint, FaultPlan, GpuError, RunResult, Schedule,
+    Topology,
 };
 use astra_ir::Graph;
 use astra_predict::{FeatureVec, PredEntry};
@@ -46,9 +47,7 @@ use crate::plan::{
 };
 use crate::predictor::Pruner;
 use crate::profile::{ProfileIndex, ProfileKey};
-use crate::simcache::{
-    plan_prefix_batch, GroupShard, KeyCtx, PrefixPlan, SimCache, TrialBase, HIT_DEPTH_BUCKETS,
-};
+use crate::simcache::{KeyCtx, SimCache};
 use phases::{FusionPhase, KernelPhase, Phase, PlacementPhase, Space, StreamPhase};
 
 /// Maximum fault-triggered re-measurements per candidate before it is
@@ -64,14 +63,14 @@ const MAX_FAULT_RETRIES: u32 = 3;
 const OUTLIER_FACTOR: f64 = 1.5;
 
 /// Trials peeled off the update tree per lookahead batch. Deliberately a
-/// constant rather than a multiple of the worker count: the batch
-/// partition determines the prefix grouping, the capture plan, and every
-/// sim-cache counter, so fixing it makes all of those bit-identical at
-/// any worker count. 32 trials give the prefix trie enough material to
-/// group on while keeping the batch's emitted schedules bounded in
-/// memory. (Trial *outcomes* never depend on the batch size at all —
-/// [`crate::UpdateTree::lookahead`] batches replay the exact sequential trial
-/// sequence.)
+/// constant rather than a multiple of the worker count: every trial in a
+/// batch probes the memo table as it stood before the batch, so the batch
+/// partition determines every sim-cache counter, and fixing it makes them
+/// bit-identical at any worker count. 32 trials keep the workers busy
+/// while keeping the batch's emitted schedules bounded in memory. (Trial
+/// *outcomes* never depend on the batch size at all —
+/// [`crate::UpdateTree::lookahead`] batches replay the exact sequential
+/// trial sequence.)
 const LOOKAHEAD_TRIALS: usize = 32;
 
 /// Whether `metric` is a statistical outlier against the samples already
@@ -116,15 +115,12 @@ struct ExploreStats {
     verify_rejects: u64,
     /// Plans the linter rejected (over capacity).
     lint_rejects: u64,
-    /// Prefix groups formed by cache-aware batch scheduling.
-    prefix_groups: u64,
 }
 
 /// One prepared candidate simulation: the emitted schedule, its probes,
 /// and the fault salt it runs under. Prepared sequentially in candidate
-/// order; the batch runner ([`Astra::run_batch`]) derives each trial's
-/// cache work plan (resume checkpoint + capture boundaries) from the
-/// batch's prefix trie, not here.
+/// order; the batch runner ([`Astra::run_batch`]) probes the memo table
+/// for it.
 struct Prepared {
     sched: Schedule,
     probes: Probes,
@@ -253,18 +249,9 @@ fn fold_best(
     }
 }
 
-/// One prefix group's jobs and results: the member trials in group order,
-/// each tagged with its candidate index and pre-batch cache view.
-type GroupJob = Vec<(usize, Prepared, TrialBase)>;
-type GroupOut = (GroupShard, Vec<(usize, Result<TrialOut, AstraError>)>);
-
-/// Executes one prefix group sequentially: probe the group shard (layered
-/// over each trial's pre-batch base), simulate, absorb captures back into
-/// the shard. Runs unchanged on the caller's thread or a pool worker —
-/// everything it touches is owned by the job.
-/// The simulation substrate a trial group runs on: the device (or the
-/// full node topology when placement search is active), the clock mode,
-/// and the fault plan. One value per batch, shared by every group.
+/// The simulation substrate a trial runs on: the device (or the full node
+/// topology when placement search is active), the clock mode, and the
+/// fault plan.
 #[derive(Clone, Copy)]
 struct SimTarget<'a> {
     dev: &'a DeviceSpec,
@@ -273,41 +260,23 @@ struct SimTarget<'a> {
     faults: FaultPlan,
 }
 
-fn run_group(
-    members: GroupJob,
-    sim: SimTarget<'_>,
-    ctx: KeyCtx,
-    branches: &HashSet<u64>,
-    use_cache: bool,
-) -> GroupOut {
-    let mut shard = GroupShard::new(ctx);
-    let mut runs = Vec::with_capacity(members.len());
-    for (i, p, base) in members {
-        let (resume, caps) = if use_cache {
-            shard.probe_and_plan(&p.sched, p.salt, &base, branches)
-        } else {
-            (None, Vec::new())
-        };
-        let res = match sim.topo {
-            Some(t) => Engine::with_topology(t, sim.clock, sim.faults, p.salt)
-                .run_incremental(&p.sched, resume.as_deref(), &caps),
-            None => Engine::with_faults(sim.dev, sim.clock, sim.faults, p.salt)
-                .run_incremental(&p.sched, resume.as_deref(), &caps),
-        };
-        runs.push((
-            i,
-            match res {
-                Ok((r, captured)) => {
-                    if use_cache {
-                        shard.absorb(p.salt, captured);
-                    }
-                    Ok(Some((r, p.probes)))
-                }
-                Err(e) => Err(e.into()),
-            },
-        ));
+impl SimTarget<'_> {
+    /// Simulates `sched` under fault salt `salt`, resuming from `resume`
+    /// and capturing checkpoints at `caps`.
+    fn run(
+        &self,
+        sched: &Schedule,
+        salt: u64,
+        resume: Option<&EngineCheckpoint>,
+        caps: &[usize],
+    ) -> Result<(RunResult, Vec<EngineCheckpoint>), GpuError> {
+        match self.topo {
+            Some(t) => Engine::with_topology(t, self.clock, self.faults, salt)
+                .run_incremental(sched, resume, caps),
+            None => Engine::with_faults(self.dev, self.clock, self.faults, salt)
+                .run_incremental(sched, resume, caps),
+        }
     }
-    (shard, runs)
 }
 
 /// Which adaptation dimensions are enabled (the paper's ablation columns).
@@ -376,10 +345,11 @@ pub struct AstraOptions {
     /// the budget are quarantined. [`FaultPlan::none`] (the default) is
     /// zero-cost.
     pub faults: FaultPlan,
-    /// Whether to reuse engine checkpoints across candidate trials (see
-    /// [`crate::SimCache`]). Resumed runs are bit-identical to cold runs,
-    /// so this only changes wall-clock time; `false` forces every trial to
-    /// simulate from `t = 0` and reports zero sim-cache counters.
+    /// Whether to replay memoized full runs when a trial repeats an
+    /// already simulated schedule (see [`crate::SimCache`]). Replayed runs
+    /// are bit-identical to cold runs, so this only changes wall-clock
+    /// time; `false` forces every trial to simulate from `t = 0` and
+    /// reports zero sim-cache counters.
     pub sim_cache: bool,
     /// Whether to statically verify every candidate plan before it runs
     /// (see [`crate::verify_plan`]): happens-before hazard analysis,
@@ -530,23 +500,17 @@ pub struct Report {
     /// predictor's `trials_pruned`, with the final plan provably
     /// unchanged. Zero with [`AstraOptions::bound_prune`] off.
     pub bound_pruned: usize,
-    /// Simulated runs this call resumed from a cached engine checkpoint
-    /// (see [`crate::SimCache`]). Zero when [`AstraOptions::sim_cache`] is
-    /// off.
+    /// Simulated runs this call replayed from a memoized full run (see
+    /// [`crate::SimCache`]). Zero when [`AstraOptions::sim_cache`] is off.
     pub sim_cache_hits: u64,
     /// Simulated runs this call had to start from `t = 0`.
     pub sim_cache_misses: u64,
-    /// Fraction of simulated schedule commands skipped by resuming from
-    /// checkpoints (0 with the cache off).
+    /// Fraction of simulated schedule commands skipped by replaying memos
+    /// (0 with the cache off).
     pub resumed_fraction: f64,
-    /// Histogram of sim-cache hit depths: bucket `b` counts resumes that
-    /// skipped `[b/8, (b+1)/8)` of the run's commands, full-run memo
-    /// replays land in the last bucket. All zeros with the cache off.
-    pub sim_cache_hit_depth: [u64; HIT_DEPTH_BUCKETS],
-    /// Prefix groups the cache-aware batch scheduler formed over this
-    /// run's lookahead batches (see [`crate::plan_prefix_batch`]): fewer
-    /// groups per batch means deeper shared prefixes between consecutive
-    /// trials. Zero with the cache off.
+    /// Always 0: the optimizer no longer groups trials by shared schedule
+    /// prefix. The field stays only because the repository benchmark
+    /// (`perfbench/`) still reads it.
     pub prefix_group_count: u64,
     /// SM busy fraction per device during the winning playoff run, indexed
     /// by device. Single-device runs report one entry; transfers and
@@ -634,8 +598,9 @@ pub struct Astra<'g> {
     /// injected fault — is worker-count invariant.
     fault_seq: u64,
     /// Persistent worker pool for batch evaluation, created lazily on the
-    /// first multi-group batch when `workers > 1` and reused for the
-    /// optimizer's whole lifetime (no per-batch thread spawns).
+    /// first batch with more than one memo miss when `workers > 1` and
+    /// reused for the optimizer's whole lifetime (no per-batch thread
+    /// spawns).
     pool: Option<WorkerPool>,
     /// The learned cost predictor: model, pruning policy, epsilon RNG, and
     /// cumulative counters. Persists across `optimize` calls like the
@@ -834,8 +799,8 @@ impl<'g> Astra<'g> {
     }
 
     /// The sim-cache key context for this optimizer's runs. Multi-device
-    /// topologies fold their fingerprint into the key so a checkpoint
-    /// captured under one device mix can never resume a run on another;
+    /// topologies fold their fingerprint into the key so a memo captured
+    /// under one device mix can never replay a run on another;
     /// single-device topologies key exactly like the plain device path.
     fn key_ctx(&self) -> KeyCtx {
         match self.topo {
@@ -844,9 +809,20 @@ impl<'g> Astra<'g> {
         }
     }
 
-    /// Probes the sim cache for the deepest checkpoint matching `sched`
-    /// and plans this run's captures. Boundary-free schedules (the native
-    /// baseline) and a disabled cache bypass entirely, counting nothing.
+    /// The engine substrate every simulated mini-batch runs on.
+    fn sim_target(&self) -> SimTarget<'g> {
+        SimTarget {
+            dev: self.dev,
+            topo: self.topo,
+            clock: self.opts.clock,
+            faults: self.opts.faults,
+        }
+    }
+
+    /// Probes the memo table for `sched`'s finished run: the memo on a
+    /// hit, the final-boundary capture on a miss. Boundary-free schedules
+    /// (the native baseline) and a disabled cache bypass entirely,
+    /// counting nothing.
     fn sim_probe(
         &mut self,
         sched: &Schedule,
@@ -859,16 +835,16 @@ impl<'g> Astra<'g> {
         self.sim_cache.probe_and_plan_ctx(sched, &ctx, salt)
     }
 
-    /// Commits the checkpoints one run captured. Called in candidate order
-    /// (the parallel stage only computes; all cache mutation is here).
+    /// Commits the memo one run captured. Called in candidate order (the
+    /// parallel stage only computes; all cache mutation is here).
     fn sim_absorb(&mut self, salt: u64, captured: Vec<EngineCheckpoint>) {
         if captured.is_empty() {
             return;
         }
         let ctx = self.key_ctx();
         if let Some(store) = self.store.as_mut() {
-            // Journal under exactly the key the cache will file them by;
-            // only full-run memos stick (mid-run captures export nothing).
+            // Journal under exactly the key the cache will file them by
+            // (faulted memos export nothing).
             for ck in &captured {
                 store.journal_memo(&ctx.key(ck.prefix_hash(), salt), ck);
             }
@@ -905,98 +881,74 @@ impl<'g> Astra<'g> {
         }
     }
 
-    /// Runs one prepared lookahead batch cache-aware and returns the
-    /// outcomes in *candidate* order.
+    /// Runs one prepared lookahead batch and returns the outcomes in
+    /// candidate order.
     ///
-    /// The batch is ordered by [`plan_prefix_batch`]: candidates sharing
-    /// long schedule prefixes become consecutive members of one prefix
-    /// group, groups execute sequentially against a [`GroupShard`] (so a
-    /// trial resumes from checkpoints its group siblings captured moments
-    /// earlier), and the trie's branch points become the capture plan.
-    /// Independent groups fan out over the persistent worker pool; their
-    /// shards and counters merge back in deterministic group order at the
-    /// batch barrier. Each trial's pre-batch cache view is snapshotted
-    /// here, before anything runs — a resume can therefore never depend
-    /// on which worker a sibling *group* landed on, and every counter is
-    /// a pure function of batch content: bit-identical at any worker
-    /// count, and zero with the cache off.
+    /// Every trial probes the memo table on the driver thread, in
+    /// candidate order, before anything in the batch runs: a hit replays
+    /// its memo right there, a miss becomes one simulation job that
+    /// captures its final boundary. The misses fan out over the persistent
+    /// worker pool, and their memos are absorbed and journaled in
+    /// candidate order once all of them finish. No trial can therefore see
+    /// a memo captured inside its own batch, and every counter is a pure
+    /// function of batch content: bit-identical at any worker count, and
+    /// zero with the cache off.
     fn run_batch(&mut self, prepared: Vec<Option<Prepared>>) -> Vec<Result<TrialOut, AstraError>> {
-        let use_cache = self.opts.sim_cache;
-        let chains: Vec<Vec<u64>> = prepared
-            .iter()
-            .map(|p| match p {
-                Some(p) if use_cache => {
-                    p.sched.boundaries().iter().map(|&(_, h)| h).collect()
+        let sim = self.sim_target();
+        let mut results: Vec<Result<TrialOut, AstraError>> = Vec::with_capacity(prepared.len());
+        let mut misses = Vec::new();
+        for (i, p) in prepared.into_iter().enumerate() {
+            let Some(p) = p else {
+                results.push(Ok(None));
+                continue;
+            };
+            let (resume, caps) = self.sim_probe(&p.sched, p.salt);
+            match resume {
+                Some(ck) => results.push(
+                    sim.run(&p.sched, p.salt, Some(&ck), &[])
+                        .map(|(r, _)| Some((r, p.probes)))
+                        .map_err(Into::into),
+                ),
+                None => {
+                    results.push(Ok(None));
+                    misses.push((i, p, caps));
                 }
-                _ => Vec::new(),
-            })
-            .collect();
-        let plan = if use_cache {
-            let plan = plan_prefix_batch(&chains);
-            self.stats.prefix_groups += plan.groups.len() as u64;
-            plan
-        } else {
-            PrefixPlan::naive(prepared.len())
-        };
-        let ctx = self.key_ctx();
-        let branches = Arc::new(plan.branches);
-
-        let mut slots: Vec<Option<Prepared>> = prepared;
-        let mut jobs: Vec<GroupJob> = Vec::with_capacity(plan.groups.len());
-        for group in &plan.groups {
-            let mut members: GroupJob = Vec::with_capacity(group.len());
-            for &i in group {
-                if let Some(p) = slots[i].take() {
-                    let base = if use_cache {
-                        self.sim_cache.trial_base(&p.sched, &ctx, p.salt)
-                    } else {
-                        TrialBase::default()
-                    };
-                    members.push((i, p, base));
-                }
-            }
-            if !members.is_empty() {
-                jobs.push(members);
             }
         }
 
-        let clock = self.opts.clock;
-        let faults = self.opts.faults;
+        type Miss = (usize, Prepared, Result<(RunResult, Vec<EngineCheckpoint>), GpuError>);
         let workers = self.workers();
-        let outs: Vec<GroupOut> = if workers > 1 && jobs.len() > 1 {
-            let mut boxed: Vec<Box<dyn FnOnce() -> GroupOut + Send>> =
-                Vec::with_capacity(jobs.len());
-            for job in jobs {
+        let runs: Vec<Miss> = if workers > 1 && misses.len() > 1 {
+            let mut jobs: Vec<Box<dyn FnOnce() -> Miss + Send>> = Vec::with_capacity(misses.len());
+            for (i, p, caps) in misses {
                 let dev = self.dev.clone();
                 let topo = self.topo.cloned();
-                let branches = Arc::clone(&branches);
-                boxed.push(Box::new(move || {
+                let (clock, faults) = (sim.clock, sim.faults);
+                jobs.push(Box::new(move || {
                     let sim = SimTarget { dev: &dev, topo: topo.as_ref(), clock, faults };
-                    run_group(job, sim, ctx, &branches, use_cache)
+                    let res = sim.run(&p.sched, p.salt, None, &caps);
+                    (i, p, res)
                 }));
             }
-            self.pool.get_or_insert_with(|| WorkerPool::new(workers)).run(boxed)
+            self.pool.get_or_insert_with(|| WorkerPool::new(workers)).run(jobs)
         } else {
-            let sim = SimTarget { dev: self.dev, topo: self.topo, clock, faults };
-            jobs.into_iter()
-                .map(|job| run_group(job, sim, ctx, &branches, use_cache))
+            misses
+                .into_iter()
+                .map(|(i, p, caps)| {
+                    let res = sim.run(&p.sched, p.salt, None, &caps);
+                    (i, p, res)
+                })
                 .collect()
         };
 
-        let mut results: Vec<Result<TrialOut, AstraError>> = Vec::with_capacity(slots.len());
-        results.resize_with(slots.len(), || Ok(None));
-        for (shard, runs) in outs {
-            if use_cache {
-                if let Some(store) = self.store.as_mut() {
-                    for (key, ck) in shard.entries() {
-                        store.journal_memo(key, ck);
-                    }
+        for (i, p, res) in runs {
+            results[i] = match res {
+                Ok((r, captured)) => {
+                    self.sim_absorb(p.salt, captured);
+                    Ok(Some((r, p.probes)))
                 }
-                self.sim_cache.merge_shard(shard);
-            }
-            for (i, res) in runs {
-                results[i] = res;
-            }
+                Err(e) => Err(e.into()),
+            };
         }
         results
     }
@@ -1304,17 +1256,12 @@ impl<'g> Astra<'g> {
         }
     }
 
-    /// One simulated mini-batch through the sim cache: probe, run
-    /// incrementally, absorb. The sequential path — the native baseline,
-    /// playoff runs, and fault retries all come through here.
+    /// One simulated mini-batch through the memo table: probe, run (or
+    /// replay), absorb. The sequential path — the native baseline, playoff
+    /// runs, and fault retries all come through here.
     fn sim_run(&mut self, sched: &Schedule, salt: u64) -> Result<RunResult, AstraError> {
         let (resume, caps) = self.sim_probe(sched, salt);
-        let (r, captured) = match self.topo {
-            Some(t) => Engine::with_topology(t, self.opts.clock, self.opts.faults, salt)
-                .run_incremental(sched, resume.as_deref(), &caps)?,
-            None => Engine::with_faults(self.dev, self.opts.clock, self.opts.faults, salt)
-                .run_incremental(sched, resume.as_deref(), &caps)?,
-        };
+        let (r, captured) = self.sim_target().run(sched, salt, resume.as_deref(), &caps)?;
         self.sim_absorb(salt, captured);
         Ok(r)
     }
@@ -1385,7 +1332,6 @@ impl<'g> Astra<'g> {
         let sim_misses0 = self.sim_cache.misses();
         let sim_resumed0 = self.sim_cache.resumed_cmds();
         let sim_total0 = self.sim_cache.total_cmds();
-        let sim_depth0 = self.sim_cache.hit_depth();
         let pred_upd0 = self.pruner.updates();
         let pred_err0 = self.pruner.abs_err_ns;
         let pred_errn0 = self.pruner.err_samples;
@@ -1501,11 +1447,7 @@ impl<'g> Astra<'g> {
                     (self.sim_cache.resumed_cmds() - sim_resumed0) as f64 / total as f64
                 }
             },
-            sim_cache_hit_depth: {
-                let now = self.sim_cache.hit_depth();
-                std::array::from_fn(|b| now[b] - sim_depth0[b])
-            },
-            prefix_group_count: stats.prefix_groups,
+            prefix_group_count: 0,
             device_utilization,
             cost_per_throughput,
             placements_explored: stats.placements,

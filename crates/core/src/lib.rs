@@ -18,12 +18,9 @@
 //!   adaptive-variable interface and exploration modes.
 //! * [`ProfileKey`] / [`ProfileIndex`] — context-mangled profile indexing.
 //! * [`optimize_bucketed`] — dynamic-graph support via bucketed profiling.
-//! * [`SimCache`] — engine checkpoints shared across candidate trials, so
-//!   schedules with common prefixes resume instead of re-simulating;
-//!   [`plan_prefix_batch`] orders each lookahead batch into prefix groups
-//!   (a trie DFS over boundary-hash chains) so those resumes actually
-//!   land, and [`GroupShard`] gives each group a worker-local cache view
-//!   merged back deterministically at the batch barrier.
+//! * [`SimCache`] — a bounded memo table of finished runs: a trial that
+//!   repeats an already simulated schedule (under the same [`KeyCtx`])
+//!   replays the memoized result instead of re-simulating.
 //! * [`explore_recompute`] — the §3.4 recompute-for-memory adaptation,
 //!   backed by a liveness analysis ([`peak_activation_bytes`]).
 //! * [`AstraOptions::store_dir`] / [`compact_store`] — crash-safe
@@ -87,7 +84,5 @@ pub use plan::{
 };
 pub use profile::{ProfileIndex, ProfileKey, SampleStats};
 pub use recompute::{explore_recompute, peak_activation_bytes, RecomputePoint, RecomputeReport};
-pub use simcache::{
-    plan_prefix_batch, GroupShard, KeyCtx, PrefixPlan, SimCache, TrialBase, HIT_DEPTH_BUCKETS,
-};
+pub use simcache::{KeyCtx, SimCache};
 pub use verify::{access_table, lint_plan, verify_plan, REPLICA_BUF_STRIDE};

@@ -1,108 +1,58 @@
-//! Checkpoint cache for incremental simulation across candidate trials.
+//! Full-run memo table for simulated trials.
 //!
-//! Exploration batches are full of schedules that share long command
-//! prefixes: phase F candidates differ only in one fusion set's chunking,
-//! phase K candidates only in late GEMM library bindings, and phase S
-//! prefix exploration freezes every earlier epoch while it varies the
-//! current one. Simulating each candidate from `t = 0` re-executes that
-//! shared prefix once per trial.
+//! Exploration simulates the same schedule more than once: a candidate
+//! that an earlier phase already ran, a playoff that repeats an explored
+//! configuration, and every trial of a steady-state re-exploration (the
+//! paper's repeated-mini-batch regime). [`SimCache`] memoizes each
+//! finished run as the [`EngineCheckpoint`] the engine captures at the
+//! schedule's final boundary (see [`Schedule::mark_boundary`]). A later
+//! run of the same schedule under the same key resumes from that
+//! checkpoint and replays the finished result without simulating a
+//! command. Resumed runs are bit-identical to cold runs — the engine
+//! guarantees it — so the memo changes wall-clock time only, never
+//! results.
 //!
-//! [`SimCache`] eliminates the repetition. Cold runs capture
-//! [`EngineCheckpoint`]s at schedule boundaries (see
-//! [`Schedule::mark_boundary`]); later trials probe the cache for the
-//! *deepest* checkpoint whose prefix hash matches one of their own
-//! boundaries and resume the engine there. Resumed runs are bit-identical
-//! to cold runs — the engine guarantees it — so the cache changes
-//! wall-clock time only, never results.
-//!
-//! ## Cache-aware batch scheduling
-//!
-//! The driver does not probe trials one by one in candidate order: that
-//! would simulate every batch member before any of its captures exist.
-//! Instead it plans each lookahead batch with [`plan_prefix_batch`]:
-//!
-//! 1. Each candidate's **boundary-hash chain** (the ordered hashes of its
-//!    marked boundaries) keys it into a prefix trie over the batch.
-//! 2. Sorting the chains lexicographically is exactly a DFS of that trie,
-//!    so consecutive trials share the deepest possible prefixes; maximal
-//!    runs that share at least their first boundary become **prefix
-//!    groups**.
-//! 3. The hashes where adjacent sorted chains diverge are the trie's
-//!    **branch points** — the exact boundaries where a capture guarantees
-//!    every sibling a deepest-match resume.
-//!
-//! Each group then executes sequentially against a [`GroupShard`]: a
-//! group-local overlay that layers the group's own captures over an
-//! immutable pre-batch view ([`SimCache::trial_base`]) of the shared
-//! cache. Groups never need a sibling group's checkpoints (they share no
-//! prefix beyond what the pre-batch view already holds), so whole groups
-//! fan out across workers and the shards merge back in deterministic
-//! group order at the batch barrier — hit/miss/depth counters become a
-//! pure function of batch content, bit-identical at every worker count.
+//! Only the final boundary is ever probed or captured. Mid-run prefix
+//! checkpoints would let near-identical candidates share their common
+//! prefix, but capturing them costs more host time and memory than
+//! resuming from them saves.
 //!
 //! ## What the key contains (and why)
 //!
-//! A checkpoint is only valid for a run that would have reached the exact
-//! same simulation state, so the key covers every input the engine's state
+//! A memo is only valid for a run that would have reached the exact same
+//! simulation state, so the key covers every input the engine's state
 //! depends on:
 //!
-//! * **Schedule prefix hash** — the commands simulated so far, rolled up
-//!   by [`Schedule::prefix_hash`]. Two schedules sharing a boundary hash
-//!   share the entire command prefix.
+//! * **Schedule hash** — the prefix hash at the final boundary
+//!   ([`Schedule::prefix_hash`]), which rolls up every command.
 //! * **Device fingerprint** — every [`DeviceSpec`] parameter shapes the
 //!   timeline.
-//! * **Clock mode** — autoboost jitter draws are part of the engine state
-//!   (the checkpoint carries the jitter RNG mid-stream), and the seed
-//!   lives in [`ClockMode::Autoboost`]. This deliberately stays *out* of
-//!   the schedule's own hash: the same schedule is probed under different
-//!   clocks without rebuilding it.
+//! * **Clock mode** — autoboost jitter draws are part of the engine state,
+//!   and the seed lives in [`ClockMode::Autoboost`]. This deliberately
+//!   stays *out* of the schedule's own hash: the same schedule is probed
+//!   under different clocks without rebuilding it.
 //! * **Fault fingerprint + run salt** — a faulted run's injector draws
-//!   depend on the plan and the per-trial salt, so checkpoints from
-//!   different salts are never interchangeable. When the plan is
+//!   depend on the plan and the per-trial salt, so memos from different
+//!   salts are never interchangeable. When the plan is
 //!   [`FaultPlan::is_none`], both components normalize to zero: clean
-//!   runs share checkpoints across salts (no draw ever happens, so the
-//!   salt cannot matter).
+//!   runs share memos across salts (no draw ever happens, so the salt
+//!   cannot matter).
 //!
 //! The non-schedule components are hoisted into a [`KeyCtx`] built once
-//! per probe (or once per batch), not re-hashed per boundary.
+//! per probe.
 //!
-//! The cache is bounded ([`SimCache::with_capacity`]) with FIFO eviction:
-//! exploration probes are dominated by *recently* captured prefixes (the
-//! current phase's shared geometry), so evicting the oldest insertion
-//! loses only prefixes whole phases have moved past.
+//! The table is bounded ([`SimCache::with_capacity`]) with FIFO eviction.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use astra_gpu::{ClockMode, DeviceSpec, EngineCheckpoint, FaultPlan, Schedule, Topology};
 
-/// Default bound on cached checkpoints. Checkpoints are a few KB each
-/// (per-stream queues + the result so far), so this keeps the cache in the
-/// tens-of-MB range worst case. The bound must cover a *full* exploration
-/// pass, not just one phase: steady-state re-exploration (the paper's
-/// repeated-mini-batch regime) replays every trial from its full-run memo,
-/// which only works if the first pass's final-boundary captures are still
-/// resident when the second pass begins.
+/// Default bound on memoized runs. The bound must cover a *full*
+/// exploration pass, not just one phase: steady-state re-exploration
+/// replays every trial from its memo, which only works if the first
+/// pass's memos are still resident when the second pass begins.
 const DEFAULT_CAPACITY: usize = 4096;
-
-/// Most checkpoints captured by a single *sequential* run (the native
-/// baseline, fault retries, playoffs). Each capture costs a state clone
-/// plus an open-stream scan, so one-off runs seed the cache at a bounded
-/// number of evenly spaced uncached boundaries (always including the
-/// final one — a full-run memo that replays without any simulation).
-const MAX_CAPTURES_PER_RUN: usize = 8;
-
-/// Most checkpoints captured by one run inside a prefix group. Branch
-/// points of the batch trie are always captured (they are what sibling
-/// trials resume from); any remaining budget seeds evenly sampled
-/// still-uncached boundaries so *future* batches — which diverge at
-/// boundaries this batch cannot know yet — still find deep matches.
-const MAX_CAPTURES_PER_GROUP_RUN: usize = 12;
-
-/// Buckets in the sim-cache hit-depth histogram: bucket `b` counts hits
-/// that resumed after skipping `[b/8, (b+1)/8)` of the run's commands
-/// (full-run memo replays land in the last bucket).
-pub const HIT_DEPTH_BUCKETS: usize = 8;
 
 /// Identity of a checkpointed simulation state (see the module docs for
 /// what each component pins down). Crate-visible so the persistence glue
@@ -144,10 +94,10 @@ fn device_fingerprint(dev: &DeviceSpec) -> u64 {
 }
 
 /// The non-schedule components of a [`SimCache`] key — device and fault
-/// fingerprints plus the clock — hashed once and reused for every boundary
-/// of every probe in a batch. Clean fault plans normalize here: their
-/// fingerprint is zero and every salt maps to zero, so clean runs share
-/// checkpoints across salts without per-key branching.
+/// fingerprints plus the clock — hashed once and reused for every probe
+/// in a batch. Clean fault plans normalize here: their fingerprint is zero
+/// and every salt maps to zero, so clean runs share memos across salts
+/// without per-key branching.
 #[derive(Debug, Clone, Copy)]
 pub struct KeyCtx {
     device: u64,
@@ -171,10 +121,10 @@ impl KeyCtx {
     /// Like [`KeyCtx::new`], but for runs on a multi-device [`Topology`]:
     /// the device component covers *every* device and the interconnect, so
     /// the same schedule simulated on two different device mixes (or links)
-    /// can never share a checkpoint — per-device clocks and link contention
+    /// can never share a memo — per-device clocks and link contention
     /// make their engine states incompatible. A single-device topology
     /// degenerates to exactly [`KeyCtx::new`] on its device, keeping
-    /// checkpoints interchangeable with plain single-device runs.
+    /// memos interchangeable with plain single-device runs.
     pub fn with_topology(topo: &Topology, clock: ClockMode, faults: &FaultPlan) -> Self {
         let mut ctx = KeyCtx::new(topo.device(0), clock, faults);
         if topo.is_multi() {
@@ -198,106 +148,8 @@ impl KeyCtx {
     }
 }
 
-/// The histogram bucket a resume at `resumed_at` of `total` commands
-/// falls into.
-fn depth_bucket(resumed_at: usize, total: usize) -> usize {
-    if total == 0 {
-        return 0;
-    }
-    (resumed_at * HIT_DEPTH_BUCKETS / total).min(HIT_DEPTH_BUCKETS - 1)
-}
-
-/// Evenly samples up to `budget` items from `items` (all of them when they
-/// fit), preserving order.
-fn sample_even(items: &[usize], budget: usize) -> Vec<usize> {
-    if items.len() <= budget {
-        return items.to_vec();
-    }
-    if budget == 0 {
-        return Vec::new();
-    }
-    let step = items.len().div_ceil(budget);
-    items.iter().copied().step_by(step.max(1)).collect()
-}
-
-/// A batch's prefix-trie plan: the trial execution order (grouped) and the
-/// boundary hashes where the batch's schedules diverge.
-#[derive(Debug, Clone)]
-pub struct PrefixPlan {
-    /// Trial indices in trie-DFS order, split into prefix groups: trials
-    /// within a group share at least their first boundary hash with a
-    /// neighbor, trials in different groups share no prefix at all.
-    /// Concatenated, the groups are a permutation of `0..n` — nothing is
-    /// dropped or duplicated by reordering.
-    pub groups: Vec<Vec<usize>>,
-    /// Boundary hashes at which adjacent chains in DFS order diverge (the
-    /// trie's branch points). Capturing exactly these gives every sibling
-    /// a deepest-match resume.
-    pub branches: HashSet<u64>,
-}
-
-impl PrefixPlan {
-    /// The identity plan: singleton groups in candidate order, no branch
-    /// points. Used when the sim cache is off (ordering would be dead
-    /// weight) — execution order then matches the naive driver exactly.
-    pub fn naive(n: usize) -> Self {
-        PrefixPlan { groups: (0..n).map(|i| vec![i]).collect(), branches: HashSet::new() }
-    }
-}
-
-/// Builds the prefix trie over one lookahead batch. `chains[i]` is trial
-/// `i`'s boundary-hash chain ([`Schedule::boundaries`] hashes in order);
-/// an empty chain marks a trial that bypasses the cache (rejected
-/// candidate, boundary-free schedule) and always gets a singleton group.
-///
-/// Sorting chains lexicographically (ties by candidate index, so the
-/// order is deterministic) *is* a DFS of the trie: equal prefixes sort
-/// adjacent, so consecutive trials share the deepest available prefix.
-pub fn plan_prefix_batch(chains: &[Vec<u64>]) -> PrefixPlan {
-    let mut order: Vec<usize> = (0..chains.len()).collect();
-    order.sort_by(|&a, &b| chains[a].cmp(&chains[b]).then(a.cmp(&b)));
-
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut branches = HashSet::new();
-    for (k, &i) in order.iter().enumerate() {
-        let joined = k > 0 && !chains[i].is_empty() && {
-            let prev = order[k - 1];
-            chains[prev].first() == chains[i].first()
-        };
-        if joined {
-            let prev = order[k - 1];
-            // Longest common prefix with the DFS predecessor: its last
-            // shared boundary is where this pair of subtrees branches.
-            let lcp = chains[prev]
-                .iter()
-                .zip(&chains[i])
-                .take_while(|(a, b)| a == b)
-                .count();
-            branches.insert(chains[i][lcp - 1]);
-            groups.last_mut().expect("joined implies a predecessor group").push(i);
-        } else {
-            groups.push(vec![i]);
-        }
-    }
-    PrefixPlan { groups, branches }
-}
-
-/// A trial's pre-batch view of the shared cache, computed before the batch
-/// fans out: the deepest already-cached checkpoint to resume from and
-/// which of the trial's boundaries are already cached (so group runs do
-/// not re-capture them). Immutable by construction — it is a snapshot, so
-/// sibling groups racing on the shared cache is impossible.
-#[derive(Debug, Default)]
-pub struct TrialBase {
-    /// Deepest pre-batch checkpoint: `(command index, checkpoint)`.
-    pub resume: Option<(usize, Arc<EngineCheckpoint>)>,
-    /// Per-boundary (aligned with [`Schedule::boundaries`]) flag: already
-    /// cached before the batch started.
-    pub cached: Vec<bool>,
-}
-
-/// Bounded map from simulation-state identity to captured engine
-/// checkpoints, with hit/miss, resumed-work, and hit-depth accounting.
+/// Bounded FIFO map from simulation-state identity to full-run memos,
+/// with hit/miss and resumed-work accounting.
 ///
 /// The exploration driver owns one per [`crate::Astra`]; benchmarks can
 /// drive one directly around [`astra_gpu::Engine::run_incremental`].
@@ -310,7 +162,6 @@ pub struct SimCache {
     misses: u64,
     resumed_cmds: u64,
     total_cmds: u64,
-    hit_depth: [u64; HIT_DEPTH_BUCKETS],
 }
 
 impl SimCache {
@@ -319,115 +170,53 @@ impl SimCache {
         SimCache::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// An empty cache bounded to `capacity` checkpoints (FIFO eviction).
+    /// An empty cache bounded to `capacity` memos (FIFO eviction).
     pub fn with_capacity(capacity: usize) -> Self {
         SimCache { capacity: capacity.max(1), ..SimCache::default() }
     }
 
-    /// Probes for the deepest checkpoint matching one of `sched`'s
-    /// boundaries and plans which still-uncached boundaries this run
-    /// should capture (evenly sampled, final boundary always included).
-    /// Returns `(resume, capture_at)` ready to hand to
-    /// [`astra_gpu::Engine::run_incremental`].
-    ///
-    /// This is the *sequential* front door — native baselines, fault
-    /// retries, playoffs. Batched exploration goes through
-    /// [`plan_prefix_batch`] + [`GroupShard`] instead, whose capture plan
-    /// is derived from the batch's trie rather than sampled.
+    /// Looks up `sched`'s final boundary under `ctx` and `salt`. Returns
+    /// `(resume, capture_at)` ready to hand to
+    /// [`astra_gpu::Engine::run_incremental`]: the memo and no captures on
+    /// a hit, no memo and a capture at the final boundary on a miss.
     ///
     /// Counts one hit or miss, and accrues the resumed-command fraction
     /// ([`SimCache::resumed_fraction`]). Schedules without boundaries are
     /// not cacheable and count nothing.
-    pub fn probe_and_plan(
-        &mut self,
-        sched: &Schedule,
-        dev: &DeviceSpec,
-        clock: ClockMode,
-        faults: &FaultPlan,
-        salt: u64,
-    ) -> (Option<Arc<EngineCheckpoint>>, Vec<usize>) {
-        self.probe_and_plan_ctx(sched, &KeyCtx::new(dev, clock, faults), salt)
-    }
-
-    /// [`SimCache::probe_and_plan`] with a prebuilt [`KeyCtx`] — the entry
-    /// point for topology-aware drivers, whose key context fingerprints the
-    /// whole device mix (see [`KeyCtx::with_topology`]).
     pub fn probe_and_plan_ctx(
         &mut self,
         sched: &Schedule,
         ctx: &KeyCtx,
         salt: u64,
     ) -> (Option<Arc<EngineCheckpoint>>, Vec<usize>) {
-        let boundaries = sched.boundaries();
-        if boundaries.is_empty() {
+        let Some(&(pos, hash)) = sched.boundaries().last() else {
             return (None, Vec::new());
-        }
-
-        let mut resume = None;
-        let mut resumed_at = 0usize;
-        for &(pos, hash) in boundaries.iter().rev() {
-            if let Some(ck) = self.map.get(&ctx.key(hash, salt)) {
-                resume = Some(Arc::clone(ck));
-                resumed_at = pos;
-                break;
+        };
+        self.total_cmds += sched.cmds().len() as u64;
+        match self.map.get(&ctx.key(hash, salt)) {
+            Some(ck) => {
+                self.hits += 1;
+                self.resumed_cmds += pos as u64;
+                (Some(Arc::clone(ck)), Vec::new())
+            }
+            None => {
+                self.misses += 1;
+                (None, vec![pos])
             }
         }
-        self.count_probe(resume.is_some(), resumed_at, sched.cmds().len());
-
-        // Capture plan: evenly sample the uncached boundaries beyond the
-        // resume point, and always include the final boundary so a repeat
-        // of this exact schedule replays from the memoized result.
-        let todo: Vec<usize> = boundaries
-            .iter()
-            .filter(|&&(pos, hash)| {
-                pos > resumed_at && !self.map.contains_key(&ctx.key(hash, salt))
-            })
-            .map(|&(pos, _)| pos)
-            .collect();
-        let mut capture_at = Vec::new();
-        if let Some((&last, rest)) = todo.split_last() {
-            capture_at = sample_even(rest, MAX_CAPTURES_PER_RUN - 1);
-            capture_at.push(last);
-        }
-        (resume, capture_at)
     }
 
-    /// One probe's accounting, shared by the sequential path and shard
-    /// merges.
-    fn count_probe(&mut self, hit: bool, resumed_at: usize, total: usize) {
-        if hit {
-            self.hits += 1;
-            self.hit_depth[depth_bucket(resumed_at, total)] += 1;
-        } else {
-            self.misses += 1;
-        }
-        self.total_cmds += total as u64;
-        self.resumed_cmds += resumed_at as u64;
-    }
-
-    /// Inserts the checkpoints captured by one run, evicting the oldest
-    /// entries past capacity. Checkpoints carry their own prefix hash;
-    /// the remaining key components must describe the run that captured
-    /// them. Already-cached states are left untouched.
-    pub fn absorb(
-        &mut self,
-        dev: &DeviceSpec,
-        clock: ClockMode,
-        faults: &FaultPlan,
-        salt: u64,
-        captured: Vec<EngineCheckpoint>,
-    ) {
-        self.absorb_ctx(&KeyCtx::new(dev, clock, faults), salt, captured);
-    }
-
-    /// [`SimCache::absorb`] with a prebuilt [`KeyCtx`].
+    /// Inserts the memos captured by one run, evicting the oldest entries
+    /// past capacity. Checkpoints carry their own prefix hash; `ctx` and
+    /// `salt` must describe the run that captured them. Already-cached
+    /// states are left untouched.
     pub fn absorb_ctx(&mut self, ctx: &KeyCtx, salt: u64, captured: Vec<EngineCheckpoint>) {
         for ck in captured {
             self.insert(ctx.key(ck.prefix_hash(), salt), Arc::new(ck));
         }
     }
 
-    /// Seeds one persisted checkpoint under its exact stored key, without
+    /// Seeds one persisted memo under its exact stored key, without
     /// touching the hit/miss counters — warm-start loading is not probing.
     /// FIFO age follows seeding order, so a loaded store fills the cache
     /// exactly as the writing run's absorbs did.
@@ -447,54 +236,17 @@ impl SimCache {
         }
     }
 
-    /// A trial's pre-batch snapshot: the deepest cached checkpoint among
-    /// `sched`'s boundaries and the per-boundary cached flags. Read-only
-    /// (no counters move) — the counting probe happens in the trial's
-    /// [`GroupShard`], where the final resume decision is made.
-    pub fn trial_base(&self, sched: &Schedule, ctx: &KeyCtx, salt: u64) -> TrialBase {
-        let boundaries = sched.boundaries();
-        let mut cached = Vec::with_capacity(boundaries.len());
-        let mut resume = None;
-        for &(pos, hash) in boundaries {
-            match self.map.get(&ctx.key(hash, salt)) {
-                Some(ck) => {
-                    cached.push(true);
-                    // Boundaries ascend, so the last match is the deepest.
-                    resume = Some((pos, Arc::clone(ck)));
-                }
-                None => cached.push(false),
-            }
-        }
-        TrialBase { resume, cached }
-    }
-
-    /// Merges one group's shard back at the batch barrier: checkpoints in
-    /// the shard's capture order (deterministic FIFO age), counters
-    /// summed. Call in group order so eviction order is worker-invariant.
-    pub fn merge_shard(&mut self, shard: GroupShard) {
-        for (key, ck) in shard.local {
-            self.insert(key, ck);
-        }
-        self.hits += shard.hits;
-        self.misses += shard.misses;
-        self.resumed_cmds += shard.resumed_cmds;
-        self.total_cmds += shard.total_cmds;
-        for (d, s) in self.hit_depth.iter_mut().zip(shard.hit_depth) {
-            *d += s;
-        }
-    }
-
-    /// Probes answered with a checkpoint.
+    /// Probes answered with a memo.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Probes that found no matching checkpoint.
+    /// Probes that found no memo.
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// Commands covered by resumed checkpoints, over all probes.
+    /// Commands covered by resumed memos, over all probes.
     pub fn resumed_cmds(&self) -> u64 {
         self.resumed_cmds
     }
@@ -514,150 +266,14 @@ impl SimCache {
         }
     }
 
-    /// Histogram of hit depths (see [`HIT_DEPTH_BUCKETS`]).
-    pub fn hit_depth(&self) -> [u64; HIT_DEPTH_BUCKETS] {
-        self.hit_depth
-    }
-
-    /// Checkpoints currently held.
+    /// Memos currently held.
     pub fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// Whether the cache holds no checkpoints.
+    /// Whether the cache holds no memos.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-}
-
-/// One prefix group's working cache while the group executes (possibly on
-/// a worker thread): the group's own captures, layered over each trial's
-/// immutable [`TrialBase`]. All hit/miss/depth accounting happens here —
-/// the final resume decision is the shard's — so the counters depend only
-/// on batch content and pre-batch cache state, never on worker scheduling.
-#[derive(Debug)]
-pub struct GroupShard {
-    ctx: KeyCtx,
-    /// Group-local captures in insertion order (the order they merge into
-    /// the shared cache, so FIFO eviction age stays deterministic).
-    local: Vec<(SimKey, Arc<EngineCheckpoint>)>,
-    index: HashMap<SimKey, usize>,
-    hits: u64,
-    misses: u64,
-    resumed_cmds: u64,
-    total_cmds: u64,
-    hit_depth: [u64; HIT_DEPTH_BUCKETS],
-}
-
-impl GroupShard {
-    /// An empty shard for one group of a batch running under `ctx`.
-    pub fn new(ctx: KeyCtx) -> Self {
-        GroupShard {
-            ctx,
-            local: Vec::new(),
-            index: HashMap::new(),
-            hits: 0,
-            misses: 0,
-            resumed_cmds: 0,
-            total_cmds: 0,
-            hit_depth: [0; HIT_DEPTH_BUCKETS],
-        }
-    }
-
-    fn lookup(&self, hash: u64, salt: u64) -> Option<&Arc<EngineCheckpoint>> {
-        self.index.get(&self.ctx.key(hash, salt)).map(|&i| &self.local[i].1)
-    }
-
-    /// Probes for the deepest resume (group-local captures beat the
-    /// pre-batch `base` when deeper) and plans this run's captures: every
-    /// still-uncached branch point of the batch trie beyond the resume,
-    /// the final boundary (full-run memo), and evenly sampled filler up
-    /// to `MAX_CAPTURES_PER_GROUP_RUN` for future batches to land on.
-    ///
-    /// Counts one hit or miss. Boundary-free schedules bypass and count
-    /// nothing.
-    pub fn probe_and_plan(
-        &mut self,
-        sched: &Schedule,
-        salt: u64,
-        base: &TrialBase,
-        branches: &HashSet<u64>,
-    ) -> (Option<Arc<EngineCheckpoint>>, Vec<usize>) {
-        let boundaries = sched.boundaries();
-        if boundaries.is_empty() {
-            return (None, Vec::new());
-        }
-
-        let mut resume = base.resume.clone();
-        for &(pos, hash) in boundaries.iter().rev() {
-            if resume.as_ref().is_some_and(|&(at, _)| at >= pos) {
-                break; // the pre-batch base is already at least this deep
-            }
-            if let Some(ck) = self.lookup(hash, salt) {
-                resume = Some((pos, Arc::clone(ck)));
-                break;
-            }
-        }
-        let resumed_at = resume.as_ref().map_or(0, |&(at, _)| at);
-        let total = sched.cmds().len();
-        if resume.is_some() {
-            self.hits += 1;
-            self.hit_depth[depth_bucket(resumed_at, total)] += 1;
-        } else {
-            self.misses += 1;
-        }
-        self.total_cmds += total as u64;
-        self.resumed_cmds += resumed_at as u64;
-
-        let final_pos = boundaries.last().map_or(0, |&(pos, _)| pos);
-        let mut mandatory = Vec::new();
-        let mut filler = Vec::new();
-        for (j, &(pos, hash)) in boundaries.iter().enumerate() {
-            if pos <= resumed_at
-                || base.cached.get(j).copied().unwrap_or(false)
-                || self.index.contains_key(&self.ctx.key(hash, salt))
-            {
-                continue;
-            }
-            if pos == final_pos || branches.contains(&hash) {
-                mandatory.push(pos);
-            } else {
-                filler.push(pos);
-            }
-        }
-        let budget = MAX_CAPTURES_PER_GROUP_RUN.saturating_sub(mandatory.len());
-        let mut capture_at = mandatory;
-        capture_at.extend(sample_even(&filler, budget));
-        capture_at.sort_unstable();
-        (resume.map(|(_, ck)| ck), capture_at)
-    }
-
-    /// Records the checkpoints one group run captured, in order.
-    pub fn absorb(&mut self, salt: u64, captured: Vec<EngineCheckpoint>) {
-        for ck in captured {
-            let key = self.ctx.key(ck.prefix_hash(), salt);
-            if self.index.contains_key(&key) {
-                continue;
-            }
-            self.index.insert(key.clone(), self.local.len());
-            self.local.push((key, Arc::new(ck)));
-        }
-    }
-
-    /// The shard's captures in insertion order, for the persistence glue
-    /// to journal before the shard merges into the shared cache.
-    pub(crate) fn entries(&self) -> &[(SimKey, Arc<EngineCheckpoint>)] {
-        &self.local
-    }
-
-    /// Checkpoints captured by this group so far.
-    pub fn len(&self) -> usize {
-        self.local.len()
-    }
-
-    /// Whether the shard holds no captures yet.
-    pub fn is_empty(&self) -> bool {
-        self.local.is_empty()
     }
 }
 
@@ -679,31 +295,25 @@ mod tests {
         s
     }
 
-    /// A family of schedules sharing an `head`-launch prefix and then
-    /// diverging per variant (distinct GEMM shapes after the split).
-    fn sched_family(head: usize, tail: usize, variant: u64) -> Schedule {
-        let mut s = Schedule::new(2);
-        let shared = GemmShape::new(64, 256, 256);
-        for i in 0..head {
-            s.launch(
-                StreamId(i % 2),
-                KernelDesc::Gemm { shape: shared, lib: GemmLibrary::CublasLike },
-            );
-            s.mark_boundary();
-        }
-        let own = GemmShape::new(32 + variant, 128, 128);
-        for i in 0..tail {
-            s.launch(
-                StreamId(i % 2),
-                KernelDesc::Gemm { shape: own, lib: GemmLibrary::CublasLike },
-            );
-            s.mark_boundary();
-        }
-        s
+    fn probe(
+        cache: &mut SimCache,
+        sched: &Schedule,
+        dev: &DeviceSpec,
+        clock: ClockMode,
+        plan: &FaultPlan,
+        salt: u64,
+    ) -> (Option<Arc<EngineCheckpoint>>, Vec<usize>) {
+        cache.probe_and_plan_ctx(sched, &KeyCtx::new(dev, clock, plan), salt)
     }
 
-    fn chain(s: &Schedule) -> Vec<u64> {
-        s.boundaries().iter().map(|&(_, h)| h).collect()
+    /// Probes `sched`, runs it cold with the planned captures, and absorbs
+    /// them.
+    fn memoize(cache: &mut SimCache, sched: &Schedule, dev: &DeviceSpec, plan: FaultPlan, salt: u64) {
+        let (_, caps) = probe(cache, sched, dev, ClockMode::Fixed, &plan, salt);
+        let (_, captured) = Engine::with_faults(dev, ClockMode::Fixed, plan, salt)
+            .run_incremental(sched, None, &caps)
+            .expect("cold run");
+        cache.absorb_ctx(&KeyCtx::new(dev, ClockMode::Fixed, &plan), salt, captured);
     }
 
     #[test]
@@ -713,30 +323,53 @@ mod tests {
         let mut cache = SimCache::new();
         let plan = FaultPlan::none();
 
-        let (resume, caps) =
-            cache.probe_and_plan(&sched, &dev, ClockMode::Fixed, &plan, 0);
+        let (resume, caps) = probe(&mut cache, &sched, &dev, ClockMode::Fixed, &plan, 0);
         assert!(resume.is_none());
         assert_eq!(cache.misses(), 1);
-        assert_eq!(*caps.last().expect("captures planned"), sched.cmds().len());
+        assert_eq!(caps, vec![sched.cmds().len()], "a miss captures only the final boundary");
 
         let (r, captured) = Engine::new(&dev)
             .run_incremental(&sched, None, &caps)
             .expect("cold run");
-        cache.absorb(&dev, ClockMode::Fixed, &plan, 0, captured);
+        cache.absorb_ctx(&KeyCtx::new(&dev, ClockMode::Fixed, &plan), 0, captured);
+        assert_eq!(cache.len(), 1);
 
-        let (resume, caps2) =
-            cache.probe_and_plan(&sched, &dev, ClockMode::Fixed, &plan, 7);
+        let (resume, caps2) = probe(&mut cache, &sched, &dev, ClockMode::Fixed, &plan, 7);
         let ck = resume.expect("full-run memo hits (clean runs share salts)");
         assert_eq!(ck.cmd_idx(), sched.cmds().len());
         assert!(caps2.is_empty(), "nothing left to capture");
         assert_eq!(cache.hits(), 1);
-        // A full-run memo skips everything: deepest histogram bucket.
-        assert_eq!(cache.hit_depth()[HIT_DEPTH_BUCKETS - 1], 1);
         let (r2, _) = Engine::new(&dev)
             .run_incremental(&sched, Some(&ck), &[])
             .expect("memo replay");
         assert_eq!(r.total_ns.to_bits(), r2.total_ns.to_bits());
-        assert!(cache.resumed_fraction() > 0.0);
+        assert_eq!(cache.resumed_fraction(), 0.5, "one full replay out of two probes");
+    }
+
+    #[test]
+    fn shared_prefix_misses_and_captures_only_its_final_boundary() {
+        // `b` shares every command but its last with the memoized `a`,
+        // and both mark a boundary after each command. The memo holds
+        // `a`'s finished run only, so `b` misses and asks for its own
+        // final boundary — never for the shared prefix.
+        let dev = DeviceSpec::p100();
+        let plan = FaultPlan::none();
+        let a = sched_with_boundaries(6);
+        let mut b = sched_with_boundaries(5);
+        b.launch(
+            StreamId(1),
+            KernelDesc::Gemm { shape: GemmShape::new(32, 128, 128), lib: GemmLibrary::CublasLike },
+        );
+        b.mark_boundary();
+        assert_eq!(a.boundaries()[..5], b.boundaries()[..5], "shared prefix");
+
+        let mut cache = SimCache::new();
+        memoize(&mut cache, &a, &dev, plan, 0);
+        let (resume, caps) = probe(&mut cache, &b, &dev, ClockMode::Fixed, &plan, 0);
+        assert!(resume.is_none(), "no prefix resume");
+        assert_eq!(caps, vec![b.cmds().len()]);
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!(cache.resumed_cmds(), 0);
     }
 
     #[test]
@@ -746,20 +379,16 @@ mod tests {
         let mut cache = SimCache::new();
         let clean = FaultPlan::none();
         let chaos = FaultPlan::chaos(5);
-
-        let (_, caps) = cache.probe_and_plan(&sched, &dev, ClockMode::Fixed, &clean, 0);
-        let (_, captured) =
-            Engine::new(&dev).run_incremental(&sched, None, &caps).expect("run");
-        cache.absorb(&dev, ClockMode::Fixed, &clean, 0, captured);
+        memoize(&mut cache, &sched, &dev, clean, 0);
 
         // Same schedule under a different clock, device, or fault plan
         // must miss; the same clean plan under another salt must hit.
         let boost = ClockMode::Autoboost { seed: 1 };
-        assert!(cache.probe_and_plan(&sched, &dev, boost, &clean, 0).0.is_none());
+        assert!(probe(&mut cache, &sched, &dev, boost, &clean, 0).0.is_none());
         let v100 = DeviceSpec::v100();
-        assert!(cache.probe_and_plan(&sched, &v100, ClockMode::Fixed, &clean, 0).0.is_none());
-        assert!(cache.probe_and_plan(&sched, &dev, ClockMode::Fixed, &chaos, 0).0.is_none());
-        assert!(cache.probe_and_plan(&sched, &dev, ClockMode::Fixed, &clean, 99).0.is_some());
+        assert!(probe(&mut cache, &sched, &v100, ClockMode::Fixed, &clean, 0).0.is_none());
+        assert!(probe(&mut cache, &sched, &dev, ClockMode::Fixed, &chaos, 0).0.is_none());
+        assert!(probe(&mut cache, &sched, &dev, ClockMode::Fixed, &clean, 99).0.is_some());
     }
 
     #[test]
@@ -768,27 +397,10 @@ mod tests {
         let sched = sched_with_boundaries(3);
         let mut cache = SimCache::new();
         let plan = FaultPlan::chaos(5);
+        memoize(&mut cache, &sched, &dev, plan, 4);
 
-        let (_, caps) = cache.probe_and_plan(&sched, &dev, ClockMode::Fixed, &plan, 4);
-        let (_, captured) = Engine::with_faults(&dev, ClockMode::Fixed, plan, 4)
-            .run_incremental(&sched, None, &caps)
-            .expect("run");
-        cache.absorb(&dev, ClockMode::Fixed, &plan, 4, captured);
-
-        assert!(cache.probe_and_plan(&sched, &dev, ClockMode::Fixed, &plan, 4).0.is_some());
-        assert!(cache.probe_and_plan(&sched, &dev, ClockMode::Fixed, &plan, 5).0.is_none());
-    }
-
-    #[test]
-    fn capture_plan_is_bounded_and_ends_at_the_final_boundary() {
-        let dev = DeviceSpec::p100();
-        let sched = sched_with_boundaries(100);
-        let mut cache = SimCache::new();
-        let (_, caps) =
-            cache.probe_and_plan(&sched, &dev, ClockMode::Fixed, &FaultPlan::none(), 0);
-        assert!(caps.len() <= MAX_CAPTURES_PER_RUN, "{} captures", caps.len());
-        assert_eq!(*caps.last().unwrap(), sched.cmds().len());
-        assert!(caps.windows(2).all(|w| w[0] < w[1]), "sorted: {caps:?}");
+        assert!(probe(&mut cache, &sched, &dev, ClockMode::Fixed, &plan, 4).0.is_some());
+        assert!(probe(&mut cache, &sched, &dev, ClockMode::Fixed, &plan, 5).0.is_none());
     }
 
     #[test]
@@ -798,27 +410,22 @@ mod tests {
         let plan = FaultPlan::none();
         // Distinct single-boundary schedules (different GEMM shapes) give
         // distinct prefix hashes.
-        let mut first_sched = None;
-        for i in 0..8usize {
-            let mut s = Schedule::new(1);
-            let g = GemmShape::new(32 + i as u64, 128, 128);
-            s.launch(StreamId(0), KernelDesc::Gemm { shape: g, lib: GemmLibrary::CublasLike });
-            s.mark_boundary();
-            let (_, caps) = cache.probe_and_plan(&s, &dev, ClockMode::Fixed, &plan, 0);
-            let (_, captured) =
-                Engine::new(&dev).run_incremental(&s, None, &caps).expect("run");
-            cache.absorb(&dev, ClockMode::Fixed, &plan, 0, captured);
-            if i == 0 {
-                first_sched = Some(s);
-            }
+        let scheds: Vec<Schedule> = (0..8u64)
+            .map(|i| {
+                let mut s = Schedule::new(1);
+                let g = GemmShape::new(32 + i, 128, 128);
+                s.launch(StreamId(0), KernelDesc::Gemm { shape: g, lib: GemmLibrary::CublasLike });
+                s.mark_boundary();
+                s
+            })
+            .collect();
+        for s in &scheds {
+            memoize(&mut cache, s, &dev, plan, 0);
         }
         assert_eq!(cache.len(), 4, "bounded at capacity");
-        // The first insertion was evicted first.
-        let first = first_sched.unwrap();
-        assert!(cache
-            .probe_and_plan(&first, &dev, ClockMode::Fixed, &plan, 0)
-            .0
-            .is_none());
+        // The first insertion was evicted first; the last is resident.
+        assert!(probe(&mut cache, &scheds[0], &dev, ClockMode::Fixed, &plan, 0).0.is_none());
+        assert!(probe(&mut cache, &scheds[7], &dev, ClockMode::Fixed, &plan, 0).0.is_some());
     }
 
     #[test]
@@ -830,112 +437,8 @@ mod tests {
             KernelDesc::Gemm { shape: GemmShape::new(8, 8, 8), lib: GemmLibrary::CublasLike },
         );
         let mut cache = SimCache::new();
-        let (resume, caps) =
-            cache.probe_and_plan(&s, &dev, ClockMode::Fixed, &FaultPlan::none(), 0);
+        let (resume, caps) = probe(&mut cache, &s, &dev, ClockMode::Fixed, &FaultPlan::none(), 0);
         assert!(resume.is_none() && caps.is_empty());
         assert_eq!((cache.hits(), cache.misses(), cache.total_cmds()), (0, 0, 0));
-    }
-
-    #[test]
-    fn prefix_plan_groups_shared_prefixes_and_finds_branch_points() {
-        // Variants 0 and 1 share a 4-boundary head; variant-less schedule
-        // `other` shares nothing; an empty chain stays a singleton.
-        let a = sched_family(4, 3, 0);
-        let b = sched_family(4, 3, 1);
-        let other = sched_family(0, 3, 7);
-        let chains = vec![chain(&a), chain(&b), chain(&other), Vec::new()];
-        let plan = plan_prefix_batch(&chains);
-
-        // Permutation: nothing dropped or duplicated.
-        let mut flat: Vec<usize> = plan.groups.iter().flatten().copied().collect();
-        flat.sort_unstable();
-        assert_eq!(flat, vec![0, 1, 2, 3]);
-
-        // a and b share their head, so they land in one group; the others
-        // are singletons.
-        let joint = plan
-            .groups
-            .iter()
-            .find(|g| g.contains(&0))
-            .expect("group containing trial 0");
-        assert_eq!(joint.len(), 2, "{:?}", plan.groups);
-        assert!(joint.contains(&1));
-        assert_eq!(plan.groups.len(), 3);
-
-        // The branch point is the last shared boundary (head depth 4).
-        assert_eq!(plan.branches.len(), 1);
-        assert!(plan.branches.contains(&chains[0][3]));
-    }
-
-    #[test]
-    fn group_shard_resumes_siblings_at_the_branch_point() {
-        let dev = DeviceSpec::p100();
-        let a = sched_family(6, 2, 0);
-        let b = sched_family(6, 2, 1);
-        let chains = vec![chain(&a), chain(&b)];
-        let plan = plan_prefix_batch(&chains);
-        assert_eq!(plan.groups.len(), 1, "siblings share a prefix group");
-
-        let fault = FaultPlan::none();
-        let ctx = KeyCtx::new(&dev, ClockMode::Fixed, &fault);
-        let cache = SimCache::new();
-        let mut shard = GroupShard::new(ctx);
-
-        // Trial a: cold (base and shard both empty), captures the branch.
-        let base_a = cache.trial_base(&a, &ctx, 0);
-        let (resume, caps) = shard.probe_and_plan(&a, 0, &base_a, &plan.branches);
-        assert!(resume.is_none());
-        let branch_pos = a.boundaries()[5].0;
-        assert!(caps.contains(&branch_pos), "branch point must be captured");
-        let (ra, captured) = Engine::new(&dev)
-            .run_incremental(&a, None, &caps)
-            .expect("cold run");
-        shard.absorb(0, captured);
-
-        // Trial b resumes exactly at the divergence boundary, from the
-        // shard — the shared cache never saw these captures.
-        let base_b = cache.trial_base(&b, &ctx, 1);
-        let (resume, _) = shard.probe_and_plan(&b, 1, &base_b, &plan.branches);
-        let ck = resume.expect("sibling resumes from the group's captures");
-        assert_eq!(ck.cmd_idx(), branch_pos);
-        let (rb, _) = Engine::new(&dev)
-            .run_incremental(&b, Some(&ck), &[])
-            .expect("resumed run");
-        let cold_b = Engine::new(&dev).run(&b).expect("cold reference");
-        assert_eq!(rb.total_ns.to_bits(), cold_b.total_ns.to_bits());
-        assert!(ra.total_ns > 0.0);
-
-        // Merging moves the captures and counters into the shared cache.
-        let mut cache = cache;
-        cache.merge_shard(shard);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert!(!cache.is_empty());
-        let rebase = cache.trial_base(&b, &ctx, 2);
-        assert!(rebase.resume.is_some(), "merged captures serve later batches");
-    }
-
-    #[test]
-    fn trial_base_is_read_only_and_tracks_cached_boundaries() {
-        let dev = DeviceSpec::p100();
-        let sched = sched_with_boundaries(6);
-        let mut cache = SimCache::new();
-        let fault = FaultPlan::none();
-        let ctx = KeyCtx::new(&dev, ClockMode::Fixed, &fault);
-
-        let empty = cache.trial_base(&sched, &ctx, 0);
-        assert!(empty.resume.is_none());
-        assert!(empty.cached.iter().all(|&c| !c));
-
-        let (_, caps) = cache.probe_and_plan(&sched, &dev, ClockMode::Fixed, &fault, 0);
-        let (_, captured) =
-            Engine::new(&dev).run_incremental(&sched, None, &caps).expect("run");
-        cache.absorb(&dev, ClockMode::Fixed, &fault, 0, captured);
-        let (h0, m0) = (cache.hits(), cache.misses());
-
-        let base = cache.trial_base(&sched, &ctx, 5);
-        let (pos, _) = base.resume.as_ref().expect("memo cached");
-        assert_eq!(*pos, sched.cmds().len());
-        assert!(base.cached.iter().any(|&c| c));
-        assert_eq!((cache.hits(), cache.misses()), (h0, m0), "trial_base must not count");
     }
 }

@@ -1,19 +1,17 @@
-//! Cache-aware trial scheduling: prefix grouping and worker sharding.
+//! The sim cache's contract at the driver level: a memo table of finished
+//! runs.
 //!
-//! The exploration driver reorders each lookahead batch so candidates
-//! sharing long schedule prefixes run consecutively, and shards whole
-//! prefix groups onto workers. None of that may be observable in the
+//! Each lookahead batch probes the memo table on the driver thread in
+//! candidate order, fans its misses out over the workers, and absorbs
+//! their memos in candidate order. None of that may be observable in the
 //! results: the best plan, every timing, and every `Report` counter must
-//! be bit-identical at any worker count, and grouping must only permute
-//! the batch — never add, drop, or merge candidates. These tests pin
-//! those contracts, plus the steady-state payoff the scheduling exists
-//! for: a second optimization pass on the same `Astra` (the paper's
-//! repeated-mini-batch regime) must resume nearly every simulated run
-//! from full-run memos.
+//! be bit-identical at any worker count and with the cache on or off.
+//! These tests pin those contracts, plus the steady-state payoff the memo
+//! exists for: a second optimization pass on the same `Astra` (the
+//! paper's repeated-mini-batch regime) must replay nearly every simulated
+//! run from its memo.
 
-use astra::core::{
-    plan_prefix_batch, Astra, AstraOptions, Dims, Report, HIT_DEPTH_BUCKETS,
-};
+use astra::core::{Astra, AstraOptions, Dims, Report};
 use astra::gpu::{ClockMode, DeviceSpec, FaultPlan};
 use astra::models::Model;
 
@@ -32,8 +30,7 @@ fn tiny(model: Model) -> astra::models::BuiltModel {
 fn full_fingerprint(r: &Report) -> String {
     format!(
         "native={:x} steady={:x} explo={:x} configs={} best={:?} \
-         plan={}h/{}m sim={}h/{}m resumed={:x} depth={:?} groups={} \
-         faults={} retries={}",
+         plan={}h/{}m sim={}h/{}m resumed={:x} faults={} retries={}",
         r.native_ns.to_bits(),
         r.steady_ns.to_bits(),
         r.exploration_ns.to_bits(),
@@ -44,8 +41,6 @@ fn full_fingerprint(r: &Report) -> String {
         r.sim_cache_hits,
         r.sim_cache_misses,
         r.resumed_fraction.to_bits(),
-        r.sim_cache_hit_depth,
-        r.prefix_group_count,
         r.fault_events,
         r.retries,
     )
@@ -64,10 +59,10 @@ fn opts(workers: usize, sim_cache: bool, faulted: bool) -> AstraOptions {
 
 #[test]
 fn reports_are_bit_identical_across_worker_counts() {
-    // Prefix-affine sharding assigns whole groups to workers, and every
-    // counter is accumulated per group and merged in group order — so
-    // the full report, histogram included, is a pure function of the
-    // batch content, not of how many threads ran it.
+    // Every trial probes the pre-batch memo table in candidate order and
+    // memos are absorbed in candidate order, so the full report, counters
+    // included, is a pure function of the batch content, not of how many
+    // threads ran it.
     for model in [Model::Scrnn, Model::SubLstm] {
         let built = tiny(model);
         let dev = DeviceSpec::p100();
@@ -90,9 +85,8 @@ fn reports_are_bit_identical_across_worker_counts() {
 #[test]
 fn steady_state_pass_resumes_from_full_run_memos() {
     // A second optimize() on the same Astra replays schedules the cold
-    // pass already memoized end-to-end. With captures resident, nearly
-    // every warm trial must resume — the issue's >= 0.7 floor — and the
-    // hits concentrate in the deepest histogram bucket (full-run memos).
+    // pass already memoized end-to-end. With the memos resident, nearly
+    // every warm trial must replay: >= 0.7 of its simulated commands.
     for model in [Model::Scrnn, Model::SubLstm] {
         let built = tiny(model);
         let dev = DeviceSpec::p100();
@@ -111,13 +105,6 @@ fn steady_state_pass_resumes_from_full_run_memos() {
             "{model}: steady-state resumed_fraction {:.3} below the 0.7 floor",
             warm.resumed_fraction
         );
-        let deepest = warm.sim_cache_hit_depth[HIT_DEPTH_BUCKETS - 1];
-        let total: u64 = warm.sim_cache_hit_depth.iter().sum();
-        assert_eq!(total, warm.sim_cache_hits, "{model}: histogram must sum to the hit count");
-        assert!(
-            deepest * 2 > total,
-            "{model}: most warm hits must be full-run memos ({deepest}/{total})"
-        );
     }
 }
 
@@ -129,60 +116,25 @@ fn disabled_cache_forces_naive_order_and_zero_counters() {
     let r = astra.optimize().expect("optimize runs");
     assert_eq!((r.sim_cache_hits, r.sim_cache_misses), (0, 0));
     assert_eq!(r.resumed_fraction, 0.0);
-    assert_eq!(r.prefix_group_count, 0, "naive plans must not count as prefix groups");
-    assert_eq!(r.sim_cache_hit_depth, [0; HIT_DEPTH_BUCKETS]);
-}
-
-#[test]
-fn grouping_only_permutes_the_batch() {
-    // plan_prefix_batch over adversarial chain sets: shared prefixes,
-    // disjoint chains, duplicates, and empties. The flattened groups must
-    // always be a permutation of the candidate indices.
-    let cases: Vec<Vec<Vec<u64>>> = vec![
-        vec![],
-        vec![vec![]],
-        vec![vec![1, 2, 3]],
-        vec![vec![1, 2, 3], vec![1, 2, 4], vec![1, 9], vec![7, 7], vec![]],
-        vec![vec![5; 8]; 6],
-        (0..40u64).map(|i| vec![i % 3, i % 5, i]).collect(),
-    ];
-    for chains in &cases {
-        let plan = plan_prefix_batch(chains);
-        let mut seen: Vec<usize> = plan.groups.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        let expect: Vec<usize> = (0..chains.len()).collect();
-        assert_eq!(seen, expect, "grouping dropped or duplicated a candidate: {chains:?}");
-        // Within a group, consecutive members share at least their first
-        // boundary — the property sharding relies on.
-        for g in &plan.groups {
-            for w in g.windows(2) {
-                assert_eq!(
-                    chains[w[0]].first(),
-                    chains[w[1]].first(),
-                    "group mixes unrelated prefixes"
-                );
-            }
-        }
-    }
 }
 
 #[test]
 fn grouped_execution_is_invariant_under_fault_injection() {
     // Fault plans salt every trial differently, which defeats cross-trial
-    // checkpoint reuse — but grouping still reorders execution. The
-    // driver must produce the same report bits as the ungrouped,
-    // cache-off run, at every worker count.
+    // memo reuse, but the cache still probes and captures every trial. The
+    // driver must produce the same report bits as the cache-off run, at
+    // every worker count.
     let built = tiny(Model::SubLstm);
     let dev = DeviceSpec::p100();
     let mut naive = Astra::new(&built.graph, &dev, opts(1, false, true));
     let baseline = naive.optimize().expect("naive faulted run");
     for workers in [1usize, 4, 8] {
         let mut astra = Astra::new(&built.graph, &dev, opts(workers, true, true));
-        let r = astra.optimize().expect("grouped faulted run");
+        let r = astra.optimize().expect("cached faulted run");
         assert_eq!(
             (r.steady_ns.to_bits(), r.configs_explored, format!("{:?}", r.best)),
             (baseline.steady_ns.to_bits(), baseline.configs_explored, format!("{:?}", baseline.best)),
-            "workers={workers}: grouped faulted exploration drifted from naive"
+            "workers={workers}: cached faulted exploration drifted from cache-off"
         );
         assert_eq!(r.fault_events, baseline.fault_events, "fault accounting drifted");
         assert_eq!(r.retries, baseline.retries, "retry accounting drifted");

@@ -9,8 +9,8 @@
 //! off, and at any worker count.
 
 use astra::core::{
-    build_units, emit_schedule, Astra, AstraOptions, Dims, ExecConfig, PlanContext, ProbeSpec,
-    Report, SimCache,
+    build_units, emit_schedule, Astra, AstraOptions, Dims, ExecConfig, KeyCtx, PlanContext,
+    ProbeSpec, Report, SimCache,
 };
 use astra::gpu::{ClockMode, DeviceSpec, Engine, FaultPlan, RunResult, Schedule};
 use astra::models::Model;
@@ -131,20 +131,21 @@ fn resumed_runs_match_cold_runs_bitwise() {
 #[test]
 fn sim_cache_round_trip_is_bit_identical() {
     // Through the SimCache front door: miss, absorb, then a hit that
-    // resumes the deepest checkpoint — same bits as the cold run.
+    // replays the full-run memo — same bits as the cold run.
     let dev = DeviceSpec::p100();
     let sched = model_schedule(Model::Scrnn);
     for clock in CLOCKS {
         let mut cache = SimCache::new();
         let plan = FaultPlan::none();
-        let (resume, caps) = cache.probe_and_plan(&sched, &dev, clock, &plan, 0);
+        let ctx = KeyCtx::new(&dev, clock, &plan);
+        let (resume, caps) = cache.probe_and_plan_ctx(&sched, &ctx, 0);
         assert!(resume.is_none(), "first probe must miss");
         let (cold, captured) = Engine::with_faults(&dev, clock, plan, 0)
             .run_incremental(&sched, None, &caps)
             .expect("cold run");
-        cache.absorb(&dev, clock, &plan, 0, captured);
+        cache.absorb_ctx(&ctx, 0, captured);
 
-        let (resume, caps2) = cache.probe_and_plan(&sched, &dev, clock, &plan, 1);
+        let (resume, caps2) = cache.probe_and_plan_ctx(&sched, &ctx, 1);
         let ck = resume.expect("repeat probe hits the memoized run");
         let (warm, _) = Engine::with_faults(&dev, clock, plan, 1)
             .run_incremental(&sched, Some(&ck), &caps2)
