@@ -9,11 +9,10 @@ cd "$(dirname "$0")"
 export RUSTFLAGS="${RUSTFLAGS:--D warnings}"
 
 # `ci.sh bench` regenerates the exploration throughput benchmark.  The
-# binary asserts its own acceptance bar (>= 2x simulated-trial throughput
-# with the sim cache at workers=1; steady-state driver resumed_fraction
-# >= 0.7 and warm cache-on strictly beating cache-off wall-clock per
-# model; bit-identical results throughout), so a passing run is also a
-# gate.
+# binary asserts its own acceptance bar (steady-state driver
+# resumed_fraction >= 0.7 and warm cache-on strictly beating cache-off
+# wall-clock per model; bit-identical results throughout), so a passing
+# run is also a gate.
 if [[ "${1:-}" == "bench" ]]; then
     echo "== bench: exploration throughput =="
     cargo build --release -p astra-bench --bin explore_speed

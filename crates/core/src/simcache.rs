@@ -308,7 +308,13 @@ mod tests {
 
     /// Probes `sched`, runs it cold with the planned captures, and absorbs
     /// them.
-    fn memoize(cache: &mut SimCache, sched: &Schedule, dev: &DeviceSpec, plan: FaultPlan, salt: u64) {
+    fn memoize(
+        cache: &mut SimCache,
+        sched: &Schedule,
+        dev: &DeviceSpec,
+        plan: FaultPlan,
+        salt: u64,
+    ) {
         let (_, caps) = probe(cache, sched, dev, ClockMode::Fixed, &plan, salt);
         let (_, captured) = Engine::with_faults(dev, ClockMode::Fixed, plan, salt)
             .run_incremental(sched, None, &caps)

@@ -126,8 +126,8 @@ fn grouped_execution_is_invariant_under_fault_injection() {
     // every worker count.
     let built = tiny(Model::SubLstm);
     let dev = DeviceSpec::p100();
-    let mut naive = Astra::new(&built.graph, &dev, opts(1, false, true));
-    let baseline = naive.optimize().expect("naive faulted run");
+    let mut uncached = Astra::new(&built.graph, &dev, opts(1, false, true));
+    let baseline = uncached.optimize().expect("cache-off faulted run");
     for workers in [1usize, 4, 8] {
         let mut astra = Astra::new(&built.graph, &dev, opts(workers, true, true));
         let r = astra.optimize().expect("cached faulted run");
