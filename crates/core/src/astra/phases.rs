@@ -519,12 +519,12 @@ impl Phase for StreamPhase {
         &self.vars
     }
 
+    /// One bulk build of the whole map: the fixed assignments, then each
+    /// epoch's pick (a later entry for the same unit would win, as with
+    /// `extend`; the keys are disjoint).
     fn materialize(&self, cfg: &mut ExecConfig, pick: &[usize]) {
-        cfg.streams.clear();
-        cfg.streams.extend(self.fixed.iter().copied());
-        for (epoch, &c) in self.epochs.iter().zip(pick) {
-            cfg.streams.extend(epoch.choices[c].assignment.iter().copied());
-        }
+        let picked = self.epochs.iter().zip(pick).flat_map(|(e, &c)| &e.choices[c].assignment);
+        cfg.streams = self.fixed.iter().chain(picked).copied().collect();
     }
 
     fn units(

@@ -112,7 +112,7 @@ pub fn optimize_bucketed(
     for &l in &distinct {
         let graph = build(l);
         let sched = native_schedule(&lowerings.lower(u64::from(l), &graph));
-        let t = Engine::with_clock(dev, opts.clock).run(&sched)?.total_ns;
+        let t = Engine::with_clock(dev, opts.clock).without_spans().run(&sched)?.total_ns;
         native_of.insert(l, t);
     }
     for &l in lengths {

@@ -28,13 +28,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
-use astra_gpu::{
-    ClockMode, EngineCheckpoint, EventId, FaultSummary, KernelSpan, MemoParts, RunResult,
-    StreamId,
-};
+use astra_gpu::{ClockMode, EngineCheckpoint, EventId, FaultSummary, MemoParts, RunResult};
 use astra_predict::CostModelState;
 use astra_store::{
-    MemoKey, MemoRec, MemoSpan, PredictorRec, ProfileStatsRec, QuarantineRec,
+    MemoKey, MemoRec, PredictorRec, ProfileStatsRec, QuarantineRec,
     Record, Store, StoreOptions, VerdictKind, VerdictRec,
 };
 
@@ -118,30 +115,9 @@ fn key_from_parts(contexts: Vec<String>, entity: String, choice: u64) -> Option<
     Some(ProfileKey::from_parts(contexts, entity, usize::try_from(choice).ok()?))
 }
 
-/// Converts a full-run engine memo into its persisted record. Interns span
-/// labels first-appearance order into the record's string table.
+/// Converts a full-run engine memo into its persisted record. Memos are
+/// span-free, so the record's label and span tables are written empty.
 fn memo_record(key: &SimKey, parts: &MemoParts) -> Record {
-    let mut labels: Vec<String> = Vec::new();
-    let mut label_idx: HashMap<&str, u32> = HashMap::new();
-    let mut spans = Vec::with_capacity(parts.result.spans.len());
-    for s in &parts.result.spans {
-        let label = match label_idx.get(&*s.label) {
-            Some(&i) => i,
-            None => {
-                let i = u32::try_from(labels.len()).expect("span label table fits u32");
-                labels.push(s.label.to_string());
-                label_idx.insert(&s.label, i);
-                i
-            }
-        };
-        spans.push(MemoSpan {
-            label,
-            stream: s.stream.0 as u64,
-            start_ns: s.start_ns,
-            end_ns: s.end_ns,
-            cmd_idx: s.cmd_idx as u64,
-        });
-    }
     Record::Memo(Box::new(MemoRec {
         key: memo_key(key),
         cmd_idx: parts.cmd_idx as u64,
@@ -186,15 +162,16 @@ fn memo_record(key: &SimKey, parts: &MemoParts) -> Record {
             parts.result.faults.alloc_retries,
             parts.result.faults.straggler_streams,
         ],
-        labels,
-        spans,
+        labels: Vec::new(),
+        spans: Vec::new(),
     }))
 }
 
-/// Rebuilds a cache-ready checkpoint from a persisted memo. `None` means
-/// the record is domain-invalid (unknown clock tag, label index out of
-/// range, counts that don't fit) — the caller drops it, degrading that
-/// key to a cold start.
+/// Rebuilds a cache-ready, span-free checkpoint from a persisted memo. The
+/// record's label and span tables are ignored: stores written before memos
+/// went span-free still carry them, and nothing reads them. `None` means
+/// the record is domain-invalid (unknown clock tag, counts that don't fit)
+/// — the caller drops it, degrading that key to a cold start.
 fn memo_from_record(rec: &MemoRec) -> Option<(SimKey, EngineCheckpoint)> {
     let clock = clock_from_parts(rec.key.clock_tag, rec.key.clock_seed)?;
     let key = SimKey {
@@ -204,18 +181,6 @@ fn memo_from_record(rec: &MemoRec) -> Option<(SimKey, EngineCheckpoint)> {
         fault: rec.key.fault_fp,
         salt: rec.key.salt,
     };
-    let labels: Vec<Arc<str>> =
-        rec.labels.iter().map(|l| Arc::from(l.as_str())).collect();
-    let mut spans = Vec::with_capacity(rec.spans.len());
-    for s in &rec.spans {
-        spans.push(KernelSpan {
-            label: Arc::clone(labels.get(s.label as usize)?),
-            stream: StreamId(usize::try_from(s.stream).ok()?),
-            start_ns: s.start_ns,
-            end_ns: s.end_ns,
-            cmd_idx: usize::try_from(s.cmd_idx).ok()?,
-        });
-    }
     let mut barrier_arrivals = Vec::with_capacity(rec.barrier_arrivals.len());
     for (id, arr) in &rec.barrier_arrivals {
         let mut out = Vec::with_capacity(arr.len());
@@ -239,7 +204,7 @@ fn memo_from_record(rec: &MemoRec) -> Option<(SimKey, EngineCheckpoint)> {
     let result = RunResult {
         total_ns: rec.total_ns,
         event_ns: rec.event_ns.iter().map(|&(e, t)| (EventId(e), t)).collect(),
-        spans,
+        spans: Vec::new(),
         num_launches: usize::try_from(rec.num_launches).ok()?,
         num_records: usize::try_from(rec.num_records).ok()?,
         profiling_overhead_ns: rec.profiling_overhead_ns,
@@ -348,7 +313,7 @@ impl DriverStore {
             loaded_records: 0,
             corrupt_records: ds.store.load_summary().corrupt_records,
         };
-        for rec in &records {
+        for rec in records {
             if ds.fold(rec, Some(&mut warm)) {
                 warm.loaded_records += 1;
             } else {
@@ -364,12 +329,10 @@ impl DriverStore {
     /// Folds one record into the authoritative state (and, on load, the
     /// warm-state view). Returns `false` for records that decode but fail
     /// domain validation.
-    fn fold(&mut self, rec: &Record, warm: Option<&mut WarmState>) -> bool {
+    fn fold(&mut self, rec: Record, warm: Option<&mut WarmState>) -> bool {
         match rec {
             Record::ProfileSample(r) => {
-                let Some(key) =
-                    key_from_parts(r.contexts.clone(), r.entity.clone(), r.choice)
-                else {
+                let Some(key) = key_from_parts(r.contexts, r.entity, r.choice) else {
                     return false;
                 };
                 if !r.value_ns.is_finite() {
@@ -378,9 +341,7 @@ impl DriverStore {
                 self.profile.record(&key, r.value_ns);
             }
             Record::ProfileStats(r) => {
-                let Some(key) =
-                    key_from_parts(r.contexts.clone(), r.entity.clone(), r.choice)
-                else {
+                let Some(key) = key_from_parts(r.contexts, r.entity, r.choice) else {
                     return false;
                 };
                 let Some(stats) = SampleStats::from_raw(r.count, r.mean, r.m2, r.min)
@@ -417,19 +378,23 @@ impl DriverStore {
             }
             Record::Predictor(r) => {
                 let state = CostModelState {
-                    weights: r.weights.clone(),
+                    weights: r.weights,
                     bias: r.bias,
                     updates: r.updates,
                     t_min: r.t_min,
                     t_max: r.t_max,
                 };
-                self.predictors.insert(r.kind.clone(), state);
+                self.predictors.insert(r.kind, state);
             }
-            Record::Memo(r) => {
-                let Some((key, ck)) = memo_from_record(r) else {
+            Record::Memo(mut r) => {
+                let Some((key, ck)) = memo_from_record(&r) else {
                     return false;
                 };
-                self.memos.insert(r.key.clone(), rec.clone());
+                // Keep the record span-free, as this build writes it, so
+                // compaction rewrites older stores without their spans.
+                r.labels = Vec::new();
+                r.spans = Vec::new();
+                self.memos.insert(r.key.clone(), Record::Memo(r));
                 if let Some(warm) = warm {
                     warm.memos.push((key, Arc::new(ck)));
                 }
@@ -612,17 +577,30 @@ fn verdict_tag(kind: VerdictKind) -> u8 {
 mod tests {
     use super::*;
     use astra_gpu::{
-        DeviceSpec, Engine, FaultPlan, GemmLibrary, GemmShape, KernelDesc, Schedule,
+        DeviceSpec, Engine, FaultPlan, GemmLibrary, GemmShape, KernelDesc, Schedule, StreamId,
     };
+    use astra_store::MemoSpan;
 
-    fn finished_checkpoint(clock: ClockMode) -> EngineCheckpoint {
-        let dev = DeviceSpec::v100();
+    fn two_stream_schedule() -> Schedule {
         let mut sched = Schedule::new(2);
         let g = GemmShape::new(64, 256, 256);
         sched.launch(StreamId(0), KernelDesc::Gemm { shape: g, lib: GemmLibrary::CublasLike });
-        sched.launch(StreamId(1), KernelDesc::Gemm { shape: g, lib: GemmLibrary::OaiWide });
+        let ev = sched.record(StreamId(0));
+        sched.launch_after(
+            StreamId(1),
+            KernelDesc::Gemm { shape: g, lib: GemmLibrary::OaiWide },
+            vec![ev],
+        );
         sched.mark_boundary();
+        sched
+    }
+
+    /// A full-run memo as the driver captures it: span-free.
+    fn finished_checkpoint(clock: ClockMode) -> EngineCheckpoint {
+        let dev = DeviceSpec::v100();
+        let sched = two_stream_schedule();
         let (_, mut cks) = Engine::with_faults(&dev, clock, FaultPlan::none(), 0)
+            .without_spans()
             .run_incremental(&sched, None, &[sched.cmds().len()])
             .expect("clean run");
         cks.remove(0)
@@ -650,7 +628,7 @@ mod tests {
                 parts2.result.total_ns.to_bits(),
                 "memoized result survives the record form bit-exactly"
             );
-            assert_eq!(parts.result.spans.len(), parts2.result.spans.len());
+            assert!(parts2.result.spans.is_empty(), "memos carry no spans");
             assert_eq!(parts.events, parts2.events);
             assert_eq!(parts.clock_rng_state, parts2.clock_rng_state);
             // Encoding the rebuilt memo reproduces the identical record.
@@ -672,11 +650,75 @@ mod tests {
         let Record::Memo(mut rec) = memo_record(&key, &parts) else { panic!() };
         rec.key.clock_tag = 7;
         assert!(memo_from_record(&rec).is_none(), "unknown clock tag");
-        rec.key.clock_tag = 0;
-        if let Some(s) = rec.spans.first_mut() {
-            s.label = 99;
-            assert!(memo_from_record(&rec).is_none(), "label index out of range");
+    }
+
+    #[test]
+    fn memo_records_with_spans_load_span_free() {
+        // A memo record as stores written before memos went span-free
+        // hold it: the run's span labels and one span per kernel, one of
+        // them with a label index nothing resolves.
+        let dev = DeviceSpec::v100();
+        let sched = two_stream_schedule();
+        let full = sched.cmds().len();
+        let (cold, cks) = Engine::new(&dev).run_incremental(&sched, None, &[full]).unwrap();
+        assert_eq!(cold.spans.len(), 2);
+        let key = SimKey {
+            prefix_hash: sched.prefix_hash(),
+            device: 3,
+            clock: ClockMode::Fixed,
+            fault: 0,
+            salt: 0,
+        };
+        let Record::Memo(mut rec) = memo_record(&key, &cks[0].export_memo().unwrap()) else {
+            panic!("memo record")
+        };
+        rec.labels = cold.spans.iter().map(|s| s.label.clone()).collect();
+        rec.spans = cold
+            .spans
+            .iter()
+            .enumerate()
+            .map(|(i, s)| MemoSpan {
+                label: i as u32,
+                stream: s.stream.0 as u64,
+                start_ns: s.start_ns,
+                end_ns: s.end_ns,
+                cmd_idx: s.cmd_idx as u64,
+            })
+            .collect();
+        rec.spans[1].label = 99;
+
+        let dir = scratch_dir("spans");
+        let opts = StoreOptions::default();
+        {
+            let (mut store, _) = Store::open(&dir, &opts).unwrap();
+            store.append(&Record::Memo(rec)).unwrap();
+            store.sync().unwrap();
         }
+        let (mut ds, warm) = DriverStore::open(&dir, &opts).unwrap();
+        assert_eq!((warm.loaded_records, warm.corrupt_records), (1, 0), "the record decodes");
+        let (wkey, memo) = &warm.memos[0];
+        assert_eq!(wkey, &key);
+        assert_eq!(memo.span_count(), 0, "no span reaches the cache");
+        assert!(!memo.records_spans());
+        let (replayed, _) =
+            Engine::new(&dev).without_spans().run_incremental(&sched, Some(memo), &[]).unwrap();
+        assert_eq!(replayed.total_ns.to_bits(), cold.total_ns.to_bits());
+        let bits = |r: &RunResult| -> Vec<(EventId, u64)> {
+            r.event_ns.iter().map(|(&e, t)| (e, t.to_bits())).collect()
+        };
+        assert_eq!(bits(&replayed), bits(&cold));
+        assert!(replayed.spans.is_empty());
+        let span_free =
+            |r: &Record| matches!(r, Record::Memo(m) if m.labels.is_empty() && m.spans.is_empty());
+        assert!(ds.memos.values().all(span_free), "the record kept for compaction is span-free");
+
+        // Compaction rewrites the store span-free.
+        ds.compact();
+        drop(ds);
+        let (_, records) = Store::open(&dir, &opts).unwrap();
+        assert_eq!(records.len(), 1);
+        assert!(span_free(&records[0]));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1035,10 +1035,13 @@ pub fn emit_schedule(
     let mut done_event: Vec<Option<EventId>> = vec![None; units.len()];
     let mut seen_sets: HashSet<usize> = HashSet::new();
     let mut seen_shapes: HashSet<GemmShape> = HashSet::new();
+    // Set regions report their block count; only set probes need it.
     let mut blocks_per_set: HashMap<usize, usize> = HashMap::new();
-    for u in units {
-        if let (Some(si), UnitId::Block { .. }) = (u.set_idx, u.id) {
-            *blocks_per_set.entry(si).or_insert(0) += 1;
+    if probe.sets {
+        for u in units {
+            if let (Some(si), UnitId::Block { .. }) = (u.set_idx, u.id) {
+                *blocks_per_set.entry(si).or_insert(0) += 1;
+            }
         }
     }
 
@@ -1108,6 +1111,8 @@ pub fn emit_schedule(
             }
         }
         Some(part) => {
+            // Streams each epoch launched on, for its end-of-epoch probes.
+            let mut streams_used = vec![false; num_streams];
             for (sei, se) in part.super_epochs.iter().enumerate() {
                 if sei > 0 {
                     sched.barrier();
@@ -1119,17 +1124,15 @@ pub fn emit_schedule(
                     probes.se_starts.insert(sei, ev);
                 }
                 for (ei, epoch) in se.epochs.iter().enumerate() {
-                    let mut streams_used: HashSet<usize> = HashSet::new();
+                    streams_used.fill(false);
                     for &ui in &epoch.units {
-                        streams_used.insert(stream_of[ui]);
+                        streams_used[stream_of[ui]] = true;
                         emit_unit(&mut sched, &mut probes, ui, &units[ui]);
                         sched.mark_boundary();
                     }
                     if probe.epochs.contains(&(sei, ei)) {
                         let mut ends = Vec::new();
-                        let mut su: Vec<usize> = streams_used.into_iter().collect();
-                        su.sort_unstable();
-                        for s in su {
+                        for s in (0..num_streams).filter(|&s| streams_used[s]) {
                             ends.push(sched.record(StreamId(s)));
                             probes.probe_records += 1;
                         }

@@ -252,7 +252,7 @@ pub fn explore_recompute(
                 recompute_launches += 1;
             }
         }
-        let time_ns = Engine::new(dev).run(&sched)?.total_ns;
+        let time_ns = Engine::new(dev).without_spans().run(&sched)?.total_ns;
         let peak_bytes = timeline_peak_bytes(&units, &timeline, &checkpoint);
         points.push(RecomputePoint { segment_steps: k, time_ns, peak_bytes, recompute_launches });
     }

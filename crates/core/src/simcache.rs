@@ -1,9 +1,8 @@
 //! Full-run memo table for simulated trials.
 //!
 //! Exploration simulates the same schedule more than once: a candidate
-//! that an earlier phase already ran, a playoff that repeats an explored
-//! configuration, and every trial of a steady-state re-exploration (the
-//! paper's repeated-mini-batch regime). [`SimCache`] memoizes each
+//! that an earlier phase already ran, and every trial of a steady-state
+//! re-exploration (the paper's repeated-mini-batch regime). [`SimCache`] memoizes each
 //! finished run as the [`EngineCheckpoint`] the engine captures at the
 //! schedule's final boundary (see [`Schedule::mark_boundary`]). A later
 //! run of the same schedule under the same key resumes from that
@@ -11,6 +10,11 @@
 //! command. Resumed runs are bit-identical to cold runs — the engine
 //! guarantees it — so the memo changes wall-clock time only, never
 //! results.
+//!
+//! The driver runs every trial that goes through the table span-free
+//! ([`astra_gpu::Engine::without_spans`]), so its memos hold no kernel
+//! spans. The playoff, whose spans feed device utilization, simulates
+//! outside the table.
 //!
 //! Only the final boundary is ever probed or captured. Mid-run prefix
 //! checkpoints would let near-identical candidates share their common
@@ -274,6 +278,12 @@ impl SimCache {
     /// Whether the cache holds no memos.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+
+    /// Every memo held, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn memos(&self) -> impl Iterator<Item = &EngineCheckpoint> {
+        self.map.values().map(|ck| &**ck)
     }
 }
 

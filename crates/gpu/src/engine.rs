@@ -21,10 +21,18 @@
 //! exactly the repeatability hazard the paper's §7 discusses.
 //!
 //! The hot path is allocation-free per command: queue items borrow their
-//! wait lists from the schedule, span labels are `Arc<str>` clones of the
-//! schedule's interned label table, execution rates are cached and
-//! recomputed only when the set of running kernels changes, and the span and
-//! queue buffers are pre-sized from the schedule's counters.
+//! wait lists from the schedule, execution rates are cached and recomputed
+//! only when the set of running kernels changes, and the span and queue
+//! buffers are pre-sized from the schedule's counters.
+//!
+//! # Span-free runs
+//!
+//! By default a run records one [`KernelSpan`] per executed kernel, transfer
+//! and all-reduce, rendering each span's label from the schedule as it
+//! completes. [`Engine::without_spans`] turns that off: the run returns
+//! `RunResult::spans` empty and is otherwise bit-identical (makespan, event
+//! times, fault counts, record count and profiling overhead). Exploration
+//! trials run span-free, since they read only event times and totals.
 //!
 //! # Incremental simulation
 //!
@@ -38,8 +46,6 @@
 //! fault draws included — is exactly the one a cold run performs.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
-
 use crate::clock::{Clock, ClockMode};
 use crate::device::DeviceSpec;
 use crate::error::GpuError;
@@ -63,10 +69,9 @@ fn done_eps(now: f64) -> f64 {
 /// Timing of one executed kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelSpan {
-    /// Label from the schedule (or the kernel's default label). Shared with
-    /// the schedule's interned label table — building a span is an `Arc`
-    /// clone, not a `String` allocation.
-    pub label: Arc<str>,
+    /// The command's label ([`Schedule::span_label`]): the explicit launch
+    /// label or the kernel's default, rendered when the span completes.
+    pub label: String,
     /// Stream the kernel ran on.
     pub stream: StreamId,
     /// Start of the launch overhead phase, ns.
@@ -84,7 +89,8 @@ pub struct RunResult {
     pub total_ns: f64,
     /// Fire time of each recorded event.
     pub event_ns: BTreeMap<EventId, f64>,
-    /// Per-kernel spans, in completion order.
+    /// Per-kernel spans, in completion order. Empty for a run made
+    /// [`Engine::without_spans`].
     pub spans: Vec<KernelSpan>,
     /// Number of kernels launched.
     pub num_launches: usize,
@@ -98,6 +104,19 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// A copy of everything but the spans (which it never clones).
+    fn without_spans(&self) -> RunResult {
+        RunResult {
+            total_ns: self.total_ns,
+            event_ns: self.event_ns.clone(),
+            spans: Vec::new(),
+            num_launches: self.num_launches,
+            num_records: self.num_records,
+            profiling_overhead_ns: self.profiling_overhead_ns,
+            faults: self.faults,
+        }
+    }
+
     /// Elapsed nanoseconds between two recorded events, if both fired.
     ///
     /// Returns `None` if either event is unknown; the result is negative if
@@ -173,8 +192,8 @@ struct Item<'s> {
 }
 
 /// The in-flight item of one stream. Owns no schedule borrows — labels are
-/// looked up by `cmd_idx` in the schedule's interned table — so checkpoints
-/// can store these verbatim.
+/// rendered from the schedule by `cmd_idx` — so checkpoints can store these
+/// verbatim.
 #[derive(Debug, Clone)]
 enum Active {
     /// Launch-overhead phase: fixed duration, does not occupy slots.
@@ -215,51 +234,6 @@ struct StreamState<'s> {
     active: Option<Active>,
 }
 
-/// Append-only log of completed kernel spans with structurally shared
-/// snapshots: spans accumulate in a mutable tail, and taking a snapshot
-/// freezes the tail into an `Arc` chunk, so the copy a checkpoint stores is
-/// a vector of `Arc` bumps instead of a deep clone of every span. Capturing
-/// a checkpoint is therefore O(queued items), not O(spans completed) — the
-/// latter grows with the whole run and made wide capture plans cost more
-/// than the resume saved.
-#[derive(Debug, Clone, Default)]
-struct SpanLog {
-    chunks: Vec<Arc<Vec<KernelSpan>>>,
-    tail: Vec<KernelSpan>,
-}
-
-impl SpanLog {
-    fn push(&mut self, span: KernelSpan) {
-        self.tail.push(span);
-    }
-
-    fn len(&self) -> usize {
-        self.chunks.iter().map(|c| c.len()).sum::<usize>() + self.tail.len()
-    }
-
-    /// Freezes the tail and returns a structural copy sharing every chunk.
-    fn snapshot(&mut self) -> SpanLog {
-        if !self.tail.is_empty() {
-            self.chunks.push(Arc::new(std::mem::take(&mut self.tail)));
-        }
-        SpanLog { chunks: self.chunks.clone(), tail: Vec::new() }
-    }
-
-    /// Flattens into the final span vector. Zero-copy for runs that never
-    /// snapshotted (the plain [`Engine::run`] path).
-    fn into_vec(mut self) -> Vec<KernelSpan> {
-        if self.chunks.is_empty() {
-            return self.tail;
-        }
-        let mut out = Vec::with_capacity(self.len());
-        for c in &self.chunks {
-            out.extend(c.iter().cloned());
-        }
-        out.append(&mut self.tail);
-        out
-    }
-}
-
 /// One all-reduce rendezvous arrival: stream, arrival time, payload bytes,
 /// originating command index.
 pub type ArArrival = (usize, f64, u64, usize);
@@ -279,6 +253,11 @@ struct StreamCkpt {
 /// event table, barrier bookkeeping, cached execution rates, the dispatch
 /// clock (`cpu_ns`), the jitter clock, the fault injector, and the partial
 /// [`RunResult`] (spans completed so far, fault counts, event times).
+///
+/// A checkpoint remembers whether its run recorded spans. A span-free run
+/// may resume from either kind (it simply drops the spans), but a
+/// span-recording run refuses a span-free checkpoint: the spans before the
+/// capture point were never recorded.
 ///
 /// A checkpoint taken at command index `i` with prefix hash `h` may seed any
 /// schedule that has a marked boundary `(i, h)` — i.e. shares the exact
@@ -303,10 +282,9 @@ pub struct EngineCheckpoint {
     rates_dirty: bool,
     clock: Clock,
     chaos: Option<Chaos>,
-    /// Spans completed by capture time, shared structurally with the
-    /// capturing run's log. Empty for a full-run memo, whose spans live in
-    /// `result` instead.
-    spans: SpanLog,
+    /// Whether the capturing run recorded spans (`result.spans` holds every
+    /// span completed by capture time).
+    spans: bool,
     result: RunResult,
 }
 
@@ -322,26 +300,45 @@ impl EngineCheckpoint {
         self.prefix_hash
     }
 
-    /// Number of kernel spans already completed at capture time.
+    /// Number of kernel spans already completed at capture time (0 for a
+    /// span-free run's checkpoint).
     pub fn span_count(&self) -> usize {
-        self.spans.len() + self.result.spans.len()
+        self.result.spans.len()
+    }
+
+    /// Whether the capturing run recorded spans.
+    pub fn records_spans(&self) -> bool {
+        self.spans
+    }
+
+    /// The partial result at capture time, for a resume that does or does
+    /// not record spans.
+    fn result_so_far(&self, spans: bool) -> RunResult {
+        if spans {
+            self.result.clone()
+        } else {
+            self.result.without_spans()
+        }
     }
 
     /// Exports a *full-run memo* checkpoint as plain persistable data.
     ///
-    /// Only checkpoints captured at the end of a schedule qualify: every
-    /// stream drained (no queued or in-flight items), the span log already
-    /// flattened into `result`, and no live fault injector (fault state is
-    /// mid-stream RNG position plus straggler assignments, which are cheap
-    /// to rebuild but meaningless across fault-plan changes — faulted memos
-    /// are simply not persisted). Returns `None` for anything else, so a
-    /// caller can feed every checkpoint through and persist what sticks.
+    /// Only checkpoints with every stream drained (no queued or in-flight
+    /// items) and no live fault injector qualify (fault state is mid-stream
+    /// RNG position plus straggler assignments, which are cheap to rebuild
+    /// but meaningless across fault-plan changes — faulted memos are simply
+    /// not persisted). Returns `None` for anything else, so a caller can
+    /// feed every checkpoint through and persist what sticks.
+    ///
+    /// The export is span-free: a span-recording checkpoint's spans are
+    /// dropped, and [`EngineCheckpoint::from_memo`] rebuilds a span-free
+    /// checkpoint.
     pub fn export_memo(&self) -> Option<MemoParts> {
         let drained = self
             .streams
             .iter()
             .all(|s| s.queue.is_empty() && s.active.is_none());
-        if !drained || self.chaos.is_some() || self.spans.len() != 0 {
+        if !drained || self.chaos.is_some() {
             return None;
         }
         Some(MemoParts {
@@ -359,7 +356,7 @@ impl EngineCheckpoint {
             rates_dirty: self.rates_dirty,
             clock_mode: self.clock.mode(),
             clock_rng_state: self.clock.rng_state(),
-            result: self.result.clone(),
+            result: self.result.without_spans(),
         })
     }
 
@@ -369,8 +366,14 @@ impl EngineCheckpoint {
     /// it (including the full-run short-circuit) produces bit-identical
     /// results, because every field a resume reads is restored exactly and
     /// the fields a memo cannot carry (queues, in-flight items, fault
-    /// state, the incremental span log) were empty by construction.
+    /// state) were empty by construction.
+    ///
+    /// The rebuilt checkpoint is span-free: any spans in `parts.result` are
+    /// dropped, and only a run made [`Engine::without_spans`] can resume
+    /// from it.
     pub fn from_memo(parts: MemoParts) -> EngineCheckpoint {
+        let mut result = parts.result;
+        result.spans = Vec::new();
         EngineCheckpoint {
             cmd_idx: parts.cmd_idx,
             prefix_hash: parts.prefix_hash,
@@ -389,8 +392,8 @@ impl EngineCheckpoint {
             rates_dirty: parts.rates_dirty,
             clock: Clock::from_parts(parts.clock_mode, parts.clock_rng_state),
             chaos: None,
-            spans: SpanLog { chunks: Vec::new(), tail: Vec::new() },
-            result: parts.result,
+            spans: false,
+            result,
         }
     }
 }
@@ -432,7 +435,7 @@ pub struct MemoParts {
     pub clock_mode: ClockMode,
     /// Jitter RNG position at capture, `None` under a fixed clock.
     pub clock_rng_state: Option<u64>,
-    /// The complete run result, spans included.
+    /// The complete run result, without spans.
     pub result: RunResult,
 }
 
@@ -456,6 +459,7 @@ pub struct Engine<'a> {
     clock: Clock,
     faults: FaultPlan,
     fault_salt: u64,
+    spans: bool,
 }
 
 impl<'a> Engine<'a> {
@@ -478,7 +482,7 @@ impl<'a> Engine<'a> {
         faults: FaultPlan,
         fault_salt: u64,
     ) -> Self {
-        Engine { dev, topo: None, clock: Clock::new(mode), faults, fault_salt }
+        Engine { dev, topo: None, clock: Clock::new(mode), faults, fault_salt, spans: true }
     }
 
     /// Creates an engine over a multi-device [`Topology`]: each stream of a
@@ -498,7 +502,19 @@ impl<'a> Engine<'a> {
             clock: Clock::new(mode),
             faults,
             fault_salt,
+            spans: true,
         }
+    }
+
+    /// Makes every later run span-free: `RunResult::spans` comes back
+    /// empty and no span label is rendered. Everything else a run returns
+    /// — `total_ns`, `event_ns`, the fault summary, `num_records`,
+    /// `profiling_overhead_ns` — is bit-identical to a span-recording run,
+    /// and so are the checkpoints it captures, except that a
+    /// span-recording run cannot resume from them.
+    pub fn without_spans(mut self) -> Self {
+        self.spans = false;
+        self
     }
 
     /// Re-salts the fault draws for the next run (each simulated mini-batch
@@ -538,8 +554,9 @@ impl<'a> Engine<'a> {
     /// # Errors
     ///
     /// [`GpuError::InvalidSchedule`] if the resume checkpoint does not match
-    /// a boundary of `schedule` (or disagrees on the stream count), or if a
-    /// capture index is not a marked boundary. [`GpuError::Deadlock`] as in
+    /// a boundary of `schedule` (or disagrees on the stream count, or is
+    /// span-free while this engine records spans), or if a capture index is
+    /// not a marked boundary. [`GpuError::Deadlock`] as in
     /// [`Engine::run`].
     pub fn run_incremental(
         &mut self,
@@ -571,9 +588,16 @@ impl<'a> Engine<'a> {
                     ck.cmd_idx
                 )));
             }
+            if self.spans && !ck.spans {
+                return Err(GpuError::InvalidSchedule(format!(
+                    "checkpoint at cmd {} recorded no spans; \
+                     a span-recording run cannot resume from it",
+                    ck.cmd_idx
+                )));
+            }
             if ck.cmd_idx == cmds.len() {
                 // Full-run memo: the stored result IS the run.
-                return Ok((ck.result.clone(), Vec::new()));
+                return Ok((ck.result_so_far(self.spans), Vec::new()));
             }
         }
         let start_idx = resume.map_or(0, |ck| ck.cmd_idx);
@@ -604,13 +628,13 @@ impl<'a> Engine<'a> {
         let mut barrier_seq;
         match resume {
             Some(ck) => {
-                sim = Sim::restore(dev, topo, schedule, &mut self.clock, ck);
+                sim = Sim::restore(dev, topo, schedule, &mut self.clock, ck, self.spans);
                 cpu_ns = ck.cpu_ns;
                 barrier_seq = ck.barrier_seq;
             }
             None => {
                 let chaos = Chaos::for_run(&self.faults, self.fault_salt, schedule.num_streams());
-                sim = Sim::new(dev, topo, schedule, &mut self.clock, chaos);
+                sim = Sim::new(dev, topo, schedule, &mut self.clock, chaos, self.spans);
                 cpu_ns = 0.0_f64;
                 barrier_seq = 0_usize;
                 if self.faults.alloc_event(self.fault_salt).is_some() {
@@ -710,9 +734,6 @@ impl<'a> Engine<'a> {
         sim.result.num_launches = schedule.num_launches();
         sim.result.profiling_overhead_ns =
             sim.result.num_records as f64 * dev.event_record_cost_ns;
-        // The run is over: flatten the span log into the result, so the
-        // full-run memo below carries the complete spans in `result`.
-        sim.result.spans = std::mem::take(&mut sim.spans).into_vec();
         // A boundary at the end of the command list memoizes the whole run.
         while cap_j < caps.len() {
             captured.push(sim.checkpoint(cmds.len(), caps[cap_j].1, cpu_ns, barrier_seq));
@@ -765,8 +786,10 @@ struct Sim<'s, 'd, 'c> {
     chaos: Option<Chaos>,
     streams: Vec<StreamState<'s>>,
     num_streams: usize,
-    /// The schedule's interned span labels, indexed by command.
-    labels: &'s [Option<Arc<str>>],
+    /// The schedule, for rendering span labels and stall diagnostics.
+    schedule: &'s Schedule,
+    /// Whether completed kernels append a span to `result.spans`.
+    record_spans: bool,
     now: f64,
     events: HashMap<EventId, f64>,
     barrier_arrivals: HashMap<usize, Vec<(usize, f64)>>,
@@ -782,8 +805,7 @@ struct Sim<'s, 'd, 'c> {
     /// Set whenever the set of work-phase kernels changes (a kernel enters
     /// the work phase or completes); cleared by [`Sim::ensure_rates`].
     rates_dirty: bool,
-    /// Completed spans; flattened into `result.spans` when the run finishes.
-    spans: SpanLog,
+    /// The run so far; completed spans accumulate in `result.spans`.
     result: RunResult,
 }
 
@@ -794,10 +816,14 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
         schedule: &'s Schedule,
         clock: &'c mut Clock,
         chaos: Option<Chaos>,
+        record_spans: bool,
     ) -> Self {
         let num_streams = schedule.num_streams();
         let mut result = RunResult::default();
         result.faults.straggler_streams = chaos.as_ref().map_or(0, |c| c.straggler_count);
+        if record_spans {
+            result.spans.reserve_exact(schedule.num_launches());
+        }
         Sim {
             dev,
             topo,
@@ -811,7 +837,8 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                 .map(|&n| StreamState { queue: VecDeque::with_capacity(n), active: None })
                 .collect(),
             num_streams,
-            labels: schedule.span_labels(),
+            schedule,
+            record_spans,
             now: 0.0,
             events: HashMap::new(),
             barrier_arrivals: HashMap::new(),
@@ -820,23 +847,22 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             ar_expect: schedule.allreduce_groups().iter().copied().collect(),
             rates: vec![1.0; num_streams],
             rates_dirty: true,
-            spans: SpanLog {
-                chunks: Vec::new(),
-                tail: Vec::with_capacity(schedule.num_launches()),
-            },
             result,
         }
     }
 
     /// Rebuilds the simulation exactly as it was when `ck` was captured,
     /// re-borrowing wait lists from `schedule` (sound: the matching boundary
-    /// hash guarantees the command prefix is identical).
+    /// hash guarantees the command prefix is identical). A span-free resume
+    /// drops the checkpoint's spans; a span-recording resume needs a
+    /// span-recording checkpoint (checked by the caller).
     fn restore(
         dev: &'d DeviceSpec,
         topo: Option<&'d Topology>,
         schedule: &'s Schedule,
         clock: &'c mut Clock,
         ck: &EngineCheckpoint,
+        record_spans: bool,
     ) -> Self {
         let cmds = schedule.cmds();
         let counts = schedule.stream_cmd_counts();
@@ -872,7 +898,8 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             chaos: ck.chaos.clone(),
             streams,
             num_streams: ck.num_streams,
-            labels: schedule.span_labels(),
+            schedule,
+            record_spans,
             now: ck.now,
             events: ck.events.iter().copied().collect(),
             barrier_arrivals: ck.barrier_arrivals.iter().cloned().collect(),
@@ -881,18 +908,16 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             ar_expect: schedule.allreduce_groups().iter().copied().collect(),
             rates: ck.rates.clone(),
             rates_dirty: ck.rates_dirty,
-            spans: ck.spans.clone(),
-            result: ck.result.clone(),
+            result: ck.result_so_far(record_spans),
         }
     }
 
     /// Snapshots the full simulation state (plus the dispatcher's `cpu_ns`
     /// and barrier counter) into an owned checkpoint. Hash maps are stored
-    /// as key-sorted vectors so the snapshot is deterministic. Completed
-    /// spans are shared structurally ([`SpanLog::snapshot`]), so the cost is
-    /// proportional to the live queues, not the run so far.
+    /// as key-sorted vectors so the snapshot is deterministic. A
+    /// span-recording run's checkpoint clones the spans completed so far.
     fn checkpoint(
-        &mut self,
+        &self,
         cmd_idx: usize,
         prefix_hash: u64,
         cpu_ns: f64,
@@ -936,7 +961,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             rates_dirty: self.rates_dirty,
             clock: self.clock.clone(),
             chaos: self.chaos.clone(),
-            spans: self.spans.snapshot(),
+            spans: self.record_spans,
             result: self.result.clone(),
         }
     }
@@ -1320,13 +1345,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                     self.rates_dirty = true;
                 }
                 Active::Work { cmd_idx, start, .. } => {
-                    self.spans.push(KernelSpan {
-                        label: self.span_label(cmd_idx),
-                        stream: StreamId(si),
-                        start_ns: start,
-                        end_ns: self.now,
-                        cmd_idx,
-                    });
+                    self.push_span(si, cmd_idx, start);
                     self.rates_dirty = true;
                 }
                 Active::Fixed { event, .. } => {
@@ -1341,23 +1360,11 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                     self.rates_dirty = true;
                 }
                 Active::Xfer { cmd_idx, start, .. } => {
-                    self.spans.push(KernelSpan {
-                        label: self.span_label(cmd_idx),
-                        stream: StreamId(si),
-                        start_ns: start,
-                        end_ns: self.now,
-                        cmd_idx,
-                    });
+                    self.push_span(si, cmd_idx, start);
                     self.rates_dirty = true;
                 }
                 Active::ArBusy { cmd_idx, start, .. } => {
-                    self.spans.push(KernelSpan {
-                        label: self.span_label(cmd_idx),
-                        stream: StreamId(si),
-                        start_ns: start,
-                        end_ns: self.now,
-                        cmd_idx,
-                    });
+                    self.push_span(si, cmd_idx, start);
                 }
                 Active::AtBarrier { .. } | Active::AtAllReduce { .. } => {
                     unreachable!("rendezvous items finish as Fixed/ArBusy")
@@ -1366,10 +1373,24 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
         }
     }
 
-    /// Interned label of the launch at `cmd_idx` (an `Arc` clone, never a
-    /// fresh `String`).
-    fn span_label(&self, cmd_idx: usize) -> Arc<str> {
-        self.labels[cmd_idx].clone().expect("spans only come from launches")
+    /// Records the span of the item at `cmd_idx` that just finished on
+    /// stream `si` (nothing on a span-free run).
+    fn push_span(&mut self, si: usize, cmd_idx: usize, start: f64) {
+        if !self.record_spans {
+            return;
+        }
+        self.result.spans.push(KernelSpan {
+            label: self.span_label(cmd_idx),
+            stream: StreamId(si),
+            start_ns: start,
+            end_ns: self.now,
+            cmd_idx,
+        });
+    }
+
+    /// Label of the launch, transfer or all-reduce at `cmd_idx`.
+    fn span_label(&self, cmd_idx: usize) -> String {
+        self.schedule.span_label(cmd_idx).expect("spans only come from launches")
     }
 
     fn describe_stall(&self) -> String {
@@ -1830,15 +1851,75 @@ mod tests {
         let s = segmented_schedule();
         let full = s.cmds().len();
         for mode in [ClockMode::Fixed, ClockMode::Autoboost { seed: 11 }] {
+            // A span-recording memo exports span-free, like a span-free one.
             let (plain, cks) =
                 Engine::with_clock(&dev, mode).run_incremental(&s, None, &[full]).unwrap();
             let parts = cks[0].export_memo().expect("finished clean memo exports");
+            assert!(parts.result.spans.is_empty(), "exports carry no spans");
             let back = EngineCheckpoint::from_memo(parts.clone());
+            assert!(!back.records_spans());
             assert_eq!(back.export_memo().as_ref(), Some(&parts), "export is stable");
+            let (_, free) = Engine::with_clock(&dev, mode)
+                .without_spans()
+                .run_incremental(&s, None, &[full])
+                .unwrap();
+            assert_eq!(free[0].export_memo(), Some(parts), "both runs export one memo");
             let (replayed, _) = Engine::with_clock(&dev, mode)
+                .without_spans()
                 .run_incremental(&s, Some(&back), &[])
                 .unwrap();
-            assert_eq!(plain, replayed, "reconstructed memo replays the run exactly");
+            assert_eq!(
+                RunResult { spans: Vec::new(), ..plain },
+                replayed,
+                "reconstructed memo replays the run exactly"
+            );
+        }
+    }
+
+    #[test]
+    fn span_free_runs_match_span_recording_runs_but_the_spans() {
+        let dev = DeviceSpec::p100();
+        let s = segmented_schedule();
+        let caps: Vec<usize> = s.boundaries().iter().map(|&(i, _)| i).collect();
+        for mode in [ClockMode::Fixed, ClockMode::Autoboost { seed: 7 }] {
+            for plan in [FaultPlan::none(), FaultPlan::chaos(11)] {
+                let spans = Engine::with_faults(&dev, mode, plan, 5).run(&s).unwrap();
+                assert_eq!(spans.spans.len(), s.num_launches());
+                let (free, cks) = Engine::with_faults(&dev, mode, plan, 5)
+                    .without_spans()
+                    .run_incremental(&s, None, &caps)
+                    .unwrap();
+                assert!(free.spans.is_empty());
+                assert_eq!(RunResult { spans: Vec::new(), ..spans.clone() }, free);
+                for ck in &cks {
+                    assert!(!ck.records_spans() && ck.span_count() == 0);
+                    // A span-free resume replays the same bits ...
+                    let (resumed, _) = Engine::with_faults(&dev, mode, plan, 5)
+                        .without_spans()
+                        .run_incremental(&s, Some(ck), &[])
+                        .unwrap();
+                    assert_eq!(free, resumed, "resume from cmd {} diverged", ck.cmd_idx());
+                    // ... and a span-recording one refuses the checkpoint.
+                    let err = Engine::with_faults(&dev, mode, plan, 5)
+                        .run_incremental(&s, Some(ck), &[])
+                        .unwrap_err();
+                    assert!(matches!(err, GpuError::InvalidSchedule(_)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn span_free_resume_drops_a_span_recording_checkpoints_spans() {
+        let dev = DeviceSpec::p100();
+        let s = segmented_schedule();
+        let caps: Vec<usize> = s.boundaries().iter().map(|&(i, _)| i).collect();
+        let (plain, cks) = Engine::new(&dev).run_incremental(&s, None, &caps).unwrap();
+        for ck in &cks {
+            assert!(ck.records_spans());
+            let (resumed, _) =
+                Engine::new(&dev).without_spans().run_incremental(&s, Some(ck), &[]).unwrap();
+            assert_eq!(RunResult { spans: Vec::new(), ..plain.clone() }, resumed);
         }
     }
 

@@ -6,11 +6,9 @@
 //! and waits, device-wide barriers (super-epoch boundaries), and synchronous
 //! host syncs.
 //!
-//! Schedules also carry three pieces of tooling-facing metadata that never
+//! Schedules also carry two pieces of tooling-facing metadata that never
 //! show up in [`Schedule::render`] (golden traces stay byte-stable):
 //!
-//! * a table of pre-interned span labels (`Arc<str>`, one per launch), so the
-//!   engine never allocates a `String` per executed kernel;
 //! * optional *segment boundaries* ([`Schedule::mark_boundary`]) with a
 //!   rolling prefix hash per boundary, the anchor points for incremental
 //!   simulation: two schedules whose boundary hashes match are guaranteed to
@@ -20,8 +18,10 @@
 //! * optional per-command *tags* ([`Schedule::set_tag`]) linking a command
 //!   back to whatever emitted it (the wirer tags launches with the unit
 //!   index), which is how the static verifier resolves buffer footprints.
-
-use std::sync::Arc;
+//!
+//! Span labels are not stored: [`Schedule::span_label`] renders a command's
+//! label on demand. A span-recording engine run renders one per span; a
+//! span-free run (every exploration trial) renders none.
 
 use crate::kernel::KernelDesc;
 
@@ -159,11 +159,8 @@ pub struct Schedule {
     // (command index, prefix hash at that index) for each marked boundary,
     // strictly increasing in the index.
     boundaries: Vec<(usize, u64)>,
-    // Interned span label per command: `Some` for launches (the explicit
-    // label or the kernel's default), `None` otherwise.
-    span_labels: Vec<Option<Arc<str>>>,
     // Emitter tag per command (e.g. the wirer's unit index). Pure metadata:
-    // excluded from render() and from the prefix hash, like span labels.
+    // excluded from render() and from the prefix hash.
     tags: Vec<Option<u32>>,
     // Device index each stream dispatches onto. All zeros for single-device
     // schedules (the default), in which case it is invisible to render()
@@ -220,7 +217,6 @@ impl Schedule {
             // different stream topology is a different schedule.
             prefix_hash: fold_hash(0x4153_5452, num_streams as u64),
             boundaries: Vec::new(),
-            span_labels: Vec::new(),
             tags: Vec::new(),
             device_of: vec![0; num_streams],
             allreduce_expect: Vec::new(),
@@ -350,11 +346,23 @@ impl Schedule {
             .map(|pos| self.boundaries[pos].1)
     }
 
-    /// Interned span label per command: `Some` for launches (the explicit
-    /// label or the kernel's default, resolved once at build time), `None`
-    /// for records, barriers, and host syncs.
-    pub fn span_labels(&self) -> &[Option<Arc<str>>] {
-        &self.span_labels
+    /// The span label of command `cmd_idx`, rendered on demand: a launch's
+    /// explicit label or its kernel's default, a transfer's or all-reduce's
+    /// payload summary; `None` for records, barriers, host syncs, and
+    /// out-of-range indices.
+    pub fn span_label(&self, cmd_idx: usize) -> Option<String> {
+        match self.cmds.get(cmd_idx)? {
+            Cmd::Launch { kernel, label, .. } => {
+                Some(label.clone().unwrap_or_else(|| kernel.label()))
+            }
+            Cmd::Transfer { bytes, src, dst, .. } => {
+                Some(format!("xfer[{:.1}KB d{src}->d{dst}]", *bytes as f64 / 1e3))
+            }
+            Cmd::AllReduce { bytes, group, .. } => {
+                Some(format!("allreduce[{:.1}KB g{group}]", *bytes as f64 / 1e3))
+            }
+            Cmd::Record { .. } | Cmd::Barrier | Cmd::HostSync => None,
+        }
     }
 
     /// Emitter tag per command (`None` where nothing was tagged). Tags are
@@ -416,11 +424,6 @@ impl Schedule {
         self.check_stream(stream);
         self.num_launches += 1;
         self.stream_cmds[stream.0] += 1;
-        let interned: Arc<str> = match &label {
-            Some(l) => Arc::from(l.as_str()),
-            None => Arc::from(kernel.label().as_str()),
-        };
-        self.span_labels.push(Some(interned));
         self.tags.push(None);
         self.cmds.push(Cmd::Launch { stream, kernel, waits, label });
         self.absorb_last();
@@ -433,7 +436,6 @@ impl Schedule {
         let ev = EventId(self.next_event);
         self.next_event += 1;
         self.stream_cmds[stream.0] += 1;
-        self.span_labels.push(None);
         self.tags.push(None);
         self.cmds.push(Cmd::Record { stream, event: ev });
         self.absorb_last();
@@ -445,7 +447,6 @@ impl Schedule {
         for c in &mut self.stream_cmds {
             *c += 1;
         }
-        self.span_labels.push(None);
         self.tags.push(None);
         self.cmds.push(Cmd::Barrier);
         self.absorb_last();
@@ -453,7 +454,6 @@ impl Schedule {
 
     /// Appends a blocking host synchronization.
     pub fn host_sync(&mut self) {
-        self.span_labels.push(None);
         self.tags.push(None);
         self.cmds.push(Cmd::HostSync);
         self.absorb_last();
@@ -482,9 +482,6 @@ impl Schedule {
             "transfer stream must live on the destination device"
         );
         self.stream_cmds[stream.0] += 1;
-        self.span_labels.push(Some(Arc::from(
-            format!("xfer[{:.1}KB d{src}->d{dst}]", bytes as f64 / 1e3).as_str(),
-        )));
         self.tags.push(None);
         self.cmds.push(Cmd::Transfer { stream, bytes, src, dst, waits });
         self.absorb_last();
@@ -500,9 +497,6 @@ impl Schedule {
     pub fn all_reduce(&mut self, stream: StreamId, bytes: u64, group: u32) -> usize {
         self.check_stream(stream);
         self.stream_cmds[stream.0] += 1;
-        self.span_labels.push(Some(Arc::from(
-            format!("allreduce[{:.1}KB g{group}]", bytes as f64 / 1e3).as_str(),
-        )));
         self.tags.push(None);
         match self.allreduce_expect.iter_mut().find(|(g, _)| *g == group) {
             Some((_, n)) => *n += 1,
@@ -679,16 +673,19 @@ mod tests {
     }
 
     #[test]
-    fn span_labels_are_interned_per_launch() {
+    fn span_labels_render_per_launch() {
         let mut s = Schedule::new(2);
         s.launch(StreamId(0), KernelDesc::MemCopy { bytes: 8.0 });
         s.record(StreamId(0));
         s.launch_labeled(StreamId(1), KernelDesc::MemCopy { bytes: 8.0 }, Vec::new(), "mine");
-        let labels = s.span_labels();
-        assert_eq!(labels.len(), s.cmds().len());
-        assert_eq!(labels[0].as_deref(), Some(KernelDesc::MemCopy { bytes: 8.0 }.label().as_str()));
-        assert!(labels[1].is_none());
-        assert_eq!(labels[2].as_deref(), Some("mine"));
+        s.barrier();
+        s.host_sync();
+        assert_eq!(s.span_label(0), Some(KernelDesc::MemCopy { bytes: 8.0 }.label()));
+        assert_eq!(s.span_label(1), None);
+        assert_eq!(s.span_label(2).as_deref(), Some("mine"));
+        assert_eq!(s.span_label(3), None);
+        assert_eq!(s.span_label(4), None);
+        assert_eq!(s.span_label(5), None, "out of range");
     }
 
     #[test]
@@ -740,8 +737,8 @@ mod tests {
         // launches.
         assert_eq!(s.num_launches(), 1);
         assert_eq!(s.stream_cmd_counts(), &[3, 2]);
-        assert!(s.span_labels()[2].as_deref().unwrap().starts_with("xfer["));
-        assert!(s.span_labels()[3].as_deref().unwrap().starts_with("allreduce["));
+        assert_eq!(s.span_label(2).as_deref(), Some("xfer[4.1KB d0->d1]"));
+        assert_eq!(s.span_label(3).as_deref(), Some("allreduce[1.0KB g0]"));
     }
 
     #[test]

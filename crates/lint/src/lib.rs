@@ -203,10 +203,7 @@ pub fn lint(
             continue;
         };
         let cmds: Vec<usize> = scan.peak_cmd[d].into_iter().collect();
-        let labels: Vec<String> = cmds
-            .iter()
-            .filter_map(|&c| sched.span_labels()[c].as_deref().map(str::to_owned))
-            .collect();
+        let labels: Vec<String> = cmds.iter().filter_map(|&c| sched.span_label(c)).collect();
         let pct = if cap == 0 { f64::INFINITY } else { peak as f64 / cap as f64 * 100.0 };
         diagnostics.push(Diagnostic::new(
             rule,
@@ -224,10 +221,7 @@ pub fn lint(
         let (event, record) = sync::wait_source(sched, cmd, pos);
         let mut cmds = vec![record, cmd];
         cmds.sort_unstable();
-        let labels: Vec<String> = cmds
-            .iter()
-            .filter_map(|&c| sched.span_labels()[c].as_deref().map(str::to_owned))
-            .collect();
+        let labels: Vec<String> = cmds.iter().filter_map(|&c| sched.span_label(c)).collect();
         diagnostics.push(Diagnostic::new(
             RuleId::LintRedundantSync,
             cmds,

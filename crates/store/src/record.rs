@@ -210,9 +210,10 @@ pub struct MemoRec {
     /// Result: fault counters (spikes, launch retries, alloc retries,
     /// straggler streams) — all zero for the clean runs memos cover.
     pub faults: [u32; 4],
-    /// Interned span labels.
+    /// Interned span labels. Memos are span-free, so the driver writes
+    /// this empty; records from older builds may still carry labels.
     pub labels: Vec<String>,
-    /// Result: completed spans.
+    /// Result: completed spans. Written empty, like `labels`.
     pub spans: Vec<MemoSpan>,
 }
 

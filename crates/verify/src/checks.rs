@@ -12,10 +12,7 @@ use crate::report::{Diagnostic, RuleId};
 
 /// Span labels for the given command indices (only commands that have one).
 fn labels_for(sched: &Schedule, cmds: &[usize]) -> Vec<String> {
-    let labels = sched.span_labels();
-    cmds.iter()
-        .filter_map(|&i| labels.get(i).and_then(|l| l.as_deref()).map(str::to_string))
-        .collect()
+    cmds.iter().filter_map(|&i| sched.span_label(i)).collect()
 }
 
 fn diag(sched: &Schedule, rule: RuleId, cmds: Vec<usize>, message: String) -> Diagnostic {

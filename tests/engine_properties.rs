@@ -1,10 +1,12 @@
 //! Randomized tests of the GPU engine over multi-stream schedules: no valid
-//! schedule may deadlock, and the timing invariants of the CUDA-style
-//! execution model must hold. Schedules are drawn from a seeded in-tree PRNG
+//! schedule may deadlock, the timing invariants of the CUDA-style
+//! execution model must hold, and a span-free run must time everything a
+//! span-recording run does. Schedules are drawn from a seeded in-tree PRNG
 //! so the cases are identical on every run.
 
 use astra::gpu::{
-    Cmd, DeviceSpec, Engine, EventId, GemmLibrary, GemmShape, KernelDesc, Schedule, StreamId,
+    ClockMode, Cmd, DeviceSpec, Engine, EngineCheckpoint, EventId, FaultPlan, FaultSummary,
+    GemmLibrary, GemmShape, GpuError, KernelDesc, RunResult, Schedule, StreamId,
 };
 use astra_util::Rng64;
 
@@ -157,4 +159,63 @@ fn waits_are_respected() {
             }
         }
     }
+}
+
+/// Everything but the spans: makespan, event times, fault summary, record
+/// count and profiling overhead, floats as bits.
+fn timing_bits(r: &RunResult) -> (u64, Vec<(EventId, u64)>, FaultSummary, usize, u64) {
+    (
+        r.total_ns.to_bits(),
+        r.event_ns.iter().map(|(&e, t)| (e, t.to_bits())).collect(),
+        r.faults,
+        r.num_records,
+        r.profiling_overhead_ns.to_bits(),
+    )
+}
+
+/// A span-free run times everything a span-recording run does, bit for
+/// bit, clean and under chaos faults; its full-run memo replays the same
+/// bits (memo replay = cold run); and a span-recording run refuses to
+/// resume from it rather than return a result without spans.
+#[test]
+fn span_free_runs_time_and_memoize_like_span_recording_runs() {
+    let mut rng = Rng64::new(0x5fa9);
+    let dev = DeviceSpec::p100();
+    let mut faulted = 0;
+    for case in 0..48u64 {
+        let (streams, moves) = draw_case(&mut rng, 1, 1);
+        let mut sched = random_schedule(streams, &moves);
+        sched.mark_boundary();
+        let full = sched.cmds().len();
+        for plan in [FaultPlan::none(), FaultPlan::chaos(case)] {
+            let engine = || Engine::with_faults(&dev, ClockMode::Fixed, plan, case);
+            let spans = engine().run(&sched).expect("runs");
+            assert_eq!(spans.spans.len(), sched.num_launches());
+            let want = timing_bits(&spans);
+            faulted += usize::from(spans.faults.any());
+
+            let (free, memo) = engine()
+                .without_spans()
+                .run_incremental(&sched, None, &[full])
+                .expect("runs");
+            assert!(free.spans.is_empty(), "case {case}: a span-free run records no span");
+            assert_eq!(timing_bits(&free), want, "case {case}: span-free run diverged");
+
+            let mut memos = vec![memo[0].clone()];
+            // Clean memos also survive the persistable form.
+            memos.extend(memo[0].export_memo().map(EngineCheckpoint::from_memo));
+            assert_eq!(memos.len(), 1 + usize::from(plan.is_none()));
+            for ck in &memos {
+                let (replayed, again) = engine()
+                    .without_spans()
+                    .run_incremental(&sched, Some(ck), &[full])
+                    .expect("memo replays");
+                assert!(again.is_empty() && replayed.spans.is_empty());
+                assert_eq!(timing_bits(&replayed), want, "case {case}: memo replay diverged");
+                let err = engine().run_incremental(&sched, Some(ck), &[]).unwrap_err();
+                assert!(matches!(err, GpuError::InvalidSchedule(_)), "case {case}: {err:?}");
+            }
+        }
+    }
+    assert!(faulted > 0, "chaos must inject faults in some case");
 }

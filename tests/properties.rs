@@ -481,7 +481,6 @@ fn check_emission(
 ) {
     let single = !sched.is_multi_device();
     let tags = sched.tags();
-    let labels = sched.span_labels();
     let launches_per_replica = |i: usize| 1 + usize::from(units[i].pre_copy_bytes > 0.0);
     let mut launches = vec![0usize; units.len()];
     // A unit records its completion event right after its kernel launch.
@@ -490,7 +489,7 @@ fn check_emission(
         match cmd {
             Cmd::Launch { stream, kernel, waits, label } => {
                 let expect = label.clone().unwrap_or_else(|| kernel.label());
-                assert_eq!(labels[j].as_deref(), Some(expect.as_str()), "{what}: cmd {j} label");
+                assert_eq!(sched.span_label(j), Some(expect), "{what}: cmd {j} label");
                 let Some(i) = tags[j].map(|t| t as usize) else {
                     panic!("{what}: launch {j} has no unit tag");
                 };
@@ -521,7 +520,7 @@ fn check_emission(
             Cmd::Record { event, .. } if single => {
                 let i = tags[j - 1].expect("records follow a tagged launch") as usize;
                 done[i] = Some(*event);
-                assert!(labels[j].is_none());
+                assert_eq!(sched.span_label(j), None, "{what}: records carry no label");
             }
             _ => assert!(tags[j].is_none(), "{what}: cmd {j} is not a launch but is tagged"),
         }
