@@ -590,11 +590,10 @@ impl Phase for StreamPhase {
             let Some(start_ev) = probes.se_starts.get(&pos.0) else {
                 continue;
             };
-            let Some(&start) = r.event_ns.get(start_ev) else {
+            let Some(start) = r.event_ns.get(*start_ev) else {
                 continue;
             };
-            let end =
-                ends.iter().filter_map(|e| r.event_ns.get(e).copied()).fold(f64::NAN, f64::max);
+            let end = ends.iter().filter_map(|&e| r.event_ns.get(e)).fold(f64::NAN, f64::max);
             if end.is_finite() {
                 m.push((v, (end - start).max(0.0)));
             }

@@ -28,7 +28,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
-use astra_gpu::{ClockMode, EngineCheckpoint, EventId, FaultSummary, MemoParts, RunResult};
+use astra_gpu::{
+    ClockMode, EngineCheckpoint, EventId, EventTimes, FaultSummary, MemoParts, RunResult,
+};
 use astra_predict::CostModelState;
 use astra_store::{
     MemoKey, MemoRec, PredictorRec, ProfileStatsRec, QuarantineRec,
@@ -116,28 +118,25 @@ fn key_from_parts(contexts: Vec<String>, entity: String, choice: u64) -> Option<
 }
 
 /// Converts a full-run engine memo into its persisted record. Memos are
-/// span-free, so the record's label and span tables are written empty.
+/// span-free, so the record's label and span tables are written empty, and
+/// they carry one event table, `event_ns`, so `events` is written empty too.
+/// Barrier ids are written out in full (`0..n`, each expecting every
+/// stream), as the record format has always carried them.
 fn memo_record(key: &SimKey, parts: &MemoParts) -> Record {
+    let barriers = parts.barrier_arrivals.len() as u64;
     Record::Memo(Box::new(MemoRec {
         key: memo_key(key),
         cmd_idx: parts.cmd_idx as u64,
         num_streams: parts.num_streams as u64,
         cpu_ns: parts.cpu_ns,
-        barrier_seq: parts.barrier_seq as u64,
+        barrier_seq: barriers,
         now: parts.now,
-        events: parts.events.iter().map(|&(EventId(e), t)| (e, t)).collect(),
-        barrier_arrivals: parts
-            .barrier_arrivals
-            .iter()
-            .map(|(id, arr)| {
-                (*id as u64, arr.iter().map(|&(s, t)| (s as u64, t)).collect())
-            })
+        events: Vec::new(),
+        barrier_arrivals: (0..)
+            .zip(&parts.barrier_arrivals)
+            .map(|(id, arr)| (id, arr.iter().map(|&(s, t)| (s as u64, t)).collect()))
             .collect(),
-        barrier_expect: parts
-            .barrier_expect
-            .iter()
-            .map(|&(id, n)| (id as u64, n as u64))
-            .collect(),
+        barrier_expect: (0..barriers).map(|id| (id, parts.num_streams as u64)).collect(),
         ar_arrivals: parts
             .ar_arrivals
             .iter()
@@ -152,7 +151,7 @@ fn memo_record(key: &SimKey, parts: &MemoParts) -> Record {
         rates_dirty: parts.rates_dirty,
         clock_rng_state: parts.clock_rng_state,
         total_ns: parts.result.total_ns,
-        event_ns: parts.result.event_ns.iter().map(|(&EventId(e), &t)| (e, t)).collect(),
+        event_ns: parts.result.event_ns.iter().map(|(EventId(e), t)| (e, t)).collect(),
         num_launches: parts.result.num_launches as u64,
         num_records: parts.result.num_records as u64,
         profiling_overhead_ns: parts.result.profiling_overhead_ns,
@@ -167,11 +166,26 @@ fn memo_record(key: &SimKey, parts: &MemoParts) -> Record {
     }))
 }
 
+/// Whether the ids of `entries` are exactly `0..entries.len()`, in order.
+fn ids_are_dense<I: Copy + Into<u64>, T>(entries: &[(I, T)]) -> bool {
+    entries.iter().map(|(id, _)| (*id).into()).eq(0..entries.len() as u64)
+}
+
 /// Rebuilds a cache-ready, span-free checkpoint from a persisted memo. The
 /// record's label and span tables are ignored: stores written before memos
 /// went span-free still carry them, and nothing reads them. `None` means
-/// the record is domain-invalid (unknown clock tag, counts that don't fit)
-/// — the caller drops it, degrading that key to a cold start.
+/// the record is domain-invalid — the caller drops it, degrading that key
+/// to a cold start. Besides an unknown clock tag or counts that don't fit,
+/// that covers every table the record's own ids would size:
+///
+/// * `event_ns` must hold ids exactly `0..n` with `n = num_records` and
+///   finite times, since a clean finished run fires every event it
+///   records. The engine's table is sized from that length, never from an
+///   id.
+/// * `events`, the second copy stores written before memos carried one
+///   event table hold, must be empty or equal `event_ns` bit for bit.
+/// * Barrier ids in `barrier_arrivals` and `barrier_expect` must be
+///   exactly `0..barrier_seq`, each barrier expecting every stream.
 fn memo_from_record(rec: &MemoRec) -> Option<(SimKey, EngineCheckpoint)> {
     let clock = clock_from_parts(rec.key.clock_tag, rec.key.clock_seed)?;
     let key = SimKey {
@@ -181,17 +195,26 @@ fn memo_from_record(rec: &MemoRec) -> Option<(SimKey, EngineCheckpoint)> {
         fault: rec.key.fault_fp,
         salt: rec.key.salt,
     };
+    let bits = |t: &[(u32, f64)]| t.iter().map(|&(e, t)| (e, t.to_bits())).collect::<Vec<_>>();
+    let events_ok = ids_are_dense(&rec.event_ns)
+        && rec.event_ns.len() as u64 == rec.num_records
+        && (rec.events.is_empty() || bits(&rec.events) == bits(&rec.event_ns));
+    let barriers_ok = ids_are_dense(&rec.barrier_arrivals)
+        && ids_are_dense(&rec.barrier_expect)
+        && rec.barrier_expect.len() == rec.barrier_arrivals.len()
+        && rec.barrier_arrivals.len() as u64 == rec.barrier_seq
+        && rec.barrier_expect.iter().all(|&(_, n)| n == rec.num_streams);
+    if !events_ok || !barriers_ok {
+        return None;
+    }
+    let event_ns = EventTimes::from_fired(rec.event_ns.iter().map(|&(_, t)| t).collect())?;
     let mut barrier_arrivals = Vec::with_capacity(rec.barrier_arrivals.len());
-    for (id, arr) in &rec.barrier_arrivals {
+    for (_, arr) in &rec.barrier_arrivals {
         let mut out = Vec::with_capacity(arr.len());
         for &(s, t) in arr {
             out.push((usize::try_from(s).ok()?, t));
         }
-        barrier_arrivals.push((usize::try_from(*id).ok()?, out));
-    }
-    let mut barrier_expect = Vec::with_capacity(rec.barrier_expect.len());
-    for &(id, n) in &rec.barrier_expect {
-        barrier_expect.push((usize::try_from(id).ok()?, usize::try_from(n).ok()?));
+        barrier_arrivals.push(out);
     }
     let mut ar_arrivals = Vec::with_capacity(rec.ar_arrivals.len());
     for (id, arr) in &rec.ar_arrivals {
@@ -203,7 +226,7 @@ fn memo_from_record(rec: &MemoRec) -> Option<(SimKey, EngineCheckpoint)> {
     }
     let result = RunResult {
         total_ns: rec.total_ns,
-        event_ns: rec.event_ns.iter().map(|&(e, t)| (EventId(e), t)).collect(),
+        event_ns,
         spans: Vec::new(),
         num_launches: usize::try_from(rec.num_launches).ok()?,
         num_records: usize::try_from(rec.num_records).ok()?,
@@ -220,11 +243,8 @@ fn memo_from_record(rec: &MemoRec) -> Option<(SimKey, EngineCheckpoint)> {
         prefix_hash: rec.key.prefix_hash,
         num_streams: usize::try_from(rec.num_streams).ok()?,
         cpu_ns: rec.cpu_ns,
-        barrier_seq: usize::try_from(rec.barrier_seq).ok()?,
         now: rec.now,
-        events: rec.events.iter().map(|&(e, t)| (EventId(e), t)).collect(),
         barrier_arrivals,
-        barrier_expect,
         ar_arrivals,
         rates: rec.rates.clone(),
         rates_dirty: rec.rates_dirty,
@@ -390,10 +410,12 @@ impl DriverStore {
                 let Some((key, ck)) = memo_from_record(&r) else {
                     return false;
                 };
-                // Keep the record span-free, as this build writes it, so
-                // compaction rewrites older stores without their spans.
+                // Keep the record span-free and single-table, as this build
+                // writes it, so compaction rewrites older stores without
+                // their spans or second event table.
                 r.labels = Vec::new();
                 r.spans = Vec::new();
+                r.events = Vec::new();
                 self.memos.insert(r.key.clone(), Record::Memo(r));
                 if let Some(warm) = warm {
                     warm.memos.push((key, Arc::new(ck)));
@@ -591,6 +613,8 @@ mod tests {
             KernelDesc::Gemm { shape: g, lib: GemmLibrary::OaiWide },
             vec![ev],
         );
+        sched.barrier();
+        sched.record(StreamId(1));
         sched.mark_boundary();
         sched
     }
@@ -629,7 +653,11 @@ mod tests {
                 "memoized result survives the record form bit-exactly"
             );
             assert!(parts2.result.spans.is_empty(), "memos carry no spans");
-            assert_eq!(parts.events, parts2.events);
+            assert!(mrec.events.is_empty(), "memos carry one event table");
+            assert_eq!(mrec.event_ns.iter().map(|&(e, _)| e).collect::<Vec<_>>(), [0, 1]);
+            assert_eq!((mrec.barrier_seq, mrec.barrier_expect.as_slice()), (1, &[(0, 2)][..]));
+            assert_eq!(parts.result.event_ns, parts2.result.event_ns);
+            assert_eq!(parts.barrier_arrivals, parts2.barrier_arrivals);
             assert_eq!(parts.clock_rng_state, parts2.clock_rng_state);
             // Encoding the rebuilt memo reproduces the identical record.
             assert_eq!(memo_record(&key2, &parts2), rec);
@@ -647,16 +675,40 @@ mod tests {
             salt: 0,
         };
         let parts = ck.export_memo().unwrap();
-        let Record::Memo(mut rec) = memo_record(&key, &parts) else { panic!() };
-        rec.key.clock_tag = 7;
-        assert!(memo_from_record(&rec).is_none(), "unknown clock tag");
+        let Record::Memo(rec) = memo_record(&key, &parts) else { panic!() };
+        assert!(memo_from_record(&rec).is_some(), "the untouched record loads");
+        let broken = |what: &str, edit: &dyn Fn(&mut MemoRec)| {
+            let mut bad = rec.clone();
+            edit(&mut bad);
+            assert!(memo_from_record(&bad).is_none(), "{what}");
+        };
+        broken("unknown clock tag", &|r| r.key.clock_tag = 7);
+        // Event ids must be exactly 0..num_records: none of these may
+        // panic or size a table from the id it carries.
+        broken("event id u32::MAX", &|r| r.event_ns[1].0 = u32::MAX);
+        broken("event id gap", &|r| r.event_ns[1].0 = 2);
+        broken("duplicate event id", &|r| r.event_ns[1].0 = 0);
+        broken("lone event id u32::MAX", &|r| {
+            r.event_ns = vec![(u32::MAX, 1.0)];
+            r.num_records = 1;
+        });
+        broken("an event never fired", &|r| r.num_records += 1);
+        broken("a non-finite fire time", &|r| r.event_ns[0].1 = f64::NAN);
+        broken("two event tables that differ", &|r| {
+            r.events = r.event_ns.clone();
+            r.events[0].1 += 1.0;
+        });
+        broken("barrier id u32::MAX", &|r| r.barrier_arrivals[0].0 = u64::from(u32::MAX));
+        broken("barrier count mismatch", &|r| r.barrier_seq = 2);
+        broken("barrier expecting a stream subset", &|r| r.barrier_expect[0].1 = 1);
     }
 
     #[test]
     fn memo_records_with_spans_load_span_free() {
         // A memo record as stores written before memos went span-free
         // hold it: the run's span labels and one span per kernel, one of
-        // them with a label index nothing resolves.
+        // them with a label index nothing resolves, and the event table
+        // twice, in `events` and `event_ns`.
         let dev = DeviceSpec::v100();
         let sched = two_stream_schedule();
         let full = sched.cmds().len();
@@ -686,16 +738,27 @@ mod tests {
             })
             .collect();
         rec.spans[1].label = 99;
+        rec.events = rec.event_ns.clone();
+        // The same record under another key, its two event tables apart.
+        let mut split = rec.clone();
+        split.key.device = 4;
+        split.events[1].1 += 0.5;
 
         let dir = scratch_dir("spans");
         let opts = StoreOptions::default();
         {
             let (mut store, _) = Store::open(&dir, &opts).unwrap();
             store.append(&Record::Memo(rec)).unwrap();
+            store.append(&Record::Memo(split)).unwrap();
             store.sync().unwrap();
         }
         let (mut ds, warm) = DriverStore::open(&dir, &opts).unwrap();
-        assert_eq!((warm.loaded_records, warm.corrupt_records), (1, 0), "the record decodes");
+        assert_eq!(
+            (warm.loaded_records, warm.corrupt_records),
+            (1, 1),
+            "the two-table record loads; the one whose tables differ is dropped"
+        );
+        assert_eq!(warm.memos.len(), 1);
         let (wkey, memo) = &warm.memos[0];
         assert_eq!(wkey, &key);
         assert_eq!(memo.span_count(), 0, "no span reaches the cache");
@@ -704,15 +767,20 @@ mod tests {
             Engine::new(&dev).without_spans().run_incremental(&sched, Some(memo), &[]).unwrap();
         assert_eq!(replayed.total_ns.to_bits(), cold.total_ns.to_bits());
         let bits = |r: &RunResult| -> Vec<(EventId, u64)> {
-            r.event_ns.iter().map(|(&e, t)| (e, t.to_bits())).collect()
+            r.event_ns.iter().map(|(e, t)| (e, t.to_bits())).collect()
         };
         assert_eq!(bits(&replayed), bits(&cold));
         assert!(replayed.spans.is_empty());
-        let span_free =
-            |r: &Record| matches!(r, Record::Memo(m) if m.labels.is_empty() && m.spans.is_empty());
-        assert!(ds.memos.values().all(span_free), "the record kept for compaction is span-free");
+        let span_free = |r: &Record| {
+            matches!(r, Record::Memo(m)
+                if m.labels.is_empty() && m.spans.is_empty() && m.events.is_empty())
+        };
+        assert!(
+            ds.memos.values().all(span_free),
+            "the record kept for compaction is span-free and single-table"
+        );
 
-        // Compaction rewrites the store span-free.
+        // Compaction rewrites the store span-free and single-table.
         ds.compact();
         drop(ds);
         let (_, records) = Store::open(&dir, &opts).unwrap();

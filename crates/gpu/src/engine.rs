@@ -23,7 +23,7 @@
 //! The hot path is allocation-free per command: queue items borrow their
 //! wait lists from the schedule, execution rates are cached and recomputed
 //! only when the set of running kernels changes, and the span and queue
-//! buffers are pre-sized from the schedule's counters.
+//! buffers and the event table are pre-sized from the schedule's counters.
 //!
 //! # Span-free runs
 //!
@@ -45,7 +45,7 @@
 //! sequence of floating-point operations and RNG draws — clock jitter and
 //! fault draws included — is exactly the one a cold run performs.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use crate::clock::{Clock, ClockMode};
 use crate::device::DeviceSpec;
 use crate::error::GpuError;
@@ -87,8 +87,10 @@ pub struct KernelSpan {
 pub struct RunResult {
     /// Wall-clock makespan: all commands issued and the device idle.
     pub total_ns: f64,
-    /// Fire time of each recorded event.
-    pub event_ns: BTreeMap<EventId, f64>,
+    /// Fire time of each recorded event, indexed by event id. The engine's
+    /// own event table: it resolves the run's waits and is returned as is.
+    /// A finished run fires every event the schedule records.
+    pub event_ns: EventTimes,
     /// Per-kernel spans, in completion order. Empty for a run made
     /// [`Engine::without_spans`].
     pub spans: Vec<KernelSpan>,
@@ -122,7 +124,7 @@ impl RunResult {
     /// Returns `None` if either event is unknown; the result is negative if
     /// `end` fired before `start` (callers decide how to treat that).
     pub fn elapsed(&self, start: EventId, end: EventId) -> Option<f64> {
-        Some(self.event_ns.get(&end)? - self.event_ns.get(&start)?)
+        Some(self.event_ns.get(end)? - self.event_ns.get(start)?)
     }
 
     /// Per-device compute utilization: the fraction of the makespan during
@@ -166,6 +168,84 @@ impl RunResult {
                 (busy / self.total_ns).min(1.0)
             })
             .collect()
+    }
+}
+
+/// Fire times of a run's events, one slot per event id.
+///
+/// [`Schedule::record`] numbers events `0..n`, so a run sizes one table
+/// from [`Schedule::num_events`] and fires into it; the same table
+/// resolves waits, comes back as [`RunResult::event_ns`] and rides in
+/// every checkpoint and memo. A slot reads NaN until its event fires.
+/// Fire times are simulation timestamps, which are always finite (the
+/// device clock starts at zero and only advances to finite candidate
+/// times), so NaN can never be a fire time, and every comparison with an
+/// unfired slot is false. An id past the end of the table — a wait on an
+/// event the schedule never records — reads as not fired.
+#[derive(Debug, Clone, Default)]
+pub struct EventTimes(Vec<f64>);
+
+impl EventTimes {
+    /// A table of `n` events, none fired.
+    fn unfired(n: usize) -> EventTimes {
+        EventTimes(vec![f64::NAN; n])
+    }
+
+    /// A table in which event `i` fired at `times[i]`, for every `i`.
+    /// `None` if any time is not finite: no run fires at such a time.
+    pub fn from_fired(times: Vec<f64>) -> Option<EventTimes> {
+        times.iter().all(|t| t.is_finite()).then_some(EventTimes(times))
+    }
+
+    /// When `event` fired, or `None` if it has not (or is not in the table).
+    pub fn get(&self, event: EventId) -> Option<f64> {
+        self.0.get(event.0 as usize).copied().filter(|t| !t.is_nan())
+    }
+
+    /// Whether `event` fired at or before `t`.
+    fn fired_by(&self, event: EventId, t: f64) -> bool {
+        // An unfired slot is NaN, and NaN <= t is false.
+        self.0.get(event.0 as usize).is_some_and(|&f| f <= t)
+    }
+
+    /// Fired events and their times, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (EventId, f64)> + '_ {
+        (0u32..)
+            .zip(&self.0)
+            .filter(|(_, t)| !t.is_nan())
+            .map(|(e, &t)| (EventId(e), t))
+    }
+
+    /// Number of event ids the table covers, fired or not: the recorded
+    /// events of the schedule it was sized for.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the table covers no event id.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Fires `event` at `t`. Every recorded id has a slot: the table is
+    /// sized from the schedule that numbered the events.
+    fn fire(&mut self, event: EventId, t: f64) {
+        self.0[event.0 as usize] = t;
+    }
+
+    /// Re-sizes the table for a schedule with `n` recorded events. Events
+    /// past `n` are dropped and new ones start unfired.
+    fn resize(&mut self, n: usize) {
+        self.0.resize(n, f64::NAN);
+    }
+}
+
+/// Tables are equal when they cover the same ids and agree on which fired
+/// and when.
+impl PartialEq for EventTimes {
+    fn eq(&self, other: &EventTimes) -> bool {
+        self.0.len() == other.0.len()
+            && self.0.iter().zip(&other.0).all(|(a, b)| a == b || (a.is_nan() && b.is_nan()))
     }
 }
 
@@ -249,10 +329,10 @@ struct StreamCkpt {
 /// A snapshot of the engine mid-run, captured at a schedule boundary.
 ///
 /// Checkpoints own everything they need — per-stream queues and in-flight
-/// items (by command index, re-borrowed from the resuming schedule), the
-/// event table, barrier bookkeeping, cached execution rates, the dispatch
-/// clock (`cpu_ns`), the jitter clock, the fault injector, and the partial
-/// [`RunResult`] (spans completed so far, fault counts, event times).
+/// items (by command index, re-borrowed from the resuming schedule), barrier
+/// arrivals, cached execution rates, the dispatch clock (`cpu_ns`), the
+/// jitter clock, the fault injector, and the partial [`RunResult`] (spans
+/// completed so far, fault counts, and the run's one event table).
 ///
 /// A checkpoint remembers whether its run recorded spans. A span-free run
 /// may resume from either kind (it simply drops the spans), but a
@@ -271,11 +351,8 @@ pub struct EngineCheckpoint {
     prefix_hash: u64,
     num_streams: usize,
     cpu_ns: f64,
-    barrier_seq: usize,
     now: f64,
-    events: Vec<(EventId, f64)>,
-    barrier_arrivals: Vec<(usize, Vec<(usize, f64)>)>,
-    barrier_expect: Vec<(usize, usize)>,
+    barrier_arrivals: Vec<Vec<(usize, f64)>>,
     ar_arrivals: Vec<(u32, Vec<ArArrival>)>,
     streams: Vec<StreamCkpt>,
     rates: Vec<f64>,
@@ -346,11 +423,8 @@ impl EngineCheckpoint {
             prefix_hash: self.prefix_hash,
             num_streams: self.num_streams,
             cpu_ns: self.cpu_ns,
-            barrier_seq: self.barrier_seq,
             now: self.now,
-            events: self.events.clone(),
             barrier_arrivals: self.barrier_arrivals.clone(),
-            barrier_expect: self.barrier_expect.clone(),
             ar_arrivals: self.ar_arrivals.clone(),
             rates: self.rates.clone(),
             rates_dirty: self.rates_dirty,
@@ -379,11 +453,8 @@ impl EngineCheckpoint {
             prefix_hash: parts.prefix_hash,
             num_streams: parts.num_streams,
             cpu_ns: parts.cpu_ns,
-            barrier_seq: parts.barrier_seq,
             now: parts.now,
-            events: parts.events,
             barrier_arrivals: parts.barrier_arrivals,
-            barrier_expect: parts.barrier_expect,
             ar_arrivals: parts.ar_arrivals,
             streams: (0..parts.num_streams)
                 .map(|_| StreamCkpt { queue: Vec::new(), active: None })
@@ -414,17 +485,14 @@ pub struct MemoParts {
     pub num_streams: usize,
     /// Dispatcher clock at capture time.
     pub cpu_ns: f64,
-    /// Barriers dispatched so far.
-    pub barrier_seq: usize,
     /// Device clock at capture time.
     pub now: f64,
-    /// Fired events, key-sorted.
-    pub events: Vec<(EventId, f64)>,
-    /// Barrier rendezvous arrivals, id-sorted (drained barriers included —
-    /// the engine never prunes them, and a faithful memo doesn't either).
-    pub barrier_arrivals: Vec<(usize, Vec<(usize, f64)>)>,
-    /// Expected arrival count per barrier, id-sorted.
-    pub barrier_expect: Vec<(usize, usize)>,
+    /// Arrivals (stream, time) at each barrier dispatched so far, indexed
+    /// by barrier id: barriers are numbered in dispatch order, so the
+    /// length is the barrier count. Drained barriers are included — the
+    /// engine never prunes them, and a faithful memo doesn't either. Every
+    /// stream arrives at a barrier, and it releases once all have.
+    pub barrier_arrivals: Vec<Vec<(usize, f64)>>,
     /// All-reduce rendezvous arrivals ([`ArArrival`]), group-sorted.
     pub ar_arrivals: Vec<(u32, Vec<ArArrival>)>,
     /// Cached per-stream execution rates.
@@ -435,7 +503,8 @@ pub struct MemoParts {
     pub clock_mode: ClockMode,
     /// Jitter RNG position at capture, `None` under a fixed clock.
     pub clock_rng_state: Option<u64>,
-    /// The complete run result, without spans.
+    /// The complete run result, without spans. Its `event_ns` is the
+    /// engine's event table; a memo carries no other copy.
     pub result: RunResult,
 }
 
@@ -625,18 +694,15 @@ impl<'a> Engine<'a> {
         }
         let mut sim;
         let mut cpu_ns;
-        let mut barrier_seq;
         match resume {
             Some(ck) => {
                 sim = Sim::restore(dev, topo, schedule, &mut self.clock, ck, self.spans);
                 cpu_ns = ck.cpu_ns;
-                barrier_seq = ck.barrier_seq;
             }
             None => {
                 let chaos = Chaos::for_run(&self.faults, self.fault_salt, schedule.num_streams());
                 sim = Sim::new(dev, topo, schedule, &mut self.clock, chaos, self.spans);
                 cpu_ns = 0.0_f64;
-                barrier_seq = 0_usize;
                 if self.faults.alloc_event(self.fault_salt).is_some() {
                     // The arena grant transiently failed: the runtime stalls
                     // retrying the allocation before any dispatch happens.
@@ -657,7 +723,7 @@ impl<'a> Engine<'a> {
         for (idx, cmd) in cmds.iter().enumerate().skip(start_idx) {
             while cap_j < caps.len() && caps[cap_j].0 == idx {
                 sim.advance_prefix();
-                captured.push(sim.checkpoint(idx, caps[cap_j].1, cpu_ns, barrier_seq));
+                captured.push(sim.checkpoint(idx, caps[cap_j].1, cpu_ns));
                 cap_j += 1;
             }
             match cmd {
@@ -712,8 +778,9 @@ impl<'a> Engine<'a> {
                 }
                 Cmd::Barrier => {
                     cpu_ns += dev.dispatch_cost_ns;
-                    let id = barrier_seq;
-                    barrier_seq += 1;
+                    // Barriers are numbered in dispatch order.
+                    let id = sim.barrier_arrivals.len();
+                    sim.barrier_arrivals.push(Vec::with_capacity(sim.num_streams));
                     for s in &mut sim.streams {
                         s.queue.push_back(Item {
                             kind: ItemKind::Barrier { id },
@@ -721,7 +788,6 @@ impl<'a> Engine<'a> {
                             waits: &[],
                         });
                     }
-                    sim.barrier_expect.insert(id, sim.num_streams);
                 }
                 Cmd::HostSync => {
                     let idle = sim.drain()?;
@@ -736,7 +802,7 @@ impl<'a> Engine<'a> {
             sim.result.num_records as f64 * dev.event_record_cost_ns;
         // A boundary at the end of the command list memoizes the whole run.
         while cap_j < caps.len() {
-            captured.push(sim.checkpoint(cmds.len(), caps[cap_j].1, cpu_ns, barrier_seq));
+            captured.push(sim.checkpoint(cmds.len(), caps[cap_j].1, cpu_ns));
             cap_j += 1;
         }
         Ok((sim.result, captured))
@@ -791,9 +857,9 @@ struct Sim<'s, 'd, 'c> {
     /// Whether completed kernels append a span to `result.spans`.
     record_spans: bool,
     now: f64,
-    events: HashMap<EventId, f64>,
-    barrier_arrivals: HashMap<usize, Vec<(usize, f64)>>,
-    barrier_expect: HashMap<usize, usize>,
+    /// Arrivals (stream, time) at each dispatched barrier, indexed by
+    /// barrier id. A barrier releases once every stream has arrived.
+    barrier_arrivals: Vec<Vec<(usize, f64)>>,
     /// All-reduce rendezvous arrivals: stream, arrival time, payload bytes,
     /// originating command.
     ar_arrivals: HashMap<u32, Vec<ArArrival>>,
@@ -805,7 +871,8 @@ struct Sim<'s, 'd, 'c> {
     /// Set whenever the set of work-phase kernels changes (a kernel enters
     /// the work phase or completes); cleared by [`Sim::ensure_rates`].
     rates_dirty: bool,
-    /// The run so far; completed spans accumulate in `result.spans`.
+    /// The run so far: completed spans accumulate in `result.spans`, and
+    /// `result.event_ns` is the event table waits resolve against.
     result: RunResult,
 }
 
@@ -819,7 +886,10 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
         record_spans: bool,
     ) -> Self {
         let num_streams = schedule.num_streams();
-        let mut result = RunResult::default();
+        let mut result = RunResult {
+            event_ns: EventTimes::unfired(schedule.num_events()),
+            ..RunResult::default()
+        };
         result.faults.straggler_streams = chaos.as_ref().map_or(0, |c| c.straggler_count);
         if record_spans {
             result.spans.reserve_exact(schedule.num_launches());
@@ -840,9 +910,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             schedule,
             record_spans,
             now: 0.0,
-            events: HashMap::new(),
-            barrier_arrivals: HashMap::new(),
-            barrier_expect: HashMap::new(),
+            barrier_arrivals: Vec::new(),
             ar_arrivals: HashMap::new(),
             ar_expect: schedule.allreduce_groups().iter().copied().collect(),
             rates: vec![1.0; num_streams],
@@ -853,9 +921,11 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
 
     /// Rebuilds the simulation exactly as it was when `ck` was captured,
     /// re-borrowing wait lists from `schedule` (sound: the matching boundary
-    /// hash guarantees the command prefix is identical). A span-free resume
-    /// drops the checkpoint's spans; a span-recording resume needs a
-    /// span-recording checkpoint (checked by the caller).
+    /// hash guarantees the command prefix is identical). The event table is
+    /// re-sized for `schedule`: the shared prefix numbers the same events,
+    /// and only those can have fired. A span-free resume drops the
+    /// checkpoint's spans; a span-recording resume needs a span-recording
+    /// checkpoint (checked by the caller).
     fn restore(
         dev: &'d DeviceSpec,
         topo: Option<&'d Topology>,
@@ -889,6 +959,8 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                 StreamState { queue, active: st.active.clone() }
             })
             .collect();
+        let mut result = ck.result_so_far(record_spans);
+        result.event_ns.resize(schedule.num_events());
         Sim {
             dev,
             topo,
@@ -901,40 +973,20 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             schedule,
             record_spans,
             now: ck.now,
-            events: ck.events.iter().copied().collect(),
-            barrier_arrivals: ck.barrier_arrivals.iter().cloned().collect(),
-            barrier_expect: ck.barrier_expect.iter().copied().collect(),
+            barrier_arrivals: ck.barrier_arrivals.clone(),
             ar_arrivals: ck.ar_arrivals.iter().cloned().collect(),
             ar_expect: schedule.allreduce_groups().iter().copied().collect(),
             rates: ck.rates.clone(),
             rates_dirty: ck.rates_dirty,
-            result: ck.result_so_far(record_spans),
+            result,
         }
     }
 
-    /// Snapshots the full simulation state (plus the dispatcher's `cpu_ns`
-    /// and barrier counter) into an owned checkpoint. Hash maps are stored
-    /// as key-sorted vectors so the snapshot is deterministic. A
-    /// span-recording run's checkpoint clones the spans completed so far.
-    fn checkpoint(
-        &self,
-        cmd_idx: usize,
-        prefix_hash: u64,
-        cpu_ns: f64,
-        barrier_seq: usize,
-    ) -> EngineCheckpoint {
-        let mut events: Vec<(EventId, f64)> =
-            self.events.iter().map(|(&e, &t)| (e, t)).collect();
-        events.sort_unstable_by_key(|&(e, _)| e);
-        let mut barrier_arrivals: Vec<(usize, Vec<(usize, f64)>)> = self
-            .barrier_arrivals
-            .iter()
-            .map(|(&id, v)| (id, v.clone()))
-            .collect();
-        barrier_arrivals.sort_unstable_by_key(|&(id, _)| id);
-        let mut barrier_expect: Vec<(usize, usize)> =
-            self.barrier_expect.iter().map(|(&id, &n)| (id, n)).collect();
-        barrier_expect.sort_unstable_by_key(|&(id, _)| id);
+    /// Snapshots the full simulation state (plus the dispatcher's `cpu_ns`)
+    /// into an owned checkpoint. The all-reduce map is stored as a
+    /// key-sorted vector so the snapshot is deterministic. A span-recording
+    /// run's checkpoint clones the spans completed so far.
+    fn checkpoint(&self, cmd_idx: usize, prefix_hash: u64, cpu_ns: f64) -> EngineCheckpoint {
         let mut ar_arrivals: Vec<(u32, Vec<ArArrival>)> =
             self.ar_arrivals.iter().map(|(&id, v)| (id, v.clone())).collect();
         ar_arrivals.sort_unstable_by_key(|&(id, _)| id);
@@ -943,11 +995,8 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             prefix_hash,
             num_streams: self.num_streams,
             cpu_ns,
-            barrier_seq,
             now: self.now,
-            events,
-            barrier_arrivals,
-            barrier_expect,
+            barrier_arrivals: self.barrier_arrivals.clone(),
             ar_arrivals,
             streams: self
                 .streams
@@ -1040,9 +1089,8 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                 if head.issue_ns > self.now + EPS {
                     continue;
                 }
-                let waits_ok = head.waits.iter().all(|e| {
-                    self.events.get(e).is_some_and(|&t| t <= self.now + EPS)
-                });
+                let fired = self.now + EPS;
+                let waits_ok = head.waits.iter().all(|&e| self.result.event_ns.fired_by(e, fired));
                 if !waits_ok {
                     continue;
                 }
@@ -1085,7 +1133,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                         });
                     }
                     ItemKind::Barrier { id } => {
-                        self.barrier_arrivals.entry(id).or_default().push((si, self.now));
+                        self.barrier_arrivals[id].push((si, self.now));
                         self.streams[si].active = Some(Active::AtBarrier { id });
                         self.try_release_barrier(id);
                     }
@@ -1124,9 +1172,8 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
     /// If every stream has arrived at barrier `id`, convert the arrivals into
     /// fixed items finishing at `max(arrivals) + barrier cost`.
     fn try_release_barrier(&mut self, id: usize) {
-        let expect = *self.barrier_expect.get(&id).unwrap_or(&self.num_streams);
-        let Some(arrivals) = self.barrier_arrivals.get(&id) else { return };
-        if arrivals.len() < expect {
+        let arrivals = &self.barrier_arrivals[id];
+        if arrivals.len() < self.num_streams {
             return;
         }
         let release = arrivals.iter().map(|&(_, t)| t).fold(0.0_f64, f64::max)
@@ -1288,7 +1335,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                             let waits_known = head
                                 .waits
                                 .iter()
-                                .all(|e| self.events.contains_key(e));
+                                .all(|&e| self.result.event_ns.get(e).is_some());
                             if waits_known {
                                 consider(head.issue_ns);
                             }
@@ -1350,8 +1397,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                 }
                 Active::Fixed { event, .. } => {
                     if let Some(ev) = event {
-                        self.events.insert(ev, self.now);
-                        self.result.event_ns.insert(ev, self.now);
+                        self.result.event_ns.fire(ev, self.now);
                     }
                 }
                 Active::XferLat { bytes, link, cmd_idx, start, .. } => {
@@ -1438,7 +1484,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                         let missing: Vec<String> = head
                             .waits
                             .iter()
-                            .filter(|e| !self.events.contains_key(e))
+                            .filter(|&&e| self.result.event_ns.get(e).is_none())
                             .map(|e| format!("{e:?}"))
                             .collect();
                         if !missing.is_empty() {
@@ -1572,7 +1618,7 @@ mod tests {
         let ev = s.record(StreamId(0));
         s.launch_after(StreamId(1), k, vec![ev]);
         let r = Engine::new(&dev).run(&s).unwrap();
-        let fire = r.event_ns[&ev];
+        let fire = r.event_ns.get(ev).unwrap();
         let dependent = r.spans.iter().find(|sp| sp.stream == StreamId(1)).unwrap();
         assert!(dependent.start_ns >= fire - 1.0);
     }
@@ -1580,11 +1626,40 @@ mod tests {
     #[test]
     fn waiting_on_never_recorded_event_deadlocks() {
         let dev = DeviceSpec::p100();
-        let mut s = Schedule::new(1);
-        // EventId(99) never recorded.
-        s.launch_after(StreamId(0), KernelDesc::MemCopy { bytes: 8.0 }, vec![EventId(99)]);
-        let err = Engine::new(&dev).run(&s).unwrap_err();
-        assert!(matches!(err, GpuError::Deadlock(_)));
+        // Neither id is ever recorded; u32::MAX lies far past the end of
+        // the event table and reads as not fired, like any other.
+        for never in [EventId(99), EventId(u32::MAX)] {
+            let mut s = Schedule::new(1);
+            s.record(StreamId(0));
+            s.launch_after(StreamId(0), KernelDesc::MemCopy { bytes: 8.0 }, vec![never]);
+            let err = Engine::new(&dev).run(&s).unwrap_err();
+            assert!(matches!(err, GpuError::Deadlock(_)), "{never:?}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn event_table_covers_every_recorded_id_in_order() {
+        let dev = DeviceSpec::p100();
+        let mut s = Schedule::new(2);
+        let a = s.record(StreamId(1));
+        s.launch(StreamId(0), gemm(GemmShape::new(64, 256, 256)));
+        let b = s.record(StreamId(0));
+        let c = s.record(StreamId(1));
+        assert_eq!((a, b, c), (EventId(0), EventId(1), EventId(2)));
+        assert_eq!(s.num_events(), 3);
+        let r = Engine::new(&dev).run(&s).unwrap();
+        assert_eq!(r.event_ns.len(), 3);
+        let ids: Vec<EventId> = r.event_ns.iter().map(|(e, _)| e).collect();
+        assert_eq!(ids, [a, b, c], "fired events come back in id order");
+        assert!(r.event_ns.get(b).unwrap() > r.event_ns.get(c).unwrap());
+        assert_eq!(r.event_ns.get(EventId(3)), None);
+        assert_eq!(r.event_ns.get(EventId(u32::MAX)), None);
+        assert!(EventTimes::from_fired(vec![1.0, f64::NAN]).is_none());
+        assert!(EventTimes::from_fired(vec![1.0, f64::INFINITY]).is_none());
+        assert_eq!(
+            EventTimes::from_fired(vec![0.5, 2.0]).unwrap().iter().collect::<Vec<_>>(),
+            [(EventId(0), 0.5), (EventId(1), 2.0)]
+        );
     }
 
     #[test]
@@ -1970,6 +2045,37 @@ mod tests {
                     .unwrap();
                 assert_eq!(cold, resumed, "a's prefix checkpoint must seed b bit-identically");
             }
+        }
+    }
+
+    #[test]
+    fn checkpoints_resize_the_event_table_for_the_resuming_schedule() {
+        let dev = DeviceSpec::p100();
+        // A shared prefix records one event; the suffixes record one and
+        // three more, and wait on them.
+        let build = |suffix_events: usize| {
+            let mut s = Schedule::new(2);
+            s.launch(StreamId(0), gemm(GemmShape::new(64, 256, 256)));
+            let ev = s.record(StreamId(0));
+            s.launch_after(StreamId(1), gemm(GemmShape::new(64, 256, 256)), vec![ev]);
+            s.mark_boundary();
+            for i in 0..suffix_events {
+                let ev = s.record(StreamId(i % 2));
+                s.launch_after(StreamId((i + 1) % 2), gemm(GemmShape::new(32, 256, 256)), vec![ev]);
+            }
+            s.mark_boundary();
+            s
+        };
+        let (a, b) = (build(1), build(3));
+        assert_eq!((a.num_events(), b.num_events()), (2, 4));
+        let mid = a.boundaries()[0].0;
+        assert_eq!(a.boundary_hash(mid), b.boundary_hash(mid));
+        for (from, to) in [(&a, &b), (&b, &a)] {
+            let (_, cks) = Engine::new(&dev).run_incremental(from, None, &[mid]).unwrap();
+            let cold = Engine::new(&dev).run(to).unwrap();
+            let (resumed, _) = Engine::new(&dev).run_incremental(to, Some(&cks[0]), &[]).unwrap();
+            assert_eq!(resumed.event_ns.len(), to.num_events());
+            assert_eq!(cold, resumed, "a checkpoint seeds a schedule with more or fewer events");
         }
     }
 

@@ -65,7 +65,9 @@ mod tracing;
 
 pub use clock::{Clock, ClockMode};
 pub use device::DeviceSpec;
-pub use engine::{ArArrival, Engine, EngineCheckpoint, KernelSpan, MemoParts, RunResult};
+pub use engine::{
+    ArArrival, Engine, EngineCheckpoint, EventTimes, KernelSpan, MemoParts, RunResult,
+};
 pub use error::GpuError;
 pub use fault::{
     FaultInjector, FaultPlan, FaultSummary, ALLOC_RETRY_STALL_NS, LAUNCH_RETRY_OVERHEAD_FACTOR,

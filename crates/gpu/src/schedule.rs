@@ -303,6 +303,13 @@ impl Schedule {
         self.num_launches
     }
 
+    /// Number of events recorded so far. [`Schedule::record`] numbers
+    /// events `0..n` in program order, so every [`EventId`] this schedule
+    /// hands out is below it.
+    pub fn num_events(&self) -> usize {
+        self.next_event as usize
+    }
+
     /// Per-stream count of queue items (launches, records, and barriers) —
     /// the capacity each stream's FIFO needs during execution.
     pub fn stream_cmd_counts(&self) -> &[usize] {

@@ -181,11 +181,13 @@ pub struct MemoRec {
     pub barrier_seq: u64,
     /// Device clock at capture.
     pub now: f64,
-    /// Fired events (engine event table), key-sorted.
+    /// A second copy of the fired events. The engine keeps one event
+    /// table, carried in `event_ns`, so the driver writes this empty;
+    /// records from older builds hold the same table here twice.
     pub events: Vec<(u32, f64)>,
-    /// Barrier arrivals, id-sorted.
+    /// Barrier arrivals, id-sorted (ids `0..barrier_seq`).
     pub barrier_arrivals: Vec<(u64, Vec<(u64, f64)>)>,
-    /// Expected arrivals per barrier, id-sorted.
+    /// Expected arrivals per barrier, id-sorted (ids `0..barrier_seq`).
     pub barrier_expect: Vec<(u64, u64)>,
     /// All-reduce arrivals ([`ArArrivalRec`]), group-sorted.
     pub ar_arrivals: Vec<(u32, Vec<ArArrivalRec>)>,
@@ -197,9 +199,9 @@ pub struct MemoRec {
     pub clock_rng_state: Option<u64>,
     /// Result: makespan, ns.
     pub total_ns: f64,
-    /// Result: fired events as reported to callers (kept separately from
-    /// `events` so the round trip is faithful even if the two tables ever
-    /// diverge).
+    /// Result: the run's event table, as `(event id, fire time)` in id
+    /// order. A finished run fires every event it records, so the ids are
+    /// `0..num_records`.
     pub event_ns: Vec<(u32, f64)>,
     /// Result: kernels launched.
     pub num_launches: u64,

@@ -1,8 +1,9 @@
 //! Randomized tests of the GPU engine over multi-stream schedules: no valid
 //! schedule may deadlock, the timing invariants of the CUDA-style
-//! execution model must hold, and a span-free run must time everything a
-//! span-recording run does. Schedules are drawn from a seeded in-tree PRNG
-//! so the cases are identical on every run.
+//! execution model must hold, a span-free run must time everything a
+//! span-recording run does, and no schedule — however wild its waits —
+//! may panic the engine. Schedules are drawn from a seeded in-tree PRNG so
+//! the cases are identical on every run.
 
 use astra::gpu::{
     ClockMode, Cmd, DeviceSpec, Engine, EngineCheckpoint, EventId, FaultPlan, FaultSummary,
@@ -115,7 +116,7 @@ fn makespan_and_event_monotonicity() {
             assert!(sp.end_ns <= r.total_ns + 1e-6);
             assert!(sp.start_ns <= sp.end_ns);
         }
-        for &t in r.event_ns.values() {
+        for (_, t) in r.event_ns.iter() {
             assert!(t <= r.total_ns + 1e-6);
         }
         // Events recorded on the same stream fire in program order.
@@ -127,7 +128,7 @@ fn makespan_and_event_monotonicity() {
         }
         for evs in per_stream {
             for w in evs.windows(2) {
-                let (a, b) = (r.event_ns[&w[0].1], r.event_ns[&w[1].1]);
+                let (a, b) = (r.event_ns.get(w[0].1).unwrap(), r.event_ns.get(w[1].1).unwrap());
                 assert!(a <= b + 1e-6, "event order violated: {a} then {b}");
             }
         }
@@ -148,7 +149,7 @@ fn waits_are_respected() {
             if let Cmd::Launch { waits, .. } = cmd {
                 let Some(span) = r.spans.iter().find(|sp| sp.cmd_idx == idx) else { continue };
                 for ev in waits.iter() {
-                    let fire = r.event_ns[ev];
+                    let fire = r.event_ns.get(*ev).unwrap();
                     assert!(
                         span.start_ns >= fire - 1e-6,
                         "kernel at cmd {idx} started {} before its wait fired {}",
@@ -166,7 +167,7 @@ fn waits_are_respected() {
 fn timing_bits(r: &RunResult) -> (u64, Vec<(EventId, u64)>, FaultSummary, usize, u64) {
     (
         r.total_ns.to_bits(),
-        r.event_ns.iter().map(|(&e, t)| (e, t.to_bits())).collect(),
+        r.event_ns.iter().map(|(e, t)| (e, t.to_bits())).collect(),
         r.faults,
         r.num_records,
         r.profiling_overhead_ns.to_bits(),
@@ -218,4 +219,79 @@ fn span_free_runs_time_and_memoize_like_span_recording_runs() {
         }
     }
     assert!(faulted > 0, "chaos must inject faults in some case");
+}
+
+/// Builds a schedule whose waits need not be valid: each wait names an
+/// event recorded earlier, one the schedule may still record later, or one
+/// it never records, up to `EventId(u32::MAX)`.
+fn wild_schedule(rng: &mut Rng64) -> Schedule {
+    let streams = rng.gen_range_usize(1, 3);
+    let mut sched = Schedule::new(streams);
+    for _ in 0..rng.gen_range_usize(1, 30) {
+        let stream = StreamId(rng.gen_range_usize(0, streams - 1));
+        match rng.gen_range_u32(0, 5) {
+            0 => sched.barrier(),
+            1 | 2 => {
+                sched.record(stream);
+            }
+            _ => {
+                let recorded = sched.num_events() as u32;
+                let waits = (0..rng.gen_range_usize(0, 1))
+                    .map(|_| match rng.gen_range_u32(0, 15) {
+                        0..=9 if recorded > 0 => EventId(rng.gen_range_u32(0, recorded - 1)),
+                        0..=12 => EventId(recorded + rng.gen_range_u32(0, 3)),
+                        13 => EventId(rng.gen_range_u32(64, u32::MAX)),
+                        14 => EventId(u32::MAX),
+                        _ => EventId(u32::MAX - rng.gen_range_u32(1, 3)),
+                    })
+                    .collect();
+                sched.launch_after(stream, KernelDesc::MemCopy { bytes: 4096.0 }, waits);
+            }
+        }
+    }
+    sched.mark_boundary();
+    sched
+}
+
+/// No input may panic the engine: over schedules with arbitrary waits,
+/// every run returns `Ok` or `GpuError::Deadlock`, span-free or not. On
+/// `Ok` the event table holds exactly ids `0..n`, one per record, and a
+/// span-free run and every memo replay give the same bits.
+#[test]
+fn arbitrary_waits_run_or_deadlock_and_fill_the_event_table() {
+    let mut rng = Rng64::new(0xe7e5);
+    let dev = DeviceSpec::p100();
+    let (mut ran, mut deadlocked) = (0, 0);
+    for case in 0..96u64 {
+        let sched = wild_schedule(&mut rng);
+        let full = sched.cmds().len();
+        let spans = Engine::new(&dev).run(&sched);
+        let free = Engine::new(&dev).without_spans().run_incremental(&sched, None, &[full]);
+        let (r, memo) = match (spans, free) {
+            (Ok(r), Ok((free, memo))) => {
+                assert_eq!(timing_bits(&free), timing_bits(&r), "case {case}: span-free diverged");
+                (r, memo)
+            }
+            (Err(a), Err(b)) => {
+                assert!(matches!(a, GpuError::Deadlock(_)), "case {case}: {a:?}");
+                assert!(matches!(b, GpuError::Deadlock(_)), "case {case}: {b:?}");
+                deadlocked += 1;
+                continue;
+            }
+            (a, b) => panic!("case {case}: span-free run disagrees: {a:?} vs {b:?}"),
+        };
+        ran += 1;
+        let ids: Vec<u32> = r.event_ns.iter().map(|(e, _)| e.0).collect();
+        assert_eq!(ids, (0..sched.num_events() as u32).collect::<Vec<_>>(), "case {case}");
+        assert_eq!((r.event_ns.len(), r.num_records), (sched.num_events(), sched.num_events()));
+        let from_parts = memo[0].export_memo().map(EngineCheckpoint::from_memo).expect("exports");
+        for ck in [&memo[0], &from_parts] {
+            let (replayed, _) = Engine::new(&dev)
+                .without_spans()
+                .run_incremental(&sched, Some(ck), &[])
+                .expect("memo replays");
+            assert_eq!(timing_bits(&replayed), timing_bits(&r), "case {case}: replay diverged");
+        }
+    }
+    assert!(ran > 10 && deadlocked > 10, "both outcomes drawn: {ran} ran, {deadlocked} deadlocked");
 }

@@ -56,7 +56,7 @@ fn run_fingerprint(r: &RunResult) -> u64 {
     fold(u64::from(r.faults.launch_retries));
     fold(u64::from(r.faults.alloc_retries));
     fold(u64::from(r.faults.straggler_streams));
-    for (ev, t) in &r.event_ns {
+    for (ev, t) in r.event_ns.iter() {
         fold(u64::from(ev.0));
         fold(t.to_bits());
     }
