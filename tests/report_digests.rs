@@ -16,7 +16,11 @@
 //! change to the sim cache's bookkeeping move only the last column while
 //! the plan columns stay pinned. The zoo's `all/clean` and `all/chaos7`
 //! runs also run at `workers = 4`, whose lines must equal the
-//! `workers = 1` lines. A refactor of the exploration driver either
+//! `workers = 1` lines. The two store runs (`chaos120-store-cold` and
+//! `-warm`) end with one more column, `store=<fnv(store directory bytes)>`:
+//! the store files' names and bytes in name order, which pins the order the
+//! profile stats are journaled in and the predictor snapshots' bits.
+//! A refactor of the exploration driver either
 //! leaves the checked-in file byte-identical or explains each changed
 //! line; deliberate changes regenerate it with
 //!
@@ -82,6 +86,25 @@ fn digest_line(label: &str, r: &Report) -> String {
         fields_digest(r),
         simcache_digest(r),
     )
+}
+
+/// FNV-1a hash of a store directory: each file's name and bytes, in
+/// name order.
+fn store_digest(dir: &std::path::Path) -> u64 {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("read the store directory")
+        .map(|e| e.expect("store directory entry").path())
+        .collect();
+    files.sort();
+    let mut bytes = Vec::new();
+    for f in files {
+        let name = f.file_name().expect("store file name").to_string_lossy().into_owned();
+        let data = std::fs::read(&f).expect("read a store file");
+        bytes.extend(name.as_bytes());
+        bytes.extend((data.len() as u64).to_le_bytes());
+        bytes.extend(data);
+    }
+    fnv1a64(&bytes)
 }
 
 fn opts(dims: Dims) -> AstraOptions {
@@ -184,12 +207,16 @@ fn corpus() -> Vec<String> {
         ..opts(Dims::fk())
     };
     let cold = run(&small, stored.clone());
+    let cold_store = store_digest(&dir);
     let warm = run(&small, stored);
+    let warm_store = store_digest(&dir);
     std::fs::remove_dir_all(&dir).expect("remove the temp store");
     assert!(cold.quarantined > 0 && warm.warm_start, "the store reruns must hit quarantine marks");
     assert!(warm.retries < cold.retries, "warm marks must skip the retry budget");
-    lines.push(digest_line("Scrnn/fk/chaos120-store-cold", &cold));
-    lines.push(digest_line("Scrnn/fk/chaos120-store-warm", &warm));
+    let cold_line = digest_line("Scrnn/fk/chaos120-store-cold", &cold);
+    let warm_line = digest_line("Scrnn/fk/chaos120-store-warm", &warm);
+    lines.push(format!("{cold_line} store={cold_store:016x}"));
+    lines.push(format!("{warm_line} store={warm_store:016x}"));
     lines
 }
 
