@@ -240,6 +240,23 @@ impl UpdateNode {
             }
         }
     }
+
+    /// Every variable's current choice, in depth-first (slot) order.
+    fn picks(&self) -> Vec<usize> {
+        fn visit(node: &UpdateNode, out: &mut Vec<usize>) {
+            match node {
+                UpdateNode::Var(v) => out.push(v.current),
+                UpdateNode::Group { children, .. } => {
+                    for c in children {
+                        visit(c, out);
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        visit(self, &mut out);
+        out
+    }
 }
 
 /// The update tree: drives exploration trials and records metrics.
@@ -248,7 +265,11 @@ impl UpdateNode {
 /// variable order, fixed at construction. [`UpdateTree::record_at`] and
 /// [`UpdateTree::poison_at`] address a variable by slot; the by-id forms
 /// resolve the id through an index built once, so neither walks the tree
-/// comparing names.
+/// comparing names. The exploration driver works in slots throughout:
+/// [`UpdateTree::lookahead`] and [`UpdateTree::picks`] give one choice per
+/// slot, and [`UpdateTree::advance`] steps to the next trial. The id-keyed
+/// [`UpdateTree::next_trial`] and [`UpdateTree::assignment`] build a map
+/// of every variable's id, for callers that want names.
 #[derive(Debug, Clone)]
 pub struct UpdateTree {
     root: UpdateNode,
@@ -306,62 +327,69 @@ impl UpdateTree {
         v
     }
 
-    /// The assignment (variable id → choice) for the next trial, or `None`
-    /// when the space is exhausted. The first call yields the initial
-    /// configuration; later calls advance the tree.
-    pub fn next_trial(&mut self) -> Option<BTreeMap<String, usize>> {
+    /// Steps to the next trial, or returns `false` when the space is
+    /// exhausted. The first call stays at the initial configuration; later
+    /// calls advance the tree. [`UpdateTree::picks`] reads the trial.
+    pub fn advance(&mut self) -> bool {
         if self.started {
             if !self.root.advance() {
-                return None;
+                return false;
             }
         } else {
             self.started = true;
         }
         self.trials += 1;
-        Some(self.assignment())
+        true
     }
 
-    /// Peeks at up to `max` upcoming trial assignments without consuming
-    /// them.
+    /// The assignment (variable id → choice) for the next trial, or `None`
+    /// when the space is exhausted: [`UpdateTree::advance`], then
+    /// [`UpdateTree::assignment`].
+    pub fn next_trial(&mut self) -> Option<BTreeMap<String, usize>> {
+        self.advance().then(|| self.assignment())
+    }
+
+    /// Peeks at up to `max` upcoming trials without consuming them. Each
+    /// trial is its [`UpdateTree::picks`]: one choice per slot.
     ///
     /// The batch stops early at any *metric-dependent* transition — a
     /// prefix child freezing at its best-so-far choice — because trials
     /// still in the batch may change which choice is best. (A freeze on the
     /// batch's very first advance is fine: it can only use metrics recorded
     /// before this batch.) Every other advance depends only on the tree's
-    /// shape, so replaying [`UpdateTree::next_trial`] once per returned
-    /// assignment — recording metrics between replays exactly as a
-    /// sequential driver would — reproduces this batch verbatim. That is
-    /// the contract the parallel exploration driver relies on: evaluate the
-    /// batch concurrently, then commit results in order.
+    /// shape, so calling [`UpdateTree::advance`] once per returned trial —
+    /// recording metrics between calls exactly as a sequential driver
+    /// would — reproduces this batch verbatim. That is the contract the
+    /// exploration driver relies on: it evaluates a whole batch, in any
+    /// order (simulations fan out to workers), and then commits the results
+    /// in candidate order.
     ///
-    /// A corollary the cache-aware batch runner exploits: because every
-    /// returned assignment is committed via [`UpdateTree::next_trial`] *in
-    /// candidate order* after the whole batch has run, the runner is free
-    /// to **execute** trials in any order it likes — e.g. regrouped so
-    /// candidates sharing a long schedule prefix run consecutively and
-    /// resume each other's simulator checkpoints — as long as each result
-    /// is scattered back to its original candidate index before the commit
-    /// loop. Reordering execution can never change outcomes, only cache
-    /// locality.
-    pub fn lookahead(&self, max: usize) -> Vec<BTreeMap<String, usize>> {
-        let mut peek = self.clone();
+    /// Only the root is cloned to peek; the slot index and path table stay
+    /// with `self`.
+    pub fn lookahead(&self, max: usize) -> Vec<Vec<usize>> {
+        let mut root = self.root.clone();
+        let mut started = self.started;
         let mut out = Vec::new();
         while out.len() < max {
-            if peek.started {
+            if started {
                 let mut froze = false;
-                if !peek.root.advance_tracking(&mut froze) {
+                if !root.advance_tracking(&mut froze) {
                     break;
                 }
                 if froze && !out.is_empty() {
                     break;
                 }
             } else {
-                peek.started = true;
+                started = true;
             }
-            out.push(peek.assignment());
+            out.push(root.picks());
         }
         out
+    }
+
+    /// Every variable's current choice, in slot order.
+    pub fn picks(&self) -> Vec<usize> {
+        self.root.picks()
     }
 
     /// The current assignment of every variable.
@@ -543,9 +571,9 @@ mod tests {
         let tree = UpdateTree::new(UpdateNode::group(ExploreMode::Parallel, children));
         let batch = tree.lookahead(100);
         assert_eq!(batch.len(), 6);
-        for (t, asg) in batch.iter().enumerate() {
+        for (t, picks) in batch.iter().enumerate() {
             for i in 0..5 {
-                assert_eq!(asg[&format!("g{i}")], t);
+                assert_eq!(picks[tree.slot(&format!("g{i}")).unwrap()], t);
             }
         }
     }
@@ -559,15 +587,19 @@ mod tests {
         let tree = UpdateTree::new(UpdateNode::group(ExploreMode::Prefix, children));
         let batch = tree.lookahead(100);
         assert_eq!(batch.len(), 4, "only e0's sweep is metric-independent");
-        assert!(batch.iter().all(|a| a["e1"] == 0));
+        let e1 = tree.slot("e1").unwrap();
+        assert!(batch.iter().all(|picks| picks[e1] == 0));
     }
 
     #[test]
     fn lookahead_replay_matches_sequential_driver() {
-        // Drive the same tree twice — once trial-by-trial, once via
-        // lookahead batches with in-order commits — and require identical
-        // trial sequences and final assignments.
-        let make = || {
+        // Drive each tree twice — once trial-by-trial, once via lookahead
+        // batches with in-order commits — and require identical trial
+        // sequences and final assignments. Every lookahead pick, read
+        // through `slot()`, must equal the assignment the replayed
+        // `next_trial` yields. The trees are a fixed parallel-of-prefix
+        // tree and the random trees of `random_tree`.
+        let fixed = || {
             let se = |n: usize| {
                 UpdateNode::group(
                     ExploreMode::Prefix,
@@ -577,43 +609,56 @@ mod tests {
                     ],
                 )
             };
-            UpdateTree::new(UpdateNode::group(ExploreMode::Parallel, vec![se(0), se(1)]))
+            UpdateNode::group(ExploreMode::Parallel, vec![se(0), se(1)])
         };
+        let mut rng = astra_util::Rng64::new(0x100C_A4EA);
+        let mut roots = vec![fixed()];
+        for _ in 0..200 {
+            roots.push(random_tree(&mut rng, 3, &mut 0));
+        }
         let metric = |asg: &BTreeMap<String, usize>, id: &str| {
             // Arbitrary but deterministic: different optimum per variable.
-            ((asg[id] * 7 + id.len()) % 5) as f64
+            ((asg[id] * 7 + id.len() + id.bytes().map(usize::from).sum::<usize>()) % 5) as f64
         };
 
-        let mut seq = make();
-        let mut seq_trace = Vec::new();
-        while let Some(asg) = seq.next_trial() {
-            let ids: Vec<String> = asg.keys().cloned().collect();
-            for id in &ids {
-                seq.record(id, metric(&asg, id));
-            }
-            seq_trace.push(asg);
-        }
-
-        let mut bat = make();
-        let mut bat_trace = Vec::new();
-        loop {
-            let batch = bat.lookahead(3);
-            if batch.is_empty() {
-                break;
-            }
-            for expect in batch {
-                let asg = bat.next_trial().expect("lookahead bounds the batch");
-                assert_eq!(asg, expect, "replayed assignment diverged");
+        for (case, root) in roots.into_iter().enumerate() {
+            let mut seq = UpdateTree::new(root.clone());
+            let mut seq_trace = Vec::new();
+            while let Some(asg) = seq.next_trial() {
                 let ids: Vec<String> = asg.keys().cloned().collect();
                 for id in &ids {
-                    bat.record(id, metric(&asg, id));
+                    seq.record(id, metric(&asg, id));
                 }
-                bat_trace.push(asg);
+                seq_trace.push(asg);
+                assert!(seq_trace.len() < 10_000, "runaway exploration");
             }
-        }
 
-        assert_eq!(seq_trace, bat_trace);
-        assert_eq!(seq.best_assignment(), bat.best_assignment());
+            let mut bat = UpdateTree::new(root);
+            let mut bat_trace = Vec::new();
+            loop {
+                let batch = bat.lookahead(3);
+                if batch.is_empty() {
+                    break;
+                }
+                for picks in batch {
+                    let asg = bat.next_trial().expect("lookahead bounds the batch");
+                    assert_eq!(picks.len(), asg.len(), "case {case}: one pick per variable");
+                    for (id, &choice) in &asg {
+                        let slot = bat.slot(id).expect("every variable has a slot");
+                        assert_eq!(picks[slot], choice, "case {case}: {id} diverged");
+                    }
+                    assert_eq!(bat.picks(), picks, "case {case}: replayed picks diverged");
+                    let ids: Vec<String> = asg.keys().cloned().collect();
+                    for id in &ids {
+                        bat.record(id, metric(&asg, id));
+                    }
+                    bat_trace.push(asg);
+                }
+            }
+
+            assert_eq!(seq_trace, bat_trace, "case {case}");
+            assert_eq!(seq.best_assignment(), bat.best_assignment(), "case {case}");
+        }
     }
 
     #[test]

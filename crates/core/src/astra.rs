@@ -1545,18 +1545,6 @@ impl<'g> Astra<'g> {
         let Some((phase, mut tree)) = space else { return Ok(()) };
         let phase = &phase;
         let vars = phase.vars();
-        // A tree assignment lists every variable in id order; scatter it
-        // into variable-index order without a lookup per variable.
-        let mut by_id: Vec<usize> = (0..vars.len()).collect();
-        by_id.sort_by(|&a, &b| vars[a].id.cmp(&vars[b].id));
-        let pick_of = |asg: &BTreeMap<String, usize>| -> Vec<usize> {
-            debug_assert!(asg.keys().eq(by_id.iter().map(|&v| &vars[v].id)));
-            let mut pick = vec![0; vars.len()];
-            for (&v, &choice) in by_id.iter().zip(asg.values()) {
-                pick[v] = choice;
-            }
-            pick
-        };
         // Committed per-variable measured minima, for the bound veto and
         // the regret guard.
         let mut best_measured: BTreeMap<usize, (f64, usize)> = BTreeMap::new();
@@ -1567,7 +1555,9 @@ impl<'g> Astra<'g> {
             if batch.is_empty() {
                 break;
             }
-            let picks: Vec<Vec<usize>> = batch.iter().map(pick_of).collect();
+            // The tree picks one choice per slot; phases index by variable.
+            let picks: Vec<Vec<usize>> =
+                batch.iter().map(|slots| vars.iter().map(|v| slots[v.slot]).collect()).collect();
             let cfgs: Vec<ExecConfig> = picks
                 .iter()
                 .map(|pick| {
@@ -1627,8 +1617,9 @@ impl<'g> Astra<'g> {
             )?;
 
             for (bi, outcome) in outcomes.into_iter().enumerate() {
-                let asg = tree.next_trial().expect("lookahead bounds the batch");
-                debug_assert_eq!(asg, batch[bi]);
+                let advanced = tree.advance();
+                assert!(advanced, "lookahead bounds the batch");
+                debug_assert_eq!(tree.picks(), batch[bi]);
                 let (mut run, mut probes) = match outcome {
                     // Invalid or admission-rejected candidate.
                     BatchOutcome::Invalid => {
@@ -1717,7 +1708,8 @@ impl<'g> Astra<'g> {
         }
 
         let best = tree.best_assignment();
-        phase.materialize(cfg, &pick_of(&best));
+        let pick: Vec<usize> = vars.iter().map(|v| best[&v.id]).collect();
+        phase.materialize(cfg, &pick);
         self.end_phase();
         Ok(())
     }

@@ -24,7 +24,7 @@
 //! — the end of each exploration phase and of the run — so an interrupted
 //! phase loses its samples but nothing the resumed run depends on.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -291,8 +291,9 @@ pub(crate) struct DriverStore {
     /// Persisted profile state: loaded records replayed, plus every sample
     /// folded through this handle.
     profile: ProfileIndex,
-    /// Keys whose stats changed since they were last journaled.
-    dirty: BTreeSet<ProfileKey>,
+    /// Keys whose stats changed since they were last journaled (hashed;
+    /// flushed in key order).
+    dirty: HashSet<ProfileKey>,
     /// Persisted verdicts keyed `(kind tag, plan fingerprint)`.
     verdicts: BTreeMap<(u8, u64), bool>,
     /// Persisted quarantine marks.
@@ -316,7 +317,7 @@ impl DriverStore {
         let mut ds = DriverStore {
             store,
             profile: ProfileIndex::new(),
-            dirty: BTreeSet::new(),
+            dirty: HashSet::new(),
             verdicts: BTreeMap::new(),
             quarantine: BTreeSet::new(),
             predictors: BTreeMap::new(),
@@ -446,7 +447,9 @@ impl DriverStore {
     /// Journals one cumulative stats record per key folded since the last
     /// flush, in key order.
     pub fn flush_profile(&mut self) {
-        for key in std::mem::take(&mut self.dirty) {
+        let mut keys: Vec<ProfileKey> = self.dirty.drain().collect();
+        keys.sort_unstable();
+        for key in keys {
             let Some(stats) = self.profile.stats(&key) else { continue };
             let rec = stats_record(&key, stats);
             self.append(&rec);

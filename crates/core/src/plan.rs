@@ -9,7 +9,8 @@
 //! contiguity, and emits an [`astra_gpu::Schedule`] with events, barriers,
 //! and the profiling probes the custom wirer harvests.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
 use astra_exec::{fuse_elementwise_chains, lower, EwChain, Lowering};
@@ -315,16 +316,20 @@ fn build_units_with(
 
     // ---- Create units (unordered), and map tensors to producing units. ----
     let mut units: Vec<Unit> = Vec::new();
-    let mut unit_of_tensor: HashMap<u32, usize> = HashMap::new(); // tensor id -> unit idx
-    let mut members_of_unit: Vec<Vec<NodeId>> = Vec::new();
+    // Tensor id -> producing unit; a later assignment overrides an earlier one.
+    let mut unit_of_tensor: Vec<Option<usize>> = vec![None; graph.num_tensors()];
+    // The graph members of unit `u` are `members[member_start[u]..member_start[u + 1]]`.
+    let mut members: Vec<NodeId> = Vec::new();
+    let mut member_start: Vec<usize> = vec![0];
 
+    // Appends a unit whose members were just pushed onto `members`.
     let push_unit = |units: &mut Vec<Unit>,
-                         members_of_unit: &mut Vec<Vec<NodeId>>,
-                         unit: Unit,
-                         members: Vec<NodeId>|
+                     member_start: &mut Vec<usize>,
+                     members: &[NodeId],
+                     unit: Unit|
      -> usize {
         units.push(unit);
-        members_of_unit.push(members);
+        member_start.push(members.len());
         units.len() - 1
     };
 
@@ -342,11 +347,11 @@ fn build_units_with(
             let mut row_block_units: Vec<usize> = Vec::new();
             for cb in 0..cbs {
                 let col_range = (cb * cc)..((cb * cc + cc).min(cols));
-                let members: Vec<NodeId> = row_range
-                    .clone()
-                    .flat_map(|r| col_range.clone().map(move |c| (r, c)))
-                    .map(|(r, c)| set.nodes[r][c])
-                    .collect();
+                let first = members.len();
+                for r in row_range.clone() {
+                    members.extend_from_slice(&set.nodes[r][col_range.clone()]);
+                }
+                let block = &members[first..];
                 let shape = set.block_shape(row_range.len(), col_range.start, col_range.len());
                 let lib = cfg.lib_for(shape);
                 let kernel = KernelDesc::Gemm { shape, lib };
@@ -356,18 +361,19 @@ fn build_units_with(
                 // partial sum — one output per row.
                 let out_bytes: u64 = match set.col_kind {
                     ColKind::SharedLeft => {
-                        members.iter().map(|&m| graph.shape(graph.node(m).output).bytes()).sum()
+                        block.iter().map(|&m| graph.shape(graph.node(m).output).bytes()).sum()
                     }
                     ColKind::Ladder => row_range
                         .clone()
                         .map(|r| graph.shape(graph.node(set.nodes[r][0]).output).bytes())
                         .sum(),
                 };
-                let first_prov = &graph.node(members[0]).prov;
+                let first_prov = &graph.node(block[0]).prov;
                 let (upass, ustep) = (first_prov.pass, first_prov.timestep);
                 let idx = push_unit(
                     &mut units,
-                    &mut members_of_unit,
+                    &mut member_start,
+                    &members,
                     Unit {
                         id: UnitId::Block { set: si as u32, rb: rb as u32, cb: cb as u32 },
                         kernel,
@@ -382,13 +388,12 @@ fn build_units_with(
                         reads: Vec::new(),
                         writes: Vec::new(),
                     },
-                    members.clone(),
                 );
                 row_block_units.push(idx);
                 // Member outputs resolve to this block (SharedLeft), or to
                 // the row-block's final combine (Ladder, patched below).
-                for &m in &members {
-                    unit_of_tensor.insert(graph.node(m).output.0, idx);
+                for &m in &members[first..] {
+                    unit_of_tensor[graph.node(m).output.0 as usize] = Some(idx);
                 }
             }
             if set.col_kind == ColKind::Ladder {
@@ -410,7 +415,8 @@ fn build_units_with(
                     let flops = kernel.flops();
                     let idx = push_unit(
                         &mut units,
-                        &mut members_of_unit,
+                        &mut member_start,
+                        &members,
                         Unit {
                             id: UnitId::Combine {
                                 set: si as u32,
@@ -429,19 +435,18 @@ fn build_units_with(
                             reads: Vec::new(),
                             writes: Vec::new(),
                         },
-                        Vec::new(),
                     );
                     acc = idx;
                 }
                 // The ladder-root outputs of these rows resolve to `acc`.
                 for r in row_range {
                     for &add in &set.ladder_adds[r] {
-                        unit_of_tensor.insert(graph.node(add).output.0, acc);
+                        unit_of_tensor[graph.node(add).output.0 as usize] = Some(acc);
                     }
                     // Member mm outputs also resolve to the final sum
                     // (their individual values no longer exist).
-                    for c in 0..cols {
-                        unit_of_tensor.insert(graph.node(set.nodes[r][c]).output.0, acc);
+                    for &m in &set.nodes[r][..cols] {
+                        unit_of_tensor[graph.node(m).output.0 as usize] = Some(acc);
                     }
                 }
             }
@@ -449,23 +454,30 @@ fn build_units_with(
     }
 
     // Element-wise chains.
+    let mut in_chain = vec![false; n_nodes];
     for (ci, chain) in ctx.chains.iter().enumerate() {
         let flops = chain.kernel.flops();
         // Only outputs escaping the chain occupy memory.
-        let member_set: std::collections::HashSet<NodeId> =
-            chain.nodes.iter().copied().collect();
+        for &m in &chain.nodes {
+            in_chain[m.0 as usize] = true;
+        }
         let out_bytes: u64 = chain
             .nodes
             .iter()
             .filter(|&&m| {
                 let consumers = graph.consumers(graph.node(m).output);
-                consumers.is_empty() || consumers.iter().any(|c| !member_set.contains(c))
+                consumers.is_empty() || consumers.iter().any(|c| !in_chain[c.0 as usize])
             })
             .map(|&m| graph.shape(graph.node(m).output).bytes())
             .sum();
+        for &m in &chain.nodes {
+            in_chain[m.0 as usize] = false;
+        }
+        members.extend_from_slice(&chain.nodes);
         let idx = push_unit(
             &mut units,
-            &mut members_of_unit,
+            &mut member_start,
+            &members,
             Unit {
                 id: UnitId::Chain(ci as u32),
                 kernel: chain.kernel,
@@ -480,10 +492,9 @@ fn build_units_with(
                 reads: Vec::new(),
                 writes: Vec::new(),
             },
-            chain.nodes.clone(),
         );
         for &m in &chain.nodes {
-            unit_of_tensor.insert(graph.node(m).output.0, idx);
+            unit_of_tensor[graph.node(m).output.0 as usize] = Some(idx);
         }
     }
 
@@ -502,9 +513,11 @@ fn build_units_with(
             k => (k, None),
         };
         let flops = kernel.flops();
+        members.push(NodeId(i as u32));
         let idx = push_unit(
             &mut units,
-            &mut members_of_unit,
+            &mut member_start,
+            &members,
             Unit {
                 id: UnitId::Node(i as u32),
                 kernel,
@@ -519,9 +532,8 @@ fn build_units_with(
                 reads: Vec::new(),
                 writes: Vec::new(),
             },
-            vec![NodeId(i as u32)],
         );
-        unit_of_tensor.insert(node.output.0, idx);
+        unit_of_tensor[node.output.0 as usize] = Some(idx);
     }
 
     // Resolve elided nodes (transposes): their outputs alias the producing
@@ -530,32 +542,38 @@ fn build_units_with(
     while changed {
         changed = false;
         for node in graph.nodes().iter() {
-            if matches!(node.op, OpKind::Transpose)
-                && !unit_of_tensor.contains_key(&node.output.0)
-            {
-                if let Some(&u) = unit_of_tensor.get(&node.inputs[0].0) {
-                    unit_of_tensor.insert(node.output.0, u);
+            let out = node.output.0 as usize;
+            if matches!(node.op, OpKind::Transpose) && unit_of_tensor[out].is_none() {
+                if let Some(u) = unit_of_tensor[node.inputs[0].0 as usize] {
+                    unit_of_tensor[out] = Some(u);
                     changed = true;
                 }
             }
         }
     }
+    let members_of = |ui: usize| &members[member_start[ui]..member_start[ui + 1]];
+
+    // Each unit's deps, reads and writes are collected in a reused scratch
+    // vector, sorted and deduplicated there, and stored as an exact-length
+    // copy: the plan cache keeps every unit it builds, so grown capacity
+    // would stay resident.
 
     // ---- Dependencies. ----
-    for ui in 0..units.len() {
-        let mut deps: HashSet<usize> = units[ui].deps.iter().copied().collect();
-        for &m in &members_of_unit[ui] {
+    let mut deps: Vec<usize> = Vec::new();
+    for (ui, unit) in units.iter_mut().enumerate() {
+        deps.clear();
+        deps.extend_from_slice(&unit.deps);
+        for &m in members_of(ui) {
             for &inp in &graph.node(m).inputs {
-                if let Some(&p) = unit_of_tensor.get(&inp.0) {
-                    if p != ui {
-                        deps.insert(p);
-                    }
+                match unit_of_tensor[inp.0 as usize] {
+                    Some(p) if p != ui => deps.push(p),
+                    _ => {}
                 }
             }
         }
-        let mut deps: Vec<usize> = deps.into_iter().collect();
         deps.sort_unstable();
-        units[ui].deps = deps;
+        deps.dedup();
+        unit.deps = deps.to_vec();
     }
 
     // ---- Buffer footprints (for the static verifier). ----
@@ -563,106 +581,105 @@ fn build_units_with(
     // outputs all resolve elsewhere (ladder partial blocks, intermediate
     // combines) write a unique synthetic buffer, so the partial-sum chain
     // stays a visible dataflow.
-    let mut writes: Vec<HashSet<BufId>> = vec![HashSet::new(); units.len()];
-    for node in graph.nodes().iter() {
-        if let Some(&u) = unit_of_tensor.get(&node.output.0) {
-            writes[u].insert(ctx.lowering.buffer(node.output));
-        }
-    }
-    for (ui, w) in writes.iter_mut().enumerate() {
-        if w.is_empty() {
-            w.insert(BufId(SYNTHETIC_BUF_BASE + ui as u64));
-        }
+    let mut written: Vec<(usize, BufId)> = graph
+        .nodes()
+        .iter()
+        .filter_map(|node| {
+            unit_of_tensor[node.output.0 as usize].map(|u| (u, ctx.lowering.buffer(node.output)))
+        })
+        .collect();
+    written.sort_unstable();
+    written.dedup();
+    let mut rest = written.as_slice();
+    for (ui, unit) in units.iter_mut().enumerate() {
+        let (own, tail) = rest.split_at(rest.iter().take_while(|&&(u, _)| u == ui).count());
+        unit.writes = if own.is_empty() {
+            vec![BufId(SYNTHETIC_BUF_BASE + ui as u64)]
+        } else {
+            own.iter().map(|&(_, b)| b).collect()
+        };
+        rest = tail;
     }
     // Reads: member inputs; member-less units (combines) read what their
     // dependencies write. A unit's own writes are excluded — a launch does
     // not race with itself.
+    let mut reads: Vec<BufId> = Vec::new();
     for ui in 0..units.len() {
-        let mut reads: HashSet<BufId> = HashSet::new();
-        if members_of_unit[ui].is_empty() {
+        reads.clear();
+        let unit_members = members_of(ui);
+        if unit_members.is_empty() {
             for &d in &units[ui].deps {
-                reads.extend(writes[d].iter().copied());
+                reads.extend_from_slice(&units[d].writes);
             }
         } else {
-            for &m in &members_of_unit[ui] {
-                for &inp in &graph.node(m).inputs {
-                    reads.insert(ctx.lowering.buffer(inp));
-                }
+            for &m in unit_members {
+                reads.extend(graph.node(m).inputs.iter().map(|&inp| ctx.lowering.buffer(inp)));
             }
         }
-        let mut reads: Vec<BufId> =
-            reads.difference(&writes[ui]).copied().collect();
         reads.sort_unstable();
-        units[ui].reads = reads;
-        let mut w: Vec<BufId> = writes[ui].iter().copied().collect();
-        w.sort_unstable();
-        units[ui].writes = w;
+        reads.dedup();
+        let own = &units[ui].writes;
+        reads.retain(|b| own.binary_search(b).is_err());
+        units[ui].reads = reads.to_vec();
     }
 
     // ---- Gather copies for non-contiguous fused operands. ----
     let plan = allocation_plan(ctx, cfg, frag);
-    for (si, set) in ctx.sets.iter().enumerate() {
-        let (rc, cc) = cfg.chunk_for(&set.id);
-        let rc = rc.clamp(1, set.rows().max(1));
-        let cc = cc.clamp(1, set.cols().max(1));
+    let chunking: Vec<(usize, usize)> = ctx
+        .sets
+        .iter()
+        .map(|set| {
+            let (rc, cc) = cfg.chunk_for(&set.id);
+            (rc.clamp(1, set.rows().max(1)), cc.clamp(1, set.cols().max(1)))
+        })
+        .collect();
+    let mut bufs: Vec<BufId> = Vec::new();
+    let mut gather = |tensors: &mut dyn Iterator<Item = astra_ir::TensorId>| -> f64 {
+        bufs.clear();
+        bufs.extend(tensors.map(|t| ctx.lowering.buffer(t)));
+        plan.gather_bytes(&bufs) as f64
+    };
+    for unit in units.iter_mut() {
+        let UnitId::Block { set: si, rb, cb } = unit.id else { continue };
+        let set = &ctx.sets[si as usize];
+        let (rc, cc) = chunking[si as usize];
         if rc == 1 && cc == 1 {
             continue;
         }
-        for unit in units.iter_mut() {
-            let UnitId::Block { set: s, rb, cb } = unit.id else { continue };
-            if s as usize != si {
-                continue;
-            }
-            let row_range = (rb as usize * rc)..((rb as usize * rc + rc).min(set.rows()));
-            let col_range = (cb as usize * cc)..((cb as usize * cc + cc).min(set.cols()));
-            let mut lists: Vec<Vec<astra_ir::TensorId>> = Vec::new();
-            match set.col_kind {
-                ColKind::SharedLeft => {
-                    if col_range.len() > 1 {
-                        lists.push(
-                            col_range
-                                .clone()
-                                .map(|c| graph.node(set.nodes[row_range.start][c]).inputs[1])
-                                .collect(),
-                        );
-                    }
-                    if row_range.len() > 1 {
-                        lists.push(
-                            row_range
-                                .clone()
-                                .map(|r| graph.node(set.nodes[r][col_range.start]).inputs[0])
-                                .collect(),
-                        );
-                    }
+        let row_range = (rb as usize * rc)..((rb as usize * rc + rc).min(set.rows()));
+        let col_range = (cb as usize * cc)..((cb as usize * cc + cc).min(set.cols()));
+        let input = |r: usize, c: usize, i: usize| graph.node(set.nodes[r][c]).inputs[i];
+        match set.col_kind {
+            ColKind::SharedLeft => {
+                if col_range.len() > 1 {
+                    let r = row_range.start;
+                    unit.pre_copy_bytes += gather(&mut col_range.clone().map(|c| input(r, c, 1)));
                 }
-                ColKind::Ladder => {
-                    if col_range.len() > 1 {
-                        for r in row_range.clone() {
-                            lists.push(
-                                col_range.clone().map(|c| graph.node(set.nodes[r][c]).inputs[0]).collect(),
-                            );
-                            lists.push(
-                                col_range.clone().map(|c| graph.node(set.nodes[r][c]).inputs[1]).collect(),
-                            );
-                        }
-                    }
-                    if row_range.len() > 1 {
-                        for c in col_range.clone() {
-                            lists.push(
-                                row_range.clone().map(|r| graph.node(set.nodes[r][c]).inputs[0]).collect(),
-                            );
-                        }
-                    }
+                if row_range.len() > 1 {
+                    let c = col_range.start;
+                    unit.pre_copy_bytes += gather(&mut row_range.clone().map(|r| input(r, c, 0)));
                 }
             }
-            for list in lists {
-                let bufs: Vec<_> = list.iter().map(|&t| ctx.lowering.buffer(t)).collect();
-                unit.pre_copy_bytes += plan.gather_bytes(&bufs) as f64;
+            ColKind::Ladder => {
+                if col_range.len() > 1 {
+                    for r in row_range.clone() {
+                        unit.pre_copy_bytes +=
+                            gather(&mut col_range.clone().map(|c| input(r, c, 0)));
+                        unit.pre_copy_bytes +=
+                            gather(&mut col_range.clone().map(|c| input(r, c, 1)));
+                    }
+                }
+                if row_range.len() > 1 {
+                    for c in col_range.clone() {
+                        unit.pre_copy_bytes +=
+                            gather(&mut row_range.clone().map(|r| input(r, c, 0)));
+                    }
+                }
             }
         }
     }
 
-    // ---- Topological sort (Kahn, stable by creation index). ----
+    // ---- Topological sort (Kahn, smallest ready creation index first). ----
     let n = units.len();
     let mut indeg = vec![0usize; n];
     let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -672,21 +689,15 @@ fn build_units_with(
             indeg[i] += 1;
         }
     }
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+    let mut ready: BinaryHeap<Reverse<usize>> =
+        (0..n).filter(|&i| indeg[i] == 0).map(Reverse).collect();
     let mut order = Vec::with_capacity(n);
-    let mut queued = vec![false; n];
-    for &r in &ready {
-        queued[r] = true;
-    }
-    while !ready.is_empty() {
-        ready.sort_unstable();
-        let next = ready.remove(0);
+    while let Some(Reverse(next)) = ready.pop() {
         order.push(next);
         for &c in &out[next] {
             indeg[c] -= 1;
-            if indeg[c] == 0 && !queued[c] {
-                queued[c] = true;
-                ready.push(c);
+            if indeg[c] == 0 {
+                ready.push(Reverse(c));
             }
         }
     }
@@ -697,12 +708,14 @@ fn build_units_with(
         )));
     }
 
-    // Re-index deps into the sorted order.
+    // Move the units into sorted order and re-index their deps.
     let mut pos = vec![0usize; n];
     for (new_i, &old_i) in order.iter().enumerate() {
         pos[old_i] = new_i;
     }
-    let mut sorted: Vec<Unit> = order.iter().map(|&i| units[i].clone()).collect();
+    let mut unsorted: Vec<Option<Unit>> = units.into_iter().map(Some).collect();
+    let mut sorted: Vec<Unit> =
+        order.iter().map(|&i| unsorted[i].take().expect("each unit sorts once")).collect();
     for u in &mut sorted {
         for d in &mut u.deps {
             *d = pos[*d];

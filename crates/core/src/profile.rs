@@ -13,7 +13,7 @@
 //! key is measured repeatedly, and the driver needs the spread to tell a
 //! statistical outlier (re-measure) from a genuinely slow choice (accept).
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// A hierarchical profile key: context prefixes plus an entity/choice tail.
 ///
@@ -168,9 +168,29 @@ impl SampleStats {
 /// noise source is slow-only, so the smallest sample is the best estimate
 /// of the true cost. The full stats stay available via
 /// [`ProfileIndex::stats`] for outlier detection.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The index is hashed: the driver records tens of thousands of samples
+/// per `optimize()`, and an ordered map would compare string keys on every
+/// one. Whatever observes an order — [`ProfileIndex::iter`] (snapshots,
+/// compaction) and `Debug` — sorts by key on demand. Equality compares
+/// contents.
+#[derive(Clone, Default, PartialEq)]
 pub struct ProfileIndex {
-    map: BTreeMap<ProfileKey, SampleStats>,
+    map: HashMap<ProfileKey, SampleStats>,
+}
+
+impl std::fmt::Debug for ProfileIndex {
+    /// Prints as a struct with its entries in key order, as an ordered
+    /// map would.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct InKeyOrder<'a>(&'a ProfileIndex);
+        impl std::fmt::Debug for InKeyOrder<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("ProfileIndex").field("map", &InKeyOrder(self)).finish()
+    }
 }
 
 impl ProfileIndex {
@@ -230,8 +250,11 @@ impl ProfileIndex {
     }
 
     /// Iterates every `(key, stats)` pair in key order, for snapshotting.
+    /// Sorts the entries on each call.
     pub fn iter(&self) -> impl Iterator<Item = (&ProfileKey, &SampleStats)> {
-        self.map.iter()
+        let mut entries: Vec<_> = self.map.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries.into_iter()
     }
 
     /// Installs snapshotted stats for `key`, replacing whatever is there —
@@ -333,6 +356,32 @@ mod tests {
             .in_context("superepoch:0")
             .in_context("bucket:24");
         assert_eq!(k.to_string(), "bucket:24/superepoch:0/epoch:3#1");
+    }
+
+    #[test]
+    fn iteration_and_debug_follow_key_order() {
+        /// What the index printed as when it was an ordered map.
+        mod ordered {
+            #[derive(Debug)]
+            pub struct ProfileIndex {
+                pub map: std::collections::BTreeMap<super::ProfileKey, super::SampleStats>,
+            }
+        }
+        let mut idx = ProfileIndex::new();
+        let keys: Vec<ProfileKey> = (0..40)
+            .map(|i| ProfileKey::entity(format!("e{}", (i * 17) % 40), i % 3).in_context("alloc:0"))
+            .collect();
+        for (i, k) in keys.iter().enumerate() {
+            idx.record(k, i as f64);
+        }
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert!(idx.iter().map(|(k, _)| k).eq(&sorted));
+        let want =
+            ordered::ProfileIndex { map: idx.iter().map(|(k, s)| (k.clone(), *s)).collect() };
+        assert_eq!(want.map.len(), idx.len());
+        assert_eq!(format!("{idx:?}"), format!("{want:?}"));
+        assert_eq!(format!("{idx:#?}"), format!("{want:#?}"));
     }
 
     #[test]

@@ -13,9 +13,15 @@
 /// Number of hashed value buckets in a [`FeatureVec`].
 ///
 /// Small on purpose: the driver's candidate spaces have a few dozen
-/// distinct knobs, and a compact dense vector keeps prediction and
-/// update costs trivial next to a simulated mini-batch.
+/// distinct knobs. A candidate's vector touches only a handful of the
+/// buckets, and a full 256-wide pass per score or update is not free at
+/// the driver's tens of thousands of updates per `optimize()`. So each
+/// vector also records which buckets it touched, and the model's
+/// arithmetic visits only those ([`FeatureVec::touched`]).
 pub const FEATURE_DIM: usize = 256;
+
+/// 64-bit words in a [`FeatureVec`]'s touched-bucket mask.
+const MASK_WORDS: usize = FEATURE_DIM / 64;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -28,17 +34,26 @@ fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// A dense, fixed-width hashed feature vector with a raw-pair fingerprint.
+/// A dense, fixed-width hashed feature vector with a raw-pair fingerprint
+/// and a mask of the buckets its pushes touched.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeatureVec {
     vals: [f64; FEATURE_DIM],
+    /// Bit `b % 64` of word `b / 64` is set once bucket `b` was pushed to,
+    /// even if its pushes cancel to zero.
+    touched: [u64; MASK_WORDS],
     fingerprint: u64,
 }
 
 impl FeatureVec {
-    /// An empty vector (all buckets zero).
+    /// An empty vector (all buckets zero, none touched).
     pub fn new() -> Self {
-        FeatureVec { vals: [0.0; FEATURE_DIM], fingerprint: FNV_OFFSET }
+        FeatureVec { vals: [0.0; FEATURE_DIM], touched: [0; MASK_WORDS], fingerprint: FNV_OFFSET }
+    }
+
+    fn add(&mut self, bucket: usize, value: f64) {
+        self.vals[bucket] += value;
+        self.touched[bucket / 64] |= 1 << (bucket % 64);
     }
 
     fn fold(&mut self, name: &str, payload: u64) {
@@ -56,7 +71,7 @@ impl FeatureVec {
     /// (see [`FeatureVec::push_log`]).
     pub fn push(&mut self, name: &str, value: f64) {
         let (b, sign) = Self::bucket(fnv(FNV_OFFSET, name.as_bytes()));
-        self.vals[b] += sign * value;
+        self.add(b, sign * value);
         self.fold(name, value.to_bits());
     }
 
@@ -72,7 +87,7 @@ impl FeatureVec {
     pub fn tag(&mut self, name: &str, id: &str) {
         let h = fnv(fnv(FNV_OFFSET, name.as_bytes()), id.as_bytes());
         let (b, sign) = Self::bucket(h);
-        self.vals[b] += sign;
+        self.add(b, sign);
         self.fold(name, fnv(FNV_OFFSET, id.as_bytes()));
     }
 
@@ -89,9 +104,37 @@ impl FeatureVec {
         &self.vals
     }
 
+    /// The touched buckets in ascending index order, with their values.
+    /// Every other bucket holds `+0.0` and was never written.
+    pub fn touched(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        Touched { vec: self, word: 0, bits: self.touched[0] }
+    }
+
     /// The order-sensitive FNV-1a fingerprint over all raw pairs pushed.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+}
+
+/// Iterator behind [`FeatureVec::touched`]: the set bits of the mask, word
+/// by word, lowest first.
+struct Touched<'a> {
+    vec: &'a FeatureVec,
+    word: usize,
+    bits: u64,
+}
+
+impl Iterator for Touched<'_> {
+    type Item = (usize, f64);
+
+    fn next(&mut self) -> Option<(usize, f64)> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.vec.touched.get(self.word)?;
+        }
+        let b = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some((b, self.vec.vals[b]))
     }
 }
 

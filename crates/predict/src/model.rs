@@ -68,15 +68,28 @@ impl CostModel {
         }
     }
 
-    /// The unclamped linear activation (training target space).
-    fn linear(&self, f: &FeatureVec) -> f64 {
-        let dot: f64 =
-            self.weights.iter().zip(f.values()).map(|(w, x)| w * x).sum();
+    /// The weights' dot product with `f`.
+    ///
+    /// Scoring and training visit only `f`'s touched buckets, in ascending
+    /// order, and give the same bits as a pass over all [`FEATURE_DIM`]
+    /// buckets whenever weights, features and costs are finite (as the
+    /// driver's always are). An untouched bucket holds `+0.0`, so the full
+    /// pass only adds `w·0 = ±0` terms: those leave a nonzero running sum
+    /// unchanged, a zero sum's sign cannot survive adding the bias (which
+    /// is never `-0.0`), `x·x` terms add `+0.0` to a norm that starts at 1,
+    /// and adding `±0` to a weight changes it only if it is `-0.0`, which
+    /// no weight starting at `+0.0` ever becomes.
+    fn dot(&self, f: &FeatureVec) -> f64 {
+        f.touched().map(|(b, x)| self.weights[b] * x).sum()
+    }
+
+    /// The unclamped linear activation (training target space) at `dot`.
+    fn linear(&self, dot: f64) -> f64 {
         (self.bias + dot).clamp(-RAW_CLAMP, RAW_CLAMP)
     }
 
-    fn raw(&self, f: &FeatureVec) -> f64 {
-        let r = self.linear(f);
+    fn raw(&self, dot: f64) -> f64 {
+        let r = self.linear(dot);
         if self.updates == 0 {
             r
         } else {
@@ -86,7 +99,7 @@ impl CostModel {
 
     /// Predicted cost in nanoseconds (always finite and positive).
     pub fn predict_ns(&self, f: &FeatureVec) -> f64 {
-        self.raw(f).exp()
+        self.raw(self.dot(f)).exp()
     }
 
     /// Snapshots the model's full learned state for persistence. The
@@ -120,7 +133,10 @@ impl CostModel {
     /// Trains on one committed measurement. Returns the absolute
     /// prediction error in nanoseconds *before* the update.
     pub fn observe(&mut self, f: &FeatureVec, measured_ns: f64) -> f64 {
-        let before = self.predict_ns(f);
+        // The weights stay put until the update below, so one dot product
+        // serves both the prediction and the training error.
+        let dot = self.dot(f);
+        let before = self.raw(dot).exp();
         let target = measured_ns.max(1.0).ln();
         if self.updates == 0 {
             // Seed the bias at the first sample's magnitude: NLMS steps are
@@ -133,12 +149,12 @@ impl CostModel {
         // Train against the *unclamped* activation: the calibration clamp
         // is an inference-time guard, and folding it into the gradient
         // would stall weight corrections outside the window.
-        let err = target - self.linear(f);
-        let norm: f64 = 1.0 + f.values().iter().map(|x| x * x).sum::<f64>();
+        let err = target - self.linear(dot);
+        let norm: f64 = 1.0 + f.touched().map(|(_, x)| x * x).sum::<f64>();
         let step = LEARNING_RATE * err / norm;
         self.bias += step;
-        for (w, x) in self.weights.iter_mut().zip(f.values()) {
-            *w += step * x;
+        for (b, x) in f.touched() {
+            self.weights[b] += step * x;
         }
         self.updates += 1;
         (before - measured_ns).abs()
