@@ -2,7 +2,8 @@
 //!
 //! A fixed corpus of tiny-model optimizations (every zoo model under each
 //! ablation column, chaos fault injection, bound pruning, the predictor
-//! off, multi-device placement search, and a warm store rerun that hits
+//! off, the verifier off, an undersized device the linter partly rejects,
+//! multi-device placement search, and a warm store rerun that hits
 //! persisted quarantine marks) runs at `workers = 1`. Each run is reduced
 //! to one line:
 //!
@@ -166,11 +167,30 @@ fn corpus() -> Vec<String> {
         let r = run(&milstm, AstraOptions { bound_prune: true, ..opts(dims_named(dims)) });
         lines.push(digest_line(&format!("MiLstm/{dims}/bound-prune"), &r));
     }
+    // Bound pruning with the predictor off: the veto's candidate-order
+    // chunks run through every phase instead of only the cold batches.
+    let r = run(
+        &milstm,
+        AstraOptions { bound_prune: true, predictor: false, ..opts(Dims::all()) },
+    );
+    lines.push(digest_line("MiLstm/all/bound-prune-predictor-off", &r));
 
     for m in [Model::Scrnn, Model::SubLstm] {
         let r = run(&tiny(m), AstraOptions { predictor: false, ..opts(Dims::all()) });
         lines.push(digest_line(&format!("{m:?}/all/predictor-off"), &r));
     }
+    let r = run(&tiny(Model::SubLstm), AstraOptions { verify: false, ..opts(Dims::all()) });
+    lines.push(digest_line("SubLstm/all/verify-off", &r));
+
+    // A device small enough that the linter rejects some plans (over
+    // capacity) but not all of them.
+    let mut small_dev = DeviceSpec::p100();
+    small_dev.mem_bytes = 168 << 10;
+    let r = Astra::new(&milstm.graph, &small_dev, opts(Dims::fk()))
+        .optimize()
+        .expect("some plans fit in 168 KiB");
+    assert!(r.lint_rejects > 0, "168 KiB must lint-reject some plans");
+    lines.push(digest_line("MiLstm/fk/mem168k", &r));
 
     // Multi-device nodes: the only configurations the placement phase runs on.
     let sublstm = tiny(Model::SubLstm);
