@@ -2,13 +2,15 @@
 //! schedule may deadlock, the timing invariants of the CUDA-style
 //! execution model must hold, a span-free run must time everything a
 //! span-recording run does, and no schedule — however wild its waits —
-//! may panic the engine. Schedules are drawn from a seeded in-tree PRNG so
-//! the cases are identical on every run.
+//! may panic the engine, and the linter's critical-path floors must never
+//! exceed what the engine measures. Schedules are drawn from a seeded
+//! in-tree PRNG so the cases are identical on every run.
 
 use astra::gpu::{
     ClockMode, Cmd, DeviceSpec, Engine, EngineCheckpoint, EventId, FaultPlan, FaultSummary,
-    GemmLibrary, GemmShape, GpuError, KernelDesc, RunResult, Schedule, StreamId,
+    GemmLibrary, GemmShape, GpuError, KernelDesc, RunResult, Schedule, StreamId, Topology,
 };
+use astra::lint::{critical_path_floor, region_floors};
 use astra_util::Rng64;
 
 /// Builds a random but *valid* schedule: kernels may wait only on events
@@ -157,6 +159,69 @@ fn waits_are_respected() {
                         fire
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The floors bound pruning vetoes trials with are sound: over random
+/// schedules, `critical_path_floor` never exceeds the makespan and the
+/// `region_floors` of every pair of records on one stream never exceed the
+/// measured elapsed time between them. Checked clean, under chaos faults
+/// and a heavier fault mix (straggler factors >= 1, the soundness
+/// precondition), and under Autoboost clock jitter.
+#[test]
+fn critical_path_floors_never_exceed_the_measured_times() {
+    let mut rng = Rng64::new(0xf100);
+    let dev = DeviceSpec::p100();
+    let topo = Topology::single(dev.clone());
+    let static_only = |_: &KernelDesc, _: usize| None;
+    for case in 0..48u64 {
+        let (streams, moves) = draw_case(&mut rng, 1, 1);
+        let sched = random_schedule(streams, &moves);
+        let floor = critical_path_floor(&sched, &topo, &static_only);
+        let mut pairs = Vec::new();
+        for (i, a) in sched.cmds().iter().enumerate() {
+            for b in &sched.cmds()[i + 1..] {
+                if let (
+                    Cmd::Record { stream: sa, event: ea },
+                    Cmd::Record { stream: sb, event: eb },
+                ) = (a, b)
+                {
+                    if sa == sb {
+                        pairs.push((*ea, *eb));
+                    }
+                }
+            }
+        }
+        let region = region_floors(&sched, &pairs, &topo, &static_only);
+        let heavy = FaultPlan {
+            spike_prob: 0.2,
+            launch_fail_prob: 0.2,
+            straggler_prob: 0.5,
+            straggler_factor: 1.0 + (case % 3) as f64,
+            ..FaultPlan::chaos(case)
+        };
+        let runs = [
+            (ClockMode::Fixed, FaultPlan::none()),
+            (ClockMode::Fixed, FaultPlan::chaos(case)),
+            (ClockMode::Fixed, heavy),
+            (ClockMode::Autoboost { seed: case }, FaultPlan::none()),
+        ];
+        for (clock, plan) in runs {
+            let r = Engine::with_faults(&dev, clock, plan, case).run(&sched).expect("runs");
+            assert!(
+                floor <= r.total_ns,
+                "case {case} {clock:?} {plan:?}: floor {floor} above makespan {}",
+                r.total_ns
+            );
+            for (&(a, b), &f) in pairs.iter().zip(&region) {
+                let elapsed = r.elapsed(a, b).expect("both events fired");
+                assert!(
+                    f <= elapsed,
+                    "case {case} {clock:?} {plan:?}: region {a:?}..{b:?} floor {f} \
+                     above elapsed {elapsed}"
+                );
             }
         }
     }

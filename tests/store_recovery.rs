@@ -391,3 +391,63 @@ fn a_crash_mid_phase_keeps_every_record_written_before_it() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+/// Copies the flat store directory `from` to a fresh directory `tag`.
+fn copy_store(from: &Path, tag: &str) -> PathBuf {
+    let to = tmpdir(tag);
+    std::fs::create_dir_all(&to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+    }
+    to
+}
+
+/// The convergence bound the robustness suites hold exploration to: a
+/// steady state within 5% of the reference run's.
+const CONVERGENCE_SLACK: f64 = 1.05;
+
+#[test]
+fn warm_index_reuses_stored_samples_and_still_converges() {
+    let built = tiny();
+    let dev = DeviceSpec::p100();
+    let dir = tmpdir("warm-index");
+    let optimize = |dir: &Path, warm_index: bool| {
+        let opts = AstraOptions {
+            dims: Dims::all(),
+            workers: 1,
+            store_dir: Some(dir.to_path_buf()),
+            warm_index,
+            ..Default::default()
+        };
+        let mut astra = Astra::new(&built.graph, &dev, opts);
+        let r = astra.optimize().expect("optimize completes");
+        assert!(astra.store_error().is_none(), "store degraded: {:?}", astra.store_error());
+        r
+    };
+    let cold = optimize(&dir, false);
+    assert!(!cold.warm_start);
+    // Rerun each variant on its own copy, so neither sees the other's
+    // journal.
+    let plain_dir = copy_store(&dir, "warm-plain");
+    let indexed_dir = copy_store(&dir, "warm-indexed");
+    let plain = optimize(&plain_dir, false);
+    let indexed = optimize(&indexed_dir, true);
+    assert_same_plan(&cold, &plain, "warm rerun without warm_index");
+    assert!(indexed.warm_start, "the stored run warm-starts");
+    assert!(
+        indexed.configs_explored < plain.configs_explored,
+        "stored samples must skip measurements ({} vs {} trials)",
+        indexed.configs_explored,
+        plain.configs_explored
+    );
+    assert!(
+        indexed.steady_ns <= cold.steady_ns * CONVERGENCE_SLACK,
+        "warm-index steady {} vs cold {}",
+        indexed.steady_ns,
+        cold.steady_ns
+    );
+    for d in [dir, plain_dir, indexed_dir] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+}
