@@ -58,6 +58,11 @@ echo "== static schedule verification (fixtures + enumerated plans) =="
 # every enumerated plan of every zoo model must verify hazard-free (the
 # CLI exits nonzero on any error-severity finding).
 cargo build --release -p astra-cli
+# A mistyped flag must fail loudly, not silently run the defaults.
+if ./target/release/astra-cli optimize --model scrnn --batch 4 --bogus-flag 3 >/dev/null 2>&1; then
+    echo "ci: FAIL — astra-cli accepted an unknown flag" >&2
+    exit 1
+fi
 ./target/release/astra-cli verify --fixtures tests/golden
 for m in scrnn milstm sublstm stackedlstm gnmt rhn; do
     ./target/release/astra-cli verify --model "$m" --batch 8 --streams 4

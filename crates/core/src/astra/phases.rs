@@ -485,7 +485,8 @@ impl StreamPhase {
         cfg.num_streams = astra.opts.num_streams.max(2);
         let units = astra.plan_cache.units_for(&astra.ctx, cfg)?;
         let total_flops: f64 = units.iter().map(|u| u.flops).sum();
-        let budget = astra.opts.super_epoch_flops.unwrap_or(total_flops / 8.0).max(1.0);
+        // One super-epoch per eighth of the model's FLOPs.
+        let budget = (total_flops / 8.0).max(1.0);
         let partition = partition_units(&units, budget);
         // Candidates differ from `cfg` only in their stream maps, which the
         // candidate base does not read: build it once for the phase.

@@ -15,6 +15,11 @@ use astra_util::Rng64;
 /// so that two optimizers with the same inputs always draw the same tail.
 const EPSILON_SEED: u64 = 0x00A5_7A0C_0DE1_u64;
 
+/// Probability that an otherwise-pruned trial is simulated anyway: the
+/// exploration-epsilon tail that keeps the model seeing choices it ranks
+/// badly.
+const EPSILON: f64 = 0.1;
+
 /// The driver's pruning state: per-phase models, policy, epsilon RNG,
 /// counters.
 #[derive(Debug)]
@@ -34,10 +39,10 @@ pub(crate) struct Pruner {
 }
 
 impl Pruner {
-    pub fn new(enabled: bool, top_k: usize, epsilon: f64) -> Self {
+    pub fn new(enabled: bool, top_k: usize) -> Self {
         Pruner {
             models: BTreeMap::new(),
-            policy: PrunePolicy { top_k: top_k.max(1), epsilon, ..PrunePolicy::default() },
+            policy: PrunePolicy { top_k: top_k.max(1), epsilon: EPSILON, ..PrunePolicy::default() },
             rng: Rng64::new(EPSILON_SEED),
             enabled,
             abs_err_ns: 0.0,
