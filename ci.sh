@@ -105,7 +105,7 @@ if [[ "$(field "$off_json" trials_pruned)" != 0 || "$(field "$off_json" predicto
 fi
 echo "predictor gate: $pruned of $total trials pruned ($((pruned * 100 / total))%), MAE ${mae}ns, plan unchanged"
 
-echo "== lint gate (zoo clean, capacity rejection, sound bound pruning) =="
+echo "== lint gate (zoo clean, capacity rejection, clean default run) =="
 # Every enumerated plan of every zoo model must lint with zero errors,
 # and so must the rendered golden fixtures (including the multi-device
 # ones, which size the lint topology from their device map).
@@ -123,28 +123,13 @@ elif ! grep -q "lint-mem-capacity" <<< "$cap_out"; then
     printf '%s\n' "$cap_out" >&2
     exit 1
 fi
-# Bound pruning must skip >= 10% of simulated trials on the MI-LSTM
-# fusion+kernel gate — on top of the predictor's own savings — while the
-# surviving search selects a bit-identical plan; with the flag off the
-# counter must be exactly zero.
-bp_args=(optimize --model milstm --batch 16 --dims fk --top-k 1 --json)
-bp_on=$(./target/release/astra-cli "${bp_args[@]}" --bound-prune on)
-bp_off=$(./target/release/astra-cli "${bp_args[@]}")
-bp_steady_on=$(field "$bp_on" steady_ns); bp_steady_off=$(field "$bp_off" steady_ns)
-bp_pruned=$(field "$bp_on" bound_pruned); bp_sim=$(field "$bp_on" configs_explored)
-if [[ "$bp_steady_on" != "$bp_steady_off" ]]; then
-    echo "ci: FAIL — bound pruning changed the plan (steady $bp_steady_on vs $bp_steady_off)" >&2
+# A default optimize run on a zoo model must reject no candidate plan.
+lint_json=$(./target/release/astra-cli optimize --model milstm --batch 16 --dims fk --json)
+if [[ "$(field "$lint_json" lint_rejects)" != 0 ]]; then
+    echo "ci: FAIL — a clean default run must report zero lint rejects" >&2
     exit 1
 fi
-if (( bp_pruned * 10 < (bp_sim + bp_pruned) )); then
-    echo "ci: FAIL — bound pruning skipped only $bp_pruned of $((bp_sim + bp_pruned)) trials (< 10%)" >&2
-    exit 1
-fi
-if [[ "$(field "$bp_off" bound_pruned)" != 0 || "$(field "$bp_off" lint_rejects)" != 0 ]]; then
-    echo "ci: FAIL — lint counters must be zero with the features off" >&2
-    exit 1
-fi
-echo "lint gate: zoo clean, capacity rejected, $bp_pruned of $((bp_sim + bp_pruned)) trials bound-pruned, plan unchanged"
+echo "lint gate: zoo clean, capacity rejected, clean default run rejects nothing"
 
 echo "== durability gate (crash-resume bit-identity, corruption quarantine) =="
 # A run interrupted at an arbitrary byte of its store writes must resume

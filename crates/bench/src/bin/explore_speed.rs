@@ -18,10 +18,6 @@
 //! prediction MAE; the MiLSTM gate row must save >= 30% of simulated
 //! trials while selecting the unpruned baseline's plan bit-for-bit.
 //!
-//! **Bound pruning.** Sound critical-path bound pruning on the MiLSTM
-//! gate against a same-dims baseline. The row must skip >= 10% of trials
-//! with a bit-identical plan.
-//!
 //! Prints one JSON document (`ci.sh bench` redirects it to
 //! `BENCH_explore_speed.json`).
 
@@ -405,76 +401,6 @@ fn main() {
         ));
     }
 
-    // Bound pruning on the MiLSTM gate against a same-dims baseline with
-    // the veto off, interleaved min-of-N. It runs the fusion+kernel dims
-    // (where span floors bite on the single-stream probe regions) and must
-    // skip >= 10% of trials with a bit-identical plan.
-    let mut lint_rows = Vec::new();
-    {
-        let cfg = Model::MiLstm.default_config(16);
-        let built = Model::MiLstm.build(&cfg);
-        let run_mode = |bound_prune: bool| {
-            let opts = AstraOptions {
-                dims: Dims::fk(),
-                faults: FaultPlan::none(),
-                bound_prune,
-                ..Default::default()
-            };
-            let mut astra = Astra::new(&built.graph, &dev, opts);
-            let t0 = Instant::now();
-            let r = astra.optimize().expect("lint bench pass succeeds");
-            (r, t0.elapsed().as_secs_f64() * 1e3)
-        };
-        let reps = 3;
-        let mut base_ms = Vec::with_capacity(reps);
-        let mut on_ms = Vec::with_capacity(reps);
-        let mut base: Option<Report> = None;
-        let mut on: Option<Report> = None;
-        for _ in 0..reps {
-            let (r, ms) = run_mode(false);
-            base_ms.push(ms);
-            if let Some(p) = &base {
-                assert_eq!(
-                    p.steady_ns.to_bits(),
-                    r.steady_ns.to_bits(),
-                    "bound_prune: baseline drifted across reps"
-                );
-            }
-            base = Some(r);
-            let (r, ms) = run_mode(true);
-            on_ms.push(ms);
-            on = Some(r);
-        }
-        let (base, on) = (base.unwrap(), on.unwrap());
-        assert_eq!(
-            (base.bound_pruned, base.lint_rejects),
-            (0, 0),
-            "bound_prune: counters must be zero with the features off"
-        );
-        assert_eq!(
-            on.steady_ns.to_bits(),
-            base.steady_ns.to_bits(),
-            "bound_prune: must keep the simulated cost bit-identical"
-        );
-        assert_eq!(on.best, base.best, "bound_prune: winner drifted from baseline");
-        let considered = on.configs_explored + on.bound_pruned;
-        assert!(
-            on.bound_pruned * 10 >= considered,
-            "bound_prune: skipped only {} of {considered} trials (< 10%)",
-            on.bound_pruned
-        );
-        lint_rows.push(format!(
-            "{{\"mode\":\"bound_prune\",\"model\":\"milstm\",\"dims\":\"fk\",\
-             \"reps\":{reps},\"base_ms\":{:.1},\"on_ms\":{:.1},\
-             \"bound_pruned\":{},\"trials_simulated\":{},\"bound_skipped_frac\":{:.3}}}",
-            min_ms(&base_ms),
-            min_ms(&on_ms),
-            on.bound_pruned,
-            on.configs_explored,
-            on.bound_pruned as f64 / considered as f64,
-        ));
-    }
-
     // Multi-device placement search: the same exploration on 1/2/4-device
     // nvlink nodes. Single-device placement is always a candidate, so the
     // multi-device winner can never be slower than the devices=1 steady
@@ -553,11 +479,10 @@ fn main() {
     }
 
     println!(
-        "{{\n\"host_cpus\":{host_cpus},\n\"driver\":[\n{}\n],\n\"verify_overhead\":[\n{}\n],\n\"predictor\":[\n{}\n],\n\"lint\":[\n{}\n],\n\"devices_sweep\":[\n{}\n]\n}}",
+        "{{\n\"host_cpus\":{host_cpus},\n\"driver\":[\n{}\n],\n\"verify_overhead\":[\n{}\n],\n\"predictor\":[\n{}\n],\n\"devices_sweep\":[\n{}\n]\n}}",
         driver_rows.join(",\n"),
         verify_rows.join(",\n"),
         predictor_rows.join(",\n"),
-        lint_rows.join(",\n"),
         device_rows.join(",\n"),
     );
 }

@@ -85,10 +85,6 @@ commands:
             [--lint on|off]   static resource lint gate on candidate plans (default on):
                               plans whose peak live memory exceeds device capacity are
                               quarantined before simulation (lint-mem-capacity)
-            [--bound-prune on|off]
-                              skip candidates whose critical-path lower bound already
-                              exceeds the measured best (default off); composes with the
-                              predictor and preserves the final plan bit-identically
             [--json]          print the optimization report as JSON instead of text
             [--store <dir>]   persist warm exploration state (profile samples, verdicts,
                               quarantine marks, predictor weights, full-run sim memos) in a
@@ -175,7 +171,6 @@ const OPTIMIZE_FLAGS: Flags = Flags {
         "--predictor",
         "--top-k",
         "--lint",
-        "--bound-prune",
         "--store",
         "--devices",
         "--topology",
@@ -377,7 +372,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     let sim_cache = !opts.flag("--no-sim-cache");
     let (predictor, predictor_top_k) = parse_predictor(&opts)?;
     let lint = parse_on_off(&opts, "--lint", true)?;
-    let bound_prune = parse_on_off(&opts, "--bound-prune", false)?;
     let node = parse_node(&opts, &dev)?;
     let store_dir = opts.get("--store").map(std::path::PathBuf::from);
     let store_on = store_dir.is_some();
@@ -394,7 +388,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         predictor,
         predictor_top_k,
         lint,
-        bound_prune,
         store_dir,
         warm_index,
         ..Default::default()
@@ -448,7 +441,7 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         r.fault_events, r.retries, r.quarantined
     );
     println!("verify: {} plans analyzed, {} rejected", r.plans_verified, r.verify_rejects);
-    println!("lint: {} plans rejected, {} trials bound-pruned", r.lint_rejects, r.bound_pruned);
+    println!("lint: {} plans rejected", r.lint_rejects);
     println!(
         "predictor: {} trials pruned / {} simulated ({} model updates, MAE {:.2} us)",
         r.trials_pruned,
@@ -517,7 +510,6 @@ fn report_json(r: &astra_core::Report, node: Option<&astra_gpu::Topology>) -> St
         format!("\"plans_verified\":{}", r.plans_verified),
         format!("\"verify_rejects\":{}", r.verify_rejects),
         format!("\"lint_rejects\":{}", r.lint_rejects),
-        format!("\"bound_pruned\":{}", r.bound_pruned),
         format!("\"warm_start\":{}", r.warm_start),
         format!("\"store_loaded_keys\":{}", r.store_loaded_keys),
         format!("\"store_corrupt_records\":{}", r.store_corrupt_records),
@@ -1104,6 +1096,7 @@ mod tests {
         let base = ["--model", "scrnn", "--batch", "4"];
         reject(&[&base[..], &["--bogus-flag", "3"]].concat(), &OPTIMIZE_FLAGS, "--bogus-flag");
         reject(&[&base[..], &["--bound-prun", "on"]].concat(), &OPTIMIZE_FLAGS, "--bound-prun");
+        reject(&[&base[..], &["--bound-prune", "on"]].concat(), &OPTIMIZE_FLAGS, "--bound-prune");
         reject(&[&base[..], &["--epsilon", "0.1"]].concat(), &OPTIMIZE_FLAGS, "--epsilon");
         reject(&[&base[..], &["--dims"]].concat(), &OPTIMIZE_FLAGS, "--dims");
         reject(&["--model", "milstm", "--out", "t.json"], &LINT_FLAGS, "--out");
@@ -1117,7 +1110,7 @@ mod tests {
             assert!(Opts::new(&a, flags).is_ok(), "'{line}' rejected");
         };
         accept("--model milstm --batch 16 --dims fk --top-k 1 --json", &OPTIMIZE_FLAGS);
-        accept("--model scrnn --bound-prune on --store d --warm-index", &OPTIMIZE_FLAGS);
+        accept("--model scrnn --lint off --store d --warm-index", &OPTIMIZE_FLAGS);
         accept("--model sublstm --batch 8 --devices p100,v100", &VERIFY_FLAGS);
         accept("--fixtures tests/golden --json", &LINT_FLAGS);
         accept("--model milstm --batch 16 --mem-mib 64", &LINT_FLAGS);

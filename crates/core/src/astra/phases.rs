@@ -3,16 +3,16 @@
 //! [`Astra::run_phase`] owns everything the phases share; each phase here
 //! only says what varies — its variables and profile keys, how a choice
 //! lands in a configuration, where its units come from, what its probes
-//! measure and bound, and which of its metrics are outlier-checked.
+//! measure, and which of its metrics are outlier-checked.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use astra_gpu::{GemmLibrary, GemmShape, RunResult, Topology};
+use astra_gpu::{GemmLibrary, GemmShape, RunResult};
 use astra_predict::FeatureVec;
 
-use super::{Astra, Prepared};
+use super::Astra;
 use crate::adaptive::{ExploreMode, UpdateNode, UpdateTree};
 use crate::enumerate::epochs::{epoch_choices, partition_units, EpochAssignment, Partition};
 use crate::error::AstraError;
@@ -78,10 +78,6 @@ pub(super) trait Phase {
         v: usize,
         choice: usize,
     ) -> Rc<FeatureVec>;
-
-    /// Sound lower bounds `(vidx, floor)` on the metrics of the `active`
-    /// variables in one prepared candidate.
-    fn floors(&self, p: &Prepared, active: &[usize], topo: &Topology) -> Vec<(usize, f64)>;
 
     /// The per-variable metrics `(vidx, ns)` one run measured, in commit
     /// order (the predictor trains in this order).
@@ -245,19 +241,6 @@ impl Phase for FusionPhase {
         Rc::new(fusion_features(cfg, self.topo_fp, &ctx.sets[*si], rc, cc))
     }
 
-    /// The probe-region floor, scaled by the block count the measured
-    /// metric is scaled by.
-    fn floors(&self, p: &Prepared, _active: &[usize], topo: &Topology) -> Vec<(usize, f64)> {
-        let regions: Vec<_> = p.probes.set_regions.iter().map(|&(_, _, s, e)| (s, e)).collect();
-        let floors = astra_lint::region_floors(&p.sched, &regions, topo, &|_, _| None);
-        p.probes
-            .set_regions
-            .iter()
-            .zip(floors)
-            .filter_map(|(&(si, nb, _, _), f)| self.var_of.get(&si).map(|&v| (v, f * nb as f64)))
-            .collect()
-    }
-
     /// A set's metric: its first block's probe region, scaled by the
     /// set's block count.
     fn decode(&self, probes: &Probes, r: &RunResult) -> Vec<(usize, f64)> {
@@ -352,17 +335,6 @@ impl Phase for KernelPhase {
         choice: usize,
     ) -> Rc<FeatureVec> {
         Rc::new(kernel_features(cfg, self.topo_fp, self.shapes[v], GemmLibrary::all()[choice]))
-    }
-
-    fn floors(&self, p: &Prepared, _active: &[usize], topo: &Topology) -> Vec<(usize, f64)> {
-        let regions: Vec<_> = p.probes.shape_regions.iter().map(|&(_, s, e)| (s, e)).collect();
-        let floors = astra_lint::region_floors(&p.sched, &regions, topo, &|_, _| None);
-        p.probes
-            .shape_regions
-            .iter()
-            .zip(floors)
-            .filter_map(|(&(shape, _, _), f)| self.var_of.get(&shape).map(|&v| (v, f)))
-            .collect()
     }
 
     /// A shape's metric: its first occurrence's probe region.
@@ -560,26 +532,6 @@ impl Phase for StreamPhase {
         Rc::clone(&self.epochs[v].choices[choice].feat)
     }
 
-    /// An epoch's span floor: the longest happens-before path from the
-    /// super-epoch start record to any of the epoch's per-stream end
-    /// records under per-command duration floors. The metric is a max over
-    /// those end records, so one reachable end already bounds it.
-    fn floors(&self, p: &Prepared, active: &[usize], topo: &Topology) -> Vec<(usize, f64)> {
-        let mut vidxs = Vec::new();
-        let mut spans = Vec::new();
-        for &v in active {
-            let (sei, ei) = self.epochs[v].pos;
-            let start = p.probes.se_starts.get(&sei);
-            let (Some(&start), Some(ends)) = (start, p.probes.epoch_ends.get(&(sei, ei))) else {
-                continue;
-            };
-            vidxs.push(v);
-            spans.push((start, ends.as_slice()));
-        }
-        let floors = astra_lint::span_floors(&p.sched, &spans, topo, &|_, _| None);
-        vidxs.into_iter().zip(floors).collect()
-    }
-
     /// An epoch's metric: time from its super-epoch's start to the last
     /// kernel dispatched in any stream up to the epoch (§4.7).
     fn decode(&self, probes: &Probes, r: &RunResult) -> Vec<(usize, f64)> {
@@ -617,8 +569,7 @@ impl Phase for StreamPhase {
 
 /// Phase P: the placement across a multi-device node's devices —
 /// single-device, data-parallel splits and model-parallel cuts — as one
-/// variable. There are no probes: the metric is the whole mini-batch time,
-/// and its floor the whole schedule's critical path.
+/// variable. There are no probes: the metric is the whole mini-batch time.
 pub(super) struct PlacementPhase {
     vars: Vec<PhaseVar>,
     candidates: Vec<DevicePlacement>,
@@ -701,10 +652,6 @@ impl Phase for PlacementPhase {
         _choice: usize,
     ) -> Rc<FeatureVec> {
         Rc::new(placement_features(cfg, self.topo_fp, &self.units, self.sync_bytes))
-    }
-
-    fn floors(&self, p: &Prepared, _active: &[usize], topo: &Topology) -> Vec<(usize, f64)> {
-        vec![(0, astra_lint::critical_path_floor(&p.sched, topo, &|_, _| None))]
     }
 
     fn decode(&self, _probes: &Probes, r: &RunResult) -> Vec<(usize, f64)> {

@@ -24,12 +24,10 @@
 //!    overhead, link latency and bandwidth floors for transfers, ring
 //!    all-reduce floors) along the happens-before critical path, and takes
 //!    the max with the serial dispatch floor. The result never exceeds the
-//!    simulated time, so the driver can skip any candidate whose floor
-//!    already beats the measured best without risking the final plan.
-//!    [`region_floors`] is the per-probe-region variant the fusion and
-//!    kernel-selection phases use.
+//!    simulated time; the lint report carries it as a diagnostic, and the
+//!    optimizer never uses it to skip a candidate — it measures instead.
 //!
-//! The floors accept an `observed` hook for profile-backed per-kernel
+//! The floor accepts an `observed` hook for profile-backed per-kernel
 //! minima; the static [`KernelDesc::cost`] model (calibrated against the
 //! paper's Table 1) is the baseline floor and the hook can only tighten it.
 //!
@@ -59,7 +57,7 @@ mod floor;
 mod mem;
 mod sync;
 
-pub use floor::{critical_path_floor, region_floors, span_floors};
+pub use floor::critical_path_floor;
 pub use sync::elide_redundant_syncs;
 
 use astra_gpu::{BufId, Cmd, Schedule, Topology};

@@ -2,7 +2,7 @@
 //! schedule may deadlock, the timing invariants of the CUDA-style
 //! execution model must hold, a span-free run must time everything a
 //! span-recording run does, and no schedule — however wild its waits —
-//! may panic the engine, and the linter's critical-path floors must never
+//! may panic the engine, and the linter's critical-path floor must never
 //! exceed what the engine measures. Schedules are drawn from a seeded
 //! in-tree PRNG so the cases are identical on every run.
 
@@ -10,7 +10,7 @@ use astra::gpu::{
     ClockMode, Cmd, DeviceSpec, Engine, EngineCheckpoint, EventId, FaultPlan, FaultSummary,
     GemmLibrary, GemmShape, GpuError, KernelDesc, RunResult, Schedule, StreamId, Topology,
 };
-use astra::lint::{critical_path_floor, region_floors};
+use astra::lint::critical_path_floor;
 use astra_util::Rng64;
 
 /// Builds a random but *valid* schedule: kernels may wait only on events
@@ -164,12 +164,11 @@ fn waits_are_respected() {
     }
 }
 
-/// The floors bound pruning vetoes trials with are sound: over random
-/// schedules, `critical_path_floor` never exceeds the makespan and the
-/// `region_floors` of every pair of records on one stream never exceed the
-/// measured elapsed time between them. Checked clean, under chaos faults
-/// and a heavier fault mix (straggler factors >= 1, the soundness
-/// precondition), and under Autoboost clock jitter.
+/// The lint report's critical-path floor is a sound lower bound: over
+/// random schedules, `critical_path_floor` never exceeds the makespan.
+/// Checked clean, under chaos faults and a heavier fault mix (straggler
+/// factors >= 1, the soundness precondition), and under Autoboost clock
+/// jitter.
 #[test]
 fn critical_path_floors_never_exceed_the_measured_times() {
     let mut rng = Rng64::new(0xf100);
@@ -180,21 +179,6 @@ fn critical_path_floors_never_exceed_the_measured_times() {
         let (streams, moves) = draw_case(&mut rng, 1, 1);
         let sched = random_schedule(streams, &moves);
         let floor = critical_path_floor(&sched, &topo, &static_only);
-        let mut pairs = Vec::new();
-        for (i, a) in sched.cmds().iter().enumerate() {
-            for b in &sched.cmds()[i + 1..] {
-                if let (
-                    Cmd::Record { stream: sa, event: ea },
-                    Cmd::Record { stream: sb, event: eb },
-                ) = (a, b)
-                {
-                    if sa == sb {
-                        pairs.push((*ea, *eb));
-                    }
-                }
-            }
-        }
-        let region = region_floors(&sched, &pairs, &topo, &static_only);
         let heavy = FaultPlan {
             spike_prob: 0.2,
             launch_fail_prob: 0.2,
@@ -215,14 +199,6 @@ fn critical_path_floors_never_exceed_the_measured_times() {
                 "case {case} {clock:?} {plan:?}: floor {floor} above makespan {}",
                 r.total_ns
             );
-            for (&(a, b), &f) in pairs.iter().zip(&region) {
-                let elapsed = r.elapsed(a, b).expect("both events fired");
-                assert!(
-                    f <= elapsed,
-                    "case {case} {clock:?} {plan:?}: region {a:?}..{b:?} floor {f} \
-                     above elapsed {elapsed}"
-                );
-            }
         }
     }
 }

@@ -163,18 +163,6 @@ fn corpus() -> Vec<String> {
     });
 
     let milstm = tiny(Model::MiLstm);
-    for dims in ["fk", "fks", "all"] {
-        let r = run(&milstm, AstraOptions { bound_prune: true, ..opts(dims_named(dims)) });
-        lines.push(digest_line(&format!("MiLstm/{dims}/bound-prune"), &r));
-    }
-    // Bound pruning with the predictor off: the veto's candidate-order
-    // chunks run through every phase instead of only the cold batches.
-    let r = run(
-        &milstm,
-        AstraOptions { bound_prune: true, predictor: false, ..opts(Dims::all()) },
-    );
-    lines.push(digest_line("MiLstm/all/bound-prune-predictor-off", &r));
-
     for m in [Model::Scrnn, Model::SubLstm] {
         let r = run(&tiny(m), AstraOptions { predictor: false, ..opts(Dims::all()) });
         lines.push(digest_line(&format!("{m:?}/all/predictor-off"), &r));
