@@ -1,11 +1,12 @@
 //! Report digests: a differential oracle for driver refactors.
 //!
 //! A fixed corpus of tiny-model optimizations (every zoo model under each
-//! ablation column, chaos fault injection, bound pruning, the predictor
-//! off, the verifier off, an undersized device the linter partly rejects,
-//! multi-device placement search, and a warm store rerun that hits
-//! persisted quarantine marks) runs at `workers = 1`. Each run is reduced
-//! to one line:
+//! ablation column, chaos fault injection, the predictor off, the verifier
+//! off, an undersized device the linter partly rejects, multi-device
+//! placement search, a warm store rerun that hits persisted quarantine
+//! marks, and two fault runs that re-measure a kernel shape under a later
+//! allocation strategy) runs at `workers = 1`. Each run is reduced to one
+//! line:
 //!
 //! ```text
 //! <label> steady=<steady_ns bits> trials=<configs_explored> plan=<fnv(best.summary())> report=<fnv(fields)> simcache=<fnv(sim-cache counters)>
@@ -225,6 +226,18 @@ fn corpus() -> Vec<String> {
     let warm_line = digest_line("Scrnn/fk/chaos120-store-warm", &warm);
     lines.push(format!("{cold_line} store={cold_store:016x}"));
     lines.push(format!("{warm_line} store={warm_store:016x}"));
+
+    // Fault runs whose trial sequence depends on which measurements are
+    // treated as suspect: a kernel shape re-measured under a later
+    // allocation strategy, after a fault quarantined one of its libraries.
+    let faulted = [
+        (Model::MiLstm, "chaos1", FaultPlan::chaos(1)),
+        (Model::Gnmt, "spikes10", FaultPlan::timing_spikes(10)),
+    ];
+    for (m, name, faults) in faulted {
+        let r = run(&tiny(m), AstraOptions { faults, ..opts(Dims::all()) });
+        lines.push(digest_line(&format!("{m:?}/all/{name}"), &r));
+    }
     lines
 }
 
