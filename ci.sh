@@ -214,8 +214,30 @@ if [[ "$(bool_field "$ref_json" warm_start)" != "false" \
     echo "ci: FAIL — store counters must be zero/false without --store" >&2
     exit 1
 fi
-rm -rf "$st_dir" "$cr_dir"
-echo "durability gate: crash-resume and corruption quarantine hold, plans bit-identical"
+# Quarantine marks name the trial that earned them: a faulted warm rerun
+# poisons exactly the trials its cold run quarantined, so the cold and
+# warm store runs land on the storeless plan, and the warm one skips
+# their retries.
+fq_args=(optimize --model scrnn --batch 8 --dims fks --fault chaos --fault-seed 1 --json)
+fq_dir=$(mktemp -d)
+fq_ref=$(./target/release/astra-cli "${fq_args[@]}")
+fq_cold=$(./target/release/astra-cli "${fq_args[@]}" --store "$fq_dir")
+fq_warm=$(./target/release/astra-cli "${fq_args[@]}" --store "$fq_dir")
+for fq_json in "$fq_cold" "$fq_warm"; do
+    if [[ "$(field "$fq_json" steady_ns)" != "$(field "$fq_ref" steady_ns)" \
+       || "$(plan_field "$fq_json")" != "$(plan_field "$fq_ref")" ]]; then
+        echo "ci: FAIL — a faulted store run changed the plan" \
+             "(steady $(field "$fq_json" steady_ns) vs $(field "$fq_ref" steady_ns))" >&2
+        exit 1
+    fi
+done
+if [[ "$(bool_field "$fq_warm" warm_start)" != "true" ]] \
+   || (( $(field "$fq_warm" retries) >= $(field "$fq_cold" retries) )); then
+    echo "ci: FAIL — a faulted warm rerun did not skip retries through its marks" >&2
+    exit 1
+fi
+rm -rf "$st_dir" "$cr_dir" "$fq_dir"
+echo "durability gate: crash-resume, corruption quarantine and faulted warm reruns hold, plans bit-identical"
 
 echo "== rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -24,7 +24,6 @@
 
 mod phases;
 
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -55,13 +54,6 @@ use phases::{FusionPhase, KernelPhase, Phase, PlacementPhase, Space, StreamPhase
 /// so the budget is deliberately small.
 const MAX_FAULT_RETRIES: u32 = 3;
 
-/// A measurement is an outlier when it exceeds the key's recorded minimum
-/// by this factor. The threshold sits between the autoboost jitter ceiling
-/// (1.12x) and the smallest injected timing spike (2x), so legitimate clock
-/// variance never triggers a re-measure while an undetected spike on a
-/// previously measured key does.
-const OUTLIER_FACTOR: f64 = 1.5;
-
 /// Trials peeled off the update tree per lookahead batch. Deliberately a
 /// constant rather than a multiple of the worker count: every trial in a
 /// batch probes the memo table as it stood before the batch, so the batch
@@ -73,28 +65,21 @@ const OUTLIER_FACTOR: f64 = 1.5;
 /// trial sequence.)
 const LOOKAHEAD_TRIALS: usize = 32;
 
-/// Whether `metric` is a statistical outlier against the samples already
-/// indexed for `key`. First measurements are never outliers (there is no
-/// history to contradict).
-fn is_outlier(index: &ProfileIndex, key: &ProfileKey, metric: f64) -> bool {
-    match index.get(key) {
-        Some(best) if best > 0.0 => metric > best * OUTLIER_FACTOR,
-        _ => false,
-    }
-}
-
-/// Synthetic [`ProfileKey`] naming one quarantined *candidate*: the full
-/// assignment over every variable the trial explored, one rendered key per
-/// context slot. Quarantine marks must identify the candidate, not its
-/// individual per-variable keys — per-variable marks from two different
-/// quarantined candidates could otherwise combine to falsely match a
-/// never-quarantined third combination.
-fn quarantine_id<K: Borrow<ProfileKey>>(
+/// Synthetic [`ProfileKey`] naming one quarantined *trial*: the picked
+/// key of every variable of the phase, one rendered key per context slot,
+/// and the trial's base fault salt as the choice. Marks must identify the
+/// whole trial, not its individual per-variable keys — per-variable marks
+/// from two different quarantined candidates could otherwise combine to
+/// falsely match a never-quarantined third combination — and the salt ties
+/// a mark to the fault draws that earned it, so a candidate recurring at
+/// another trial position (under other draws) is not poisoned by it.
+fn quarantine_id<'k>(
     phase: &str,
-    keys: impl IntoIterator<Item = K>,
+    keys: impl IntoIterator<Item = &'k ProfileKey>,
+    salt: u64,
 ) -> ProfileKey {
-    let contexts: Vec<String> = keys.into_iter().map(|k| k.borrow().to_string()).collect();
-    ProfileKey::from_parts(contexts, format!("quarantine:{phase}"), 0)
+    let contexts: Vec<String> = keys.into_iter().map(ProfileKey::to_string).collect();
+    ProfileKey::from_parts(contexts, format!("quarantine:{phase}"), salt as usize)
 }
 
 /// Running totals for one [`Astra::optimize`] call, reset at its start and
@@ -279,10 +264,10 @@ pub struct AstraOptions {
     pub workers: usize,
     /// Fault injection applied to every simulated mini-batch (see
     /// [`FaultPlan`]). The driver re-measures candidates whose run reported
-    /// a fault or whose measurement is a statistical outlier, with bounded
-    /// retries and deterministic backoff; candidates still faulted after
-    /// the budget are quarantined. [`FaultPlan::none`] (the default) is
-    /// zero-cost.
+    /// a fault, with bounded retries and deterministic backoff; candidates
+    /// still faulted after the budget are quarantined. A run that reports
+    /// no fault is committed as measured. [`FaultPlan::none`] (the default)
+    /// is zero-cost.
     pub faults: FaultPlan,
     /// Whether to replay memoized full runs when a trial repeats an
     /// already simulated schedule (see [`crate::SimCache`]). Replayed runs
@@ -400,8 +385,9 @@ pub struct Report {
     pub plan_cache_misses: u64,
     /// Exploration mini-batches that reported at least one injected fault.
     pub fault_events: usize,
-    /// Fault- or outlier-triggered re-measurements (each one a real
-    /// mini-batch, counted in `configs_explored` too).
+    /// Fault-triggered re-measurements, each one a real mini-batch. An
+    /// exploration or playoff re-run is counted in `configs_explored` too;
+    /// a re-run of the native baseline is not.
     pub retries: usize,
     /// Candidates excluded from the profile index and recorded as unusable
     /// in the update tree: still faulted after the retry budget, or
@@ -1302,13 +1288,14 @@ impl<'g> Astra<'g> {
     ///    index and the predictor see exactly a sequential driver's
     ///    updates: an invalid candidate poisons its choices, a pruned one
     ///    records its [`VarFeat::pred`] values, and a measured one commits
-    ///    its decoded metrics. A measured candidate is re-measured under
-    ///    the next attempt salt, as a one-trial [`Astra::run_batch`],
-    ///    while its run reports a fault or an outlier metric, up to
-    ///    [`MAX_FAULT_RETRIES`] times; still suspect, it is quarantined —
+    ///    the decoded metrics of its fault-free run. A measured candidate
+    ///    is re-measured under the next attempt salt, as a one-trial
+    ///    [`Astra::run_batch`], while its run reports a fault, up to
+    ///    [`MAX_FAULT_RETRIES`] times; still faulted, it is quarantined —
     ///    every variable's choice poisoned, no sample indexed, a mark
-    ///    journaled. Persisted marks under this fault plan poison a
-    ///    candidate without spending the retries.
+    ///    naming the trial (see `quarantine_id`) journaled. Persisted
+    ///    marks under this fault plan poison the same trial without
+    ///    spending the retries.
     ///
     /// Ends the phase (see [`Astra::end_phase`]) when it explored anything.
     fn run_phase<P: Phase>(
@@ -1396,48 +1383,25 @@ impl<'g> Astra<'g> {
                     BatchOutcome::Measured(r, p) => (r, p),
                 };
                 let pick = &picks[bi];
-                let fs = feats[bi].as_deref().unwrap_or_default();
-                let qid =
-                    || quarantine_id(P::KIND, fs.iter().map(|vf| &vars[vf.vidx].keys[vf.choice]));
+                let salt = salt0 + bi as u64;
+                let qid = || {
+                    quarantine_id(P::KIND, vars.iter().zip(pick).map(|(v, &c)| &v.keys[c]), salt)
+                };
                 if !self.warm_quarantine.is_empty() && self.warm_quarantine.contains(&qid()) {
                     self.stats.quarantined += 1;
                     tree.poison_all();
                     continue;
                 }
                 let mut attempt = 0u32;
-                let committed = loop {
-                    let metrics = phase.decode(&probes, &run);
-                    let faulted = run.faults.any();
+                let clean_run = loop {
                     self.stats.trials += 1;
                     self.stats.exploration_ns += run.total_ns;
                     self.stats.overhead_ns +=
                         probes.probe_records as f64 * self.dev.event_record_cost_ns;
-                    if faulted {
-                        self.stats.fault_events += 1;
-                    }
-                    // A checked metric far above its key's recorded minimum
-                    // is noise even when the run reported no fault.
-                    let suspect = faulted
-                        || phase.outlier_checked()
-                            && metrics
-                                .iter()
-                                .any(|&(v, m)| is_outlier(&self.index, &vars[v].keys[pick[v]], m));
-                    if !suspect {
-                        for &(v, m) in &metrics {
-                            tree.record_at(vars[v].slot, m);
-                            self.commit_sample(&vars[v].keys[pick[v]], m);
-                            match fs.binary_search_by_key(&v, |vf| vf.vidx) {
-                                Ok(i) => self.pruner.observe(P::KIND, &fs[i].feat, fs[i].pred, m),
-                                Err(_) => {
-                                    if let Some(f) = phase.frozen_feature(v, pick[v]) {
-                                        self.pruner.observe(P::KIND, f, 0.0, m);
-                                    }
-                                }
-                            }
-                        }
-                        fold_best(&mut best_measured, &feats, bi, &metrics);
+                    if !run.faults.any() {
                         break true;
                     }
+                    self.stats.fault_events += 1;
                     if attempt >= MAX_FAULT_RETRIES {
                         break false;
                     }
@@ -1446,7 +1410,7 @@ impl<'g> Astra<'g> {
                     // one-trial batch through the sim cache.
                     attempt += 1;
                     self.stats.retries += 1;
-                    let salt = FaultPlan::attempt_salt(salt0 + bi as u64, attempt);
+                    let salt = FaultPlan::attempt_salt(salt, attempt);
                     let clean = clean[bi].as_ref().expect("measured candidates have units");
                     let Some((_, sched, p)) = self.emit_attempt(phase, &cfgs[bi], clean, salt)
                     else {
@@ -1456,14 +1420,30 @@ impl<'g> Astra<'g> {
                     (run, probes) =
                         retry.into_iter().flatten().next().expect("a prepared trial runs");
                 };
-                if !committed {
+                if !clean_run {
                     // The update tree sees +inf for these choices (so the
                     // best known configuration wins); the profile index
                     // keeps no sample, leaving the candidate re-measurable.
                     self.stats.quarantined += 1;
                     tree.poison_all();
                     self.journal_quarantine(&qid());
+                    continue;
                 }
+                let metrics = phase.decode(&probes, &run);
+                let fs = feats[bi].as_deref().unwrap_or_default();
+                for &(v, m) in &metrics {
+                    tree.record_at(vars[v].slot, m);
+                    self.commit_sample(&vars[v].keys[pick[v]], m);
+                    match fs.binary_search_by_key(&v, |vf| vf.vidx) {
+                        Ok(i) => self.pruner.observe(P::KIND, &fs[i].feat, fs[i].pred, m),
+                        Err(_) => {
+                            if let Some(f) = phase.frozen_feature(v, pick[v]) {
+                                self.pruner.observe(P::KIND, f, 0.0, m);
+                            }
+                        }
+                    }
+                }
+                fold_best(&mut best_measured, &feats, bi, &metrics);
             }
         }
 
@@ -1602,7 +1582,7 @@ mod tests {
     fn clean_runs_report_zero_fault_counters() {
         // Fault injection must be zero-cost when disabled: no event, retry,
         // or quarantine ever shows up without a fault plan — including under
-        // autoboost clock jitter, which must not trip the outlier check.
+        // autoboost clock jitter, which varies measurements but is no fault.
         for clock in [ClockMode::Fixed, ClockMode::Autoboost { seed: 3 }] {
             let built = tiny(Model::SubLstm);
             let dev = DeviceSpec::p100();

@@ -2,8 +2,9 @@
 //!
 //! [`Astra::run_phase`] owns everything the phases share; each phase here
 //! only says what varies — its variables and profile keys, how a choice
-//! lands in a configuration, where its units come from, what its probes
-//! measure, and which of its metrics are outlier-checked.
+//! lands in a configuration, where its units come from, and what its
+//! probes measure. Whether a run is suspect is not the phase's call: only
+//! a reported fault marks one, in every phase.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -82,13 +83,6 @@ pub(super) trait Phase {
     /// The per-variable metrics `(vidx, ns)` one run measured, in commit
     /// order (the predictor trains in this order).
     fn decode(&self, probes: &Probes, r: &RunResult) -> Vec<(usize, f64)>;
-
-    /// Whether a metric far above its key's recorded minimum marks the run
-    /// as suspect. Probe regions are single-stream and interference-free,
-    /// so there such a metric is noise even when no fault was reported.
-    fn outlier_checked(&self) -> bool {
-        true
-    }
 
     /// Features that train the predictor, at a zero prediction, on a
     /// committed metric of a variable outside the batch's active set.
@@ -552,12 +546,6 @@ impl Phase for StreamPhase {
             }
         }
         m
-    }
-
-    /// Epoch metrics legitimately vary with later epochs' stream maps
-    /// (processor sharing), so only a reported fault marks a suspect.
-    fn outlier_checked(&self) -> bool {
-        false
     }
 
     /// Frozen epochs' metrics are committed anyway; training on them warms

@@ -9,9 +9,10 @@
 //! unaffected contexts stay valid.
 //!
 //! The index stores full per-key [`SampleStats`] (count / mean / min /
-//! variance) rather than a single scalar: under fault injection the same
-//! key is measured repeatedly, and the driver needs the spread to tell a
-//! statistical outlier (re-measure) from a genuinely slow choice (accept).
+//! variance) rather than a single scalar: the persistent store journals
+//! that Welford state per key, so a compacted or resumed index folds later
+//! samples exactly as the in-memory one would. Exploration decisions read
+//! only the minimum.
 
 use std::collections::HashMap;
 
@@ -167,7 +168,7 @@ impl SampleStats {
 /// measurements are repeatable under a fixed clock, and every injected
 /// noise source is slow-only, so the smallest sample is the best estimate
 /// of the true cost. The full stats stay available via
-/// [`ProfileIndex::stats`] for outlier detection.
+/// [`ProfileIndex::stats`] for the store's per-key records.
 ///
 /// The index is hashed: the driver records tens of thousands of samples
 /// per `optimize()`, and an ordered map would compare string keys on every

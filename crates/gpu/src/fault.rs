@@ -37,9 +37,10 @@
 
 use astra_util::Rng64;
 
-/// Minimum multiplier of a timing spike. Chosen above the driver's outlier
-/// threshold (1.5×) and well above the autoboost jitter ceiling (1.12×), so
-/// the three noise regimes never overlap.
+/// Minimum multiplier of a timing spike. Chosen well above the autoboost
+/// jitter ceiling (1.12×), so a spike is never mistaken for clock variance
+/// in a measurement; every spike is also counted in the run's
+/// [`FaultSummary`], which is how the driver tells a poisoned run apart.
 pub const SPIKE_MIN_FACTOR: f64 = 2.0;
 
 /// Cap on the heavy-tailed spike multiplier (keeps totals finite and the

@@ -267,6 +267,52 @@ fn persisted_quarantine_marks_skip_the_retry_budget_under_the_same_faults() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn warm_marks_poison_only_the_trials_that_earned_them() {
+    // The report digests' tiny MI-LSTM over every phase, the stream phase
+    // included: under chaos seed 1 its cold run quarantines trials in
+    // several phases. A mark names the whole trial (every variable's
+    // picked key and the trial's fault salt), so the warm rerun poisons
+    // exactly the trials the cold run quarantined, skips their retries,
+    // and lands on the storeless plan.
+    let mut cfg = Model::MiLstm.default_config(8);
+    (cfg.hidden, cfg.input, cfg.vocab, cfg.seq_len) = (64, 64, 128, 3);
+    cfg.layers = cfg.layers.min(2);
+    let built = Model::MiLstm.build(&cfg);
+    let dev = DeviceSpec::p100();
+    let dir = tmpdir("trial-marks");
+    let run = |store_dir: Option<PathBuf>| {
+        let opts = AstraOptions {
+            dims: Dims::all(),
+            workers: 1,
+            faults: FaultPlan::chaos(1),
+            store_dir,
+            ..Default::default()
+        };
+        let mut astra = Astra::new(&built.graph, &dev, opts);
+        let report = astra.optimize().expect("faulted optimize completes");
+        assert!(astra.store_error().is_none(), "store degraded: {:?}", astra.store_error());
+        report
+    };
+
+    let reference = run(None);
+    let cold = run(Some(dir.clone()));
+    let warm = run(Some(dir.clone()));
+    assert_same_plan(&reference, &cold, "faulted cold store run vs storeless");
+    assert_same_plan(&reference, &warm, "faulted warm store run vs storeless");
+    assert!(cold.quarantined > 0, "chaos must quarantine something or this test is vacuous");
+    assert!(warm.warm_start);
+    assert_eq!(warm.quarantined, cold.quarantined, "warm marks poison exactly the cold run's");
+    assert!(
+        warm.retries < cold.retries,
+        "persisted marks must skip re-probing (warm {} vs cold {} retries)",
+        warm.retries,
+        cold.retries
+    );
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The journal's records with the byte offset each frame ends at.
 fn journal_frames(dir: &Path) -> Vec<(u64, store::Record)> {
     let bytes = std::fs::read(dir.join("journal.astra")).unwrap();
