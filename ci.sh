@@ -187,14 +187,16 @@ if [[ "$(field "$flip_json" store_corrupt_records)" == 0 \
     exit 1
 fi
 ./target/release/astra-cli store fsck --dir "$st_dir" >/dev/null   # clean after recovery
-# Profile samples reach the journal as per-key stats, never one record
-# per sample: a warm re-run's journal holds no profile_sample records.
-# Capture first so a failing `store stats` aborts the gate instead of
-# reading as "no match".
-./target/release/astra-cli "${st_args[@]}" --store "$cr_dir" >/dev/null
+# The store keeps only what a rerun replays (memos, verdicts, quarantine
+# marks): a warm rerun appends nothing, and its store holds no
+# profile_stats, profile_sample or predictor records. Capture first so a
+# failing `store stats` aborts the gate instead of reading as "no match".
+rerun_json=$(./target/release/astra-cli "${st_args[@]}" --store "$cr_dir")
 st_out=$(./target/release/astra-cli store stats --dir "$cr_dir")
-if grep -q profile_sample <<<"$st_out" || ! grep -q profile_stats <<<"$st_out"; then
-    echo "ci: FAIL — profile state not journaled as per-key stats:" >&2
+if [[ "$(field "$rerun_json" store_journal_appends)" != 0 ]] \
+   || ! grep -q memo <<<"$st_out" \
+   || grep -Eq 'profile_stats|profile_sample|predictor' <<<"$st_out"; then
+    echo "ci: FAIL — a warm rerun journaled records or its store holds retired kinds:" >&2
     echo "$st_out" >&2
     exit 1
 fi

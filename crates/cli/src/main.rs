@@ -86,13 +86,9 @@ commands:
                               plans whose peak live memory exceeds device capacity are
                               quarantined before simulation (lint-mem-capacity)
             [--json]          print the optimization report as JSON instead of text
-            [--store <dir>]   persist warm exploration state (profile samples, verdicts,
-                              quarantine marks, predictor weights, full-run sim memos) in a
+            [--store <dir>]   persist full-run sim memos, verdicts, quarantine marks in a
                               crash-safe on-disk store; an interrupted run resumes from the
                               store and produces the bit-identical final plan
-            [--warm-index]    also seed the profile index and predictor weights from the
-                              store; steers the search (faster, but no bit-identity claim
-                              against a cold run)
             [--devices <n|list>] [--topology nvlink|pcie3|ethernet]
                               explore placements on a simulated multi-device node: a count
                               (`--devices 4`) means that many copies of the base device, a
@@ -175,7 +171,7 @@ const OPTIMIZE_FLAGS: Flags = Flags {
         "--devices",
         "--topology",
     ],
-    switches: &["--v100", "--no-sim-cache", "--warm-index", "--json"],
+    switches: &["--v100", "--no-sim-cache", "--json"],
 };
 
 const COMPARE_FLAGS: Flags =
@@ -375,10 +371,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     let node = parse_node(&opts, &dev)?;
     let store_dir = opts.get("--store").map(std::path::PathBuf::from);
     let store_on = store_dir.is_some();
-    let warm_index = opts.flag("--warm-index");
-    if warm_index && !store_on {
-        return Err("--warm-index requires --store (see `astra-cli help`)".to_owned());
-    }
     let options = AstraOptions {
         dims,
         num_streams,
@@ -389,7 +381,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         predictor_top_k,
         lint,
         store_dir,
-        warm_index,
         ..Default::default()
     };
     let mut astra = match &node {
@@ -1098,6 +1089,7 @@ mod tests {
         reject(&[&base[..], &["--bound-prun", "on"]].concat(), &OPTIMIZE_FLAGS, "--bound-prun");
         reject(&[&base[..], &["--bound-prune", "on"]].concat(), &OPTIMIZE_FLAGS, "--bound-prune");
         reject(&[&base[..], &["--epsilon", "0.1"]].concat(), &OPTIMIZE_FLAGS, "--epsilon");
+        reject(&[&base[..], &["--warm-index"]].concat(), &OPTIMIZE_FLAGS, "--warm-index");
         reject(&[&base[..], &["--dims"]].concat(), &OPTIMIZE_FLAGS, "--dims");
         reject(&["--model", "milstm", "--out", "t.json"], &LINT_FLAGS, "--out");
         reject(&["--dir"], &STORE_FLAGS, "--dir");
@@ -1110,7 +1102,7 @@ mod tests {
             assert!(Opts::new(&a, flags).is_ok(), "'{line}' rejected");
         };
         accept("--model milstm --batch 16 --dims fk --top-k 1 --json", &OPTIMIZE_FLAGS);
-        accept("--model scrnn --lint off --store d --warm-index", &OPTIMIZE_FLAGS);
+        accept("--model scrnn --lint off --store d", &OPTIMIZE_FLAGS);
         accept("--model sublstm --batch 8 --devices p100,v100", &VERIFY_FLAGS);
         accept("--fixtures tests/golden --json", &LINT_FLAGS);
         accept("--model milstm --batch 16 --mem-mib 64", &LINT_FLAGS);

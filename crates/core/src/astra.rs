@@ -317,13 +317,6 @@ pub struct AstraOptions {
     /// `None` behavior (see [`Astra::store_error`]); a store that fails
     /// mid-run stops journaling but never fails the optimization.
     pub store_dir: Option<std::path::PathBuf>,
-    /// Whether loaded profile samples and predictor weights also seed the
-    /// in-memory exploration state. These steer the search (index hits
-    /// skip measurements, warm models prune from the first batch), so the
-    /// resulting plan may legitimately differ from a cold run's — this is
-    /// cross-session warm-starting, not crash-resume, and carries no
-    /// bit-identity claim. Off by default; requires `store_dir`.
-    pub warm_index: bool,
     /// Write-fault injection for the store: after this many bytes of
     /// store writes, the store behaves as if the process was killed
     /// mid-write — the partial write is truncated at the boundary and
@@ -349,7 +342,6 @@ impl Default for AstraOptions {
             predictor: true,
             predictor_top_k: 2,
             store_dir: None,
-            warm_index: false,
             store_crash_after: None,
         }
     }
@@ -611,11 +603,9 @@ impl<'g> Astra<'g> {
     }
 
     /// Applies a freshly opened store's warm state: memos and fault-matched
-    /// quarantine marks always (verdicts are read from the store itself, see
-    /// [`Astra::verdict`]) (outcome-invariant — they
-    /// change wall-clock, never the decision sequence); the profile index
-    /// and predictor weights only under [`AstraOptions::warm_index`]
-    /// (they steer the search).
+    /// quarantine marks (verdicts are read from the store itself, see
+    /// [`Astra::verdict`]). All of it is outcome-invariant: it changes
+    /// wall-clock, never the decision sequence.
     fn install_warm(&mut self, store: DriverStore, warm: WarmState) {
         self.store_loaded = warm.loaded_records;
         self.store_corrupt = warm.corrupt_records;
@@ -627,24 +617,6 @@ impl<'g> Astra<'g> {
         for (key, fp) in warm.quarantine {
             if fp == fault_fp {
                 self.warm_quarantine.insert(key);
-            }
-        }
-        if self.opts.warm_index {
-            for (key, stats) in warm.index.iter() {
-                // Measurements handed in via `with_index` outrank the
-                // store's: the caller's index is this session's truth.
-                if !self.index.contains(key) {
-                    self.index.insert_stats(key.clone(), *stats);
-                }
-            }
-            for (kind, state) in &warm.predictors {
-                // Phase kinds are a closed set; records from a future
-                // vocabulary are ignored rather than guessed at.
-                for known in ["fuse", "kern", "epoch", "place"] {
-                    if kind == known {
-                        self.pruner.import_model(known, state);
-                    }
-                }
             }
         }
         self.store = Some(store);
@@ -745,23 +717,6 @@ impl<'g> Astra<'g> {
             }
         }
         self.sim_cache.absorb_ctx(&ctx, salt, captured);
-    }
-
-    /// Commits one measurement: profile index always, the store's fold
-    /// when persistence is on.
-    fn commit_sample(&mut self, key: &ProfileKey, value_ns: f64) {
-        self.index.record(key, value_ns);
-        if let Some(store) = self.store.as_mut() {
-            store.fold_sample(key, value_ns);
-        }
-    }
-
-    /// Ends an exploration phase: journals the profile stats its samples
-    /// changed.
-    fn end_phase(&mut self) {
-        if let Some(store) = self.store.as_mut() {
-            store.flush_profile();
-        }
     }
 
     /// Persists a retry-exhaustion quarantine mark for `key` under this
@@ -1074,18 +1029,6 @@ impl<'g> Astra<'g> {
     /// Returns an error if the underlying simulation fails; invalid fusion
     /// configurations (cyclic unit graphs) are skipped, not fatal.
     pub fn optimize(&mut self) -> Result<Report, AstraError> {
-        let result = self.explore_and_seal();
-        if result.is_err() {
-            // A failed run never reaches `finish_run`: journal the samples
-            // its unfinished phase folded, as the phase end would have.
-            self.end_phase();
-        }
-        result
-    }
-
-    /// The body of [`Astra::optimize`]: every phase per allocation
-    /// strategy, the playoff, and the end-of-run store bookkeeping.
-    fn explore_and_seal(&mut self) -> Result<Report, AstraError> {
         self.stats = ExploreStats::default();
         let native_salt = self.fault_seq;
         self.fault_seq += 1;
@@ -1177,11 +1120,11 @@ impl<'g> Astra<'g> {
             Some(t) => t.total_cost() * steady_ns,
             None => steady_ns,
         };
-        // Seal the run: flush learned predictor snapshots and compact when
-        // the journal has grown past the auto-compaction threshold. Store
-        // trouble degrades to a cold cache, never to a failed optimize.
+        // Seal the run: sync the journal and compact when it has grown
+        // past the auto-compaction threshold. Store trouble degrades to a
+        // cold cache, never to a failed optimize.
         if let Some(store) = self.store.as_mut() {
-            store.finish_run(self.pruner.export_models());
+            store.finish_run();
         }
         let stats = &self.stats;
         Ok(Report {
@@ -1293,11 +1236,10 @@ impl<'g> Astra<'g> {
     ///    [`Astra::run_batch`], while its run reports a fault, up to
     ///    [`MAX_FAULT_RETRIES`] times; still faulted, it is quarantined —
     ///    every variable's choice poisoned, no sample indexed, a mark
-    ///    naming the trial (see `quarantine_id`) journaled. Persisted
-    ///    marks under this fault plan poison the same trial without
-    ///    spending the retries.
-    ///
-    /// Ends the phase (see [`Astra::end_phase`]) when it explored anything.
+    ///    naming the trial (see `quarantine_id`) journaled. A persisted
+    ///    mark under this fault plan poisons the same trial after its
+    ///    first run, counted like any first run, without spending the
+    ///    retries.
     fn run_phase<P: Phase>(
         &mut self,
         space: Space<P>,
@@ -1387,11 +1329,8 @@ impl<'g> Astra<'g> {
                 let qid = || {
                     quarantine_id(P::KIND, vars.iter().zip(pick).map(|(v, &c)| &v.keys[c]), salt)
                 };
-                if !self.warm_quarantine.is_empty() && self.warm_quarantine.contains(&qid()) {
-                    self.stats.quarantined += 1;
-                    tree.poison_all();
-                    continue;
-                }
+                let marked =
+                    !self.warm_quarantine.is_empty() && self.warm_quarantine.contains(&qid());
                 let mut attempt = 0u32;
                 let clean_run = loop {
                     self.stats.trials += 1;
@@ -1399,10 +1338,12 @@ impl<'g> Astra<'g> {
                     self.stats.overhead_ns +=
                         probes.probe_records as f64 * self.dev.event_record_cost_ns;
                     if !run.faults.any() {
-                        break true;
+                        // A marked trial is poisoned even if this run
+                        // came back clean.
+                        break !marked;
                     }
                     self.stats.fault_events += 1;
-                    if attempt >= MAX_FAULT_RETRIES {
+                    if marked || attempt >= MAX_FAULT_RETRIES {
                         break false;
                     }
                     // Deterministic backoff: re-measure under the
@@ -1433,7 +1374,7 @@ impl<'g> Astra<'g> {
                 let fs = feats[bi].as_deref().unwrap_or_default();
                 for &(v, m) in &metrics {
                     tree.record_at(vars[v].slot, m);
-                    self.commit_sample(&vars[v].keys[pick[v]], m);
+                    self.index.record(&vars[v].keys[pick[v]], m);
                     match fs.binary_search_by_key(&v, |vf| vf.vidx) {
                         Ok(i) => self.pruner.observe(P::KIND, &fs[i].feat, fs[i].pred, m),
                         Err(_) => {
@@ -1450,7 +1391,6 @@ impl<'g> Astra<'g> {
         let best = tree.best_assignment();
         let pick: Vec<usize> = vars.iter().map(|v| best[&v.id]).collect();
         phase.materialize(cfg, &pick);
-        self.end_phase();
         Ok(())
     }
 }

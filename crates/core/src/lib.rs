@@ -24,10 +24,10 @@
 //! * [`explore_recompute`] — the §3.4 recompute-for-memory adaptation,
 //!   backed by a liveness analysis ([`peak_activation_bytes`]).
 //! * [`AstraOptions::store_dir`] / [`compact_store`] — crash-safe
-//!   persistence of warm exploration state (profile samples, verdicts,
-//!   quarantine marks, predictor weights, full-run memos) via
-//!   `astra-store`; an interrupted `optimize` resumed against the same
-//!   store produces the bit-identical final plan.
+//!   persistence of outcome-invariant warm state (full-run memos,
+//!   verdicts, quarantine marks) via `astra-store`; an interrupted
+//!   `optimize` resumed against the same store produces the bit-identical
+//!   final plan.
 //! * [`candidate_features`] / [`fusion_features`] / [`kernel_features`] /
 //!   [`epoch_features`] / [`placement_features`] — plan feature extraction
 //!   for the in-tree learned cost model (`astra-predict`), which prunes

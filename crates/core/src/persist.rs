@@ -1,43 +1,40 @@
-//! Edge conversions between the driver's warm exploration state and
-//! [`astra_store`]'s plain-data records, plus [`DriverStore`] — the handle
-//! [`crate::Astra`] loads from before `optimize` and journals through
-//! during it.
+//! Edge conversions between the driver's warm state and [`astra_store`]'s
+//! plain-data records, plus [`DriverStore`] — the handle [`crate::Astra`]
+//! loads from before `optimize` and journals through during it.
 //!
 //! `astra-store` deliberately knows nothing about Astra's domain types:
 //! its records are strings, integers, and floats. Everything
-//! domain-shaped — [`ProfileKey`]s, `SimCache` keys, engine memos,
-//! cost-model snapshots — crosses the boundary here, in both directions,
-//! so a codec change and a domain change can never silently disagree
-//! (the conversions in this module are the single meeting point).
+//! domain-shaped — [`ProfileKey`]s, `SimCache` keys, engine memos —
+//! crosses the boundary here, in both directions, so a codec change and a
+//! domain change can never silently disagree (the conversions in this
+//! module are the single meeting point).
+//!
+//! The store holds only outcome-invariant state: full-run memos,
+//! verify/lint verdicts and quarantine marks. Each is appended as it is
+//! produced, and a rerun replays them without changing a single decision.
+//! Records of the retired kinds (profile samples, profile stats and
+//! predictor snapshots) that older stores hold are clean: they count as
+//! loaded, are applied to nothing, and are left out of the next
+//! compaction.
 //!
 //! [`DriverStore`] also owns the *authoritative persisted state*: the
 //! loaded records folded into typed structures, extended by everything
 //! the run journals. Compaction snapshots that state rather than
 //! re-reading the files, so a compacted store is exactly the fold of
-//! everything written — loaded or journaled — with superseded stats and
-//! predictor snapshots dropped.
-//!
-//! What is journaled when: memos, verdicts and quarantine marks are
-//! appended as they are produced (crash-resume replays only these).
-//! Profile samples are folded in memory and reach the journal as one
-//! cumulative stats record per changed key at [`DriverStore::flush_profile`]
-//! — the end of each exploration phase and of the run — so an interrupted
-//! phase loses its samples but nothing the resumed run depends on.
+//! everything written — loaded or journaled.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
 
 use astra_gpu::{
     ClockMode, EngineCheckpoint, EventId, EventTimes, FaultSummary, MemoParts, RunResult,
 };
-use astra_predict::CostModelState;
 use astra_store::{
-    MemoKey, MemoRec, PredictorRec, ProfileStatsRec, QuarantineRec,
-    Record, Store, StoreOptions, VerdictKind, VerdictRec,
+    MemoKey, MemoRec, QuarantineRec, Record, Store, StoreOptions, VerdictKind, VerdictRec,
 };
 
-use crate::profile::{ProfileIndex, ProfileKey, SampleStats};
+use crate::profile::ProfileKey;
 use crate::simcache::SimKey;
 
 /// Auto-compaction threshold: when a run ends with the journal holding at
@@ -78,38 +75,12 @@ fn memo_key(key: &SimKey) -> MemoKey {
     }
 }
 
-/// Cumulative form of one profile key's running stats: on load it
-/// replaces whatever the key held, so the latest record wins.
-fn stats_record(key: &ProfileKey, stats: &SampleStats) -> Record {
-    let (count, mean, m2, min) = stats.raw();
-    Record::ProfileStats(ProfileStatsRec {
-        contexts: key.contexts().to_vec(),
-        entity: key.entity_name().to_owned(),
-        choice: key.choice() as u64,
-        count,
-        mean,
-        m2,
-        min,
-    })
-}
-
 fn quarantine_record(key: &ProfileKey, fault_fp: u64) -> Record {
     Record::Quarantine(QuarantineRec {
         contexts: key.contexts().to_vec(),
         entity: key.entity_name().to_owned(),
         choice: key.choice() as u64,
         fault_fp,
-    })
-}
-
-fn predictor_record(kind: &str, state: &CostModelState) -> Record {
-    Record::Predictor(PredictorRec {
-        kind: kind.to_owned(),
-        weights: state.weights.clone(),
-        bias: state.bias,
-        updates: state.updates,
-        t_min: state.t_min,
-        t_max: state.t_max,
     })
 }
 
@@ -256,24 +227,15 @@ fn memo_from_record(rec: &MemoRec) -> Option<(SimKey, EngineCheckpoint)> {
 }
 
 /// Everything a warm store start hands the driver, already converted to
-/// domain types. Which parts the driver *applies* is its policy call:
-/// memos and fault-matched quarantine marks are outcome-invariant (they
-/// change wall-clock, never the decision sequence), while the profile
-/// index and predictor weights steer the search and are only applied
-/// under `warm_index`. Verdicts stay in the [`DriverStore`] (see
-/// [`DriverStore::verdict`]).
+/// domain types. The driver seeds the memos into its sim cache and keeps
+/// the marks earned under its own fault plan. Verdicts stay in the
+/// [`DriverStore`] (see [`DriverStore::verdict`]).
 pub(crate) struct WarmState {
     /// Persisted full-run memos under their exact cache keys.
     pub memos: Vec<(SimKey, Arc<EngineCheckpoint>)>,
     /// Quarantine marks with the fault fingerprint they were earned under.
     pub quarantine: Vec<(ProfileKey, u64)>,
-    /// The persisted profile index: stats records and legacy sample
-    /// records replayed in record order, each stats record replacing its
-    /// key's stats.
-    pub index: ProfileIndex,
-    /// Latest persisted cost-model snapshot per phase kind.
-    pub predictors: Vec<(String, CostModelState)>,
-    /// Clean records loaded and interpreted.
+    /// Clean records loaded, retired kinds included.
     pub loaded_records: u64,
     /// Records quarantined by the store (torn/corrupt/version-mismatch)
     /// plus records that decoded but failed domain validation.
@@ -285,18 +247,10 @@ pub(crate) struct WarmState {
 #[derive(Debug)]
 pub(crate) struct DriverStore {
     store: Store,
-    /// Persisted profile state: loaded records replayed, plus every sample
-    /// folded through this handle.
-    profile: ProfileIndex,
-    /// Keys whose stats changed since they were last journaled (hashed;
-    /// flushed in key order).
-    dirty: HashSet<ProfileKey>,
     /// Persisted verdicts keyed `(kind tag, plan fingerprint)`.
     verdicts: BTreeMap<(u8, u64), bool>,
     /// Persisted quarantine marks.
     quarantine: BTreeSet<QuarantineId>,
-    /// Latest cost-model snapshot per phase kind.
-    predictors: BTreeMap<String, CostModelState>,
     /// Every persisted memo record, keyed for dedupe and kept whole so
     /// compaction never depends on what the in-memory cache has evicted.
     memos: BTreeMap<MemoKey, Record>,
@@ -313,59 +267,33 @@ impl DriverStore {
         let (store, records) = Store::open(dir, opts)?;
         let mut ds = DriverStore {
             store,
-            profile: ProfileIndex::new(),
-            dirty: HashSet::new(),
             verdicts: BTreeMap::new(),
             quarantine: BTreeSet::new(),
-            predictors: BTreeMap::new(),
             memos: BTreeMap::new(),
             degraded: None,
         };
         let mut warm = WarmState {
             memos: Vec::new(),
             quarantine: Vec::new(),
-            index: ProfileIndex::new(),
-            predictors: Vec::new(),
             loaded_records: 0,
             corrupt_records: ds.store.load_summary().corrupt_records,
         };
         for rec in records {
-            if ds.fold(rec, Some(&mut warm)) {
+            if ds.fold(rec, &mut warm) {
                 warm.loaded_records += 1;
             } else {
                 warm.corrupt_records += 1;
             }
         }
-        warm.index = ds.profile.clone();
-        warm.predictors =
-            ds.predictors.iter().map(|(k, s)| (k.clone(), s.clone())).collect();
         Ok((ds, warm))
     }
 
-    /// Folds one record into the authoritative state (and, on load, the
-    /// warm-state view). Returns `false` for records that decode but fail
-    /// domain validation.
-    fn fold(&mut self, rec: Record, warm: Option<&mut WarmState>) -> bool {
+    /// Folds one loaded record into the authoritative state and the
+    /// warm-state view. Returns `false` for records that decode but fail
+    /// domain validation. Retired kinds are clean and fold into nothing.
+    fn fold(&mut self, rec: Record, warm: &mut WarmState) -> bool {
         match rec {
-            Record::ProfileSample(r) => {
-                let Some(key) = key_from_parts(r.contexts, r.entity, r.choice) else {
-                    return false;
-                };
-                if !r.value_ns.is_finite() {
-                    return false;
-                }
-                self.profile.record(&key, r.value_ns);
-            }
-            Record::ProfileStats(r) => {
-                let Some(key) = key_from_parts(r.contexts, r.entity, r.choice) else {
-                    return false;
-                };
-                let Some(stats) = SampleStats::from_raw(r.count, r.mean, r.m2, r.min)
-                else {
-                    return false;
-                };
-                self.profile.insert_stats(key, stats);
-            }
+            Record::ProfileSample(_) | Record::ProfileStats(_) | Record::Predictor(_) => {}
             Record::Verdict(r) => {
                 self.verdicts.insert((verdict_tag(r.kind), r.plan_fp), r.clean);
             }
@@ -375,25 +303,8 @@ impl DriverStore {
                 else {
                     return false;
                 };
-                self.quarantine.insert((
-                    r.contexts.clone(),
-                    r.entity.clone(),
-                    r.choice,
-                    r.fault_fp,
-                ));
-                if let Some(warm) = warm {
-                    warm.quarantine.push((key, r.fault_fp));
-                }
-            }
-            Record::Predictor(r) => {
-                let state = CostModelState {
-                    weights: r.weights,
-                    bias: r.bias,
-                    updates: r.updates,
-                    t_min: r.t_min,
-                    t_max: r.t_max,
-                };
-                self.predictors.insert(r.kind, state);
+                self.quarantine.insert((r.contexts, r.entity, r.choice, r.fault_fp));
+                warm.quarantine.push((key, r.fault_fp));
             }
             Record::Memo(mut r) => {
                 let Some((key, ck)) = memo_from_record(&r) else {
@@ -406,9 +317,7 @@ impl DriverStore {
                 r.spans = Vec::new();
                 r.events = Vec::new();
                 self.memos.insert(r.key.clone(), Record::Memo(r));
-                if let Some(warm) = warm {
-                    warm.memos.push((key, Arc::new(ck)));
-                }
+                warm.memos.push((key, Arc::new(ck)));
             }
         }
         true
@@ -420,27 +329,6 @@ impl DriverStore {
         }
         if let Err(e) = self.store.append(rec) {
             self.degraded = Some(e.to_string());
-        }
-    }
-
-    /// Folds one committed profile sample; its key's stats reach the
-    /// journal at the next [`DriverStore::flush_profile`].
-    pub fn fold_sample(&mut self, key: &ProfileKey, value_ns: f64) {
-        self.profile.record(key, value_ns);
-        if !self.dirty.contains(key) {
-            self.dirty.insert(key.clone());
-        }
-    }
-
-    /// Journals one cumulative stats record per key folded since the last
-    /// flush, in key order.
-    pub fn flush_profile(&mut self) {
-        let mut keys: Vec<ProfileKey> = self.dirty.drain().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let Some(stats) = self.profile.stats(&key) else { continue };
-            let rec = stats_record(&key, stats);
-            self.append(&rec);
         }
     }
 
@@ -488,18 +376,9 @@ impl DriverStore {
         self.memos.insert(mkey, rec);
     }
 
-    /// End-of-run bookkeeping: journal changed profile stats, snapshot
-    /// changed predictor models, flush the journal to disk, and fold it
-    /// into the snapshot once it holds [`AUTO_COMPACT_APPENDS`] records.
-    pub fn finish_run(&mut self, models: Vec<(&'static str, CostModelState)>) {
-        self.flush_profile();
-        for (kind, state) in models {
-            if self.predictors.get(kind) == Some(&state) {
-                continue;
-            }
-            self.append(&predictor_record(kind, &state));
-            self.predictors.insert(kind.to_owned(), state);
-        }
+    /// End-of-run bookkeeping: flush the journal to disk, and fold it into
+    /// the snapshot once it holds [`AUTO_COMPACT_APPENDS`] records.
+    pub fn finish_run(&mut self) {
         if self.degraded.is_none() {
             if let Err(e) = self.store.sync() {
                 self.degraded = Some(e.to_string());
@@ -522,14 +401,10 @@ impl DriverStore {
         }
     }
 
-    /// The compacted record set: profile stats, verdicts,
-    /// quarantine marks, predictor snapshots, memos — each group in its
-    /// deterministic key order.
+    /// The compacted record set: verdicts, quarantine marks, memos — each
+    /// group in its deterministic key order.
     pub fn snapshot_records(&self) -> Vec<Record> {
         let mut out = Vec::new();
-        for (key, stats) in self.profile.iter() {
-            out.push(stats_record(key, stats));
-        }
         for (&(tag, plan_fp), &clean) in &self.verdicts {
             let kind = if tag == 0 { VerdictKind::Verify } else { VerdictKind::Lint };
             out.push(Record::Verdict(VerdictRec { kind, plan_fp, clean }));
@@ -541,9 +416,6 @@ impl DriverStore {
                 choice: *choice,
                 fault_fp: *fault_fp,
             }));
-        }
-        for (kind, state) in &self.predictors {
-            out.push(predictor_record(kind, state));
         }
         out.extend(self.memos.values().cloned());
         out
@@ -568,9 +440,8 @@ impl DriverStore {
 /// Opens the store at `dir`, recovers whatever survives, and compacts the
 /// full fold into the snapshot — the `astra-cli store compact` entry
 /// point. Returns `(records_loaded, records_in_snapshot)`: loaded counts
-/// every clean record replayed, the snapshot count is smaller when a
-/// key's successive stats (or legacy samples) fold into one stats record
-/// or duplicate marks collapse.
+/// every clean record replayed, the snapshot count is smaller when
+/// duplicate records collapse or records of the retired kinds drop.
 ///
 /// # Errors
 ///
@@ -788,22 +659,13 @@ mod tests {
 
     #[test]
     fn driver_store_folds_loads_and_compacts_losslessly() {
-        let dir = std::env::temp_dir().join(format!(
-            "astra-driverstore-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("fold");
         let opts = StoreOptions::default();
 
-        let key_a = ProfileKey::entity("fuse:0", 1).in_context("alloc:0");
         let key_b = ProfileKey::entity("kern:gemm", 2);
         {
             let (mut ds, warm) = DriverStore::open(&dir, &opts).unwrap();
             assert_eq!(warm.loaded_records, 0);
-            ds.fold_sample(&key_a, 100.0);
-            ds.fold_sample(&key_a, 90.0);
-            ds.fold_sample(&key_b, 55.5);
             ds.journal_verdict(VerdictKind::Verify, 42, true);
             ds.journal_verdict(VerdictKind::Verify, 42, true); // deduped
             ds.journal_verdict(VerdictKind::Lint, 43, false);
@@ -820,17 +682,14 @@ mod tests {
             ds.journal_memo(&skey, &ck);
             ds.journal_memo(&skey, &ck); // deduped
             // Verdicts, the mark and the memo are journaled as produced;
-            // the three samples wait for the flush.
+            // the end of the run adds nothing.
             assert_eq!(ds.journal_appends(), 4);
-            ds.finish_run(Vec::new());
-            // One cumulative stats record per sampled key.
-            assert_eq!(ds.journal_appends(), 6);
+            ds.finish_run();
+            assert_eq!(ds.journal_appends(), 4);
         }
         let (warm1, verdicts1) = {
             let (mut ds, warm) = DriverStore::open(&dir, &opts).unwrap();
-            assert_eq!(warm.corrupt_records, 0);
-            assert_eq!(warm.index.get(&key_a), Some(90.0));
-            assert_eq!(warm.index.stats(&key_a).map(SampleStats::count), Some(2));
+            assert_eq!((warm.loaded_records, warm.corrupt_records), (4, 0));
             assert_eq!(ds.verdict(VerdictKind::Verify, 42), Some(true));
             assert_eq!(ds.verdict(VerdictKind::Lint, 43), Some(false));
             assert_eq!(ds.verdict(VerdictKind::Lint, 42), None);
@@ -840,15 +699,14 @@ mod tests {
             ds.compact();
             (warm, verdicts)
         };
-        // After compaction the fold is unchanged (samples became stats).
+        // After compaction the fold is unchanged.
         let (ds2, warm2) = DriverStore::open(&dir, &opts).unwrap();
-        assert_eq!(warm2.index, warm1.index);
         assert_eq!(ds2.verdicts, verdicts1);
         assert_eq!(ds2.verdict(VerdictKind::Verify, 42), Some(true));
         assert_eq!(ds2.verdict(VerdictKind::Lint, 43), Some(false));
         assert_eq!(warm2.quarantine, warm1.quarantine);
         assert_eq!(warm2.memos.len(), warm1.memos.len());
-        assert_eq!(warm2.corrupt_records, 0);
+        assert_eq!((warm2.loaded_records, warm2.corrupt_records), (4, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -862,87 +720,24 @@ mod tests {
         dir
     }
 
-    /// Raw accumulator bits of `key` in `index`.
-    fn raw_bits(index: &ProfileIndex, key: &ProfileKey) -> Option<[u64; 4]> {
-        let (count, mean, m2, min) = index.stats(key)?.raw();
-        Some([count, mean.to_bits(), m2.to_bits(), min.to_bits()])
-    }
-
-    fn assert_bit_equal(a: &ProfileIndex, b: &ProfileIndex, what: &str) {
-        assert_eq!(a.len(), b.len(), "{what}: key count");
-        for (key, _) in a.iter() {
-            assert_eq!(raw_bits(a, key), raw_bits(b, key), "{what}: {key}");
-        }
-    }
-
-    #[test]
-    fn reopened_profile_stats_are_bit_equal_to_the_fold_and_the_compacted_store() {
-        let dir = scratch_dir("stats");
-        let opts = StoreOptions::default();
-        let keys: Vec<ProfileKey> = (0..5)
-            .map(|i| ProfileKey::entity(format!("epoch:se0.e{i}"), i % 3).in_context("alloc:1"))
-            .collect();
-        let values = [0.1, 1e9 + 0.3, 10.0 / 3.0, 7.25e-3, 123_456.789, 2.0_f64.sqrt()];
-        let fold = {
-            let (mut ds, _) = DriverStore::open(&dir, &opts).unwrap();
-            // Two phases touching overlapping keys: a key re-flushed in
-            // the second phase carries its cumulative stats.
-            for (i, v) in values.iter().enumerate() {
-                ds.fold_sample(&keys[i % 3], *v);
-            }
-            ds.flush_profile();
-            assert_eq!(ds.journal_appends(), 3, "one record per dirty key");
-            ds.flush_profile();
-            assert_eq!(ds.journal_appends(), 3, "a flush with nothing dirty writes nothing");
-            for (i, v) in values.iter().enumerate() {
-                ds.fold_sample(&keys[2 + i % 3], v * 1.5);
-            }
-            ds.finish_run(Vec::new());
-            assert_eq!(ds.journal_appends(), 6);
-            ds.profile.clone()
-        };
-        let (_, warm) = DriverStore::open(&dir, &opts).unwrap();
-        assert_bit_equal(&warm.index, &fold, "reopened journal vs in-memory fold");
-        let counts = astra_store::fsck(&dir).unwrap().counts;
-        assert!(!counts.contains_key("profile_sample"), "no per-sample records: {counts:?}");
-
-        // A second session continues the loaded fold.
-        let fold = {
-            let (mut ds, _) = DriverStore::open(&dir, &opts).unwrap();
-            ds.fold_sample(&keys[0], 0.05);
-            ds.fold_sample(&keys[4], 9e9);
-            ds.finish_run(Vec::new());
-            ds.profile.clone()
-        };
-        let (mut ds, warm) = DriverStore::open(&dir, &opts).unwrap();
-        assert_bit_equal(&warm.index, &fold, "second session vs its fold");
-        ds.compact();
-        drop(ds);
-        let (_, compacted) = DriverStore::open(&dir, &opts).unwrap();
-        assert_bit_equal(&compacted.index, &fold, "compacted store vs fold");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn auto_compaction_counts_the_journal_across_sessions() {
         let dir = scratch_dir("cadence");
         let opts = StoreOptions::default();
-        // Each session re-flushes the same keys, as warm runs do: below
-        // the threshold on its own, so only a count that spans sessions
-        // ever compacts.
+        // Each session journals its own fresh verdicts: below the
+        // threshold on its own, so only a count that spans sessions ever
+        // compacts.
         let per_session = 1500;
-        let keys: Vec<ProfileKey> =
-            (0..per_session).map(|i| ProfileKey::entity(format!("epoch:se0.e{i}"), 1)).collect();
         let mut compacted_in = Vec::new();
         for session in 0..7 {
             let (mut ds, warm) = DriverStore::open(&dir, &opts).unwrap();
             let held = ds.store.journal_records();
             assert!(held < AUTO_COMPACT_APPENDS, "session {session} opened {held} journal records");
-            assert_eq!(warm.index.len(), if session == 0 { 0 } else { per_session as usize });
-            for key in &keys {
-                ds.fold_sample(key, 10.0 + session as f64);
+            assert_eq!(warm.loaded_records, session * per_session);
+            for fp in 0..per_session {
+                ds.journal_verdict(VerdictKind::Verify, session * per_session + fp, true);
             }
-            ds.finish_run(Vec::new());
+            ds.finish_run();
             assert_eq!(ds.journal_appends(), per_session);
             if ds.compactions() > 0 {
                 assert_eq!(ds.store.journal_records(), 0);
@@ -953,56 +748,9 @@ mod tests {
         }
         // 1500, 3000, 4500 -> compact; again every third session.
         assert_eq!(compacted_in, [2, 5]);
-        let (_, warm) = DriverStore::open(&dir, &opts).unwrap();
-        let stats = warm.index.stats(&keys[0]).unwrap();
-        assert_eq!(stats.raw().0, 7, "every session's sample survives compaction");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_profile_sample_records_fold_as_before() {
-        let dir = scratch_dir("legacy");
-        let opts = StoreOptions::default();
-        let key_a = ProfileKey::entity("fuse:0", 1).in_context("alloc:0");
-        let key_b = ProfileKey::entity("kern:gemm", 2);
-        let sample = |key: &ProfileKey, value_ns: f64| {
-            Record::ProfileSample(astra_store::ProfileSampleRec {
-                contexts: key.contexts().to_vec(),
-                entity: key.entity_name().to_owned(),
-                choice: key.choice() as u64,
-                value_ns,
-            })
-        };
-        // A store as the per-sample writer left it: a compacted stats
-        // record for one key, then journaled samples for both.
-        let mut reference = ProfileIndex::new();
-        {
-            let (mut store, _) = Store::open(&dir, &opts).unwrap();
-            let stats = SampleStats::from_raw(3, 41.5, 2.25, 40.0).unwrap();
-            store.append(&stats_record(&key_a, &stats)).unwrap();
-            reference.insert_stats(key_a.clone(), stats);
-            for (key, v) in [(&key_a, 39.0), (&key_b, 12.5), (&key_a, 44.1), (&key_b, 11.0)] {
-                store.append(&sample(key, v)).unwrap();
-                reference.record(key, v);
-            }
-            store.sync().unwrap();
-        }
-        let fold = {
-            let (mut ds, warm) = DriverStore::open(&dir, &opts).unwrap();
-            assert_eq!(warm.corrupt_records, 0);
-            assert_bit_equal(&warm.index, &reference, "legacy samples vs reference fold");
-            // A new session folds on top and writes cumulative stats,
-            // which replace the legacy samples' fold on the next load.
-            ds.fold_sample(&key_b, 10.0);
-            ds.finish_run(Vec::new());
-            ds.profile.clone()
-        };
-        let (mut ds, warm) = DriverStore::open(&dir, &opts).unwrap();
-        assert_bit_equal(&warm.index, &fold, "legacy samples + stats vs fold");
-        ds.compact();
-        drop(ds);
-        let (_, compacted) = DriverStore::open(&dir, &opts).unwrap();
-        assert_bit_equal(&compacted.index, &fold, "compacted legacy store vs fold");
+        let (ds, warm) = DriverStore::open(&dir, &opts).unwrap();
+        assert_eq!(warm.loaded_records, 7 * per_session, "every verdict survives compaction");
+        assert_eq!(ds.verdict(VerdictKind::Verify, 0), Some(true));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

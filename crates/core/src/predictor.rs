@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use astra_predict::{select_trials, CostModel, CostModelState, FeatureVec, PredEntry, PrunePolicy};
+use astra_predict::{select_trials, CostModel, FeatureVec, PredEntry, PrunePolicy};
 use astra_util::Rng64;
 
 /// Fixed seed for the exploration-epsilon tail. A constant (not an option)
@@ -77,21 +77,6 @@ impl Pruner {
 
     pub fn updates(&self) -> u64 {
         self.models.values().map(CostModel::updates).sum()
-    }
-
-    /// Snapshots every phase model for persistence, kind-sorted (the
-    /// models live in a `BTreeMap`, so the order is deterministic).
-    pub fn export_models(&self) -> Vec<(&'static str, CostModelState)> {
-        self.models.iter().map(|(k, m)| (*k, m.to_state())).collect()
-    }
-
-    /// Installs a persisted model snapshot for `kind`, replacing any
-    /// in-memory model. Snapshots with a mismatched feature dimension are
-    /// dropped (an incompatible store must not steer pruning).
-    pub fn import_model(&mut self, kind: &'static str, state: &CostModelState) {
-        if let Some(m) = CostModel::from_state(state) {
-            self.models.insert(kind, m);
-        }
     }
 
     pub fn margin(&self) -> f64 {

@@ -9,10 +9,8 @@
 //! unaffected contexts stay valid.
 //!
 //! The index stores full per-key [`SampleStats`] (count / mean / min /
-//! variance) rather than a single scalar: the persistent store journals
-//! that Welford state per key, so a compacted or resumed index folds later
-//! samples exactly as the in-memory one would. Exploration decisions read
-//! only the minimum.
+//! variance) rather than a single scalar. Exploration decisions read only
+//! the minimum.
 
 use std::collections::HashMap;
 
@@ -143,22 +141,6 @@ impl SampleStats {
             (self.m2 / self.count as f64).max(0.0)
         }
     }
-
-    /// The raw Welford accumulator `(count, mean, m2, min)`, for lossless
-    /// persistence. Restored by [`SampleStats::from_raw`].
-    pub fn raw(&self) -> (u64, f64, f64, f64) {
-        (self.count, self.mean, self.m2, self.min)
-    }
-
-    /// Rebuilds stats from a persisted accumulator. Returns `None` for a
-    /// zero count (stats exist only for measured keys) or non-finite
-    /// fields — a corrupt snapshot must not poison decisions.
-    pub fn from_raw(count: u64, mean: f64, m2: f64, min: f64) -> Option<Self> {
-        if count == 0 || !mean.is_finite() || !m2.is_finite() || !min.is_finite() {
-            return None;
-        }
-        Some(SampleStats { count, mean, m2, min })
-    }
 }
 
 /// The measurement store: key → per-key [`SampleStats`].
@@ -168,13 +150,12 @@ impl SampleStats {
 /// measurements are repeatable under a fixed clock, and every injected
 /// noise source is slow-only, so the smallest sample is the best estimate
 /// of the true cost. The full stats stay available via
-/// [`ProfileIndex::stats`] for the store's per-key records.
+/// [`ProfileIndex::stats`].
 ///
 /// The index is hashed: the driver records tens of thousands of samples
 /// per `optimize()`, and an ordered map would compare string keys on every
-/// one. Whatever observes an order — [`ProfileIndex::iter`] (snapshots,
-/// compaction) and `Debug` — sorts by key on demand. Equality compares
-/// contents.
+/// one. Whatever observes an order — [`ProfileIndex::iter`] and `Debug` —
+/// sorts by key on demand. Equality compares contents.
 #[derive(Clone, Default, PartialEq)]
 pub struct ProfileIndex {
     map: HashMap<ProfileKey, SampleStats>,
@@ -250,19 +231,12 @@ impl ProfileIndex {
         self.map.is_empty()
     }
 
-    /// Iterates every `(key, stats)` pair in key order, for snapshotting.
-    /// Sorts the entries on each call.
+    /// Iterates every `(key, stats)` pair in key order. Sorts the entries
+    /// on each call.
     pub fn iter(&self) -> impl Iterator<Item = (&ProfileKey, &SampleStats)> {
         let mut entries: Vec<_> = self.map.iter().collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
         entries.into_iter()
-    }
-
-    /// Installs snapshotted stats for `key`, replacing whatever is there —
-    /// the load path for compacted [`SampleStats`] records. Journal-form
-    /// single samples go through [`ProfileIndex::record`] instead.
-    pub fn insert_stats(&mut self, key: ProfileKey, stats: SampleStats) {
-        self.map.insert(key, stats);
     }
 }
 

@@ -39,9 +39,8 @@ pub struct CostModel {
     t_max: f64,
 }
 
-/// A [`CostModel`]'s learned state as plain owned data, for persistence.
-/// Produced by [`CostModel::to_state`], consumed by
-/// [`CostModel::from_state`].
+/// A [`CostModel`]'s learned state as plain owned data, produced by
+/// [`CostModel::to_state`] so its bits can be compared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModelState {
     /// Feature weights (length [`FEATURE_DIM`]).
@@ -102,9 +101,7 @@ impl CostModel {
         self.raw(self.dot(f)).exp()
     }
 
-    /// Snapshots the model's full learned state for persistence. The
-    /// inverse of [`CostModel::from_state`]; the pair is lossless, so a
-    /// restored model predicts and trains bit-identically to the original.
+    /// Snapshots the model's full learned state.
     pub fn to_state(&self) -> CostModelState {
         CostModelState {
             weights: self.weights.to_vec(),
@@ -113,21 +110,6 @@ impl CostModel {
             t_min: self.t_min,
             t_max: self.t_max,
         }
-    }
-
-    /// Rebuilds a model from a persisted snapshot. Returns `None` if the
-    /// weight vector's length doesn't match this build's [`FEATURE_DIM`]
-    /// (a store written by an incompatible feature hash layout — warm
-    /// state that must not be trusted).
-    pub fn from_state(state: &CostModelState) -> Option<Self> {
-        let weights: [f64; FEATURE_DIM] = state.weights.as_slice().try_into().ok()?;
-        Some(CostModel {
-            weights,
-            bias: state.bias,
-            updates: state.updates,
-            t_min: state.t_min,
-            t_max: state.t_max,
-        })
     }
 
     /// Trains on one committed measurement. Returns the absolute
@@ -211,23 +193,6 @@ mod tests {
         }
         let p = m.predict_ns(&feat(4.0, 1e9));
         assert!(p.is_finite() && p > 0.0);
-    }
-
-    #[test]
-    fn state_roundtrip_is_lossless() {
-        let mut m = CostModel::new();
-        for i in 0..50u32 {
-            m.observe(&feat(f64::from(i % 5), 1e6 * f64::from(i + 1)), 1e3 * f64::from(i + 7));
-        }
-        let state = m.to_state();
-        let back = CostModel::from_state(&state).expect("dimensions match");
-        let probe = feat(3.0, 5e6);
-        assert_eq!(m.predict_ns(&probe).to_bits(), back.predict_ns(&probe).to_bits());
-        assert_eq!(back.to_state(), state);
-        // A wrong-dimension snapshot is refused, not truncated.
-        let mut bad = state;
-        bad.weights.pop();
-        assert!(CostModel::from_state(&bad).is_none());
     }
 
     #[test]

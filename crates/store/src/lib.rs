@@ -1,9 +1,9 @@
 //! # astra-store — crash-safe persistence for Astra's warm exploration state
 //!
-//! Astra's economics rest on measurements being *reusable*: profile
-//! samples, verified-plan verdicts, learned cost-model weights, and
-//! full-run simulation memos are all worth more than the mini-batches
-//! spent collecting them. This crate is the layer that lets that state
+//! Astra's economics rest on measurements being *reusable*: full-run
+//! simulation memos, verified-plan verdicts and quarantine marks are all
+//! worth more than the mini-batches spent collecting them, and replaying
+//! them changes no decision. This crate is the layer that lets that state
 //! survive the process — a zero-dependency, hand-rolled binary store
 //! with the durability properties a crash-resume driver needs:
 //!
@@ -27,6 +27,9 @@
 //! integers, and floats ([`record::Record`]), and `astra-core` converts
 //! its own types at the edge. That keeps the dependency arrow pointing
 //! one way (core → store) and the on-disk format auditable in isolation.
+//! The format still defines the profile-sample, profile-stats and
+//! predictor records older builds wrote, so their stores decode;
+//! `astra-core` no longer writes them and drops them at compaction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

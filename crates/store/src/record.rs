@@ -6,11 +6,12 @@
 //! checksum (see [`Store`]); this module only defines what is *inside*
 //! a frame.
 //!
-//! The record vocabulary mirrors Astra's warm exploration state —
-//! profile samples, plan verdicts, quarantine marks, predictor weights,
-//! full-run simulation memos — but deliberately uses only plain data
-//! (strings, integers, floats), so this crate depends on nothing and the
-//! domain crates convert at their edge.
+//! The record vocabulary mirrors Astra's warm state — plan verdicts,
+//! quarantine marks, full-run simulation memos — but deliberately uses
+//! only plain data (strings, integers, floats), so this crate depends on
+//! nothing and the domain crates convert at their edge. Three kinds are
+//! retired: profile samples, profile stats and predictor snapshots are no
+//! longer written, but still decode, so stores that hold them load.
 //!
 //! [`codec`]: crate::codec
 //! [`Store`]: crate::Store
@@ -24,19 +25,18 @@ const MAX_SEQ: usize = 1 << 24;
 /// One warm-state record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
-    /// One profiled sample for one `(context, entity, choice)` key. The
-    /// journal form: replaying samples in append order rebuilds the exact
-    /// Welford running stats.
+    /// Retired: one profiled sample for one `(context, entity, choice)`
+    /// key.
     ProfileSample(ProfileSampleRec),
-    /// A snapshotted running stat for one profile key — the compacted form
-    /// of a run of [`Record::ProfileSample`]s.
+    /// Retired: a snapshotted running stat for one profile key — the
+    /// compacted form of a run of [`Record::ProfileSample`]s.
     ProfileStats(ProfileStatsRec),
     /// A verifier or linter verdict for one plan fingerprint.
     Verdict(VerdictRec),
     /// A quarantine mark: this profile key repeatedly failed under the
     /// given fault profile and should not be re-probed.
     Quarantine(QuarantineRec),
-    /// A learned cost-model snapshot for one phase kind.
+    /// Retired: a learned cost-model snapshot for one phase kind.
     Predictor(PredictorRec),
     /// A full-run simulation memo: a finished engine checkpoint keyed the
     /// same way the in-memory SimCache keys it.

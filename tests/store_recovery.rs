@@ -8,11 +8,12 @@
 //! every unaffected key keeps warming the next run. With no store
 //! configured, every store-related report field is exactly zero/false.
 //!
-//! Journaling contract: memos, verdicts and quarantine marks are appended
-//! as they are produced; profile samples reach the journal as cumulative
-//! per-key stats at the end of each exploration phase.
+//! Journaling contract: the store holds only memos, verdicts and
+//! quarantine marks, each appended as it is produced, so a warm rerun
+//! that replays them appends nothing. Records of the retired kinds
+//! (profile samples, profile stats, predictor snapshots) that older
+//! stores hold load clean and drop out at compaction.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use astra::core::{Astra, AstraOptions, Dims, Report};
@@ -21,12 +22,21 @@ use astra::models::{Model, ModelConfig};
 use astra::store;
 
 /// A deliberately small workload: big enough to exercise fusion + kernel
-/// exploration (verdicts, samples, memos all get journaled), small enough
+/// exploration (verdicts and memos both get journaled), small enough
 /// that the crash-point sweep stays fast in debug builds.
 fn tiny() -> astra::models::BuiltModel {
     let cfg =
         ModelConfig { seq_len: 2, hidden: 32, input: 32, vocab: 64, ..ModelConfig::ptb(8) };
     Model::Scrnn.build(&cfg)
+}
+
+/// The report digests' tiny MI-LSTM: under chaos it quarantines trials in
+/// several phases, so its journal holds marks as well as verdicts.
+fn tiny_milstm() -> astra::models::BuiltModel {
+    let mut cfg = Model::MiLstm.default_config(8);
+    (cfg.hidden, cfg.input, cfg.vocab, cfg.seq_len) = (64, 64, 128, 3);
+    cfg.layers = cfg.layers.min(2);
+    Model::MiLstm.build(&cfg)
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -40,20 +50,22 @@ struct RunSpec {
     crash_after: Option<u64>,
     workers: usize,
     faults: FaultPlan,
+    dims: Dims,
 }
 
 impl RunSpec {
     fn cold(workers: usize) -> RunSpec {
-        RunSpec { dir: None, crash_after: None, workers, faults: FaultPlan::none() }
-    }
-
-    fn stored(dir: &Path, workers: usize) -> RunSpec {
         RunSpec {
-            dir: Some(dir.to_path_buf()),
+            dir: None,
             crash_after: None,
             workers,
             faults: FaultPlan::none(),
+            dims: Dims::fk(),
         }
+    }
+
+    fn stored(dir: &Path, workers: usize) -> RunSpec {
+        RunSpec { dir: Some(dir.to_path_buf()), ..RunSpec::cold(workers) }
     }
 }
 
@@ -63,7 +75,7 @@ fn run(built: &astra::models::BuiltModel, spec: &RunSpec) -> Report {
         &built.graph,
         &dev,
         AstraOptions {
-            dims: Dims::fk(),
+            dims: spec.dims,
             workers: spec.workers,
             faults: spec.faults,
             store_dir: spec.dir.clone(),
@@ -113,9 +125,11 @@ fn cold_store_run_is_bit_identical_to_storeless_and_warms_the_next() {
     assert!(warm.warm_start);
     assert!(warm.store_loaded_keys > 0);
     assert_eq!(warm.store_corrupt_records, 0);
+    assert_eq!(warm.store_loaded_keys, cold.store_journal_appends);
     // Persisted verdicts short-circuit the verifier: the warm run decides
     // identically without re-analyzing a single plan.
     assert_eq!(warm.plans_verified, 0, "warm verdicts must skip verifier executions");
+    assert_eq!(warm.store_journal_appends, 0, "a warm rerun has nothing new to journal");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -142,10 +156,8 @@ fn every_crash_point_resumes_to_the_bit_identical_plan() {
         let crashed = run(
             &built,
             &RunSpec {
-                dir: Some(dir.clone()),
                 crash_after: Some(cut),
-                workers: if i % 2 == 0 { 1 } else { 4 },
-                faults: FaultPlan::none(),
+                ..RunSpec::stored(&dir, if i % 2 == 0 { 1 } else { 4 })
             },
         );
         assert_same_plan(&reference, &crashed, &format!("crashed run, cut={cut}"));
@@ -213,7 +225,7 @@ fn compaction_preserves_the_resumed_plan() {
     let (loaded, kept) = astra::core::compact_store(&dir).unwrap();
     assert!(loaded > 0);
     assert!(kept > 0);
-    assert!(kept <= loaded, "compaction folds samples into stats, never grows");
+    assert!(kept <= loaded, "compaction never grows the store");
     assert_eq!(std::fs::metadata(dir.join("journal.astra")).unwrap().len(), 8, "journal reset to magic");
 
     let resumed = run(&built, &RunSpec::stored(&dir, 1));
@@ -233,9 +245,8 @@ fn persisted_quarantine_marks_skip_the_retry_budget_under_the_same_faults() {
     let faults = FaultPlan::chaos(120);
     let spec = |dir: Option<&Path>| RunSpec {
         dir: dir.map(Path::to_path_buf),
-        crash_after: None,
-        workers: 1,
         faults,
+        ..RunSpec::cold(1)
     };
 
     let reference = run(&built, &spec(None));
@@ -269,16 +280,15 @@ fn persisted_quarantine_marks_skip_the_retry_budget_under_the_same_faults() {
 
 #[test]
 fn warm_marks_poison_only_the_trials_that_earned_them() {
-    // The report digests' tiny MI-LSTM over every phase, the stream phase
-    // included: under chaos seed 1 its cold run quarantines trials in
-    // several phases. A mark names the whole trial (every variable's
-    // picked key and the trial's fault salt), so the warm rerun poisons
-    // exactly the trials the cold run quarantined, skips their retries,
-    // and lands on the storeless plan.
-    let mut cfg = Model::MiLstm.default_config(8);
-    (cfg.hidden, cfg.input, cfg.vocab, cfg.seq_len) = (64, 64, 128, 3);
-    cfg.layers = cfg.layers.min(2);
-    let built = Model::MiLstm.build(&cfg);
+    // The tiny MI-LSTM over every phase, the stream phase included: under
+    // chaos seed 1 its cold run quarantines trials in several phases. A
+    // mark names the whole trial (every variable's picked key and the
+    // trial's fault salt), so the warm rerun poisons exactly the trials
+    // the cold run quarantined, skips their retries, and lands on the
+    // storeless plan. A poisoned trial's first run is counted like the
+    // cold run's, so only the skipped retries go missing from the trial
+    // count.
+    let built = tiny_milstm();
     let dev = DeviceSpec::p100();
     let dir = tmpdir("trial-marks");
     let run = |store_dir: Option<PathBuf>| {
@@ -309,6 +319,7 @@ fn warm_marks_poison_only_the_trials_that_earned_them() {
         warm.retries,
         cold.retries
     );
+    assert_eq!(warm.configs_explored, cold.configs_explored - (cold.retries - warm.retries));
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -333,86 +344,45 @@ fn stored_records(dir: &Path) -> Vec<store::Record> {
     store::Store::open(dir, &store::StoreOptions::default()).unwrap().1
 }
 
-/// Each profile key's raw stats bits as a load replays them: a stats
-/// record replaces the key's earlier value.
-fn loaded_stats(records: &[store::Record]) -> BTreeMap<(Vec<String>, String, u64), [u64; 4]> {
-    let mut out = BTreeMap::new();
-    for rec in records {
-        match rec {
-            store::Record::ProfileStats(r) => {
-                out.insert(
-                    (r.contexts.clone(), r.entity.clone(), r.choice),
-                    [r.count, r.mean.to_bits(), r.m2.to_bits(), r.min.to_bits()],
-                );
-            }
-            store::Record::ProfileSample(_) => panic!("a run journaled a per-sample record"),
-            _ => {}
-        }
-    }
-    out
-}
-
-#[test]
-fn profile_stats_are_journaled_per_phase_and_compact_to_the_same_bits() {
-    let built = tiny();
-    let dir = tmpdir("stats");
-    let cold = run(&built, &RunSpec::stored(&dir, 1));
-    let frames = journal_frames(&dir);
-    let is_stats = |r: &store::Record| matches!(r, store::Record::ProfileStats(_));
-    let stats = frames.iter().filter(|(_, r)| is_stats(r)).count();
-    let first_stats =
-        frames.iter().position(|(_, r)| is_stats(r)).expect("a cold run journals profile stats");
-    assert!(
-        frames[first_stats..]
-            .iter()
-            .any(|(_, r)| matches!(r, store::Record::Memo(_) | store::Record::Verdict(_))),
-        "the fusion phase's stats are journaled when it ends, before the kernel phase's records"
-    );
-    assert_eq!(cold.store_journal_appends as usize, frames.len());
-    let journaled = loaded_stats(&stored_records(&dir));
-    assert!(stats >= journaled.len(), "at least one stats record per sampled key");
-
-    // A warm re-run re-samples every key and journals its stats again.
-    let warm = run(&built, &RunSpec::stored(&dir, 1));
-    assert!(warm.store_journal_appends > 0);
-    let rewarmed = loaded_stats(&stored_records(&dir));
-    assert_eq!(rewarmed.keys().collect::<Vec<_>>(), journaled.keys().collect::<Vec<_>>());
-
-    astra::core::compact_store(&dir).unwrap();
-    assert_eq!(loaded_stats(&stored_records(&dir)), rewarmed, "compaction keeps the stats bits");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
 #[test]
 fn a_crash_mid_phase_keeps_every_record_written_before_it() {
-    let built = tiny();
-    // Chaos seed 120 quarantines candidates on this workload, so the
-    // journal holds marks as well as memos and verdicts.
-    let faults = FaultPlan::chaos(120);
+    let built = tiny_milstm();
+    // Under chaos seed 1 the fusion phase journals verdicts and the later
+    // phases quarantine trials, so marks follow them. Faulted runs export
+    // no memos.
+    let faults = FaultPlan::chaos(1);
     let spec = |dir: &Path, crash_after: Option<u64>| RunSpec {
-        dir: Some(dir.to_path_buf()),
         crash_after,
-        workers: 1,
         faults,
+        dims: Dims::fks(),
+        ..RunSpec::stored(dir, 1)
     };
     let reference = run(&built, &RunSpec { dir: None, ..spec(Path::new(""), None) });
-    let probe = tmpdir("midphase-probe");
-    run(&built, &spec(&probe, None));
-    let frames = journal_frames(&probe);
-    std::fs::remove_dir_all(&probe).unwrap();
-
-    let is_stats = |r: &store::Record| matches!(r, store::Record::ProfileStats(_));
-    let first_stats = frames.iter().position(|(_, r)| is_stats(r)).expect("stats journaled");
+    let journal = |dims: Dims| {
+        let probe = tmpdir("midphase-probe");
+        run(&built, &RunSpec { dims, ..spec(&probe, None) });
+        let frames = journal_frames(&probe);
+        std::fs::remove_dir_all(&probe).unwrap();
+        frames
+    };
+    let frames = journal(Dims::fks());
+    // The fusion phase runs first and journals the same records with or
+    // without the phases after it: its records are the prefix the
+    // fusion-only run's journal shares with this one.
+    let fusion_only = journal(Dims::f());
+    let first_phase = frames.iter().zip(&fusion_only).take_while(|(a, b)| a == b).count();
+    assert!(first_phase > 1, "the first phase journals verdicts");
+    assert!(first_phase < frames.len(), "the later phases journal records of their own");
     let first_mark = frames
         .iter()
         .position(|(_, r)| matches!(r, store::Record::Quarantine(_)))
-        .expect("chaos seed 120 journals a quarantine mark");
-    assert!(first_stats > 0, "the first phase journals memos or verdicts before its stats");
-    // Cuts: inside the first phase (before its stats flush), right after
-    // the first quarantine mark, and one byte into the frame after it.
+        .expect("chaos seed 1 journals a quarantine mark");
+    assert!(first_mark + 1 < frames.len(), "a frame follows the first mark");
+    // Cuts: early in the first phase, at its last record, right after the
+    // first quarantine mark, and one byte into the frame after it.
     let cuts = [
-        frames[first_stats / 2].0,
-        frames[first_stats - 1].0,
+        frames[first_phase / 2].0,
+        frames[first_phase - 1].0,
         frames[first_mark].0,
         frames[first_mark].0 + 1,
     ];
@@ -426,8 +396,8 @@ fn a_crash_mid_phase_keeps_every_record_written_before_it() {
         let kept: Vec<store::Record> =
             frames.iter().take_while(|(end, _)| *end <= cut).map(|(_, r)| r.clone()).collect();
         assert!(
-            kept.iter().any(|r| matches!(r, store::Record::Memo(_) | store::Record::Verdict(_))),
-            "cut={cut} keeps memos or verdicts"
+            kept.iter().any(|r| matches!(r, store::Record::Verdict(_))),
+            "cut={cut} keeps verdicts"
         );
         assert_eq!(stored_records(&dir), kept, "cut={cut}: every record before the crash survives");
 
@@ -438,62 +408,60 @@ fn a_crash_mid_phase_keeps_every_record_written_before_it() {
     }
 }
 
-/// Copies the flat store directory `from` to a fresh directory `tag`.
-fn copy_store(from: &Path, tag: &str) -> PathBuf {
-    let to = tmpdir(tag);
-    std::fs::create_dir_all(&to).unwrap();
-    for entry in std::fs::read_dir(from).unwrap() {
-        let path = entry.unwrap().path();
-        std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
-    }
-    to
-}
-
-/// The convergence bound the robustness suites hold exploration to: a
-/// steady state within 5% of the reference run's.
-const CONVERGENCE_SLACK: f64 = 1.05;
-
 #[test]
-fn warm_index_reuses_stored_samples_and_still_converges() {
+fn retired_record_kinds_load_clean_and_compact_away() {
     let built = tiny();
-    let dev = DeviceSpec::p100();
-    let dir = tmpdir("warm-index");
-    let optimize = |dir: &Path, warm_index: bool| {
-        let opts = AstraOptions {
-            dims: Dims::all(),
-            workers: 1,
-            store_dir: Some(dir.to_path_buf()),
-            warm_index,
-            ..Default::default()
-        };
-        let mut astra = Astra::new(&built.graph, &dev, opts);
-        let r = astra.optimize().expect("optimize completes");
-        assert!(astra.store_error().is_none(), "store degraded: {:?}", astra.store_error());
-        r
-    };
-    let cold = optimize(&dir, false);
-    assert!(!cold.warm_start);
-    // Rerun each variant on its own copy, so neither sees the other's
-    // journal.
-    let plain_dir = copy_store(&dir, "warm-plain");
-    let indexed_dir = copy_store(&dir, "warm-indexed");
-    let plain = optimize(&plain_dir, false);
-    let indexed = optimize(&indexed_dir, true);
-    assert_same_plan(&cold, &plain, "warm rerun without warm_index");
-    assert!(indexed.warm_start, "the stored run warm-starts");
-    assert!(
-        indexed.configs_explored < plain.configs_explored,
-        "stored samples must skip measurements ({} vs {} trials)",
-        indexed.configs_explored,
-        plain.configs_explored
-    );
-    assert!(
-        indexed.steady_ns <= cold.steady_ns * CONVERGENCE_SLACK,
-        "warm-index steady {} vs cold {}",
-        indexed.steady_ns,
-        cold.steady_ns
-    );
-    for d in [dir, plain_dir, indexed_dir] {
-        std::fs::remove_dir_all(d).unwrap();
+    let dir = tmpdir("retired");
+    let reference = run(&built, &RunSpec::cold(1));
+    let cold = run(&built, &RunSpec::stored(&dir, 1));
+
+    // Append one record of each kind older builds wrote after a real
+    // run's records.
+    let retired = [
+        store::Record::ProfileSample(store::ProfileSampleRec {
+            contexts: vec!["alloc:0".into()],
+            entity: "fuse:0".into(),
+            choice: 1,
+            value_ns: 1.5e6,
+        }),
+        store::Record::ProfileStats(store::ProfileStatsRec {
+            contexts: Vec::new(),
+            entity: "kern:64x64x64".into(),
+            choice: 2,
+            count: 3,
+            mean: 2.0e4,
+            m2: 7.5,
+            min: 1.9e4,
+        }),
+        store::Record::Predictor(store::PredictorRec {
+            kind: "fuse".into(),
+            weights: vec![0.25; 4],
+            bias: 1.0,
+            updates: 9,
+            t_min: 10.0,
+            t_max: 20.0,
+        }),
+    ];
+    {
+        let (mut st, _) = store::Store::open(&dir, &store::StoreOptions::default()).unwrap();
+        for rec in &retired {
+            st.append(rec).unwrap();
+        }
+        st.sync().unwrap();
     }
+    let retired_kinds = ["profile_sample", "profile_stats", "predictor"];
+    let counts = store::fsck(&dir).unwrap().counts;
+    assert!(retired_kinds.iter().all(|k| counts.get(*k) == Some(&1)), "{counts:?}");
+
+    let warm = run(&built, &RunSpec::stored(&dir, 1));
+    assert_same_plan(&reference, &warm, "warm run over retired records vs storeless");
+    assert_eq!(warm.store_corrupt_records, 0, "retired records are clean");
+    assert_eq!(warm.store_loaded_keys, cold.store_journal_appends + 3);
+    assert_eq!(warm.store_journal_appends, 0);
+
+    let (loaded, kept) = astra::core::compact_store(&dir).unwrap();
+    assert_eq!((loaded, kept), (warm.store_loaded_keys, cold.store_journal_appends));
+    let counts = store::fsck(&dir).unwrap().counts;
+    assert!(retired_kinds.iter().all(|k| !counts.contains_key(*k)), "{counts:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
