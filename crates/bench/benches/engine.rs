@@ -1,8 +1,10 @@
 //! Microbenchmarks of the discrete-event engine: one simulated mini-batch
-//! of the SC-RNN model, single-stream and with the multi-stream emitter.
+//! of the SC-RNN model, single-stream and with the multi-stream emitter;
+//! and of the emitter itself on a two-stream, super-epoch-partitioned plan.
 
 use std::hint::black_box;
 
+use astra_core::enumerate::{epoch_choices, partition_units};
 use astra_core::{build_units, emit_schedule, ExecConfig, PlanContext, ProbeSpec};
 use astra_exec::{lower, native_schedule};
 use astra_gpu::{DeviceSpec, Engine};
@@ -31,10 +33,27 @@ fn main() {
             (*set.row_chunks().last().unwrap(), *set.col_chunks().last().unwrap()),
         );
     }
-    if let Ok(units) = build_units(&ctx, &cfg) {
-        let (sched, _) = emit_schedule(&ctx, &cfg, &units, None, &ProbeSpec::none());
-        report("engine_fused_minibatch", 10, 200, || {
-            black_box(Engine::new(&dev).run(black_box(&sched)).unwrap());
-        });
+    let Ok(units) = build_units(&ctx, &cfg) else { return };
+    let (sched, _) = emit_schedule(&ctx, &cfg, &units, None, &ProbeSpec::none());
+    report("engine_fused_minibatch", 10, 200, || {
+        black_box(Engine::new(&dev).run(black_box(&sched)).unwrap());
+    });
+
+    // Emission as a stream-phase trial: two streams, the optimizer's
+    // partition budget, every epoch on its first choice and probed.
+    cfg.num_streams = 2;
+    let total: f64 = units.iter().map(|u| u.flops).sum();
+    let partition = partition_units(&units, (total / 8.0).max(1.0));
+    let mut epochs = std::collections::HashSet::new();
+    for (sei, se) in partition.super_epochs.iter().enumerate() {
+        for (ei, epoch) in se.epochs.iter().enumerate() {
+            let choice = &epoch_choices(&units, epoch, 2)[0];
+            cfg.streams.extend(choice.iter().map(|&(i, s)| (units[i].id, s)));
+            epochs.insert((sei, ei));
+        }
     }
+    let probes = ProbeSpec::epochs(epochs);
+    report("emit_stream_partitioned", 10, 200, || {
+        black_box(emit_schedule(&ctx, &cfg, &units, Some(&partition), &probes));
+    });
 }

@@ -41,8 +41,8 @@ use crate::error::AstraError;
 use crate::parallel::{effective_workers, WorkerPool};
 use crate::persist::{DriverStore, WarmState};
 use crate::plan::{
-    build_units_fragmented, emit_schedule, DevicePlacement, ExecConfig, PlanCache, PlanContext,
-    PlanKey, ProbeSpec, Probes, Unit,
+    build_units_fragmented, emit_schedule, emit_with_streams, DevicePlacement, ExecConfig,
+    PlanCache, PlanContext, PlanKey, ProbeSpec, Probes, Unit,
 };
 use crate::predictor::Pruner;
 use crate::profile::{ProfileIndex, ProfileKey};
@@ -1194,12 +1194,15 @@ impl<'g> Astra<'g> {
     /// build of its geometry when the salt draws a transient allocation
     /// failure (built outside the plan cache, so the clean geometry stays
     /// cached), else on its `clean` units. A fragmented build has the clean
-    /// build's unit set, ids, dependencies and order — so partitions and
-    /// probe specs stay valid — and fails only where the clean build does.
+    /// build's unit set, ids, dependencies and order — so partitions, probe
+    /// specs and the trial's stream vector `streams` (see
+    /// [`Phase::prepare`]) stay valid — and fails only where the clean
+    /// build does. Without a vector, `c.streams` places the units.
     fn emit_attempt<P: Phase>(
         &self,
         phase: &P,
         c: &ExecConfig,
+        streams: Option<&[usize]>,
         clean: &Arc<[Unit]>,
         salt: u64,
     ) -> Option<(Arc<[Unit]>, Schedule, Probes)> {
@@ -1207,8 +1210,14 @@ impl<'g> Astra<'g> {
             Some(word) => Arc::from(build_units_fragmented(&self.ctx, c, word).ok()?),
             None => Arc::clone(clean),
         };
-        let (sched, probes) =
-            emit_schedule(&self.ctx, c, &units, phase.partition(), phase.probe_spec());
+        let (partition, probe) = (phase.partition(), phase.probe_spec());
+        let (sched, probes) = match streams {
+            Some(streams) => {
+                debug_assert!(c.placement.is_single(), "stream vectors place one device");
+                emit_with_streams(c.num_streams, &units, streams, partition, probe)
+            }
+            None => emit_schedule(&self.ctx, c, &units, partition, probe),
+        };
         Some((units, sched, probes))
     }
 
@@ -1216,8 +1225,9 @@ impl<'g> Astra<'g> {
     /// §4.7, shared by every phase — and applies the best assignment to
     /// `cfg`. Each lookahead batch is:
     ///
-    /// 1. materialized into candidate configurations, with one fault salt
-    ///    per candidate assigned in candidate order before the batch
+    /// 1. prepared into candidate configurations and, for the stream phase,
+    ///    per-unit stream vectors (see [`Phase::prepare`]), with one fault
+    ///    salt per candidate assigned in candidate order before the batch
     ///    evaluates (so injected faults are worker-count invariant);
     /// 2. prepared sequentially in candidate order: emitted (see
     ///    [`Astra::emit_attempt`]) and admitted (see
@@ -1259,22 +1269,17 @@ impl<'g> Astra<'g> {
             // The tree picks one choice per slot; phases index by variable.
             let picks: Vec<Vec<usize>> =
                 batch.iter().map(|slots| vars.iter().map(|v| slots[v.slot]).collect()).collect();
-            let cfgs: Vec<ExecConfig> = picks
-                .iter()
-                .map(|pick| {
-                    let mut c = cfg.clone();
-                    phase.materialize(&mut c, pick);
-                    c
-                })
-                .collect();
+            let (cfgs, streams): (Vec<ExecConfig>, Vec<Option<Vec<usize>>>) =
+                picks.iter().map(|pick| phase.prepare(cfg, pick)).unzip();
             let clean = phase.units(self, &cfgs)?;
 
             let salt0 = self.fault_seq;
             self.fault_seq += batch.len() as u64;
             let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(cfgs.len());
-            for (i, (c, units)) in cfgs.iter().zip(&clean).enumerate() {
+            for (i, ((c, s), units)) in cfgs.iter().zip(&streams).zip(&clean).enumerate() {
                 let salt = salt0 + i as u64;
-                let emitted = units.as_ref().and_then(|u| self.emit_attempt(phase, c, u, salt));
+                let emitted =
+                    units.as_ref().and_then(|u| self.emit_attempt(phase, c, s.as_deref(), u, salt));
                 prepared.push(emitted.and_then(|(units, sched, probes)| {
                     let fragmented = self.opts.faults.alloc_event(salt).is_some();
                     if !fragmented && !self.admit_candidate(c, &units, &sched) {
@@ -1353,7 +1358,9 @@ impl<'g> Astra<'g> {
                     self.stats.retries += 1;
                     let salt = FaultPlan::attempt_salt(salt, attempt);
                     let clean = clean[bi].as_ref().expect("measured candidates have units");
-                    let Some((_, sched, p)) = self.emit_attempt(phase, &cfgs[bi], clean, salt)
+                    let streams = streams[bi].as_deref();
+                    let Some((_, sched, p)) =
+                        self.emit_attempt(phase, &cfgs[bi], streams, clean, salt)
                     else {
                         break false;
                     };

@@ -2,9 +2,10 @@
 //!
 //! [`Astra::run_phase`] owns everything the phases share; each phase here
 //! only says what varies — its variables and profile keys, how a choice
-//! lands in a configuration, where its units come from, and what its
-//! probes measure. Whether a run is suspect is not the phase's call: only
-//! a reported fault marks one, in every phase.
+//! lands in a configuration (or, for the stream phase, in a per-unit
+//! stream vector), where its units come from, and what its probes
+//! measure. Whether a run is suspect is not the phase's call: only a
+//! reported fault marks one, in every phase.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -15,7 +16,9 @@ use astra_predict::FeatureVec;
 
 use super::Astra;
 use crate::adaptive::{ExploreMode, UpdateNode, UpdateTree};
-use crate::enumerate::epochs::{epoch_choices, partition_units, EpochAssignment, Partition};
+use crate::enumerate::epochs::{
+    epoch_choices, partition_units, write_streams, EpochAssignment, Partition,
+};
 use crate::error::AstraError;
 use crate::parallel::parallel_map;
 use crate::plan::{
@@ -47,8 +50,20 @@ pub(super) trait Phase {
     /// The variables under exploration, in variable-index order.
     fn vars(&self) -> &[PhaseVar];
 
-    /// Applies one trial's choices, one per variable, to `cfg`.
+    /// Applies one trial's choices, one per variable, to `cfg`. The driver
+    /// calls it for the phase's winner; a trial goes through
+    /// [`Phase::prepare`], whose default applies it to a copy.
     fn materialize(&self, cfg: &mut ExecConfig, pick: &[usize]);
+
+    /// One trial's configuration, and its per-unit stream vector when the
+    /// phase resolves streams itself (the configuration's stream map is
+    /// then left as it was, and the vector indexes the phase's units). By
+    /// default: `cfg` with `pick` materialized, and no vector.
+    fn prepare(&self, cfg: &ExecConfig, pick: &[usize]) -> (ExecConfig, Option<Vec<usize>>) {
+        let mut c = cfg.clone();
+        self.materialize(&mut c, pick);
+        (c, None)
+    }
 
     /// Each candidate's clean unit geometry; `None` marks a candidate whose
     /// geometry does not build.
@@ -370,7 +385,7 @@ pub(super) struct EpochSpace {
     /// prefix-wise within each. `None` when no epoch has a choice.
     pub tree: Option<UpdateTree>,
     /// The only assignment of every single-choice epoch.
-    pub fixed: Vec<(UnitId, usize)>,
+    pub fixed: Vec<(usize, usize)>,
 }
 
 /// Builds the [`EpochSpace`] of `partition`: per-epoch stream choices, and
@@ -384,7 +399,6 @@ pub(super) fn epoch_space(
     base: &FeatureVec,
     contexts: [Option<&str>; 2],
 ) -> EpochSpace {
-    let flops_of: BTreeMap<UnitId, f64> = units.iter().map(|u| (u.id, u.flops)).collect();
     let mut fixed = Vec::new();
     let mut vars = Vec::new();
     let mut se_children = Vec::new();
@@ -404,7 +418,7 @@ pub(super) fn epoch_space(
                 .into_iter()
                 .enumerate()
                 .map(|(c, assignment)| EpochChoice {
-                    feat: Rc::new(epoch_features(base, sei, ei, c, &assignment, &flops_of)),
+                    feat: Rc::new(epoch_features(base, sei, ei, c, &assignment, units)),
                     assignment,
                 })
                 .collect();
@@ -428,11 +442,15 @@ pub(super) fn epoch_space(
 
 /// Phase S: stream maps, explored in parallel across super-epochs and
 /// prefix-wise across the epochs of each. Candidates share one geometry and
-/// the phase's super-epoch partition.
+/// the phase's super-epoch partition, so a trial carries a per-unit stream
+/// vector — the phase's base with its epochs' picks written over it — and
+/// only the winner's is turned into a `cfg.streams` map.
 pub(super) struct StreamPhase {
     vars: Vec<PhaseVar>,
     epochs: Vec<EpochVar>,
-    fixed: Vec<(UnitId, usize)>,
+    /// Per unit index: the stream the single-choice epochs fix (every unit
+    /// belongs to exactly one epoch; picks overwrite the rest).
+    base: Vec<usize>,
     var_of: BTreeMap<(usize, usize), usize>,
     units: Arc<[Unit]>,
     partition: Partition,
@@ -460,8 +478,10 @@ impl StreamPhase {
         let contexts = [strat_ctx, astra.opts.key_context.as_deref()];
         let EpochSpace { vars, epochs, tree, fixed } =
             epoch_space(&units, &partition, cfg.num_streams, &base, contexts);
+        let mut stream_base = vec![0; units.len()];
+        write_streams(&mut stream_base, &fixed);
         let Some(tree) = tree else {
-            cfg.streams = fixed.into_iter().collect();
+            cfg.streams = stream_map(&units, &stream_base);
             return Ok((partition, None));
         };
         let var_of = epochs.iter().enumerate().map(|(v, e)| (e.pos, v)).collect();
@@ -469,7 +489,7 @@ impl StreamPhase {
         let phase = StreamPhase {
             vars,
             epochs,
-            fixed,
+            base: stream_base,
             var_of,
             units,
             partition: partition.clone(),
@@ -477,6 +497,22 @@ impl StreamPhase {
         };
         Ok((partition, Some((phase, tree))))
     }
+
+    /// One trial's per-unit stream vector: the base, then each epoch's pick
+    /// in variable order (a later write to the same unit would win; the
+    /// epochs are disjoint).
+    fn trial_streams(&self, pick: &[usize]) -> Vec<usize> {
+        let mut streams = self.base.clone();
+        for (e, &c) in self.epochs.iter().zip(pick) {
+            write_streams(&mut streams, &e.choices[c].assignment);
+        }
+        streams
+    }
+}
+
+/// The stream map of the per-unit stream vector `streams` over `units`.
+fn stream_map(units: &[Unit], streams: &[usize]) -> BTreeMap<UnitId, usize> {
+    units.iter().map(|u| u.id).zip(streams.iter().copied()).collect()
 }
 
 impl Phase for StreamPhase {
@@ -486,12 +522,14 @@ impl Phase for StreamPhase {
         &self.vars
     }
 
-    /// One bulk build of the whole map: the fixed assignments, then each
-    /// epoch's pick (a later entry for the same unit would win, as with
-    /// `extend`; the keys are disjoint).
+    /// One bulk build of the whole map, from the trial's stream vector.
     fn materialize(&self, cfg: &mut ExecConfig, pick: &[usize]) {
-        let picked = self.epochs.iter().zip(pick).flat_map(|(e, &c)| &e.choices[c].assignment);
-        cfg.streams = self.fixed.iter().chain(picked).copied().collect();
+        cfg.streams = stream_map(&self.units, &self.trial_streams(pick));
+    }
+
+    /// Trials differ from `cfg` only in their streams: no map is built.
+    fn prepare(&self, cfg: &ExecConfig, pick: &[usize]) -> (ExecConfig, Option<Vec<usize>>) {
+        (cfg.clone(), Some(self.trial_streams(pick)))
     }
 
     fn units(
@@ -651,8 +689,69 @@ impl Phase for PlacementPhase {
 mod tests {
     use super::*;
     use crate::astra::AstraOptions;
+    use crate::plan::{emit_schedule, unit_streams};
     use astra_gpu::DeviceSpec;
     use astra_models::Model;
+    use astra_util::Rng64;
+
+    /// A stream-phase trial carries no map: its configuration is the
+    /// phase's, and its vector is the materialized map resolved per unit.
+    /// That map is the one built from every epoch's pick keyed by unit id,
+    /// and the driver's emission of the vector equals [`emit_schedule`] on
+    /// the materialized configuration.
+    #[test]
+    fn stream_trials_match_their_materialized_configs() {
+        let mut rng = Rng64::new(0x5_7e4);
+        let mut trials = 0;
+        for m in Model::all() {
+            let mut c = m.default_config(8);
+            (c.hidden, c.input, c.vocab, c.seq_len, c.layers) = (64, 64, 128, 3, c.layers.min(2));
+            let built = m.build(&c);
+            let dev = DeviceSpec::p100();
+            for streams in [2, 3] {
+                let opts = AstraOptions { num_streams: streams, ..AstraOptions::default() };
+                let mut astra = Astra::new(&built.graph, &dev, opts);
+                let mut cfg = ExecConfig::baseline();
+                let (partition, space) = StreamPhase::new(&mut astra, &mut cfg, None).unwrap();
+                let Some((phase, _)) = space else { continue };
+                for _ in 0..4 {
+                    let pick: Vec<usize> = phase
+                        .vars
+                        .iter()
+                        .map(|v| rng.gen_range_usize(0, v.keys.len() - 1))
+                        .collect();
+                    let (trial, vector) = phase.prepare(&cfg, &pick);
+                    let vector = vector.expect("stream trials carry a vector");
+                    assert_eq!(trial, cfg, "{m}: only the vector varies");
+                    let mut materialized = cfg.clone();
+                    phase.materialize(&mut materialized, &pick);
+                    let mut by_id = BTreeMap::new();
+                    for (sei, se) in partition.super_epochs.iter().enumerate() {
+                        for (ei, epoch) in se.epochs.iter().enumerate() {
+                            let options = epoch_choices(&phase.units, epoch, streams);
+                            let c = phase.var_of.get(&(sei, ei)).map_or(0, |&v| pick[v]);
+                            by_id.extend(options[c].iter().map(|&(i, s)| (phase.units[i].id, s)));
+                        }
+                    }
+                    assert_eq!(materialized.streams, by_id, "{m}: materialized map");
+                    assert_eq!(vector, unit_streams(&materialized, &phase.units, streams), "{m}");
+                    let (units, sched, probes) =
+                        astra.emit_attempt(&phase, &trial, Some(&vector), &phase.units, 0).unwrap();
+                    let (want, want_probes) = emit_schedule(
+                        &astra.ctx,
+                        &materialized,
+                        &units,
+                        Some(&partition),
+                        phase.probe_spec(),
+                    );
+                    assert_eq!(sched, want, "{m}: driver emission differs");
+                    assert_eq!(probes, want_probes, "{m}");
+                    trials += 1;
+                }
+            }
+        }
+        assert!(trials > 0, "some zoo model must explore streams");
+    }
 
     #[test]
     fn epoch_space_entries_equal_direct_feature_and_key_builds() {
@@ -670,8 +769,6 @@ mod tests {
                 let base = candidate_features(&cfg, 0);
                 let contexts = [Some("alloc:1"), Some("bucket:3")];
                 let space = epoch_space(&units, &partition, streams, &base, contexts);
-                let flops_of: BTreeMap<UnitId, f64> =
-                    units.iter().map(|u| (u.id, u.flops)).collect();
                 let mut probed = 0;
                 for (sei, se) in partition.super_epochs.iter().enumerate() {
                     for (ei, epoch) in se.epochs.iter().enumerate() {
@@ -689,7 +786,7 @@ mod tests {
                         let pairs = epoch.choices.iter().zip(&options);
                         for (c, (choice, assignment)) in pairs.enumerate() {
                             assert_eq!(&choice.assignment, assignment);
-                            let direct = epoch_features(&base, sei, ei, c, assignment, &flops_of);
+                            let direct = epoch_features(&base, sei, ei, c, assignment, &units);
                             let bits = |f: &FeatureVec| -> Vec<u64> {
                                 f.values().iter().map(|v| v.to_bits()).collect()
                             };

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::plan::{Unit, UnitId};
+use crate::plan::Unit;
 
 /// Kernels in one epoch that are interchangeable for scheduling.
 #[derive(Debug, Clone)]
@@ -126,8 +126,21 @@ fn build_super_epoch(units: &[Unit], start: usize, end: usize) -> SuperEpoch {
     SuperEpoch { epochs }
 }
 
-/// One stream-mapping option for an epoch: the stream of each unit.
-pub type EpochAssignment = Vec<(UnitId, usize)>;
+/// One stream-mapping option for an epoch: `(unit index, stream)` for each
+/// of its units, the index into the unit vector the partition was built
+/// over.
+pub type EpochAssignment = Vec<(usize, usize)>;
+
+/// Writes each `(unit index, stream)` pair into the per-unit stream vector
+/// `streams`, in order: a later write to the same unit wins.
+pub fn write_streams<'a>(
+    streams: &mut [usize],
+    pairs: impl IntoIterator<Item = &'a (usize, usize)>,
+) {
+    for &(i, s) in pairs {
+        streams[i] = s;
+    }
+}
 
 /// Maximum split options explored for the adapted class (paper's example
 /// uses 5 for a 10-kernel class).
@@ -140,7 +153,7 @@ const MAX_SPLITS: usize = 5;
 /// Always returns at least one choice (the balanced default).
 pub fn epoch_choices(units: &[Unit], epoch: &Epoch, num_streams: usize) -> Vec<EpochAssignment> {
     if num_streams <= 1 || epoch.units.len() < 2 {
-        return vec![epoch.units.iter().map(|&u| (units[u].id, 0)).collect()];
+        return vec![epoch.units.iter().map(|&u| (u, 0)).collect()];
     }
 
     // The class with the most members adapts; everything else is balanced.
@@ -170,7 +183,7 @@ pub fn epoch_choices(units: &[Unit], epoch: &Epoch, num_streams: usize) -> Vec<E
         // Adapted class: first `a` on stream 0, rest round-robin on 1..S.
         for (i, &u) in adapted.units.iter().enumerate() {
             let s = if i < a { 0 } else { 1 + (i - a) % (num_streams - 1) };
-            asg.push((units[u].id, s));
+            asg.push((u, s));
         }
         // Other units: greedy flops balancing across streams, seeded with
         // the adapted class's load.
@@ -190,7 +203,7 @@ pub fn epoch_choices(units: &[Unit], epoch: &Epoch, num_streams: usize) -> Vec<E
                     .min_by(|a, b| a.1.total_cmp(b.1))
                     .expect("streams non-empty");
                 load[s] += units[u].flops;
-                asg.push((units[u].id, s));
+                asg.push((u, s));
             }
         }
         choices.push(asg);
@@ -201,6 +214,7 @@ pub fn epoch_choices(units: &[Unit], epoch: &Epoch, num_streams: usize) -> Vec<E
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::UnitId;
     use astra_gpu::{GemmShape, KernelDesc};
 
     fn unit(i: u32, deps: Vec<usize>, flops: f64, shape_n: u64) -> Unit {
@@ -307,8 +321,8 @@ mod tests {
         let p = partition_units(&units, 1e18);
         let epoch = &p.super_epochs[0].epochs[0];
         for choice in epoch_choices(&units, epoch, 2) {
-            let s4 = choice.iter().find(|(id, _)| *id == UnitId::Node(4)).unwrap().1;
-            let s5 = choice.iter().find(|(id, _)| *id == UnitId::Node(5)).unwrap().1;
+            let s4 = choice.iter().find(|&&(i, _)| i == 4).unwrap().1;
+            let s5 = choice.iter().find(|&&(i, _)| i == 5).unwrap().1;
             assert_ne!(s4, s5, "heavy kernels must balance");
         }
     }

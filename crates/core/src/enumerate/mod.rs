@@ -10,5 +10,8 @@ pub mod epochs;
 pub mod fusion;
 
 pub use alloc::{enumerate_alloc, AllocEnumeration, AllocStrategy};
-pub use epochs::{epoch_choices, partition_units, Epoch, EquivClass, Partition, SuperEpoch};
+pub use epochs::{
+    epoch_choices, partition_units, write_streams, Epoch, EpochAssignment, EquivClass, Partition,
+    SuperEpoch,
+};
 pub use fusion::{enumerate_fusion, ColKind, FusionSet};

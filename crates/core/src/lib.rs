@@ -78,9 +78,10 @@ pub use parallel::{effective_workers, parallel_map, WorkerPool};
 pub use persist::compact_store;
 pub use plan::{
     bind_libs, build_allocation_plan, build_units, build_units_fragmented, candidate_features,
-    emit_schedule, epoch_features, flop_balanced_cuts, fusion_features, gradient_sync_bytes,
-    kernel_features, placement_candidates, placement_features, DevicePlacement, ExecConfig,
-    PlanCache, PlanContext, PlanKey, ProbeSpec, Probes, Unit, UnitId, SYNTHETIC_BUF_BASE,
+    emit_schedule, emit_with_streams, epoch_features, flop_balanced_cuts, fusion_features,
+    gradient_sync_bytes, kernel_features, placement_candidates, placement_features,
+    DevicePlacement, ExecConfig, PlanCache, PlanContext, PlanKey, ProbeSpec, Probes, Unit, UnitId,
+    SYNTHETIC_BUF_BASE,
 };
 pub use profile::{ProfileIndex, ProfileKey, SampleStats};
 pub use recompute::{explore_recompute, peak_activation_bytes, RecomputePoint, RecomputeReport};

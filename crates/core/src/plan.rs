@@ -21,6 +21,7 @@ use astra_ir::{Graph, NodeId, OpKind};
 use astra_predict::FeatureVec;
 
 use crate::enumerate::alloc::{enumerate_alloc, AllocEnumeration};
+use crate::enumerate::epochs::Partition;
 use crate::enumerate::fusion::{enumerate_fusion, ColKind, FusionSet};
 use crate::error::AstraError;
 
@@ -993,7 +994,7 @@ impl ProbeSpec {
 }
 
 /// Profiling probes of a built schedule.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Probes {
     /// Per fusion set: (set index, number of blocks, first-block region).
     pub set_regions: Vec<(usize, usize, EventId, EventId)>,
@@ -1011,9 +1012,8 @@ pub struct Probes {
 /// Emits the schedule for `units`, with optional stream partitioning and
 /// profiling probes.
 ///
-/// When `partition` is `Some`, units are emitted super-epoch by super-epoch
-/// with device-wide barriers between super-epochs (§4.5.3); cross-stream
-/// dependencies synchronize through events.
+/// A single-device configuration resolves `cfg.streams` into a per-unit
+/// stream vector once and emits through [`emit_with_streams`].
 ///
 /// Multi-device placements ([`ExecConfig::placement`]) take their own
 /// emission paths: data parallel replicates the unit program per device
@@ -1026,23 +1026,49 @@ pub fn emit_schedule(
     ctx: &PlanContext<'_>,
     cfg: &ExecConfig,
     units: &[Unit],
-    partition: Option<&crate::enumerate::epochs::Partition>,
+    partition: Option<&Partition>,
     probe: &ProbeSpec,
 ) -> (Schedule, Probes) {
     match &cfg.placement {
-        DevicePlacement::Single => {}
+        DevicePlacement::Single => {
+            let per = cfg.num_streams.max(1);
+            emit_with_streams(per, units, &unit_streams(cfg, units, per), partition, probe)
+        }
         DevicePlacement::DataParallel { shares } => {
-            return (emit_data_parallel(ctx, cfg, units, shares), Probes::default());
+            (emit_data_parallel(ctx, cfg, units, shares), Probes::default())
         }
         DevicePlacement::ModelParallel { cuts } => {
-            return (emit_model_parallel(cfg, units, cuts), Probes::default());
+            (emit_model_parallel(cfg, units, cuts), Probes::default())
         }
     }
-    let num_streams = cfg.num_streams.max(1);
+}
+
+/// Emits the single-device schedule for `units` on `num_streams` streams,
+/// unit `i` on stream `streams[i]` (clamped to the last stream, as
+/// [`emit_schedule`] clamps `cfg.streams`), with optional stream
+/// partitioning and profiling probes.
+///
+/// When `partition` is `Some`, units are emitted super-epoch by super-epoch
+/// with device-wide barriers between super-epochs (§4.5.3); cross-stream
+/// dependencies synchronize through events.
+///
+/// # Panics
+///
+/// Panics if `streams` is shorter than `units`.
+pub fn emit_with_streams(
+    num_streams: usize,
+    units: &[Unit],
+    streams: &[usize],
+    partition: Option<&Partition>,
+    probe: &ProbeSpec,
+) -> (Schedule, Probes) {
+    debug_assert_eq!(streams.len(), units.len(), "one stream per unit");
+    let num_streams = num_streams.max(1);
     let mut sched = Schedule::new(num_streams);
     let mut probes = Probes::default();
 
-    let stream_of = unit_streams(cfg, units, num_streams);
+    let stream_of: Vec<usize> =
+        streams[..units.len()].iter().map(|&s| s.min(num_streams - 1)).collect();
     let needs_event = cross_stream_producers(units, &stream_of);
 
     let mut done_event: Vec<Option<EventId>> = vec![None; units.len()];
@@ -1160,14 +1186,13 @@ pub fn emit_schedule(
     // hit replays the finished result without any simulation.
     sched.mark_boundary();
 
-    let _ = ctx;
     (sched, probes)
 }
 
 /// Stream of every unit under `cfg.streams`, clamped to `per` streams
 /// (unmapped units run on stream 0). Resolved once per emission, so the
 /// dependency scans index a vector instead of searching the map.
-fn unit_streams(cfg: &ExecConfig, units: &[Unit], per: usize) -> Vec<usize> {
+pub(crate) fn unit_streams(cfg: &ExecConfig, units: &[Unit], per: usize) -> Vec<usize> {
     units.iter().map(|u| cfg.streams.get(&u.id).copied().unwrap_or(0).min(per - 1)).collect()
 }
 
@@ -1552,14 +1577,16 @@ pub fn kernel_features(
 /// FLOP balance of the assignment, plus the epoch's position in the
 /// partition (the epoch metric spans from the super-epoch start, so later
 /// epochs inherit their prefix's elapsed time), over `base` — the
-/// [`candidate_features`] of the phase's configuration.
+/// [`candidate_features`] of the phase's configuration. `assignment` holds
+/// `(unit index, stream)` pairs indexing `units`, as an
+/// [`EpochAssignment`](crate::enumerate::EpochAssignment) does.
 pub fn epoch_features(
     base: &FeatureVec,
     sei: usize,
     ei: usize,
     choice: usize,
-    assignment: &[(UnitId, usize)],
-    flops_of: &BTreeMap<UnitId, f64>,
+    assignment: &[(usize, usize)],
+    units: &[Unit],
 ) -> FeatureVec {
     let mut f = base.clone();
     f.tag("epoch", &format!("se{sei}.e{ei}"));
@@ -1567,8 +1594,8 @@ pub fn epoch_features(
     f.push("epoch_units", assignment.len() as f64);
     let mut per_stream: BTreeMap<usize, (usize, f64)> = BTreeMap::new();
     let mut total = 0.0;
-    for &(uid, s) in assignment {
-        let fl = flops_of.get(&uid).copied().unwrap_or(0.0);
+    for &(i, s) in assignment {
+        let fl = units[i].flops;
         let e = per_stream.entry(s).or_insert((0, 0.0));
         e.0 += 1;
         e.1 += fl;

@@ -45,7 +45,8 @@ fn sync_elision_is_invariant_across_the_zoo() {
                 cfg.streams.clear();
                 for epoch in &epochs {
                     let options = epoch_choices(&units, epoch, streams);
-                    cfg.streams.extend(options[pick % options.len()].iter().copied());
+                    let picked = &options[pick % options.len()];
+                    cfg.streams.extend(picked.iter().map(|&(i, s)| (units[i].id, s)));
                 }
                 let label = format!("{model:?} streams={streams} pick={pick}");
                 let (sched, _) = emit_schedule(&ctx, &cfg, &units, Some(&partition), &probes);

@@ -203,6 +203,75 @@ fn critical_path_floors_never_exceed_the_measured_times() {
     }
 }
 
+/// What `parse_rendered` rebuilds from `s`'s text: every launch becomes the
+/// parser's placeholder (a 1-byte copy) labelled with the launch's span
+/// label; every other command is kept as is.
+fn placeholder_twin(s: &Schedule) -> Schedule {
+    let mut twin = Schedule::with_devices(s.num_streams(), s.stream_devices().to_vec());
+    for (i, cmd) in s.cmds().iter().enumerate() {
+        match cmd {
+            Cmd::Launch { stream, waits, .. } => {
+                let label = s.span_label(i).expect("launches carry a label");
+                twin.launch_labeled(
+                    *stream,
+                    KernelDesc::MemCopy { bytes: 1.0 },
+                    waits.clone(),
+                    label,
+                );
+            }
+            Cmd::Record { stream, .. } => {
+                twin.record(*stream);
+            }
+            Cmd::Barrier => twin.barrier(),
+            Cmd::HostSync => twin.host_sync(),
+            Cmd::Transfer { stream, bytes, src, dst, waits } => {
+                twin.transfer(*stream, *bytes, *src, *dst, waits.clone());
+            }
+            Cmd::AllReduce { stream, bytes, group } => {
+                twin.all_reduce(*stream, *bytes, *group);
+            }
+        }
+    }
+    twin
+}
+
+/// Every generated schedule survives a render → parse round trip: the
+/// parsed schedule re-renders to the same text, records the same events,
+/// and has the prefix hash of the original with each kernel replaced by
+/// the parser's labelled placeholder — so streams, waits, records and
+/// barriers all round-trip into the hash. The kernel descriptor is the one
+/// hashed field the text carries only as a label, so a schedule with a
+/// launch cannot keep its own hash; one without launches does.
+#[test]
+fn generated_schedules_round_trip_through_render_and_parse() {
+    use astra::verify::parse_rendered;
+
+    let mut rng = Rng64::new(0x7e4d);
+    for case in 0..64 {
+        let (streams, moves) = draw_case(&mut rng, 1, 1);
+        // The same moves without their launches: records and barriers only.
+        let bare: Vec<(u8, u8, u8)> = moves.iter().copied().filter(|m| m.0 % 4 >= 2).collect();
+        for (sched, what) in
+            [(random_schedule(streams, &moves), "full"), (random_schedule(streams, &bare), "bare")]
+        {
+            let text = sched.render();
+            let parsed =
+                parse_rendered(&text).unwrap_or_else(|e| panic!("case {case} {what}: {e}"));
+            assert_eq!(parsed.render(), text, "case {case} {what}: re-render");
+            assert_eq!(parsed.num_events(), sched.num_events(), "case {case} {what}: events");
+            let twin = placeholder_twin(&sched);
+            assert_eq!(parsed.prefix_hash(), twin.prefix_hash(), "case {case} {what}: prefix hash");
+            if sched.num_launches() == 0 {
+                assert_eq!(
+                    parsed.prefix_hash(),
+                    sched.prefix_hash(),
+                    "case {case} {what}: own hash"
+                );
+            }
+        }
+    }
+}
+
 /// Everything but the spans: makespan, event times, fault summary, record
 /// count and profiling overhead, floats as bits.
 fn timing_bits(r: &RunResult) -> (u64, Vec<(EventId, u64)>, FaultSummary, usize, u64) {

@@ -614,6 +614,108 @@ fn emission_follows_the_stream_map_across_the_zoo() {
     }
 }
 
+/// The stream phase's trial path matches the stream map it replaces. A
+/// trial's per-unit stream vector — the single-choice epochs'
+/// assignments, then one generated pick per epoch with choices, written by
+/// unit index — resolves exactly like the `cfg.streams` map the same picks
+/// make keyed by unit id, and emitting through the vector
+/// (`emit_with_streams`) equals `emit_schedule` under that map: commands,
+/// prefix hash, boundaries, tags and probes. Checked across the zoo at two
+/// and three streams, on a fused geometry and on a fragmented build of it
+/// (which keeps the unit order, so the same vector and partition index it).
+#[test]
+fn stream_vectors_emit_like_the_stream_map_across_the_zoo() {
+    use astra::core::enumerate::{epoch_choices, partition_units, write_streams};
+    use astra::core::{build_units_fragmented, emit_with_streams};
+    use astra::models::Model;
+    use std::collections::BTreeMap;
+
+    let mut rng = Rng64::new(0x57e4_7ec5);
+    let (mut multi_stream, mut fragmented) = (false, false);
+    for m in Model::all() {
+        let mut c = m.default_config(8);
+        (c.hidden, c.input, c.vocab, c.seq_len, c.layers) = (64, 64, 128, 3, c.layers.min(2));
+        let built = m.build(&c);
+        let ctx = PlanContext::new(&built.graph);
+        // The widest chunking that builds, so fragmentation has gathers to
+        // inflate.
+        let mut fused = ExecConfig::baseline();
+        for set in &ctx.sets {
+            let chunk = (*set.row_chunks().last().unwrap(), *set.col_chunks().last().unwrap());
+            fused.chunks.insert(set.id.clone(), chunk);
+            if build_units(&ctx, &fused).is_err() {
+                fused.chunks.remove(&set.id);
+            }
+        }
+        let units = build_units(&ctx, &fused).expect("reverted chunk choices stay valid");
+        let ids: BTreeMap<_, _> = units.iter().enumerate().map(|(i, u)| (u.id, i)).collect();
+        assert_eq!(ids.len(), units.len(), "{m}: unit ids are unique");
+        let shattered = build_units_fragmented(&ctx, &fused, u64::MAX).expect("fragmented build");
+        fragmented |=
+            shattered.iter().zip(&units).any(|(f, u)| f.pre_copy_bytes != u.pre_copy_bytes);
+        let total: f64 = units.iter().map(|u| u.flops).sum();
+        let partition = partition_units(&units, (total / 8.0).max(1.0));
+        for streams in [2, 3] {
+            let mut options = Vec::new();
+            for (sei, se) in partition.super_epochs.iter().enumerate() {
+                for (ei, epoch) in se.epochs.iter().enumerate() {
+                    options.push(((sei, ei), epoch_choices(&units, epoch, streams)));
+                }
+            }
+            let probe = ProbeSpec::epochs(
+                options.iter().filter(|(_, o)| o.len() > 1).map(|&(pos, _)| pos).collect(),
+            );
+            let mut base = vec![0; units.len()];
+            write_streams(
+                &mut base,
+                options.iter().filter(|(_, o)| o.len() == 1).flat_map(|(_, o)| &o[0]),
+            );
+            for trial in 0..4 {
+                let picked: Vec<&Vec<(usize, usize)>> =
+                    options.iter().map(|(_, o)| &o[rng.gen_range_usize(0, o.len() - 1)]).collect();
+                let mut vector = base.clone();
+                for (asg, (_, o)) in picked.iter().zip(&options) {
+                    if o.len() > 1 {
+                        write_streams(&mut vector, *asg);
+                    }
+                }
+                let mut cfg = ExecConfig { num_streams: streams, ..fused.clone() };
+                for asg in &picked {
+                    cfg.streams.extend(asg.iter().map(|&(i, s)| (units[i].id, s)));
+                }
+                let what = format!("{m} streams={streams} trial {trial}");
+                let resolved: Vec<usize> = units
+                    .iter()
+                    .map(|u| cfg.streams.get(&u.id).copied().unwrap_or(0).min(streams - 1))
+                    .collect();
+                assert_eq!(vector, resolved, "{what}: vector resolves like the map");
+                multi_stream |= vector.iter().any(|&s| s > 0);
+
+                // Past-the-end streams clamp to the last one on both paths.
+                let wide: Vec<usize> = vector.iter().map(|&s| s + streams).collect();
+                let mut wide_cfg = cfg.clone();
+                wide_cfg.streams.values_mut().for_each(|s| *s += streams);
+                let (a, _) = emit_with_streams(streams, &units, &wide, None, &ProbeSpec::none());
+                let (b, _) = emit_schedule(&ctx, &wide_cfg, &units, None, &ProbeSpec::none());
+                assert_eq!(a, b, "{what}: clamped schedules differ");
+
+                for (geometry, label) in [(&units, "fused"), (&shattered, "fragmented")] {
+                    let (a, pa) =
+                        emit_with_streams(streams, geometry, &vector, Some(&partition), &probe);
+                    let (b, pb) = emit_schedule(&ctx, &cfg, geometry, Some(&partition), &probe);
+                    assert_eq!(a, b, "{what} {label}: schedules differ");
+                    assert_eq!(a.prefix_hash(), b.prefix_hash(), "{what} {label}");
+                    assert_eq!(a.boundaries(), b.boundaries(), "{what} {label}");
+                    assert_eq!(a.tags(), b.tags(), "{what} {label}");
+                    assert_eq!(pa, pb, "{what} {label}: probes differ");
+                }
+            }
+        }
+    }
+    assert!(multi_stream, "some trial must use more than one stream");
+    assert!(fragmented, "some fragmented build must change a gather copy");
+}
+
 /// Dynamic-graph coverage: the schedule of every PTB bucket length (§5.5)
 /// verifies clean under a two-stream round-robin assignment.
 #[test]
@@ -1072,7 +1174,6 @@ fn candidate_features_are_deterministic_and_injective() {
 fn kernel_and_epoch_features_distinguish_choices() {
     use astra::core::{candidate_features, epoch_features, kernel_features};
     use astra::gpu::{GemmLibrary, GemmShape};
-    use std::collections::BTreeMap;
 
     let cfg = ExecConfig::baseline();
     let shape = GemmShape::new(64, 128, 256);
@@ -1081,13 +1182,16 @@ fn kernel_and_epoch_features_distinguish_choices() {
         assert!(fps.insert(kernel_features(&cfg, 0, shape, lib).fingerprint()));
     }
 
-    let (u0, u1) = (astra::core::UnitId::Node(0), astra::core::UnitId::Node(1));
-    let flops: BTreeMap<_, _> = [(u0, 1e6), (u1, 2e6)].into();
-    let asg_a = [(u0, 0), (u1, 0)];
-    let asg_b = [(u0, 0), (u1, 1)];
+    let built = small_built_model();
+    let ctx = PlanContext::new(&built.graph);
+    let mut units = build_units(&ctx, &cfg).expect("baseline units build");
+    units.truncate(2);
+    (units[0].flops, units[1].flops) = (1e6, 2e6);
+    let asg_a = [(0, 0), (1, 0)];
+    let asg_b = [(0, 0), (1, 1)];
     let base = candidate_features(&cfg, 0);
-    let ea = epoch_features(&base, 0, 1, 0, &asg_a, &flops);
-    let eb = epoch_features(&base, 0, 1, 1, &asg_b, &flops);
+    let ea = epoch_features(&base, 0, 1, 0, &asg_a, &units);
+    let eb = epoch_features(&base, 0, 1, 1, &asg_b, &units);
     assert_ne!(ea.fingerprint(), eb.fingerprint(), "assignments must be distinct");
     assert_ne!(ea.values(), eb.values(), "fanout/balance features must differ");
 }
