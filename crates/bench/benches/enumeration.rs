@@ -14,6 +14,18 @@ fn main() {
         black_box(PlanContext::new(black_box(&built.graph)));
     });
 
+    // The repository benchmark's MI-LSTM (perfbench's `milstm-*` workloads).
+    let milstm = Model::MiLstm.build(&ModelConfig::hutter(16).with_seq_len(8));
+    report("enumerate_milstm_bench", 3, 30, || {
+        black_box(PlanContext::new(black_box(&milstm.graph)));
+    });
+
+    // The zoo's largest graph at its paper default.
+    let gnmt = Model::Gnmt.build(&Model::Gnmt.default_config(16));
+    report("enumerate_gnmt", 1, 5, || {
+        black_box(PlanContext::new(black_box(&gnmt.graph)));
+    });
+
     let ctx = PlanContext::new(&built.graph);
     report("build_units_baseline", 5, 100, || {
         black_box(build_units(&ctx, &ExecConfig::baseline()).unwrap());

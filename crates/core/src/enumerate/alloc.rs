@@ -12,7 +12,7 @@
 //! are resolved statically; non-trivial conflicts produce a *fork* of
 //! allocation strategies that the custom wirer explores by measurement.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use astra_exec::Lowering;
 use astra_gpu::BufId;
@@ -51,24 +51,96 @@ pub struct AllocEnumeration {
 /// Whether two adjacency requirements are compatible: disjoint, equal, or
 /// one a consecutive sublist of the other.
 fn compatible(a: &[BufId], b: &[BufId]) -> bool {
-    let sa: HashSet<_> = a.iter().collect();
-    let sb: HashSet<_> = b.iter().collect();
-    if sa.is_disjoint(&sb) {
+    // Requirements are a handful of buffers long: linear scans beat sets.
+    if !a.iter().any(|t| b.contains(t)) {
         return true;
     }
-    let sublist =
-        |small: &[BufId], big: &[BufId]| big.windows(small.len()).any(|w| w == small);
-    if a.len() <= b.len() {
-        sublist(a, b)
-    } else {
-        sublist(b, a)
+    let (small, big) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    big.windows(small.len()).any(|w| w == small)
+}
+
+/// The buffer of a statically resolvable conflict: `a` and `b` are
+/// incompatible and exactly one entry of `a` lies in `b`.
+fn single_overlap(a: &[BufId], b: &[BufId]) -> Option<BufId> {
+    if compatible(a, b) {
+        return None;
+    }
+    let mut shared = a.iter().filter(|t| b.contains(t));
+    match (shared.next(), shared.next()) {
+        (Some(&t), None) => Some(t),
+        _ => None,
     }
 }
 
-/// The buffers shared between two requirements.
-fn overlap(a: &[BufId], b: &[BufId]) -> Vec<BufId> {
-    let sb: HashSet<_> = b.iter().collect();
-    a.iter().filter(|t| sb.contains(t)).copied().collect()
+/// The requirements holding each buffer, in ascending index order. Only
+/// requirements that share a buffer can be incompatible.
+fn holders(reqs: &[(String, Vec<BufId>)]) -> HashMap<BufId, Vec<usize>> {
+    let mut holders: HashMap<BufId, Vec<usize>> = HashMap::new();
+    for (i, (_, r)) in reqs.iter().enumerate() {
+        for &t in r {
+            let h = holders.entry(t).or_default();
+            if h.last() != Some(&i) {
+                h.push(i);
+            }
+        }
+    }
+    holders
+}
+
+/// The requirements other than `i` that share a buffer with `reqs[i]`,
+/// ascending.
+fn partners(
+    holders: &HashMap<BufId, Vec<usize>>,
+    reqs: &[(String, Vec<BufId>)],
+    i: usize,
+) -> Vec<usize> {
+    let mut out: Vec<usize> =
+        reqs[i].1.iter().flat_map(|t| &holders[t]).copied().filter(|&k| k != i).collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Static resolution: single-tensor overlaps drop the offending tensor
+/// from the *longer* requirement (both fusions then coexist, §4.5.2).
+/// Returns the number of fixes.
+///
+/// Each fix takes the lexicographically first pair `(i, j)`, `i < j`,
+/// that [`single_overlap`] resolves, exactly as rescanning every pair
+/// from `(0, 0)` after each fix would. The resolvable pairs live in an
+/// ordered set. A fix changes only the victim's list, so only pairs that
+/// shared a buffer with the victim before the fix are re-evaluated (the
+/// rest stay disjoint), wherever they sit in the order: a fix can make an
+/// earlier pair resolvable, as dropping `b` from `[a,b,c]` turns its
+/// compatible pair with `[b,c]` into `[a,c]` against `[b,c]`.
+fn resolve_static(reqs: &mut [(String, Vec<BufId>)]) -> usize {
+    let mut holders = holders(reqs);
+    let mut pending: BTreeSet<(usize, usize)> = BTreeSet::new();
+    for i in 0..reqs.len() {
+        for j in partners(&holders, reqs, i).into_iter().filter(|&j| j > i) {
+            if single_overlap(&reqs[i].1, &reqs[j].1).is_some() {
+                pending.insert((i, j));
+            }
+        }
+    }
+    let mut fixes = 0;
+    while let Some((i, j)) = pending.pop_first() {
+        let t = single_overlap(&reqs[i].1, &reqs[j].1).expect("a pending pair is resolvable");
+        let victim = if reqs[i].1.len() >= reqs[j].1.len() { i } else { j };
+        let touched = partners(&holders, reqs, victim);
+        reqs[victim].1.retain(|b| *b != t);
+        holders.get_mut(&t).expect("the victim holds t").retain(|&h| h != victim);
+        for k in touched {
+            let pair = (victim.min(k), victim.max(k));
+            if single_overlap(&reqs[pair.0].1, &reqs[pair.1].1).is_some() {
+                pending.insert(pair);
+            } else {
+                pending.remove(&pair);
+            }
+        }
+        fixes += 1;
+    }
+    fixes
 }
 
 /// Enumerates allocation strategies for a collection of fusion sets.
@@ -78,11 +150,6 @@ fn overlap(a: &[BufId], b: &[BufId]) -> Vec<BufId> {
 /// requirement of each conflict component wins. The fork is capped to keep
 /// exploration bounded.
 pub fn enumerate_alloc(graph: &Graph, lowering: &Lowering, sets: &[FusionSet]) -> AllocEnumeration {
-    /// Cap on strategies per conflict component.
-    const PER_COMPONENT: usize = 3;
-    /// Cap on total strategies.
-    const TOTAL_CAP: usize = 6;
-
     // Gather requirements with owning-set labels, resolved to buffers.
     let mut reqs: Vec<(String, Vec<BufId>)> = Vec::new();
     for set in sets {
@@ -91,44 +158,30 @@ pub fn enumerate_alloc(graph: &Graph, lowering: &Lowering, sets: &[FusionSet]) -
             reqs.push((set.id.clone(), bufs));
         }
     }
+    enumerate_alloc_from(reqs)
+}
 
-    // Static resolution: single-tensor overlaps drop the offending tensor
-    // from the *longer* requirement (both fusions then coexist, §4.5.2).
-    let mut static_resolutions = 0;
-    loop {
-        let mut changed = false;
-        'outer: for i in 0..reqs.len() {
-            for j in (i + 1)..reqs.len() {
-                if compatible(&reqs[i].1, &reqs[j].1) {
-                    continue;
-                }
-                let ov = overlap(&reqs[i].1, &reqs[j].1);
-                if ov.len() == 1 {
-                    let victim = if reqs[i].1.len() >= reqs[j].1.len() { i } else { j };
-                    reqs[victim].1.retain(|t| *t != ov[0]);
-                    static_resolutions += 1;
-                    changed = true;
-                    break 'outer;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+/// [`enumerate_alloc`] over requirements already gathered: `(owning set
+/// id, buffers to co-allocate)`, in declaration order.
+pub fn enumerate_alloc_from(mut reqs: Vec<(String, Vec<BufId>)>) -> AllocEnumeration {
+    /// Cap on strategies per conflict component.
+    const PER_COMPONENT: usize = 3;
+    /// Cap on total strategies.
+    const TOTAL_CAP: usize = 6;
+
+    let static_resolutions = resolve_static(&mut reqs);
     reqs.retain(|(_, r)| r.len() > 1);
 
-    // Conflict graph over remaining requirements.
+    // Conflict graph over remaining requirements; adjacency lists ascend.
     let n = reqs.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if !compatible(&reqs[i].1, &reqs[j].1) {
-                adj[i].push(j);
-                adj[j].push(i);
-            }
-        }
-    }
+    let holders = holders(&reqs);
+    let adj: Vec<Vec<usize>> = (0..n)
+        .map(|i| {
+            let mut ks = partners(&holders, &reqs, i);
+            ks.retain(|&k| !compatible(&reqs[i].1, &reqs[k].1));
+            ks
+        })
+        .collect();
 
     // Connected components with at least one edge are conflict components.
     let mut comp: Vec<Option<usize>> = vec![None; n];
@@ -152,35 +205,32 @@ pub fn enumerate_alloc(graph: &Graph, lowering: &Lowering, sets: &[FusionSet]) -
         components.push(members);
     }
 
-    // Per-component alternatives: for the first PER_COMPONENT members,
-    // "member m wins" — grant m, then greedily grant whatever else fits.
-    let greedy = |prefer: &[usize]| -> Vec<usize> {
-        let mut granted: Vec<usize> = Vec::new();
-        let order: Vec<usize> =
-            prefer.iter().copied().chain((0..n).filter(|i| !prefer.contains(i))).collect();
-        for i in order {
-            if granted.iter().all(|&g| compatible(&reqs[g].1, &reqs[i].1)) {
-                granted.push(i);
-            }
+    // Grant `first` (if any), then every other requirement in declaration
+    // order that conflicts with nothing granted so far.
+    let greedy = |first: Option<usize>| -> Vec<usize> {
+        let mut granted = vec![false; n];
+        for i in first.into_iter().chain((0..n).filter(|&i| Some(i) != first)) {
+            granted[i] = adj[i].iter().all(|&k| !granted[k]);
         }
-        granted.sort_unstable();
-        granted
+        (0..n).filter(|&i| granted[i]).collect()
     };
 
-    let mut strategy_grants: Vec<(String, Vec<usize>)> = vec![("default".into(), greedy(&[]))];
+    // Per-component alternatives: for the first PER_COMPONENT members,
+    // "member m wins" — grant m, then greedily grant whatever else fits.
+    // Every strategy so far forks once per alternative.
+    let mut strategy_grants: Vec<(String, Vec<usize>)> = vec![("default".into(), greedy(None))];
     for members in &components {
-        let base: Vec<(String, Vec<usize>)> = strategy_grants.clone();
-        let mut expanded = Vec::new();
-        for (label, _grants) in &base {
-            for &m in members.iter().take(PER_COMPONENT) {
-                let mut prefer = vec![m];
-                // Keep earlier components' preferences by re-greedy with the
-                // label breadcrumbs only; simplest: prefer = [m].
-                let g = greedy(&prefer);
-                prefer.clear();
-                expanded.push((format!("{label}+{}", reqs[m].0), g));
-            }
-        }
+        let wins: Vec<(&str, Vec<usize>)> = members
+            .iter()
+            .take(PER_COMPONENT)
+            .map(|&m| (reqs[m].0.as_str(), greedy(Some(m))))
+            .collect();
+        let expanded: Vec<(String, Vec<usize>)> = strategy_grants
+            .iter()
+            .flat_map(|(label, _)| {
+                wins.iter().map(move |(set, g)| (format!("{label}+{set}"), g.clone()))
+            })
+            .collect();
         strategy_grants.extend(expanded);
         strategy_grants.dedup_by(|a, b| a.1 == b.1);
         if strategy_grants.len() >= TOTAL_CAP {
@@ -189,8 +239,8 @@ pub fn enumerate_alloc(graph: &Graph, lowering: &Lowering, sets: &[FusionSet]) -
         }
     }
     // Dedup identical grant sets across all collected strategies.
-    let mut seen: HashMap<Vec<usize>, ()> = HashMap::new();
-    strategy_grants.retain(|(_, g)| seen.insert(g.clone(), ()).is_none());
+    let mut seen: HashSet<Vec<usize>> = HashSet::new();
+    strategy_grants.retain(|(_, g)| seen.insert(g.clone()));
 
     let strategies = strategy_grants
         .into_iter()

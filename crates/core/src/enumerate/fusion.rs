@@ -239,18 +239,9 @@ fn shared_left_sets(graph: &Graph, used: &mut HashSet<NodeId>) -> Vec<FusionSet>
         let (pass, layer, _m, _k, _lefts) = &key;
         // Independence: no column member may depend on another column's
         // member in the same row (checked on row 0; rows are structurally
-        // identical).
-        let row0: Vec<NodeId> = cols.iter().map(|(_, ns)| ns[0]).collect();
-        let mut independent = true;
-        'dep: for &a in &row0 {
-            for &b in &row0 {
-                if a != b && (graph.depends_on(b, a) || graph.depends_on(a, b)) {
-                    independent = false;
-                    break 'dep;
-                }
-            }
-        }
-        if !independent {
+        // identical). Each column's row-0 member is its own group.
+        let row0: Vec<Vec<NodeId>> = cols.iter().map(|(_, ns)| vec![ns[0]]).collect();
+        if !graph.groups_independent(&row0) {
             continue;
         }
         let rows = cols[0].1.len();
@@ -285,23 +276,10 @@ fn shared_left_sets(graph: &Graph, used: &mut HashSet<NodeId>) -> Vec<FusionSet>
 
 /// True when no member of any row depends on a member of another row in
 /// *either* direction (stacking rows along M is then legal). Backward-pass
-/// rows run in reverse timestep order, so both directions must be checked.
+/// rows run in reverse timestep order, so both directions must be checked;
+/// one sweep over the members' node range checks them all.
 fn rows_independent(graph: &Graph, nodes: &[Vec<NodeId>]) -> bool {
-    if nodes.len() < 2 {
-        return false;
-    }
-    for i in 0..nodes.len() {
-        for j in (i + 1)..nodes.len() {
-            for &a in &nodes[i] {
-                for &b in &nodes[j] {
-                    if graph.depends_on(b, a) || graph.depends_on(a, b) {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    true
+    nodes.len() >= 2 && graph.groups_independent(nodes)
 }
 
 /// Detects GEMM-accumulator ladders: maximal add-trees over unused matmuls.

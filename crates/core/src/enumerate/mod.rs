@@ -9,7 +9,7 @@ pub mod alloc;
 pub mod epochs;
 pub mod fusion;
 
-pub use alloc::{enumerate_alloc, AllocEnumeration, AllocStrategy};
+pub use alloc::{enumerate_alloc, enumerate_alloc_from, AllocEnumeration, AllocStrategy};
 pub use epochs::{
     epoch_choices, partition_units, write_streams, Epoch, EpochAssignment, EquivClass, Partition,
     SuperEpoch,

@@ -286,6 +286,10 @@ impl Graph {
     }
 
     /// Whether node `b` (transitively) depends on node `a`'s output.
+    ///
+    /// Each call allocates a node-long bitset and walks the graph from `a`
+    /// to `b`, O(N): it is meant for one-off queries. Questions about many
+    /// pairs at once go to [`Graph::groups_independent`].
     pub fn depends_on(&self, b: NodeId, a: NodeId) -> bool {
         if a == b {
             return false;
@@ -300,6 +304,56 @@ impl Graph {
             reach[i] = depends;
         }
         reach[b.0 as usize]
+    }
+
+    /// Whether no node of one group (transitively) depends on a node of
+    /// another group, in either direction: `!depends_on(b, a)` for every
+    /// `a` and `b` in different groups. The groups must be node-disjoint.
+    ///
+    /// One forward sweep over the groups' node-id range answers every pair
+    /// at once, in O(nodes + edges) of that range. The sweep carries, for
+    /// each node, up to two distinct groups whose members reach it; a
+    /// member reached from a group other than its own fails the check. Two
+    /// groups suffice, since with two distinct groups at least one differs
+    /// from any member's own.
+    pub fn groups_independent(&self, groups: &[Vec<NodeId>]) -> bool {
+        const NONE: u32 = u32::MAX;
+        let ids = || groups.iter().flatten().map(|n| n.0 as usize);
+        let (Some(lo), Some(hi)) = (ids().min(), ids().max()) else { return true };
+        // `group[i - lo]`: the group of member `i`; `reach[i - lo]`: up to
+        // two distinct groups of members that node `i` depends on.
+        let mut group = vec![NONE; hi - lo + 1];
+        for (g, members) in groups.iter().enumerate() {
+            for n in members {
+                group[n.0 as usize - lo] = g as u32;
+            }
+        }
+        let mut reach = vec![[NONE; 2]; hi - lo + 1];
+        for i in lo..=hi {
+            let mut seen = [NONE; 2];
+            for t in &self.nodes[i].inputs {
+                // Nodes before `lo` depend on no member.
+                let Some(p) = self.producer[t.0 as usize].map(|p| p.0 as usize) else { continue };
+                if p < lo {
+                    continue;
+                }
+                let [r0, r1] = reach[p - lo];
+                for g in [group[p - lo], r0, r1] {
+                    if g == NONE || seen.contains(&g) {
+                        continue;
+                    }
+                    if let Some(slot) = seen.iter_mut().find(|s| **s == NONE) {
+                        *slot = g;
+                    }
+                }
+            }
+            let own = group[i - lo];
+            if own != NONE && seen.iter().any(|&g| g != NONE && g != own) {
+                return false;
+            }
+            reach[i - lo] = seen;
+        }
+        true
     }
 
     /// Whether tensor `b` (transitively) depends on tensor `a`.
@@ -414,6 +468,11 @@ mod tests {
         assert!(!g.depends_on(pa, pa));
         assert!(g.tensor_depends_on(c, x));
         assert!(!g.tensor_depends_on(a, b));
+        assert!(g.groups_independent(&[vec![pa], vec![pb]]));
+        assert!(g.groups_independent(&[vec![pa, pc], vec![]]));
+        assert!(!g.groups_independent(&[vec![pa], vec![pc]]));
+        assert!(!g.groups_independent(&[vec![pc], vec![pb]]));
+        assert!(g.groups_independent(&[]));
     }
 
     #[test]
