@@ -1,11 +1,15 @@
 //! Microbenchmarks of the discrete-event engine: one simulated mini-batch
 //! of the SC-RNN model, single-stream and with the multi-stream emitter;
-//! and of the emitter itself on a two-stream, super-epoch-partitioned plan.
+//! and of the emitter itself on a two-stream, super-epoch-partitioned plan
+//! and on the repository benchmark's MI-LSTM stream-phase trial (emission
+//! plus dropping the schedule, as each optimizer trial pays both).
 
 use std::hint::black_box;
 
-use astra_core::enumerate::{epoch_choices, partition_units};
-use astra_core::{build_units, emit_schedule, ExecConfig, PlanContext, ProbeSpec};
+use astra_core::enumerate::{epoch_choices, partition_units, write_streams};
+use astra_core::{
+    build_units, emit_schedule, emit_with_streams, ExecConfig, PlanContext, ProbeSpec, Unit,
+};
 use astra_exec::{lower, native_schedule};
 use astra_gpu::{DeviceSpec, Engine};
 use astra_models::{Model, ModelConfig};
@@ -55,5 +59,32 @@ fn main() {
     let probes = ProbeSpec::epochs(epochs);
     report("emit_stream_partitioned", 10, 200, || {
         black_box(emit_schedule(&ctx, &cfg, &units, Some(&partition), &probes));
+    });
+
+    emit_milstm_stream_trial();
+}
+
+/// A stream-phase trial of the benchmark's MI-LSTM (`hutter(16)`, seq 8):
+/// the baseline geometry on 4 streams, the optimizer's partition budget
+/// (1/8 of the FLOPs per super-epoch), every epoch on its first stream
+/// mapping and probed. Each iteration emits the schedule and drops it.
+fn emit_milstm_stream_trial() {
+    const STREAMS: usize = 4;
+    let built = Model::MiLstm.build(&ModelConfig::hutter(16).with_seq_len(8));
+    let ctx = PlanContext::new(&built.graph);
+    let Ok(units) = build_units(&ctx, &ExecConfig::baseline()) else { return };
+    let total: f64 = units.iter().map(|u: &Unit| u.flops).sum();
+    let partition = partition_units(&units, (total / 8.0).max(1.0));
+    let mut streams = vec![0; units.len()];
+    let mut epochs = std::collections::HashSet::new();
+    for (sei, se) in partition.super_epochs.iter().enumerate() {
+        for (ei, epoch) in se.epochs.iter().enumerate() {
+            write_streams(&mut streams, &epoch_choices(&units, epoch, STREAMS)[0]);
+            epochs.insert((sei, ei));
+        }
+    }
+    let probes = ProbeSpec::epochs(epochs);
+    report("emit_milstm_stream_trial", 10, 400, || {
+        drop(black_box(emit_with_streams(STREAMS, &units, &streams, Some(&partition), &probes)));
     });
 }

@@ -47,6 +47,7 @@ use crate::plan::{
 use crate::predictor::Pruner;
 use crate::profile::{ProfileIndex, ProfileKey};
 use crate::simcache::{KeyCtx, SimCache};
+use crate::verify::PlanFootprint;
 use phases::{FusionPhase, KernelPhase, Phase, PlacementPhase, Space, StreamPhase};
 
 /// Maximum fault-triggered re-measurements per candidate before it is
@@ -911,9 +912,11 @@ impl<'g> Astra<'g> {
 
     /// Admission control for one prepared candidate: the static verifier
     /// ([`crate::verify_plan`]: hazards), then, for a clean plan, the
-    /// static linter ([`crate::lint_plan`]: resources — only
-    /// error-severity findings such as `lint-mem-capacity` reject, never
-    /// advisories). A rejection quarantines the candidate before it
+    /// static linter's peak-memory analysis ([`astra_lint::lint_memory`]:
+    /// `lint-mem-capacity`, the only lint rule that rejects, so the
+    /// verdict is [`crate::lint_plan`]'s without its advisory scans). Both
+    /// checks share one allocation plan and access table. A rejection
+    /// quarantines the candidate before it
     /// simulates. The verdict is cached per plan key and device placement:
     /// libs and stream maps share the key, since they reshuffle a geometry
     /// already cleared or condemned, while a placement changes the wiring
@@ -929,10 +932,14 @@ impl<'g> Astra<'g> {
             return admit;
         }
         let fp = key.0.fingerprint(&key.1);
+        // Built by whichever check runs first (a stored verdict runs none).
+        let mut footprint: Option<PlanFootprint> = None;
         let admit = (!self.opts.verify
             || self.verdict(VerdictKind::Verify, fp, |astra| {
                 let workers = astra.workers();
-                let report = crate::verify::verify_plan(&astra.ctx, cfg, units, sched, workers);
+                let report = footprint
+                    .get_or_insert_with(|| PlanFootprint::new(&astra.ctx, cfg, units, sched))
+                    .verify(sched, workers);
                 let clean = report.is_clean();
                 astra.stats.plans_verified += 1;
                 astra.stats.verify_rejects += u64::from(!clean);
@@ -941,8 +948,9 @@ impl<'g> Astra<'g> {
             && (!self.opts.lint
                 || self.verdict(VerdictKind::Lint, fp, |astra| {
                     let topo = astra.lint_topology();
-                    let report = crate::verify::lint_plan(&astra.ctx, cfg, units, sched, &topo, 1);
-                    let clean = report.errors() == 0;
+                    let clean = footprint
+                        .get_or_insert_with(|| PlanFootprint::new(&astra.ctx, cfg, units, sched))
+                        .lint_admits(sched, &topo);
                     astra.stats.lint_rejects += u64::from(!clean);
                     clean
                 }));

@@ -568,7 +568,8 @@ impl Phase for StreamPhase {
     /// kernel dispatched in any stream up to the epoch (§4.7).
     fn decode(&self, probes: &Probes, r: &RunResult) -> Vec<(usize, f64)> {
         let mut m = Vec::new();
-        for (pos, ends) in &probes.epoch_ends {
+        for ends in probes.epoch_ends.chunk_by(|a, b| a.0 == b.0) {
+            let pos = &ends[0].0;
             let Some(&v) = self.var_of.get(pos) else {
                 continue;
             };
@@ -578,7 +579,7 @@ impl Phase for StreamPhase {
             let Some(start) = r.event_ns.get(*start_ev) else {
                 continue;
             };
-            let end = ends.iter().filter_map(|&e| r.event_ns.get(e)).fold(f64::NAN, f64::max);
+            let end = ends.iter().filter_map(|&(_, e)| r.event_ns.get(e)).fold(f64::NAN, f64::max);
             if end.is_finite() {
                 m.push((v, (end - start).max(0.0)));
             }

@@ -479,7 +479,7 @@ mod tests {
         sched.launch_after(
             StreamId(1),
             KernelDesc::Gemm { shape: g, lib: GemmLibrary::OaiWide },
-            vec![ev],
+            &[ev],
         );
         sched.barrier();
         sched.record(StreamId(1));

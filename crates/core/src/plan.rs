@@ -1002,8 +1002,10 @@ pub struct Probes {
     pub shape_regions: Vec<(GemmShape, EventId, EventId)>,
     /// Start event of each probed super-epoch.
     pub se_starts: BTreeMap<usize, EventId>,
-    /// End events (one per stream used) of each probed epoch.
-    pub epoch_ends: BTreeMap<(usize, usize), Vec<EventId>>,
+    /// End events of each probed epoch, one per stream the epoch launched
+    /// on, as `((super-epoch, epoch), event)` in emission order: sorted by
+    /// epoch, with each epoch's ends adjacent.
+    pub epoch_ends: Vec<((usize, usize), EventId)>,
     /// Number of events recorded purely for profiling (excludes the
     /// cross-stream synchronization events the schedule needs anyway).
     pub probe_records: usize,
@@ -1064,16 +1066,13 @@ pub fn emit_with_streams(
 ) -> (Schedule, Probes) {
     debug_assert_eq!(streams.len(), units.len(), "one stream per unit");
     let num_streams = num_streams.max(1);
-    let mut sched = Schedule::new(num_streams);
     let mut probes = Probes::default();
 
     let stream_of: Vec<usize> =
         streams[..units.len()].iter().map(|&s| s.min(num_streams - 1)).collect();
-    let needs_event = cross_stream_producers(units, &stream_of);
+    let cross = cross_stream_producers(units, &stream_of);
+    let needs_event = &cross.needs_event;
 
-    let mut done_event: Vec<Option<EventId>> = vec![None; units.len()];
-    let mut seen_sets: HashSet<usize> = HashSet::new();
-    let mut seen_shapes: HashSet<GemmShape> = HashSet::new();
     // Set regions report their block count; only set probes need it.
     let mut blocks_per_set: HashMap<usize, usize> = HashMap::new();
     if probe.sets {
@@ -1083,14 +1082,46 @@ pub fn emit_with_streams(
             }
         }
     }
+    // Size the schedule once: every launch and completion record, plus an
+    // upper bound on the probe records and barriers.
+    let mut probe_cmds = 2 * blocks_per_set.len();
+    if probe.shapes {
+        let shapes: HashSet<GemmShape> = units.iter().filter_map(|u| u.gemm_shape).collect();
+        probe_cmds += 2 * shapes.len();
+    }
+    // Whether each epoch of the partition is probed, in emission order.
+    let mut epoch_probed: Vec<bool> = Vec::new();
+    let mut epoch_end_cmds = 0;
+    if let Some(part) = partition {
+        for (sei, se) in part.super_epochs.iter().enumerate() {
+            probe_cmds += 2; // its barrier and its start record
+            for (ei, epoch) in se.epochs.iter().enumerate() {
+                let probed = probe.epochs.contains(&(sei, ei));
+                if probed {
+                    epoch_end_cmds += epoch.units.len().min(num_streams);
+                }
+                epoch_probed.push(probed);
+            }
+        }
+    }
+    probes.epoch_ends.reserve(epoch_end_cmds);
+    probe_cmds += epoch_end_cmds;
+    let cap_cmds = cross.launches + cross.records + probe_cmds + 1;
+    let mut sched = Schedule::with_capacity(num_streams, cap_cmds, cross.waits);
+
+    let mut done_event: Vec<Option<EventId>> = vec![None; units.len()];
+    let mut seen_sets: HashSet<usize> = HashSet::new();
+    let mut seen_shapes: HashSet<GemmShape> = HashSet::new();
+    let mut waits: Vec<EventId> = Vec::new();
 
     let mut emit_unit = |sched: &mut Schedule, probes: &mut Probes, idx: usize, u: &Unit| {
         let stream = StreamId(stream_of[idx]);
-        let waits: Vec<EventId> = u
-            .deps
-            .iter()
-            .filter_map(|&d| if stream_of[d] != stream.0 { done_event[d] } else { None })
-            .collect();
+        waits.clear();
+        waits.extend(
+            u.deps
+                .iter()
+                .filter_map(|&d| if stream_of[d] != stream.0 { done_event[d] } else { None }),
+        );
         // Profiling probes: first block of each set, first GEMM per shape.
         // The region opens before any gather copy so that chunk metrics
         // charge the copies a denied allocation forces.
@@ -1105,20 +1136,7 @@ pub fn emit_with_streams(
             None
         };
 
-        // Tag every launch with its unit index: the static verifier reads
-        // the tags back to attach the unit's buffer footprint to the
-        // command (the gather copy touches the same operands).
-        if u.pre_copy_bytes > 0.0 {
-            let c = sched.launch_after(
-                stream,
-                KernelDesc::MemCopy { bytes: u.pre_copy_bytes },
-                waits.clone(),
-            );
-            sched.set_tag(c, idx as u32);
-        }
-        let k =
-            sched.launch_after(stream, u.kernel, if u.pre_copy_bytes > 0.0 { Vec::new() } else { waits });
-        sched.set_tag(k, idx as u32);
+        launch_unit(sched, stream, u.pre_copy_bytes, u.kernel, &waits, idx);
 
         if needs_event[idx] {
             done_event[idx] = Some(sched.record(stream));
@@ -1152,11 +1170,12 @@ pub fn emit_with_streams(
         Some(part) => {
             // Streams each epoch launched on, for its end-of-epoch probes.
             let mut streams_used = vec![false; num_streams];
+            let mut probed = epoch_probed.iter();
             for (sei, se) in part.super_epochs.iter().enumerate() {
                 if sei > 0 {
                     sched.barrier();
                 }
-                let se_probed = (0..se.epochs.len()).any(|ei| probe.epochs.contains(&(sei, ei)));
+                let se_probed = probed.as_slice()[..se.epochs.len()].contains(&true);
                 if se_probed {
                     let ev = sched.record(StreamId(0));
                     probes.probe_records += 1;
@@ -1169,13 +1188,11 @@ pub fn emit_with_streams(
                         emit_unit(&mut sched, &mut probes, ui, &units[ui]);
                         sched.mark_boundary();
                     }
-                    if probe.epochs.contains(&(sei, ei)) {
-                        let mut ends = Vec::new();
+                    if probed.next() == Some(&true) {
                         for s in (0..num_streams).filter(|&s| streams_used[s]) {
-                            ends.push(sched.record(StreamId(s)));
+                            probes.epoch_ends.push(((sei, ei), sched.record(StreamId(s))));
                             probes.probe_records += 1;
                         }
-                        probes.epoch_ends.insert((sei, ei), ends);
                     }
                 }
             }
@@ -1185,6 +1202,11 @@ pub fn emit_with_streams(
     // Final boundary: a checkpoint here memoizes the *whole* run, so a cache
     // hit replays the finished result without any simulation.
     sched.mark_boundary();
+    debug_assert!(sched.cmds().len() <= cap_cmds, "emission outgrew its command capacity");
+    debug_assert!(
+        (0..sched.cmds().len()).map(|i| sched.cmd_waits(i).len()).sum::<usize>() <= cross.waits,
+        "emission outgrew its wait capacity"
+    );
 
     (sched, probes)
 }
@@ -1196,18 +1218,61 @@ pub(crate) fn unit_streams(cfg: &ExecConfig, units: &[Unit], per: usize) -> Vec<
     units.iter().map(|u| cfg.streams.get(&u.id).copied().unwrap_or(0).min(per - 1)).collect()
 }
 
-/// Which units need a completion event: those with a consumer on another
-/// stream.
-fn cross_stream_producers(units: &[Unit], stream_of: &[usize]) -> Vec<bool> {
+/// Appends unit `idx`'s launches on `stream`: its gather copy of
+/// `copy_bytes` (when positive) gated on `waits`, then its kernel, gated on
+/// `waits` only when no copy runs ahead of it. Both are tagged with the
+/// unit index: the static verifier reads the tags back to attach the
+/// unit's buffer footprint to the command (the gather copy touches the
+/// same operands).
+fn launch_unit(
+    sched: &mut Schedule,
+    stream: StreamId,
+    copy_bytes: f64,
+    kernel: KernelDesc,
+    waits: &[EventId],
+    idx: usize,
+) {
+    let mut waits = waits;
+    if copy_bytes > 0.0 {
+        let c = sched.launch_after(stream, KernelDesc::MemCopy { bytes: copy_bytes }, waits);
+        sched.set_tag(c, idx as u32);
+        waits = &[];
+    }
+    let k = sched.launch_after(stream, kernel, waits);
+    sched.set_tag(k, idx as u32);
+}
+
+/// The cross-stream wiring of a unit program on one device, and the sizes
+/// it emits.
+struct CrossStream {
+    /// Whether each unit needs a completion event: it has a consumer on
+    /// another stream.
+    needs_event: Vec<bool>,
+    /// Launches the units emit (kernels plus gather copies).
+    launches: usize,
+    /// Completion records (units with `needs_event`).
+    records: usize,
+    /// Dependency edges that cross streams: an upper bound on the wait-list
+    /// entries.
+    waits: usize,
+}
+
+/// Which units need a completion event under `stream_of`, and the sizes
+/// of their single-device emission.
+fn cross_stream_producers(units: &[Unit], stream_of: &[usize]) -> CrossStream {
     let mut needs_event = vec![false; units.len()];
+    let mut waits = 0;
     for (i, u) in units.iter().enumerate() {
         for &d in &u.deps {
             if stream_of[d] != stream_of[i] {
                 needs_event[d] = true;
+                waits += 1;
             }
         }
     }
-    needs_event
+    let copies = units.iter().filter(|u| u.pre_copy_bytes > 0.0).count();
+    let records = needs_event.iter().filter(|&&n| n).count();
+    CrossStream { needs_event, launches: units.len() + copies, records, waits }
 }
 
 /// Stream → device map giving device `d` the stream block
@@ -1285,35 +1350,35 @@ fn emit_data_parallel(
     let ndev = shares.len().max(1);
     let per = cfg.num_streams.max(1);
     let total: u64 = shares.iter().map(|&s| u64::from(s.max(1))).sum();
-    let mut sched = Schedule::with_devices(ndev * per, device_stream_map(ndev, per));
     let stream_of = unit_streams(cfg, units, per);
-    let needs_event = cross_stream_producers(units, &stream_of);
+    let cross = cross_stream_producers(units, &stream_of);
+    let mut sched = Schedule::with_devices(ndev * per, device_stream_map(ndev, per));
+    // Every replica's launches and records, the barrier and the all-reduces.
+    sched.reserve(ndev * (cross.launches + cross.records + 1) + 1, ndev * cross.waits);
 
     let mut done: Vec<Vec<Option<EventId>>> = vec![vec![None; units.len()]; ndev];
+    let mut waits: Vec<EventId> = Vec::new();
     for (i, u) in units.iter().enumerate() {
         for dev in 0..ndev {
             let num = u64::from(shares[dev].max(1));
             let stream = StreamId(dev * per + stream_of[i]);
-            let waits: Vec<EventId> = u
-                .deps
-                .iter()
-                .filter_map(|&d| if stream_of[d] != stream_of[i] { done[dev][d] } else { None })
-                .collect();
-            if u.pre_copy_bytes > 0.0 {
-                let c = sched.launch_after(
-                    stream,
-                    KernelDesc::MemCopy { bytes: u.pre_copy_bytes * num as f64 / total as f64 },
-                    waits.clone(),
-                );
-                sched.set_tag(c, i as u32);
-            }
-            let k = sched.launch_after(
+            waits.clear();
+            waits.extend(u.deps.iter().filter_map(|&d| {
+                if stream_of[d] != stream_of[i] {
+                    done[dev][d]
+                } else {
+                    None
+                }
+            }));
+            launch_unit(
+                &mut sched,
                 stream,
+                u.pre_copy_bytes * num as f64 / total as f64,
                 scale_kernel(&u.kernel, num, total),
-                if u.pre_copy_bytes > 0.0 { Vec::new() } else { waits },
+                &waits,
+                i,
             );
-            sched.set_tag(k, i as u32);
-            if needs_event[i] {
+            if cross.needs_event[i] {
                 done[dev][i] = Some(sched.record(stream));
             }
         }
@@ -1351,21 +1416,28 @@ fn emit_model_parallel(cfg: &ExecConfig, units: &[Unit], cuts: &[usize]) -> Sche
     // physical stream: another logical stream of the same device, or any
     // stream of a later device (the transfer waits on the event there).
     let mut needs_event = vec![false; units.len()];
+    let mut edges = 0;
     for (i, u) in units.iter().enumerate() {
         for &d in &u.deps {
             if dev_of(d) != dev_of(i) || stream_of[d] != stream_of[i] {
                 needs_event[d] = true;
+                edges += 1;
             }
         }
     }
+    // Every launch and record, plus a transfer and its record per crossing
+    // edge at most; each crossing edge waits once, and so does its transfer.
+    let copies = units.iter().filter(|u| u.pre_copy_bytes > 0.0).count();
+    sched.reserve(units.len() + copies + units.len() + 2 * edges, 2 * edges);
 
     let mut done: Vec<Option<EventId>> = vec![None; units.len()];
     // (producer unit, destination device) → event after its transfer.
     let mut shipped: HashMap<(usize, usize), EventId> = HashMap::new();
+    let mut waits: Vec<EventId> = Vec::new();
     for (i, u) in units.iter().enumerate() {
         let du = dev_of(i);
         let stream = StreamId(du * per + stream_of[i]);
-        let mut waits: Vec<EventId> = Vec::new();
+        waits.clear();
         for &d in &u.deps {
             let dd = dev_of(d);
             if dd == du {
@@ -1379,26 +1451,13 @@ fn emit_model_parallel(cfg: &ExecConfig, units: &[Unit], cuts: &[usize]) -> Sche
                     let bytes = units[d].out_bytes.max(1.0) as u64;
                     let produced =
                         done[d].expect("cross-device producers record a completion event");
-                    let _ = sched.transfer(stream, bytes, dd, du, vec![produced]);
+                    let _ = sched.transfer(stream, bytes, dd, du, &[produced]);
                     sched.record(stream)
                 });
                 waits.push(e);
             }
         }
-        if u.pre_copy_bytes > 0.0 {
-            let c = sched.launch_after(
-                stream,
-                KernelDesc::MemCopy { bytes: u.pre_copy_bytes },
-                waits.clone(),
-            );
-            sched.set_tag(c, i as u32);
-        }
-        let k = sched.launch_after(
-            stream,
-            u.kernel,
-            if u.pre_copy_bytes > 0.0 { Vec::new() } else { waits },
-        );
-        sched.set_tag(k, i as u32);
+        launch_unit(&mut sched, stream, u.pre_copy_bytes, u.kernel, &waits, i);
         if needs_event[i] {
             done[i] = Some(sched.record(stream));
         }

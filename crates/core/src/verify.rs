@@ -1,9 +1,10 @@
 //! Glue between the wirer and the static schedule verifier: turns the unit
 //! tags [`emit_schedule`](crate::emit_schedule) leaves on a schedule into
 //! the per-command [`AccessTable`] `astra-verify` needs, and bundles the
-//! allocation plan alongside.
+//! allocation plan alongside. Both are built once per plan
+//! ([`PlanFootprint`]) and shared by the verifier and the linter.
 
-use astra_gpu::{BufId, Cmd, Schedule};
+use astra_gpu::{AllocationPlan, BufId, Cmd, Schedule, Topology};
 use astra_verify::{AccessRef, AccessTable, VerifyOptions, VerifyReport};
 
 use crate::plan::{build_allocation_plan, ExecConfig, PlanContext, Unit};
@@ -86,6 +87,69 @@ pub fn access_table(units: &[Unit], sched: &Schedule) -> AccessTable {
     table
 }
 
+/// What the static checks of one emitted plan share: the allocation plan
+/// `cfg`'s strategy produces and the schedule's per-command access table.
+/// Admission builds it once per plan for both the verifier and the linter.
+pub(crate) struct PlanFootprint {
+    plan: AllocationPlan,
+    access: AccessTable,
+}
+
+impl PlanFootprint {
+    pub(crate) fn new(
+        ctx: &PlanContext<'_>,
+        cfg: &ExecConfig,
+        units: &[Unit],
+        sched: &Schedule,
+    ) -> Self {
+        PlanFootprint { plan: build_allocation_plan(ctx, cfg), access: access_table(units, sched) }
+    }
+
+    /// The verifier's report on `sched` (see [`verify_plan`]).
+    pub(crate) fn verify(&self, sched: &Schedule, workers: usize) -> VerifyReport {
+        let opts = VerifyOptions { workers };
+        astra_verify::verify(sched, Some(&self.access), Some(&self.plan), &opts)
+    }
+
+    /// A buffer's placed size. Per-device replica ids (offset by
+    /// [`REPLICA_BUF_STRIDE`]) resolve to their base buffer's placement,
+    /// so a replicated buffer is charged its placed size on every device
+    /// holding a copy.
+    fn buf_bytes(&self, b: BufId) -> u64 {
+        let base = BufId(b.0 % REPLICA_BUF_STRIDE);
+        self.plan.placement(base).map_or(0, |p| p.bytes)
+    }
+
+    /// The full lint report on `sched` (see [`lint_plan`]).
+    pub(crate) fn lint(
+        &self,
+        sched: &Schedule,
+        topo: &Topology,
+        workers: usize,
+    ) -> astra_lint::LintReport {
+        astra_lint::lint(
+            sched,
+            topo,
+            Some(&self.access),
+            Some(&|b| self.buf_bytes(b)),
+            &astra_lint::LintOptions { workers },
+        )
+    }
+
+    /// Whether `sched` passes the linter: the peak-memory analysis alone
+    /// ([`astra_lint::lint_memory`]), whose error count is the full
+    /// report's.
+    pub(crate) fn lint_admits(&self, sched: &Schedule, topo: &Topology) -> bool {
+        let mem = astra_lint::lint_memory(
+            sched,
+            topo,
+            Some(&self.access),
+            Some(&|b| self.buf_bytes(b)),
+        );
+        mem.errors() == 0
+    }
+}
+
 /// Statically verifies one candidate plan: the emitted `sched` against the
 /// unit footprints and the allocation plan `cfg`'s strategy produces.
 /// `workers` threads scan for hazards (the report is identical at any
@@ -97,9 +161,7 @@ pub fn verify_plan(
     sched: &Schedule,
     workers: usize,
 ) -> VerifyReport {
-    let plan = build_allocation_plan(ctx, cfg);
-    let access = access_table(units, sched);
-    astra_verify::verify(sched, Some(&access), Some(&plan), &VerifyOptions { workers })
+    PlanFootprint::new(ctx, cfg, units, sched).verify(sched, workers)
 }
 
 /// Statically lints one candidate plan (see [`astra_lint::lint`]): peak
@@ -114,22 +176,10 @@ pub fn lint_plan(
     cfg: &ExecConfig,
     units: &[Unit],
     sched: &Schedule,
-    topo: &astra_gpu::Topology,
+    topo: &Topology,
     workers: usize,
 ) -> astra_lint::LintReport {
-    let plan = build_allocation_plan(ctx, cfg);
-    let access = access_table(units, sched);
-    let buf_bytes = |b: BufId| {
-        let base = BufId(b.0 % REPLICA_BUF_STRIDE);
-        plan.placement(base).map_or(0, |p| p.bytes)
-    };
-    astra_lint::lint(
-        sched,
-        topo,
-        Some(&access),
-        Some(&buf_bytes),
-        &astra_lint::LintOptions { workers },
-    )
+    PlanFootprint::new(ctx, cfg, units, sched).lint(sched, topo, workers)
 }
 
 #[cfg(test)]
@@ -180,6 +230,26 @@ mod tests {
     }
 
     #[test]
+    fn lint_admission_matches_the_full_lint_verdict() {
+        // At the device's real capacity every tiny plan fits; at 64 KiB
+        // none does. The memory scan alone must agree with the full
+        // report both ways.
+        let built = tiny_model();
+        let ctx = PlanContext::new(&built.graph);
+        let cfg = ExecConfig::baseline();
+        let units = build_units(&ctx, &cfg).unwrap();
+        let (sched, _) = emit_schedule(&ctx, &cfg, &units, None, &ProbeSpec::none());
+        let footprint = PlanFootprint::new(&ctx, &cfg, &units, &sched);
+        for mem_bytes in [astra_gpu::DeviceSpec::p100().mem_bytes, 64 << 10] {
+            let dev = astra_gpu::DeviceSpec { mem_bytes, ..astra_gpu::DeviceSpec::p100() };
+            let topo = Topology::single(dev);
+            let full = lint_plan(&ctx, &cfg, &units, &sched, &topo, 1);
+            assert_eq!(footprint.lint_admits(&sched, &topo), full.errors() == 0, "{mem_bytes}");
+            assert_eq!(full.errors() == 0, mem_bytes > 64 << 10);
+        }
+    }
+
+    #[test]
     fn dropping_a_cross_stream_wait_is_caught() {
         // Emit a 2-stream schedule, then strip the waits off a launch that
         // has some: the verifier must flag the unordered hazard.
@@ -201,29 +271,29 @@ mod tests {
         let mut dropped = Schedule::new(sched.num_streams());
         let mut stripped = false;
         for (i, cmd) in sched.cmds().iter().enumerate() {
-            match cmd {
-                Cmd::Launch { stream, kernel, waits, .. } => {
+            match *cmd {
+                Cmd::Launch { stream, kernel, waits } => {
                     let waits = if !stripped && !waits.is_empty() {
                         stripped = true;
-                        Vec::new()
+                        &[]
                     } else {
-                        waits.clone()
+                        sched.waits(waits)
                     };
-                    let c = dropped.launch_after(*stream, *kernel, waits);
+                    let c = dropped.launch_after(stream, kernel, waits);
                     if let Some(t) = sched.tags()[i] {
                         dropped.set_tag(c, t);
                     }
                 }
                 Cmd::Record { stream, .. } => {
-                    let _ = dropped.record(*stream);
+                    let _ = dropped.record(stream);
                 }
                 Cmd::Barrier => dropped.barrier(),
                 Cmd::HostSync => dropped.host_sync(),
                 Cmd::Transfer { stream, bytes, src, dst, waits } => {
-                    let _ = dropped.transfer(*stream, *bytes, *src, *dst, waits.clone());
+                    let _ = dropped.transfer(stream, bytes, src, dst, sched.waits(waits));
                 }
                 Cmd::AllReduce { stream, bytes, group } => {
-                    let _ = dropped.all_reduce(*stream, *bytes, *group);
+                    let _ = dropped.all_reduce(stream, bytes, group);
                 }
             }
         }

@@ -190,7 +190,7 @@ fn emit_group(
             sched.launch_labeled(
                 StreamId(0),
                 KernelDesc::Compound { flops, bytes: bytes * COMPOUND_TRAFFIC_FACTOR },
-                Vec::new(),
+                &[],
                 label,
             );
         }
@@ -269,14 +269,8 @@ mod tests {
         let lowering = lower(&built.graph);
         let covered = detect_covered_layers(&built.graph);
         let sched = cudnn_schedule(&built.graph, &lowering, &covered);
-        let labels: Vec<String> = sched
-            .cmds()
-            .iter()
-            .filter_map(|c| match c {
-                astra_gpu::Cmd::Launch { label: Some(l), .. } => Some(l.clone()),
-                _ => None,
-            })
-            .collect();
+        let labels: Vec<String> =
+            (0..sched.cmds().len()).filter_map(|i| sched.label(i).map(str::to_owned)).collect();
         // Per step t, layer 0 must precede layer 1 in the forward pass.
         let p0 = labels.iter().position(|l| l == "cudnn[lstm0.0]").unwrap();
         let p1 = labels.iter().position(|l| l == "cudnn[lstm1.0]").unwrap();

@@ -59,14 +59,14 @@ pub fn xla_schedule(graph: &Graph, lowering: &Lowering) -> Schedule {
             sched.launch_labeled(
                 StreamId(0),
                 KernelDesc::HostRoundtrip { bytes },
-                Vec::new(),
+                &[],
                 "xla-embedding-roundtrip",
             );
         }
         if in_chain[i] {
             if chain_last[i] {
                 let kernel = chain_kernel_at[i].take().expect("last member has kernel");
-                sched.launch_labeled(StreamId(0), kernel, Vec::new(), "xla-fused-ew");
+                sched.launch_labeled(StreamId(0), kernel, &[], "xla-fused-ew");
             }
             continue;
         }

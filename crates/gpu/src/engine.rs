@@ -21,7 +21,8 @@
 //! exactly the repeatability hazard the paper's §7 discusses.
 //!
 //! The hot path is allocation-free per command: queue items borrow their
-//! wait lists from the schedule, execution rates are cached and recomputed
+//! wait lists as slices of the schedule's one wait pool
+//! ([`Schedule::waits`]), execution rates are cached and recomputed
 //! only when the set of running kernels changes, and the span and queue
 //! buffers and the event table are pre-sized from the schedule's counters.
 //!
@@ -726,13 +727,13 @@ impl<'a> Engine<'a> {
                 captured.push(sim.checkpoint(idx, caps[cap_j].1, cpu_ns));
                 cap_j += 1;
             }
-            match cmd {
-                Cmd::Launch { stream, kernel, waits, label: _ } => {
+            match *cmd {
+                Cmd::Launch { stream, kernel, waits } => {
                     cpu_ns += dev.dispatch_cost_ns;
                     // Cost the kernel on the device its stream dispatches
                     // onto (device 0 — i.e. `dev` — for single-device runs).
                     let kdev = topo.map_or(dev, |t| {
-                        t.device(schedule.stream_device(*stream))
+                        t.device(schedule.stream_device(stream))
                     });
                     let cost = kernel.cost(kdev);
                     sim.streams[stream.0].queue.push_back(Item {
@@ -742,7 +743,7 @@ impl<'a> Engine<'a> {
                             cmd_idx: idx,
                         },
                         issue_ns: cpu_ns,
-                        waits,
+                        waits: schedule.waits(waits),
                     });
                 }
                 Cmd::Transfer { stream, bytes, src, dst, waits } => {
@@ -754,15 +755,15 @@ impl<'a> Engine<'a> {
                         (src * t.num_devices() + dst) as u32 + 1
                     };
                     sim.streams[stream.0].queue.push_back(Item {
-                        kind: ItemKind::Transfer { bytes: *bytes as f64, link, cmd_idx: idx },
+                        kind: ItemKind::Transfer { bytes: bytes as f64, link, cmd_idx: idx },
                         issue_ns: cpu_ns,
-                        waits,
+                        waits: schedule.waits(waits),
                     });
                 }
                 Cmd::AllReduce { stream, bytes, group } => {
                     cpu_ns += dev.dispatch_cost_ns;
                     sim.streams[stream.0].queue.push_back(Item {
-                        kind: ItemKind::AllReduce { id: *group, bytes: *bytes, cmd_idx: idx },
+                        kind: ItemKind::AllReduce { id: group, bytes, cmd_idx: idx },
                         issue_ns: cpu_ns,
                         waits: &[],
                     });
@@ -770,7 +771,7 @@ impl<'a> Engine<'a> {
                 Cmd::Record { stream, event } => {
                     cpu_ns += dev.dispatch_cost_ns * 0.25;
                     sim.streams[stream.0].queue.push_back(Item {
-                        kind: ItemKind::Record { event: *event },
+                        kind: ItemKind::Record { event },
                         issue_ns: cpu_ns,
                         waits: &[],
                     });
@@ -934,7 +935,6 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
         ck: &EngineCheckpoint,
         record_spans: bool,
     ) -> Self {
-        let cmds = schedule.cmds();
         let counts = schedule.stream_cmd_counts();
         let streams: Vec<StreamState<'s>> = ck
             .streams
@@ -943,15 +943,10 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             .map(|(si, st)| {
                 let mut queue = VecDeque::with_capacity(counts[si]);
                 for (kind, issue_ns) in &st.queue {
-                    let waits: &'s [EventId] = match kind {
-                        ItemKind::Kernel { cmd_idx, .. } => match &cmds[*cmd_idx] {
-                            Cmd::Launch { waits, .. } => waits.as_slice(),
-                            _ => &[],
-                        },
-                        ItemKind::Transfer { cmd_idx, .. } => match &cmds[*cmd_idx] {
-                            Cmd::Transfer { waits, .. } => waits.as_slice(),
-                            _ => &[],
-                        },
+                    let waits: &'s [EventId] = match *kind {
+                        ItemKind::Kernel { cmd_idx, .. } | ItemKind::Transfer { cmd_idx, .. } => {
+                            schedule.cmd_waits(cmd_idx)
+                        }
                         _ => &[],
                     };
                     queue.push_back(Item { kind: kind.clone(), issue_ns: *issue_ns, waits });
@@ -1616,7 +1611,7 @@ mod tests {
         let mut s = Schedule::new(2);
         s.launch(StreamId(0), k);
         let ev = s.record(StreamId(0));
-        s.launch_after(StreamId(1), k, vec![ev]);
+        s.launch_after(StreamId(1), k, &[ev]);
         let r = Engine::new(&dev).run(&s).unwrap();
         let fire = r.event_ns.get(ev).unwrap();
         let dependent = r.spans.iter().find(|sp| sp.stream == StreamId(1)).unwrap();
@@ -1631,7 +1626,7 @@ mod tests {
         for never in [EventId(99), EventId(u32::MAX)] {
             let mut s = Schedule::new(1);
             s.record(StreamId(0));
-            s.launch_after(StreamId(0), KernelDesc::MemCopy { bytes: 8.0 }, vec![never]);
+            s.launch_after(StreamId(0), KernelDesc::MemCopy { bytes: 8.0 }, &[never]);
             let err = Engine::new(&dev).run(&s).unwrap_err();
             assert!(matches!(err, GpuError::Deadlock(_)), "{never:?}: {err:?}");
         }
@@ -1758,7 +1753,7 @@ mod tests {
     fn explicit_labels_survive_to_spans() {
         let dev = DeviceSpec::p100();
         let mut s = Schedule::new(1);
-        s.launch_labeled(StreamId(0), gemm(GemmShape::new(64, 256, 256)), Vec::new(), "mine");
+        s.launch_labeled(StreamId(0), gemm(GemmShape::new(64, 256, 256)), &[], "mine");
         s.launch(StreamId(0), gemm(GemmShape::new(64, 256, 256)));
         let r = Engine::new(&dev).run(&s).unwrap();
         let labels: Vec<&str> = r.spans.iter().map(|sp| &*sp.label).collect();
@@ -1866,7 +1861,7 @@ mod tests {
             s.mark_boundary();
         }
         let ev = s.record(StreamId(0));
-        s.launch_after(StreamId(1), gemm(GemmShape::new(64, 256, 256)), vec![ev]);
+        s.launch_after(StreamId(1), gemm(GemmShape::new(64, 256, 256)), &[ev]);
         s.mark_boundary();
         s.barrier();
         for i in 0..4 {
@@ -2057,11 +2052,11 @@ mod tests {
             let mut s = Schedule::new(2);
             s.launch(StreamId(0), gemm(GemmShape::new(64, 256, 256)));
             let ev = s.record(StreamId(0));
-            s.launch_after(StreamId(1), gemm(GemmShape::new(64, 256, 256)), vec![ev]);
+            s.launch_after(StreamId(1), gemm(GemmShape::new(64, 256, 256)), &[ev]);
             s.mark_boundary();
             for i in 0..suffix_events {
                 let ev = s.record(StreamId(i % 2));
-                s.launch_after(StreamId((i + 1) % 2), gemm(GemmShape::new(32, 256, 256)), vec![ev]);
+                s.launch_after(StreamId((i + 1) % 2), gemm(GemmShape::new(32, 256, 256)), &[ev]);
             }
             s.mark_boundary();
             s
@@ -2151,7 +2146,7 @@ mod tests {
         let bytes: u64 = 12_000_000; // 1 ms solo at 12 GB/s
         let solo = {
             let mut s = Schedule::with_devices(2, vec![0, 1]);
-            s.transfer(StreamId(1), bytes, 0, 1, Vec::new());
+            s.transfer(StreamId(1), bytes, 0, 1, &[]);
             Engine::with_topology(&topo, ClockMode::Fixed, FaultPlan::none(), 0)
                 .run(&s)
                 .unwrap()
@@ -2169,8 +2164,8 @@ mod tests {
         // Two concurrent transfers on one shared bus split its bandwidth.
         let both = {
             let mut s = Schedule::with_devices(4, vec![0, 1, 0, 1]);
-            s.transfer(StreamId(1), bytes, 0, 1, Vec::new());
-            s.transfer(StreamId(3), bytes, 0, 1, Vec::new());
+            s.transfer(StreamId(1), bytes, 0, 1, &[]);
+            s.transfer(StreamId(3), bytes, 0, 1, &[]);
             Engine::with_topology(&topo, ClockMode::Fixed, FaultPlan::none(), 0)
                 .run(&s)
                 .unwrap()
@@ -2188,8 +2183,8 @@ mod tests {
         let p2p = Topology::homogeneous(DeviceSpec::p100(), 2, LinkDesc::nvlink());
         let opposite = {
             let mut s = Schedule::with_devices(4, vec![0, 1, 0, 1]);
-            s.transfer(StreamId(1), bytes, 0, 1, Vec::new());
-            s.transfer(StreamId(2), bytes, 1, 0, Vec::new());
+            s.transfer(StreamId(1), bytes, 0, 1, &[]);
+            s.transfer(StreamId(2), bytes, 1, 0, &[]);
             Engine::with_topology(&p2p, ClockMode::Fixed, FaultPlan::none(), 0)
                 .run(&s)
                 .unwrap()
@@ -2241,7 +2236,7 @@ mod tests {
             s.mark_boundary();
         }
         let ev = s.record(StreamId(0));
-        s.transfer(StreamId(1), 500_000, 0, 1, vec![ev]);
+        s.transfer(StreamId(1), 500_000, 0, 1, &[ev]);
         s.mark_boundary();
         s.all_reduce(StreamId(0), 250_000, 0);
         s.all_reduce(StreamId(1), 250_000, 0);

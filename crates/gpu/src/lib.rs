@@ -79,4 +79,4 @@ pub use memory::{AllocationPlan, BufId, Placement};
 pub use profiler::ProfilePlan;
 pub use topology::{LinkDesc, Topology};
 pub use tracing::trace_json;
-pub use schedule::{Cmd, EventId, Schedule, StreamId};
+pub use schedule::{Cmd, EventId, Schedule, StreamId, Waits};

@@ -10,7 +10,9 @@
 //!    ever exceeds capacity gets a `lint-mem-capacity` error (the driver
 //!    rejects the plan before simulating it); above
 //!    [`OCCUPANCY_WARN_FRACTION`] of capacity it gets a `lint-mem-occupancy`
-//!    advisory.
+//!    advisory. `lint-mem-capacity` is the linter's only error-severity
+//!    rule, so [`lint_memory`] alone decides whether a plan passes: the
+//!    optimizer's admission runs only it, and [`lint`] runs it first.
 //! 2. **Redundant-sync detection** — an event wait whose ordering is already
 //!    implied by the rest of the happens-before graph (a transitively
 //!    reducible edge) is reported as `lint-redundant-sync`, and
@@ -43,7 +45,7 @@
 //! let mut s = Schedule::new(2);
 //! s.launch(StreamId(0), KernelDesc::MemCopy { bytes: 1024.0 });
 //! let e = s.record(StreamId(0));
-//! s.launch_after(StreamId(1), KernelDesc::MemCopy { bytes: 1.0 }, vec![e]);
+//! s.launch_after(StreamId(1), KernelDesc::MemCopy { bytes: 1.0 }, &[e]);
 //! let topo = Topology::single(DeviceSpec::p100());
 //! let report = lint(&s, &topo, None, None, &LintOptions::default());
 //! assert!(report.is_clean());
@@ -61,7 +63,7 @@ pub use floor::critical_path_floor;
 pub use sync::elide_redundant_syncs;
 
 use astra_gpu::{BufId, Cmd, Schedule, Topology};
-use astra_verify::{AccessTable, Diagnostic, RuleId, VerifyReport};
+use astra_verify::{AccessTable, Diagnostic, RuleId, Severity, VerifyReport};
 
 /// Live-memory fraction above which `lint-mem-occupancy` fires.
 pub const OCCUPANCY_WARN_FRACTION: f64 = 0.9;
@@ -159,24 +161,45 @@ impl LintReport {
     }
 }
 
-/// Runs every applicable lint over one schedule.
+/// The findings of the peak-memory analysis alone.
+#[derive(Debug, Clone)]
+pub struct MemoryLint {
+    /// `lint-mem-capacity` errors and `lint-mem-occupancy` advisories, in
+    /// device order.
+    pub diagnostics: Vec<Diagnostic>,
+    /// Peak live placed bytes per device (zero without footprints or byte
+    /// sizes).
+    pub peak_bytes: Vec<u64>,
+    /// Capacity of each device ([`astra_gpu::DeviceSpec::mem_bytes`]).
+    pub mem_bytes: Vec<u64>,
+}
+
+impl MemoryLint {
+    /// Number of error-severity findings: the devices over capacity. A
+    /// schedule passes the linter exactly when this is zero.
+    pub fn errors(&self) -> usize {
+        self.diagnostics.iter().filter(|d| d.severity == Severity::Error).count()
+    }
+}
+
+/// Runs the peak-memory analysis alone (analysis 1 above): the only lint
+/// with an error-severity rule, so its [`MemoryLint::errors`] equal
+/// [`lint`]'s on every schedule. Skips the redundant-sync scan and the
+/// critical-path floor.
 ///
 /// `access` supplies per-command buffer footprints and `buf_bytes` resolves
-/// a buffer to its placed size; the peak-memory analysis needs both and is
-/// skipped (peaks report zero) without either. The redundant-sync scan and
-/// the critical-path floor always run.
+/// a buffer to its placed size; without either, every peak is zero.
 ///
 /// # Panics
 ///
 /// Panics if `access` is present but sized for a different schedule —
 /// that is a caller bug, not a schedule defect.
-pub fn lint(
+pub fn lint_memory(
     sched: &Schedule,
     topo: &Topology,
     access: Option<&AccessTable>,
     buf_bytes: Option<&dyn Fn(BufId) -> u64>,
-    opts: &LintOptions,
-) -> LintReport {
+) -> MemoryLint {
     if let Some(a) = access {
         assert_eq!(
             a.len(),
@@ -184,14 +207,12 @@ pub fn lint(
             "access table must cover exactly the schedule's commands"
         );
     }
-
     let mem_bytes: Vec<u64> = topo.devices().iter().map(|d| d.mem_bytes).collect();
-    let mut diagnostics = Vec::new();
-
     let scan = match (access, buf_bytes) {
         (Some(a), Some(b)) => mem::scan(sched, a, b, topo.num_devices()),
         _ => mem::MemScan::empty(topo.num_devices()),
     };
+    let mut diagnostics = Vec::new();
     for (d, (&peak, &cap)) in scan.peaks.iter().zip(&mem_bytes).enumerate() {
         let rule = if peak > cap {
             RuleId::LintMemCapacity
@@ -213,6 +234,29 @@ pub fn lint(
             ),
         ));
     }
+    MemoryLint { diagnostics, peak_bytes: scan.peaks, mem_bytes }
+}
+
+/// Runs every applicable lint over one schedule.
+///
+/// `access` supplies per-command buffer footprints and `buf_bytes` resolves
+/// a buffer to its placed size; the peak-memory analysis needs both and is
+/// skipped (peaks report zero) without either. The redundant-sync scan and
+/// the critical-path floor always run.
+///
+/// # Panics
+///
+/// Panics if `access` is present but sized for a different schedule —
+/// that is a caller bug, not a schedule defect.
+pub fn lint(
+    sched: &Schedule,
+    topo: &Topology,
+    access: Option<&AccessTable>,
+    buf_bytes: Option<&dyn Fn(BufId) -> u64>,
+    opts: &LintOptions,
+) -> LintReport {
+    let MemoryLint { mut diagnostics, peak_bytes, mem_bytes } =
+        lint_memory(sched, topo, access, buf_bytes);
 
     let redundant_waits = sync::find_redundant(sched, opts.workers.max(1));
     for &(cmd, pos) in &redundant_waits {
@@ -237,7 +281,7 @@ pub fn lint(
             cmds_checked: sched.cmds().len(),
             hazard_pairs_checked: 0,
         },
-        peak_bytes: scan.peaks,
+        peak_bytes,
         mem_bytes,
         redundant_waits,
         critical_path_floor_ns,

@@ -64,7 +64,7 @@ pub(crate) fn find_redundant(sched: &Schedule, workers: usize) -> Vec<(usize, us
         .cmds()
         .iter()
         .enumerate()
-        .filter_map(|(i, c)| match c {
+        .filter_map(|(i, c)| match *c {
             Cmd::Launch { waits, .. } | Cmd::Transfer { waits, .. } if !waits.is_empty() => {
                 Some(i)
             }
@@ -101,10 +101,10 @@ fn scan_cmd(
     i: usize,
     out: &mut Vec<(usize, usize)>,
 ) {
-    let waits = match &sched.cmds()[i] {
-        Cmd::Launch { waits, .. } | Cmd::Transfer { waits, .. } => waits,
-        _ => return,
-    };
+    let waits = sched.cmd_waits(i);
+    if waits.is_empty() {
+        return;
+    }
     let mut elide = vec![false; waits.len()];
     for (p, w) in waits.iter().enumerate() {
         if waits[..p].contains(w) {
@@ -149,11 +149,7 @@ fn scan_cmd(
 /// Panics if the pair does not name a wait with a recorded event — pairs
 /// from [`find_redundant`] always do.
 pub(crate) fn wait_source(sched: &Schedule, cmd: usize, pos: usize) -> (EventId, usize) {
-    let waits = match &sched.cmds()[cmd] {
-        Cmd::Launch { waits, .. } | Cmd::Transfer { waits, .. } => waits,
-        other => panic!("command {cmd} ({other:?}) has no waits"),
-    };
-    let w = waits[pos];
+    let w = sched.cmd_waits(cmd)[pos];
     let record = sched
         .cmds()
         .iter()
@@ -176,39 +172,36 @@ pub fn elide_redundant_syncs(sched: &Schedule) -> (Schedule, usize) {
     let drop: std::collections::HashSet<(usize, usize)> =
         find_redundant(sched, 1).into_iter().collect();
     let mut out = Schedule::with_devices(sched.num_streams(), sched.stream_devices().to_vec());
+    out.reserve(sched.cmds().len(), 0);
     let mut boundaries = sched.boundaries().iter().map(|&(at, _)| at).peekable();
+    let mut kept: Vec<EventId> = Vec::new();
     for (i, cmd) in sched.cmds().iter().enumerate() {
         while boundaries.next_if(|&at| at == i).is_some() {
             out.mark_boundary();
         }
-        let keep = |waits: &[EventId]| -> Vec<EventId> {
-            waits
-                .iter()
-                .enumerate()
-                .filter(|&(p, _)| !drop.contains(&(i, p)))
-                .map(|(_, &w)| w)
-                .collect()
-        };
-        match cmd {
-            Cmd::Launch { stream, kernel, waits, label } => match label {
+        kept.clear();
+        let waits = sched.cmd_waits(i).iter().enumerate();
+        kept.extend(waits.filter(|&(p, _)| !drop.contains(&(i, p))).map(|(_, &w)| w));
+        match *cmd {
+            Cmd::Launch { stream, kernel, .. } => match sched.label(i) {
                 Some(l) => {
-                    out.launch_labeled(*stream, *kernel, keep(waits), l.clone());
+                    out.launch_labeled(stream, kernel, &kept, l);
                 }
                 None => {
-                    out.launch_after(*stream, *kernel, keep(waits));
+                    out.launch_after(stream, kernel, &kept);
                 }
             },
             Cmd::Record { stream, event } => {
-                let ev = out.record(*stream);
-                debug_assert_eq!(ev, *event, "records must renumber identically");
+                let ev = out.record(stream);
+                debug_assert_eq!(ev, event, "records must renumber identically");
             }
             Cmd::Barrier => out.barrier(),
             Cmd::HostSync => out.host_sync(),
-            Cmd::Transfer { stream, bytes, src, dst, waits } => {
-                out.transfer(*stream, *bytes, *src, *dst, keep(waits));
+            Cmd::Transfer { stream, bytes, src, dst, .. } => {
+                out.transfer(stream, bytes, src, dst, &kept);
             }
             Cmd::AllReduce { stream, bytes, group } => {
-                out.all_reduce(*stream, *bytes, *group);
+                out.all_reduce(stream, bytes, group);
             }
         }
         if let Some(t) = sched.tags()[i] {
@@ -240,14 +233,11 @@ mod tests {
         let e_same = s.record(StreamId(0));
         s.launch(StreamId(1), copy());
         let e_cross = s.record(StreamId(1));
-        let w = s.launch_after(StreamId(0), copy(), vec![e_same, e_cross]);
+        let w = s.launch_after(StreamId(0), copy(), &[e_same, e_cross]);
         assert_eq!(find_redundant(&s, 1), vec![(w, 0)]);
         let (elided, n) = elide_redundant_syncs(&s);
         assert_eq!(n, 1);
-        match &elided.cmds()[w] {
-            Cmd::Launch { waits, .. } => assert_eq!(waits, &vec![e_cross]),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(elided.cmd_waits(w), &[e_cross]);
     }
 
     #[test]
@@ -255,7 +245,7 @@ mod tests {
         let mut s = Schedule::new(2);
         s.launch(StreamId(0), copy());
         let e = s.record(StreamId(0));
-        s.launch_after(StreamId(0), copy(), vec![e]);
+        s.launch_after(StreamId(0), copy(), &[e]);
         assert!(find_redundant(&s, 1).is_empty());
         let (_, n) = elide_redundant_syncs(&s);
         assert_eq!(n, 0);
@@ -270,14 +260,11 @@ mod tests {
         let e0 = s.record(StreamId(0));
         s.launch(StreamId(0), copy());
         let e1 = s.record(StreamId(0));
-        let w = s.launch_after(StreamId(1), copy(), vec![e0, e1]);
+        let w = s.launch_after(StreamId(1), copy(), &[e0, e1]);
         assert_eq!(find_redundant(&s, 1), vec![(w, 0)]);
         let (elided, n) = elide_redundant_syncs(&s);
         assert_eq!(n, 1);
-        match &elided.cmds()[w] {
-            Cmd::Launch { waits, .. } => assert_eq!(waits, &vec![e1]),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(elided.cmd_waits(w), &[e1]);
     }
 
     #[test]
@@ -285,7 +272,7 @@ mod tests {
         let mut s = Schedule::new(2);
         s.launch(StreamId(0), copy());
         let e = s.record(StreamId(0));
-        s.launch_after(StreamId(1), copy(), vec![e]);
+        s.launch_after(StreamId(1), copy(), &[e]);
         assert!(find_redundant(&s, 1).is_empty());
         let (elided, n) = elide_redundant_syncs(&s);
         assert_eq!(n, 0);
@@ -303,13 +290,10 @@ mod tests {
         s.launch(StreamId(1), copy());
         let e1 = s.record(StreamId(1));
         s.barrier();
-        let w = s.launch_after(StreamId(0), copy(), vec![e0, e1]);
+        let w = s.launch_after(StreamId(0), copy(), &[e0, e1]);
         assert_eq!(find_redundant(&s, 1), vec![(w, 1)]);
         let (elided, _) = elide_redundant_syncs(&s);
-        match &elided.cmds()[w] {
-            Cmd::Launch { waits, .. } => assert_eq!(waits, &vec![e0]),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(elided.cmd_waits(w), &[e0]);
     }
 
     #[test]
@@ -317,7 +301,7 @@ mod tests {
         let mut s = Schedule::new(2);
         s.launch(StreamId(0), copy());
         let e = s.record(StreamId(0));
-        let w = s.launch_after(StreamId(1), copy(), vec![e, e]);
+        let w = s.launch_after(StreamId(1), copy(), &[e, e]);
         assert_eq!(find_redundant(&s, 1), vec![(w, 1)]);
     }
 
@@ -331,7 +315,7 @@ mod tests {
         }
         s.barrier();
         for i in 0..6 {
-            s.launch_after(StreamId(i % 3), copy(), vec![evs[i], evs[i + 6]]);
+            s.launch_after(StreamId(i % 3), copy(), &[evs[i], evs[i + 6]]);
         }
         let r1 = find_redundant(&s, 1);
         let r4 = find_redundant(&s, 4);
@@ -344,11 +328,11 @@ mod tests {
     #[test]
     fn elision_preserves_metadata() {
         let mut s = Schedule::with_devices(2, vec![0, 1]);
-        let a = s.launch_labeled(StreamId(0), copy(), vec![], "producer");
+        let a = s.launch_labeled(StreamId(0), copy(), &[], "producer");
         s.set_tag(a, 7);
         let e = s.record(StreamId(0));
         s.mark_boundary();
-        let t = s.transfer(StreamId(1), 64, 0, 1, vec![e]);
+        let t = s.transfer(StreamId(1), 64, 0, 1, &[e]);
         s.set_tag(t, 9);
         s.all_reduce(StreamId(1), 128, 0);
         let (elided, n) = elide_redundant_syncs(&s);

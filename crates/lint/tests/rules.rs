@@ -1,9 +1,10 @@
 //! Negative suite: every `lint-*` rule id fires on a purpose-built
-//! schedule — and every report is bit-identical at any worker count.
+//! schedule — every report is bit-identical at any worker count, and the
+//! memory scan alone reaches the full report's verdict.
 
 use astra_gpu::{BufId, DeviceSpec, KernelDesc, Schedule, StreamId, Topology};
-use astra_lint::{lint, LintOptions, LintReport};
-use astra_verify::AccessTable;
+use astra_lint::{lint, lint_memory, LintOptions, LintReport};
+use astra_verify::{AccessTable, RuleId, Severity};
 
 fn copy(bytes: f64) -> KernelDesc {
     KernelDesc::MemCopy { bytes }
@@ -16,7 +17,8 @@ fn small_device(mem_bytes: u64) -> Topology {
 }
 
 /// Lints at one and four workers, asserts the rendered and JSON reports
-/// are bit-identical, and returns the single-worker report.
+/// are bit-identical and that the memory scan alone gives the same error
+/// count and peaks, and returns the single-worker report.
 fn lint_invariant(
     sched: &Schedule,
     topo: &Topology,
@@ -27,7 +29,19 @@ fn lint_invariant(
     let four = lint(sched, topo, access, buf_bytes, &LintOptions { workers: 4 });
     assert_eq!(one.render(), four.render(), "report must not depend on worker count");
     assert_eq!(one.to_json(), four.to_json(), "JSON must not depend on worker count");
+    let mem = lint_memory(sched, topo, access, buf_bytes);
+    assert_eq!(mem.errors(), one.errors(), "the memory scan alone decides the verdict");
+    assert_eq!(mem.peak_bytes, one.peak_bytes);
     one
+}
+
+/// Admission runs only the memory scan: that is sound while
+/// `lint-mem-capacity` is the only lint rule with error severity.
+#[test]
+fn lint_mem_capacity_is_the_only_error_severity_lint_rule() {
+    for rule in [RuleId::LintMemCapacity, RuleId::LintMemOccupancy, RuleId::LintRedundantSync] {
+        assert_eq!(rule.severity() == Severity::Error, rule == RuleId::LintMemCapacity, "{rule}");
+    }
 }
 
 #[test]
@@ -72,7 +86,7 @@ fn lint_redundant_sync_fires_on_a_stream_order_implied_wait() {
     // The same-stream wait is implied by FIFO order; the cross-stream one
     // is load-bearing and keeps the list non-empty (the pass never empties
     // a wait list, so a lone implied wait would be kept, not reported).
-    s.launch_after(StreamId(0), copy(1.0), vec![e_same, e_cross]);
+    s.launch_after(StreamId(0), copy(1.0), &[e_same, e_cross]);
     let topo = Topology::single(DeviceSpec::p100());
     let report = lint_invariant(&s, &topo, None, None);
     assert_eq!(report.errors(), 0, "redundant syncs are advisories");
@@ -86,7 +100,7 @@ fn a_clean_schedule_reports_nothing() {
     s.launch(StreamId(0), copy(1.0));
     let e = s.record(StreamId(0));
     // Cross-stream wait with no other ordering: genuinely necessary.
-    s.launch_after(StreamId(1), copy(1.0), vec![e]);
+    s.launch_after(StreamId(1), copy(1.0), &[e]);
     let mut access = AccessTable::new(s.cmds().len());
     let a = access.intern_slices(&[BufId(0)], &[]);
     access.assign(0, a);

@@ -110,7 +110,7 @@ fn for_each_edge(
                     f(p, i, HbEdge::StreamOrder);
                 }
                 last_in_stream[stream.0] = Some(i);
-                for w in waits {
+                for w in sched.waits(*waits) {
                     if let Some(recs) = records.get(&w.0) {
                         for &r in recs {
                             f(r, i, HbEdge::Wait(*w));
@@ -279,7 +279,7 @@ mod tests {
         let mut s = Schedule::new(2);
         let a = s.launch(StreamId(0), copy()); // 0
         let ev = s.record(StreamId(0)); // 1
-        let b = s.launch_after(StreamId(1), copy(), vec![ev]); // 2
+        let b = s.launch_after(StreamId(1), copy(), &[ev]); // 2
         let c = s.launch(StreamId(1), copy()); // 3
         let d = s.launch(StreamId(0), copy()); // 4
         let hb = HbGraph::build(&s);
@@ -314,10 +314,10 @@ mod tests {
         // 3: record s1 -> e1
         use astra_gpu::EventId;
         let mut s = Schedule::new(2);
-        s.launch_after(StreamId(0), copy(), vec![EventId(1)]);
+        s.launch_after(StreamId(0), copy(), &[EventId(1)]);
         let e0 = s.record(StreamId(0));
         assert_eq!(e0, EventId(0));
-        s.launch_after(StreamId(1), copy(), vec![e0]);
+        s.launch_after(StreamId(1), copy(), &[e0]);
         let e1 = s.record(StreamId(1));
         assert_eq!(e1, EventId(1));
         let hb = HbGraph::build(&s);
@@ -338,7 +338,7 @@ mod tests {
         let mut s = Schedule::with_devices(2, vec![0, 1]);
         let p = s.launch(StreamId(0), copy()); // 0 producer on d0
         let e = s.record(StreamId(0)); // 1
-        let t = s.transfer(StreamId(1), 4096, 0, 1, vec![e]); // 2
+        let t = s.transfer(StreamId(1), 4096, 0, 1, &[e]); // 2
         let c = s.launch(StreamId(1), copy()); // 3 consumer on d1
         let hb = HbGraph::build(&s);
         assert!(!hb.is_cyclic());

@@ -45,7 +45,7 @@
 //! // A consumer on stream 1 that never waits for its producer's event.
 //! let mut s = Schedule::new(2);
 //! s.launch(StreamId(0), KernelDesc::MemCopy { bytes: 1024.0 });
-//! s.launch_after(StreamId(1), KernelDesc::MemCopy { bytes: 1.0 }, vec![astra_gpu::EventId(7)]);
+//! s.launch_after(StreamId(1), KernelDesc::MemCopy { bytes: 1.0 }, &[astra_gpu::EventId(7)]);
 //! let report = verify(&s, None, None, &VerifyOptions::default());
 //! assert!(!report.is_clean());
 //! assert_eq!(report.diagnostics[0].rule, RuleId::WaitNeverRecorded);
@@ -170,7 +170,7 @@ mod tests {
         let mut s = Schedule::new(2);
         let p = s.launch(StreamId(0), copy());
         let e = s.record(StreamId(0));
-        let c = s.launch_after(StreamId(1), copy(), vec![e]);
+        let c = s.launch_after(StreamId(1), copy(), &[e]);
         s.barrier();
         s.host_sync();
         let mut t = AccessTable::new(s.cmds().len());
@@ -218,9 +218,9 @@ mod tests {
     fn cycle_suppresses_hazard_scan() {
         use astra_gpu::EventId;
         let mut s = Schedule::new(2);
-        let a = s.launch_after(StreamId(0), copy(), vec![EventId(1)]);
+        let a = s.launch_after(StreamId(0), copy(), &[EventId(1)]);
         let e0 = s.record(StreamId(0));
-        let b = s.launch_after(StreamId(1), copy(), vec![e0]);
+        let b = s.launch_after(StreamId(1), copy(), &[e0]);
         let _e1 = s.record(StreamId(1));
         let mut t = AccessTable::new(s.cmds().len());
         t.set(a, Access { reads: vec![], writes: vec![BufId(1)] });

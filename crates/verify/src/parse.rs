@@ -12,6 +12,14 @@ use astra_gpu::{EventId, KernelDesc, Schedule, StreamId};
 
 /// Parses one rendered schedule.
 ///
+/// The result has the rendered text's commands, streams, device map and
+/// event wiring, but each launch is rebuilt as a labelled placeholder (a
+/// 1-byte copy carrying the rendered label), since the text names a kernel
+/// only by its label. The prefix hash folds the kernel and the label, so a
+/// parsed schedule with any launch hashes differently from the schedule
+/// that was rendered: it can never match that schedule's boundaries or
+/// memo keys, and re-rendering it gives back the same text.
+///
 /// # Errors
 ///
 /// Returns a message naming the offending line when the text does not
@@ -98,7 +106,7 @@ pub fn parse_rendered(text: &str) -> Result<Schedule, String> {
             sched.launch_labeled(
                 StreamId(stream),
                 KernelDesc::MemCopy { bytes: 1.0 },
-                waits,
+                &waits,
                 tail,
             );
         } else if let Some(rest) = line.strip_prefix("transfer ") {
@@ -137,7 +145,7 @@ pub fn parse_rendered(text: &str) -> Result<Schedule, String> {
                      destination d{dst}"
                 ));
             }
-            sched.transfer(StreamId(stream), bytes, src, dst, waits);
+            sched.transfer(StreamId(stream), bytes, src, dst, &waits);
         } else if let Some(rest) = line.strip_prefix("allreduce ") {
             let toks: Vec<&str> = rest.split_whitespace().collect();
             let [s, b, g] = toks[..] else {
@@ -198,7 +206,7 @@ mod tests {
         let mut s = Schedule::new(2);
         s.launch(StreamId(0), KernelDesc::MemCopy { bytes: 1024.0 });
         let ev = s.record(StreamId(0));
-        s.launch_labeled(StreamId(1), KernelDesc::MemCopy { bytes: 1.0 }, vec![ev], "mine x");
+        s.launch_labeled(StreamId(1), KernelDesc::MemCopy { bytes: 1.0 }, &[ev], "mine x");
         s.barrier();
         s.host_sync();
         let text = s.render();
@@ -234,7 +242,7 @@ mod tests {
         let mut s = Schedule::with_devices(2, vec![0, 1]);
         s.launch(StreamId(0), KernelDesc::MemCopy { bytes: 64.0 });
         let e = s.record(StreamId(0));
-        s.transfer(StreamId(1), 4096, 0, 1, vec![e]);
+        s.transfer(StreamId(1), 4096, 0, 1, &[e]);
         s.launch(StreamId(1), KernelDesc::MemCopy { bytes: 1.0 });
         s.all_reduce(StreamId(0), 1024, 0);
         s.all_reduce(StreamId(1), 1024, 0);

@@ -10,16 +10,35 @@ use astra::gpu::{
     ClockMode, Cmd, DeviceSpec, Engine, EngineCheckpoint, EventId, FaultPlan, FaultSummary,
     GemmLibrary, GemmShape, GpuError, KernelDesc, RunResult, Schedule, StreamId, Topology,
 };
-use astra::lint::critical_path_floor;
+use astra::lint::{critical_path_floor, elide_redundant_syncs};
 use astra_util::Rng64;
 
 /// Builds a random but *valid* schedule: kernels may wait only on events
 /// already recorded earlier in program order (so every wait can fire).
 fn random_schedule(streams: usize, moves: &[(u8, u8, u8)]) -> Schedule {
+    random_schedule_logged(streams, moves).0
+}
+
+/// What one command of a generated schedule was appended with: its wait
+/// list, explicit label and tag.
+#[derive(Debug, Clone, PartialEq)]
+struct Appended {
+    waits: Vec<EventId>,
+    label: Option<String>,
+    tag: Option<u32>,
+}
+
+/// [`random_schedule`], plus what each command was appended with. Every
+/// seventh move that waits takes a second event, every fifth launch is
+/// labelled, and launches off every third move are tagged with the move
+/// index.
+fn random_schedule_logged(streams: usize, moves: &[(u8, u8, u8)]) -> (Schedule, Vec<Appended>) {
     let mut sched = Schedule::new(streams);
+    let mut log = Vec::with_capacity(moves.len());
     let mut events: Vec<EventId> = Vec::new();
-    for &(what, s, pick) in moves {
+    for (m, &(what, s, pick)) in moves.iter().enumerate() {
         let stream = StreamId(s as usize % streams);
+        let mut appended = Appended { waits: Vec::new(), label: None, tag: None };
         match what % 4 {
             0 | 1 => {
                 let shape = GemmShape::new(
@@ -28,12 +47,24 @@ fn random_schedule(streams: usize, moves: &[(u8, u8, u8)]) -> Schedule {
                     64 << (pick % 3),
                 );
                 let lib = GemmLibrary::all()[pick as usize % 3];
-                let waits = if !events.is_empty() && what % 2 == 1 {
-                    vec![events[pick as usize % events.len()]]
+                let kernel = KernelDesc::Gemm { shape, lib };
+                if !events.is_empty() && what % 2 == 1 {
+                    appended.waits.push(events[pick as usize % events.len()]);
+                    if m % 7 == 6 {
+                        appended.waits.push(events[(pick as usize + 1) % events.len()]);
+                    }
+                }
+                let c = if m % 5 == 4 {
+                    let label = format!("k{m}");
+                    appended.label = Some(label.clone());
+                    sched.launch_labeled(stream, kernel, &appended.waits, label)
                 } else {
-                    Vec::new()
+                    sched.launch_after(stream, kernel, &appended.waits)
                 };
-                sched.launch_after(stream, KernelDesc::Gemm { shape, lib }, waits);
+                if m % 3 != 0 {
+                    sched.set_tag(c, m as u32);
+                    appended.tag = Some(m as u32);
+                }
             }
             2 => {
                 events.push(sched.record(stream));
@@ -42,8 +73,9 @@ fn random_schedule(streams: usize, moves: &[(u8, u8, u8)]) -> Schedule {
                 sched.barrier();
             }
         }
+        log.push(appended);
     }
-    sched
+    (sched, log)
 }
 
 /// Draws `(streams, moves)` matching the old generators: 1..4 streams (or a
@@ -148,9 +180,9 @@ fn waits_are_respected() {
         let sched = random_schedule(streams, &moves);
         let r = Engine::new(&dev).run(&sched).expect("runs");
         for (idx, cmd) in sched.cmds().iter().enumerate() {
-            if let Cmd::Launch { waits, .. } = cmd {
+            if let Cmd::Launch { waits, .. } = *cmd {
                 let Some(span) = r.spans.iter().find(|sp| sp.cmd_idx == idx) else { continue };
-                for ev in waits.iter() {
+                for ev in sched.waits(waits) {
                     let fire = r.event_ns.get(*ev).unwrap();
                     assert!(
                         span.start_ns >= fire - 1e-6,
@@ -162,6 +194,50 @@ fn waits_are_respected() {
             }
         }
     }
+}
+
+/// A schedule keeps wait lists, labels and tags beside its commands (one
+/// wait pool, a sparse label table, a tag per command): every generated
+/// case reads each command's back exactly as appended, a clone and an
+/// independent rebuild compare equal to it, and eliding its redundant
+/// waits (a rebuild through the pool) keeps the engine's makespan bits
+/// and replays every label and tag.
+#[test]
+fn generated_schedules_read_back_waits_labels_and_tags() {
+    let mut rng = Rng64::new(0x9a11);
+    let dev = DeviceSpec::p100();
+    let (mut multi, mut labelled, mut elided_waits) = (0, 0, 0);
+    for case in 0..64 {
+        let (streams, moves) = draw_case(&mut rng, 1, 1);
+        let (sched, log) = random_schedule_logged(streams, &moves);
+        assert_eq!(sched.cmds().len(), log.len());
+        for (i, want) in log.iter().enumerate() {
+            assert_eq!(sched.cmd_waits(i), want.waits, "case {case} cmd {i}: waits");
+            assert_eq!(sched.label(i), want.label.as_deref(), "case {case} cmd {i}: label");
+            assert_eq!(sched.tags()[i], want.tag, "case {case} cmd {i}: tag");
+            if let Cmd::Launch { waits, .. } = sched.cmds()[i] {
+                assert_eq!(waits.len(), want.waits.len(), "case {case} cmd {i}: wait count");
+                assert_eq!(sched.waits(waits), want.waits, "case {case} cmd {i}: wait range");
+            }
+            multi += usize::from(want.waits.len() > 1);
+            labelled += usize::from(want.label.is_some());
+        }
+        assert_eq!(sched.clone(), sched, "case {case}: a clone compares equal");
+        let rebuilt = random_schedule(streams, &moves);
+        assert_eq!(rebuilt, sched, "case {case}: a rebuild compares equal");
+
+        let (elided, removed) = elide_redundant_syncs(&sched);
+        elided_waits += removed;
+        let bits = |s: &Schedule| Engine::new(&dev).run(s).expect("runs").total_ns.to_bits();
+        assert_eq!(bits(&elided), bits(&sched), "case {case}: elision keeps the makespan");
+        assert_eq!(elided.tags(), sched.tags(), "case {case}: elision keeps the tags");
+        for i in 0..log.len() {
+            assert_eq!(elided.label(i), sched.label(i), "case {case} cmd {i}: elided label");
+        }
+    }
+    assert!(multi > 0, "some generated wait list holds two events");
+    assert!(labelled > 0, "some generated launch is labelled");
+    assert!(elided_waits > 0, "some generated wait is redundant");
 }
 
 /// The lint report's critical-path floor is a sound lower bound: over
@@ -209,26 +285,26 @@ fn critical_path_floors_never_exceed_the_measured_times() {
 fn placeholder_twin(s: &Schedule) -> Schedule {
     let mut twin = Schedule::with_devices(s.num_streams(), s.stream_devices().to_vec());
     for (i, cmd) in s.cmds().iter().enumerate() {
-        match cmd {
-            Cmd::Launch { stream, waits, .. } => {
+        match *cmd {
+            Cmd::Launch { stream, .. } => {
                 let label = s.span_label(i).expect("launches carry a label");
                 twin.launch_labeled(
-                    *stream,
+                    stream,
                     KernelDesc::MemCopy { bytes: 1.0 },
-                    waits.clone(),
+                    s.cmd_waits(i),
                     label,
                 );
             }
             Cmd::Record { stream, .. } => {
-                twin.record(*stream);
+                twin.record(stream);
             }
             Cmd::Barrier => twin.barrier(),
             Cmd::HostSync => twin.host_sync(),
-            Cmd::Transfer { stream, bytes, src, dst, waits } => {
-                twin.transfer(*stream, *bytes, *src, *dst, waits.clone());
+            Cmd::Transfer { stream, bytes, src, dst, .. } => {
+                twin.transfer(stream, bytes, src, dst, s.cmd_waits(i));
             }
             Cmd::AllReduce { stream, bytes, group } => {
-                twin.all_reduce(*stream, *bytes, *group);
+                twin.all_reduce(stream, bytes, group);
             }
         }
     }
@@ -346,7 +422,7 @@ fn wild_schedule(rng: &mut Rng64) -> Schedule {
             }
             _ => {
                 let recorded = sched.num_events() as u32;
-                let waits = (0..rng.gen_range_usize(0, 1))
+                let waits: Vec<EventId> = (0..rng.gen_range_usize(0, 1))
                     .map(|_| match rng.gen_range_u32(0, 15) {
                         0..=9 if recorded > 0 => EventId(rng.gen_range_u32(0, recorded - 1)),
                         0..=12 => EventId(recorded + rng.gen_range_u32(0, 3)),
@@ -355,7 +431,7 @@ fn wild_schedule(rng: &mut Rng64) -> Schedule {
                         _ => EventId(u32::MAX - rng.gen_range_u32(1, 3)),
                     })
                     .collect();
-                sched.launch_after(stream, KernelDesc::MemCopy { bytes: 4096.0 }, waits);
+                sched.launch_after(stream, KernelDesc::MemCopy { bytes: 4096.0 }, &waits);
             }
         }
     }

@@ -9,6 +9,7 @@ use astra::core::{
 use astra::exec::{fuse_elementwise_chains, lower, native_schedule};
 use astra::gpu::{
     Cmd, DeviceSpec, Engine, EventId, GemmLibrary, GemmShape, KernelDesc, Schedule, StreamId,
+    Waits,
 };
 use astra::ir::{append_backward, Graph, OpKind, Provenance, Shape, TensorId};
 use astra_util::Rng64;
@@ -288,11 +289,11 @@ fn grow_schedule(num_streams: usize, choices: &[u8]) -> Vec<(String, u64)> {
             }
             1 => {
                 let shape = GemmShape::new(16, 16, 16);
-                let waits = last_event.into_iter().collect();
+                let waits: Vec<EventId> = last_event.into_iter().collect();
                 sched.launch_labeled(
                     stream,
                     KernelDesc::Gemm { shape, lib: GemmLibrary::OaiWide },
-                    waits,
+                    &waits,
                     format!("u{}", c / 5),
                 );
             }
@@ -487,8 +488,8 @@ fn check_emission(
     let mut done: Vec<Option<EventId>> = vec![None; units.len()];
     for (j, cmd) in sched.cmds().iter().enumerate() {
         match cmd {
-            Cmd::Launch { stream, kernel, waits, label } => {
-                let expect = label.clone().unwrap_or_else(|| kernel.label());
+            Cmd::Launch { stream, kernel, waits } => {
+                let expect = sched.label(j).map_or_else(|| kernel.label(), str::to_owned);
                 assert_eq!(sched.span_label(j), Some(expect), "{what}: cmd {j} label");
                 let Some(i) = tags[j].map(|t| t as usize) else {
                     panic!("{what}: launch {j} has no unit tag");
@@ -515,7 +516,7 @@ fn check_emission(
                 } else {
                     Vec::new()
                 };
-                assert_eq!(waits, &expect, "{what}: unit {i} waits");
+                assert_eq!(sched.waits(*waits), expect, "{what}: unit {i} waits");
             }
             Cmd::Record { event, .. } if single => {
                 let i = tags[j - 1].expect("records follow a tagged launch") as usize;
@@ -878,7 +879,7 @@ fn device_maps_perturb_the_prefix_hash() {
         s.launch(StreamId(0), KernelDesc::MemCopy { bytes: 512.0 });
         let ev = s.record(StreamId(0));
         s.launch(StreamId(1), KernelDesc::MemCopy { bytes: 256.0 });
-        s.launch_labeled(StreamId(1), KernelDesc::MemCopy { bytes: 64.0 }, vec![ev], "tail");
+        s.launch_labeled(StreamId(1), KernelDesc::MemCopy { bytes: 64.0 }, &[ev], "tail");
         s
     };
     let maps: Vec<Vec<usize>> = vec![vec![0, 1], vec![1, 0], vec![0, 2], vec![1, 1]];
@@ -978,22 +979,35 @@ fn kernel_field_mutants() -> Vec<(KernelDesc, Vec<KernelDesc>)> {
     ]
 }
 
+/// A command as a caller asks the builders for it: the command, its wait
+/// list and a launch's explicit label.
+#[derive(Debug, Clone)]
+struct CmdSpec {
+    cmd: Cmd,
+    waits: Vec<EventId>,
+    label: Option<&'static str>,
+}
+
 /// Every command variant, each with copies that differ from it in exactly
 /// one field the schedule builders let a caller choose. (A record's event
 /// id is assigned by the schedule, and a transfer's destination is pinned
 /// by its stream's device; the crate's unit tests cover those two fields.)
-fn cmd_field_mutants() -> Vec<(Cmd, Vec<Cmd>)> {
+fn cmd_field_mutants() -> Vec<(CmdSpec, Vec<CmdSpec>)> {
     let (s0, s1, s2, s3) = (StreamId(0), StreamId(1), StreamId(2), StreamId(3));
     let (e0, e1) = (EventId(0), EventId(1));
     let copy = KernelDesc::MemCopy { bytes: 64.0 };
-    let launch = |stream, kernel, waits: Vec<EventId>, label: Option<&str>| Cmd::Launch {
-        stream,
-        kernel,
+    let launch = |stream, kernel, waits: Vec<EventId>, label: Option<&'static str>| CmdSpec {
+        cmd: Cmd::Launch { stream, kernel, waits: Waits::default() },
         waits,
-        label: label.map(str::to_owned),
+        label,
     };
-    let xfer = |stream, bytes, src, waits| Cmd::Transfer { stream, bytes, src, dst: 1, waits };
-    let ar = |stream, bytes, group| Cmd::AllReduce { stream, bytes, group };
+    let xfer = |stream, bytes, src, waits: Vec<EventId>| CmdSpec {
+        cmd: Cmd::Transfer { stream, bytes, src, dst: 1, waits: Waits::default() },
+        waits,
+        label: None,
+    };
+    let plain = |cmd| CmdSpec { cmd, waits: Vec::new(), label: None };
+    let ar = |stream, bytes, group| plain(Cmd::AllReduce { stream, bytes, group });
     let mut out = vec![
         (launch(s0, copy, vec![e0, e1], Some("mine")), vec![
             launch(s2, copy, vec![e0, e1], Some("mine")),
@@ -1005,9 +1019,12 @@ fn cmd_field_mutants() -> Vec<(Cmd, Vec<Cmd>)> {
             launch(s0, copy, vec![e0, e1], Some("mind")),
             launch(s0, copy, vec![e0, e1], Some("mine\0")),
         ]),
-        (Cmd::Record { stream: s0, event: e0 }, vec![Cmd::Record { stream: s1, event: e0 }]),
-        (Cmd::Barrier, vec![]),
-        (Cmd::HostSync, vec![]),
+        (plain(Cmd::Record { stream: s0, event: e0 }), vec![plain(Cmd::Record {
+            stream: s1,
+            event: e0,
+        })]),
+        (plain(Cmd::Barrier), vec![]),
+        (plain(Cmd::HostSync), vec![]),
         (xfer(s1, 4096, 0, vec![e0]), vec![
             xfer(s3, 4096, 0, vec![e0]),
             xfer(s1, 4097, 0, vec![e0]),
@@ -1029,20 +1046,23 @@ fn cmd_field_mutants() -> Vec<(Cmd, Vec<Cmd>)> {
 
 /// Appends `cmd` through the public builder that makes it (a record takes
 /// the schedule's next event id, whatever `cmd` names).
-fn append_cmd(s: &mut Schedule, cmd: Cmd) {
-    match cmd {
-        Cmd::Launch { stream, kernel, waits, label: None } => {
-            s.launch_after(stream, kernel, waits);
-        }
-        Cmd::Launch { stream, kernel, waits, label: Some(l) } => {
-            s.launch_labeled(stream, kernel, waits, l);
-        }
+fn append_cmd(s: &mut Schedule, spec: &CmdSpec) {
+    let waits = &spec.waits;
+    match spec.cmd {
+        Cmd::Launch { stream, kernel, .. } => match spec.label {
+            None => {
+                s.launch_after(stream, kernel, waits);
+            }
+            Some(l) => {
+                s.launch_labeled(stream, kernel, waits, l);
+            }
+        },
         Cmd::Record { stream, .. } => {
             s.record(stream);
         }
         Cmd::Barrier => s.barrier(),
         Cmd::HostSync => s.host_sync(),
-        Cmd::Transfer { stream, bytes, src, dst, waits } => {
+        Cmd::Transfer { stream, bytes, src, dst, .. } => {
             s.transfer(stream, bytes, src, dst, waits);
         }
         Cmd::AllReduce { stream, bytes, group } => {
@@ -1058,11 +1078,11 @@ fn four_stream_schedule() -> Schedule {
 }
 
 /// The prefix hash of a fixed prefix followed by `cmd`.
-fn hash_after_prefix(cmd: &Cmd) -> u64 {
+fn hash_after_prefix(cmd: &CmdSpec) -> u64 {
     let mut s = four_stream_schedule();
     s.launch(StreamId(0), KernelDesc::MemCopy { bytes: 32.0 });
     s.record(StreamId(0));
-    append_cmd(&mut s, cmd.clone());
+    append_cmd(&mut s, cmd);
     s.prefix_hash()
 }
 
@@ -1096,7 +1116,7 @@ fn prefix_hash_sees_every_command_and_kernel_field() {
         let mut hashes = Vec::new();
         for (base, mutants) in cmd_field_mutants() {
             for c in std::iter::once(base).chain(mutants) {
-                append_cmd(&mut s, c);
+                append_cmd(&mut s, &c);
                 hashes.push(s.prefix_hash());
             }
         }

@@ -67,58 +67,69 @@ fn shell_of(sched: &Schedule) -> Schedule {
     Schedule::with_devices(sched.num_streams(), sched.stream_devices().to_vec())
 }
 
+/// One command lifted out of its schedule with everything the schedule
+/// keeps beside it: its wait list, label and unit tag.
+#[derive(Debug, Clone)]
+struct Lifted {
+    cmd: Cmd,
+    waits: Vec<EventId>,
+    label: Option<String>,
+    tag: Option<u32>,
+}
+
 /// Replays `cmds` (with their unit tags) into a fresh schedule, remapping
 /// each wait through `wait_map`. Record commands re-record in order, so as
 /// long as the replay keeps every record, auto-assigned event ids match the
 /// originals.
-fn replay(
-    num_streams: usize,
-    cmds: &[(Cmd, Option<u32>)],
-    wait_map: impl Fn(EventId) -> EventId,
-) -> Schedule {
+fn replay(num_streams: usize, cmds: &[Lifted], wait_map: impl Fn(EventId) -> EventId) -> Schedule {
     replay_on(Schedule::new(num_streams), cmds, wait_map)
 }
 
 /// Like [`replay`] but onto a caller-built (possibly multi-device) schedule.
-fn replay_on(
-    mut s: Schedule,
-    cmds: &[(Cmd, Option<u32>)],
-    wait_map: impl Fn(EventId) -> EventId,
-) -> Schedule {
-    for (cmd, tag) in cmds {
-        match cmd {
-            Cmd::Launch { stream, kernel, waits, label } => {
-                let waits = waits.iter().map(|&e| wait_map(e)).collect();
-                let c = match label {
-                    Some(l) => s.launch_labeled(*stream, *kernel, waits, l.clone()),
-                    None => s.launch_after(*stream, *kernel, waits),
-                };
-                if let Some(t) = tag {
-                    s.set_tag(c, *t);
-                }
-            }
+fn replay_on(mut s: Schedule, cmds: &[Lifted], wait_map: impl Fn(EventId) -> EventId) -> Schedule {
+    for c in cmds {
+        let waits: Vec<EventId> = c.waits.iter().map(|&e| wait_map(e)).collect();
+        let idx = match c.cmd {
+            Cmd::Launch { stream, kernel, .. } => match &c.label {
+                Some(l) => s.launch_labeled(stream, kernel, &waits, l.clone()),
+                None => s.launch_after(stream, kernel, &waits),
+            },
             Cmd::Record { stream, .. } => {
-                let _ = s.record(*stream);
+                let _ = s.record(stream);
+                continue;
             }
-            Cmd::Barrier => s.barrier(),
-            Cmd::HostSync => s.host_sync(),
-            Cmd::Transfer { stream, bytes, src, dst, waits } => {
-                let waits = waits.iter().map(|&e| wait_map(e)).collect();
-                let c = s.transfer(*stream, *bytes, *src, *dst, waits);
-                if let Some(t) = tag {
-                    s.set_tag(c, *t);
-                }
+            Cmd::Barrier => {
+                s.barrier();
+                continue;
+            }
+            Cmd::HostSync => {
+                s.host_sync();
+                continue;
+            }
+            Cmd::Transfer { stream, bytes, src, dst, .. } => {
+                s.transfer(stream, bytes, src, dst, &waits)
             }
             Cmd::AllReduce { stream, bytes, group } => {
-                let _ = s.all_reduce(*stream, *bytes, *group);
+                let _ = s.all_reduce(stream, bytes, group);
+                continue;
             }
+        };
+        if let Some(t) = c.tag {
+            s.set_tag(idx, t);
         }
     }
     s
 }
 
-fn tagged_cmds(sched: &Schedule) -> Vec<(Cmd, Option<u32>)> {
-    sched.cmds().iter().cloned().zip(sched.tags().iter().copied()).collect()
+fn tagged_cmds(sched: &Schedule) -> Vec<Lifted> {
+    (0..sched.cmds().len())
+        .map(|i| Lifted {
+            cmd: sched.cmds()[i],
+            waits: sched.cmd_waits(i).to_vec(),
+            label: sched.label(i).map(str::to_owned),
+            tag: sched.tags()[i],
+        })
+        .collect()
 }
 
 /// Index of the record command for each event id.
@@ -165,11 +176,9 @@ fn dropping_a_wait_flags_cross_stream_raw() {
     let mut cmds = tagged_cmds(&sched);
     let victim = cmds
         .iter()
-        .position(|(c, _)| matches!(c, Cmd::Launch { waits, .. } if !waits.is_empty()))
+        .position(|c| matches!(c.cmd, Cmd::Launch { .. }) && !c.waits.is_empty())
         .expect("two-stream schedule has cross-stream waits");
-    if let (Cmd::Launch { waits, .. }, _) = &mut cmds[victim] {
-        waits.clear();
-    }
+    cmds[victim].waits.clear();
     let mutated = replay(sched.num_streams(), &cmds, |e| e);
 
     let report =
@@ -197,13 +206,13 @@ fn dropping_a_record_flags_wait_never_recorded() {
     let dropped_ev = sched
         .cmds()
         .iter()
-        .find_map(|c| match c {
-            Cmd::Launch { waits, .. } => waits.first().copied(),
+        .find_map(|c| match *c {
+            Cmd::Launch { waits, .. } => sched.waits(waits).first().copied(),
             _ => None,
         })
         .expect("two-stream schedule has at least one wait");
     let dropped_idx = rec_of[&dropped_ev];
-    let cmds: Vec<(Cmd, Option<u32>)> = tagged_cmds(&sched)
+    let cmds: Vec<Lifted> = tagged_cmds(&sched)
         .into_iter()
         .enumerate()
         .filter(|&(i, _)| i != dropped_idx)
@@ -240,13 +249,12 @@ fn swapping_cross_stream_launches_flags_wait_before_record() {
         _ => None,
     };
     let mut pick = None;
-    'outer: for (j, (c, _)) in cmds.iter().enumerate() {
-        let Cmd::Launch { waits, .. } = c else { continue };
-        let Some(sj) = stream_of(c) else { continue };
-        for &e in waits {
-            let r = rec_of[&e];
-            for (i, (ci, _)) in cmds.iter().enumerate().take(r) {
-                if stream_of(ci).is_some_and(|si| si != sj) {
+    'outer: for (j, c) in cmds.iter().enumerate() {
+        let Some(sj) = stream_of(&c.cmd) else { continue };
+        for e in &c.waits {
+            let r = rec_of[e];
+            for (i, ci) in cmds.iter().enumerate().take(r) {
+                if stream_of(&ci.cmd).is_some_and(|si| si != sj) {
                     pick = Some((i, j));
                     break 'outer;
                 }
@@ -330,11 +338,9 @@ fn stripping_transfer_waits_flags_transfer_before_produce() {
     let mut cmds = tagged_cmds(&sched);
     let victim = cmds
         .iter()
-        .position(|(c, _)| matches!(c, Cmd::Transfer { waits, .. } if !waits.is_empty()))
+        .position(|c| matches!(c.cmd, Cmd::Transfer { .. }) && !c.waits.is_empty())
         .expect("model-parallel schedule ships data via guarded transfers");
-    if let (Cmd::Transfer { waits, .. }, _) = &mut cmds[victim] {
-        waits.clear();
-    }
+    cmds[victim].waits.clear();
     let mutated = replay_on(shell_of(&sched), &cmds, |e| e);
 
     let report = assert_worker_invariant(
@@ -361,7 +367,7 @@ fn doubling_an_allreduce_arrival_flags_link_deadlock() {
     let mut cmds = tagged_cmds(&sched);
     let arrival = cmds
         .iter()
-        .find(|(c, _)| matches!(c, Cmd::AllReduce { .. }))
+        .find(|c| matches!(c.cmd, Cmd::AllReduce { .. }))
         .cloned()
         .expect("data-parallel schedule syncs gradients");
     cmds.push(arrival);
@@ -386,13 +392,12 @@ fn replacing_transfers_with_local_kernels_flags_device_aliasing() {
     // interconnect — each consumer now reads a stale remote replica.
     let mut cmds = tagged_cmds(&sched);
     let mut replaced = 0usize;
-    for (c, _) in &mut cmds {
-        if let Cmd::Transfer { stream, bytes, waits, .. } = c {
-            *c = Cmd::Launch {
-                stream: *stream,
-                kernel: KernelDesc::MemCopy { bytes: *bytes as f64 },
-                waits: waits.clone(),
-                label: None,
+    for c in &mut cmds {
+        if let Cmd::Transfer { stream, bytes, waits, .. } = c.cmd {
+            c.cmd = Cmd::Launch {
+                stream,
+                kernel: KernelDesc::MemCopy { bytes: bytes as f64 },
+                waits,
             };
             replaced += 1;
         }
