@@ -24,10 +24,10 @@ fn main() {
             (0..100).map(|i| UpdateNode::var(format!("v{i}"), 6)).collect();
         let mut tree = UpdateTree::new(UpdateNode::group(ExploreMode::Parallel, children));
         let mut trials = 0;
-        while let Some(asg) = tree.next_trial() {
+        while tree.advance() {
             trials += 1;
-            for id in asg.keys() {
-                tree.record(id, asg[id] as f64);
+            for (slot, choice) in tree.picks().into_iter().enumerate() {
+                tree.record_at(slot, choice as f64);
             }
         }
         black_box(trials);

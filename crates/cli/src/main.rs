@@ -69,8 +69,7 @@ const USAGE: &str = "usage: astra-cli <command> [options]
 
 commands:
   optimize  --model <name> --batch <n> [--dims f|fk|fks|all] [--streams <n>] [--v100] [--seq <n>]
-            [--workers <n>]   candidate-evaluation threads (0 = all cores, 1 = sequential;
-                              results are identical at every setting)
+            [--workers <n>]   candidate-evaluation threads (default 0 = all cores)
             [--fault none|spikes|launch|alloc|straggler|chaos] [--fault-seed <n>]
                               inject deterministic faults into every simulated mini-batch
                               (default none; seed defaults to 42)
@@ -131,6 +130,10 @@ commands:
             fsck    --dir <d> [--json]          read-only integrity check; exits nonzero if
                                                 any record is torn, corrupt, or undecodable
   models                                        list the model zoo
+
+--workers <n> means the same for optimize, verify and lint: 0 = one thread per available
+core, 1 = sequential; results are identical at every setting. optimize defaults to 0,
+verify and lint to 1.
 
 models: scrnn, milstm, sublstm, stackedlstm, gnmt, rhn
 
@@ -260,6 +263,12 @@ impl<'a> Opts<'a> {
             Some(v) => v.parse().map_err(|_| format!("invalid value for {key}: {v}")),
         }
     }
+
+    /// `--workers`, resolved the same way for every subcommand: 0 means
+    /// one thread per available core, any other value is taken as-is.
+    fn workers(&self, default: usize) -> Result<usize, String> {
+        self.parse("--workers", default).map(astra_core::effective_workers)
+    }
 }
 
 fn parse_model(opts: &Opts<'_>) -> Result<Model, String> {
@@ -361,7 +370,7 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     let dims = parse_dims(&opts)?;
     let dev = device(&opts);
     let num_streams: usize = opts.parse("--streams", 4)?;
-    let workers: usize = opts.parse("--workers", 0)?;
+    let workers = opts.workers(0)?;
     let faults = parse_faults(&opts)?;
     let built = build(model, &opts)?;
 
@@ -674,7 +683,7 @@ fn print_verify_results(plans: &[VerifiedPlan], json: bool) -> Result<(), String
 fn cmd_verify(args: &[String]) -> Result<(), String> {
     let opts = Opts::new(args, &VERIFY_FLAGS)?;
     let json = opts.flag("--json");
-    let workers: usize = opts.parse("--workers", 1)?;
+    let workers = opts.workers(1)?;
     if let Some(dir) = opts.get("--fixtures") {
         return verify_fixtures(dir, json, workers);
     }
@@ -829,7 +838,7 @@ fn print_lint_results(plans: &[LintedPlan], json: bool) -> Result<(), String> {
 fn cmd_lint(args: &[String]) -> Result<(), String> {
     let opts = Opts::new(args, &LINT_FLAGS)?;
     let json = opts.flag("--json");
-    let workers: usize = opts.parse("--workers", 1)?;
+    let workers = opts.workers(1)?;
     let mut dev = device(&opts);
     if let Some(mib) = opts.get("--mem-mib") {
         let mib: u64 = mib.parse().map_err(|_| format!("invalid --mem-mib {mib}"))?;

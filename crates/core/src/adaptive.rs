@@ -16,7 +16,7 @@
 //!
 //! The custom wirer drives the tree: each `advance` produces the next trial
 //! configuration; after running a mini-batch under it, per-variable metrics
-//! are reported back with [`UpdateTree::record`].
+//! are reported back by slot with [`UpdateTree::record_at`].
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -262,14 +262,13 @@ impl UpdateNode {
 /// The update tree: drives exploration trials and records metrics.
 ///
 /// Every variable has a *slot*: its position in the tree's depth-first
-/// variable order, fixed at construction. [`UpdateTree::record_at`] and
-/// [`UpdateTree::poison_at`] address a variable by slot; the by-id forms
-/// resolve the id through an index built once, so neither walks the tree
-/// comparing names. The exploration driver works in slots throughout:
+/// variable order, fixed at construction. The tree is driven in slots:
 /// [`UpdateTree::lookahead`] and [`UpdateTree::picks`] give one choice per
-/// slot, and [`UpdateTree::advance`] steps to the next trial. The id-keyed
-/// [`UpdateTree::next_trial`] and [`UpdateTree::assignment`] build a map
-/// of every variable's id, for callers that want names.
+/// slot, [`UpdateTree::advance`] steps to the next trial, and
+/// [`UpdateTree::record_at`] reports a variable's metric by slot.
+/// [`UpdateTree::slot`] resolves a variable id through an index built
+/// once, and [`UpdateTree::assignment`] maps every variable's id to its
+/// current choice, for callers that want names.
 #[derive(Debug, Clone)]
 pub struct UpdateTree {
     root: UpdateNode,
@@ -278,7 +277,6 @@ pub struct UpdateTree {
     /// Variable id → slot (the first variable carrying the id).
     slots: HashMap<String, usize>,
     started: bool,
-    trials: usize,
 }
 
 impl UpdateTree {
@@ -307,7 +305,7 @@ impl UpdateTree {
         let mut paths = Vec::new();
         let mut slots = HashMap::new();
         walk(&root, &mut Vec::new(), &mut paths, &mut slots);
-        UpdateTree { root, paths, slots, started: false, trials: 0 }
+        UpdateTree { root, paths, slots, started: false }
     }
 
     /// The slot of the variable named `id`, if the tree has one.
@@ -338,15 +336,7 @@ impl UpdateTree {
         } else {
             self.started = true;
         }
-        self.trials += 1;
         true
-    }
-
-    /// The assignment (variable id → choice) for the next trial, or `None`
-    /// when the space is exhausted: [`UpdateTree::advance`], then
-    /// [`UpdateTree::assignment`].
-    pub fn next_trial(&mut self) -> Option<BTreeMap<String, usize>> {
-        self.advance().then(|| self.assignment())
     }
 
     /// Peeks at up to `max` upcoming trials without consuming them. Each
@@ -399,15 +389,8 @@ impl UpdateTree {
         vars.into_iter().map(|v| (v.id.clone(), v.current)).collect()
     }
 
-    /// Reports the measured metric for a variable in the *current* trial.
-    /// Unknown ids are ignored.
-    pub fn record(&mut self, id: &str, metric: f64) {
-        if let Some(slot) = self.slot(id) {
-            self.record_at(slot, metric);
-        }
-    }
-
-    /// [`UpdateTree::record`] for the variable in `slot`.
+    /// Reports the measured metric for the variable in `slot` in the
+    /// *current* trial.
     ///
     /// # Panics
     ///
@@ -416,28 +399,14 @@ impl UpdateTree {
         self.var_at_mut(slot).record(metric);
     }
 
-    /// Quarantines a variable's *current* choice: records +inf for it, so
-    /// it can never be frozen as best unless every other choice is also
-    /// quarantined. The robust exploration driver calls this for candidates
-    /// whose measurements stayed faulted through all retries, and for
-    /// structurally invalid configurations.
-    pub fn poison(&mut self, id: &str) {
-        self.record(id, f64::INFINITY);
-    }
-
-    /// [`UpdateTree::poison`] for the variable in `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is not a slot of this tree.
-    pub fn poison_at(&mut self, slot: usize) {
-        self.record_at(slot, f64::INFINITY);
-    }
-
-    /// [`UpdateTree::poison`] for every variable's current choice.
+    /// Quarantines every variable's *current* choice: records +inf for
+    /// it, so it can never be frozen as best unless every other choice is
+    /// also quarantined. The robust exploration driver calls this for
+    /// candidates whose measurements stayed faulted through all retries,
+    /// and for structurally invalid configurations.
     pub fn poison_all(&mut self) {
         for slot in 0..self.paths.len() {
-            self.poison_at(slot);
+            self.record_at(slot, f64::INFINITY);
         }
     }
 
@@ -446,18 +415,6 @@ impl UpdateTree {
     pub fn best_assignment(&mut self) -> BTreeMap<String, usize> {
         self.root.freeze_best();
         self.assignment()
-    }
-
-    /// Number of trials issued so far.
-    pub fn trials(&self) -> usize {
-        self.trials
-    }
-
-    /// Best metric for a variable, if recorded.
-    pub fn best_of(&self, id: &str) -> Option<(usize, f64)> {
-        let mut vars = Vec::new();
-        self.root.visit_vars(&mut vars);
-        vars[self.slot(id)?].best
     }
 }
 
@@ -469,12 +426,12 @@ mod tests {
     /// number of trials.
     fn drive(tree: &mut UpdateTree, metric: impl Fn(&BTreeMap<String, usize>, &str) -> f64) -> usize {
         let mut n = 0;
-        while let Some(asg) = tree.next_trial() {
+        while tree.advance() {
             n += 1;
-            let ids: Vec<String> = asg.keys().cloned().collect();
-            for id in ids {
-                let m = metric(&asg, &id);
-                tree.record(&id, m);
+            let asg = tree.assignment();
+            for id in asg.keys() {
+                let slot = tree.slot(id).expect("every variable has a slot");
+                tree.record_at(slot, metric(&asg, id));
             }
             assert!(n < 10_000, "runaway exploration");
         }
@@ -502,7 +459,8 @@ mod tests {
         let children = vec![UpdateNode::var("a", 3), UpdateNode::var("b", 4)];
         let mut tree = UpdateTree::new(UpdateNode::group(ExploreMode::Exhaustive, children));
         let mut seen = std::collections::HashSet::new();
-        while let Some(asg) = tree.next_trial() {
+        while tree.advance() {
+            let asg = tree.assignment();
             seen.insert((asg["a"], asg["b"]));
         }
         assert_eq!(seen.len(), 12, "all 3x4 combinations visited");
@@ -514,18 +472,22 @@ mod tests {
         // the second child explores, the first sits at its best.
         let children = vec![UpdateNode::var("e0", 4), UpdateNode::var("e1", 4)];
         let mut tree = UpdateTree::new(UpdateNode::group(ExploreMode::Prefix, children));
+        let (e0, e1) = (tree.slot("e0").unwrap(), tree.slot("e1").unwrap());
         let mut e0_during_e1 = Vec::new();
         let mut prev_e1 = None;
-        while let Some(asg) = tree.next_trial() {
+        let mut trials = 0;
+        while tree.advance() {
+            trials += 1;
+            let asg = tree.assignment();
             // Metric: e0 best at 2, e1 best at 1.
-            tree.record("e0", (asg["e0"] as f64 - 2.0).abs());
-            tree.record("e1", (asg["e1"] as f64 - 1.0).abs());
+            tree.record_at(e0, (asg["e0"] as f64 - 2.0).abs());
+            tree.record_at(e1, (asg["e1"] as f64 - 1.0).abs());
             if prev_e1.is_some_and(|p| p != asg["e1"]) {
                 e0_during_e1.push(asg["e0"]);
             }
             prev_e1 = Some(asg["e1"]);
         }
-        assert!(tree.trials() <= 9, "prefix is additive: {} trials", tree.trials());
+        assert!(trials <= 9, "prefix is additive: {trials} trials");
         assert!(e0_during_e1.iter().all(|&c| c == 2), "e0 frozen at best while e1 explores");
         assert_eq!(tree.best_assignment()["e1"], 1);
     }
@@ -552,8 +514,8 @@ mod tests {
     #[test]
     fn single_choice_space_yields_one_trial() {
         let mut tree = UpdateTree::new(UpdateNode::var("only", 1));
-        assert!(tree.next_trial().is_some());
-        assert!(tree.next_trial().is_none());
+        assert!(tree.advance());
+        assert!(!tree.advance());
     }
 
     #[test]
@@ -597,7 +559,7 @@ mod tests {
         // batches with in-order commits — and require identical trial
         // sequences and final assignments. Every lookahead pick, read
         // through `slot()`, must equal the assignment the replayed
-        // `next_trial` yields. The trees are a fixed parallel-of-prefix
+        // `advance` yields. The trees are a fixed parallel-of-prefix
         // tree and the random trees of `random_tree`.
         let fixed = || {
             let se = |n: usize| {
@@ -624,10 +586,10 @@ mod tests {
         for (case, root) in roots.into_iter().enumerate() {
             let mut seq = UpdateTree::new(root.clone());
             let mut seq_trace = Vec::new();
-            while let Some(asg) = seq.next_trial() {
-                let ids: Vec<String> = asg.keys().cloned().collect();
-                for id in &ids {
-                    seq.record(id, metric(&asg, id));
+            while seq.advance() {
+                let asg = seq.assignment();
+                for id in asg.keys() {
+                    seq.record_at(seq.slot(id).unwrap(), metric(&asg, id));
                 }
                 seq_trace.push(asg);
                 assert!(seq_trace.len() < 10_000, "runaway exploration");
@@ -641,17 +603,15 @@ mod tests {
                     break;
                 }
                 for picks in batch {
-                    let asg = bat.next_trial().expect("lookahead bounds the batch");
+                    assert!(bat.advance(), "lookahead bounds the batch");
+                    let asg = bat.assignment();
                     assert_eq!(picks.len(), asg.len(), "case {case}: one pick per variable");
                     for (id, &choice) in &asg {
                         let slot = bat.slot(id).expect("every variable has a slot");
                         assert_eq!(picks[slot], choice, "case {case}: {id} diverged");
+                        bat.record_at(slot, metric(&asg, id));
                     }
                     assert_eq!(bat.picks(), picks, "case {case}: replayed picks diverged");
-                    let ids: Vec<String> = asg.keys().cloned().collect();
-                    for id in &ids {
-                        bat.record(id, metric(&asg, id));
-                    }
                     bat_trace.push(asg);
                 }
             }
@@ -674,12 +634,12 @@ mod tests {
     #[test]
     fn poison_quarantines_current_choice() {
         let mut tree = UpdateTree::new(UpdateNode::var("v", 3));
-        assert!(tree.next_trial().is_some()); // choice 0
-        tree.poison("v");
-        assert!(tree.next_trial().is_some()); // choice 1
-        tree.record("v", 9.0);
-        assert!(tree.next_trial().is_some()); // choice 2
-        tree.record("v", 11.0);
+        assert!(tree.advance()); // choice 0
+        tree.poison_all();
+        assert!(tree.advance()); // choice 1
+        tree.record_at(0, 9.0);
+        assert!(tree.advance()); // choice 2
+        tree.record_at(0, 11.0);
         assert_eq!(tree.best_assignment()["v"], 1, "poisoned choice must lose to any finite");
     }
 
@@ -700,57 +660,6 @@ mod tests {
         let n = rng.gen_range_usize(1, 2);
         let children = (0..n).map(|_| random_tree(rng, depth - 1, next_id)).collect();
         UpdateNode::group(mode, children)
-    }
-
-    /// The reference lookup the slot index replaces: the first variable
-    /// named `id` in depth-first order, found by comparing names.
-    fn scan_var_mut<'a>(node: &'a mut UpdateNode, id: &str) -> Option<&'a mut AdaptiveVar> {
-        match node {
-            UpdateNode::Var(v) => (v.id == id).then_some(v),
-            UpdateNode::Group { children, .. } => {
-                children.iter_mut().find_map(|c| scan_var_mut(c, id))
-            }
-        }
-    }
-
-    #[test]
-    fn driving_by_slot_matches_driving_by_id() {
-        let mut rng = astra_util::Rng64::new(0x5107);
-        for case in 0..200 {
-            let mut next_id = 0;
-            let root = random_tree(&mut rng, 3, &mut next_id);
-            let mut by_id = UpdateTree::new(root.clone());
-            let mut by_slot = UpdateTree::new(root);
-            let mut trials = 0;
-            loop {
-                let a = by_id.next_trial();
-                assert_eq!(a, by_slot.next_trial(), "case {case}: trial sequences diverged");
-                let Some(asg) = a else { break };
-                trials += 1;
-                assert!(trials < 10_000, "runaway exploration");
-                for id in asg.keys() {
-                    let slot = by_slot.slot(id).expect("every assigned variable has a slot");
-                    match rng.gen_range_u32(0, 5) {
-                        0 => {
-                            scan_var_mut(&mut by_id.root, id).unwrap().record(f64::INFINITY);
-                            by_slot.poison_at(slot);
-                        }
-                        1 => {} // unmeasured this trial
-                        _ => {
-                            let m = rng.gen_range_f64(0.0, 10.0);
-                            scan_var_mut(&mut by_id.root, id).unwrap().record(m);
-                            by_slot.record_at(slot, m);
-                        }
-                    }
-                }
-            }
-            for id in by_id.assignment().keys() {
-                let best = scan_var_mut(&mut by_id.root, id).unwrap().best();
-                assert_eq!(best, by_slot.best_of(id), "case {case}: {id}");
-            }
-            assert_eq!(by_id.best_assignment(), by_slot.best_assignment(), "case {case}");
-            assert_eq!(by_id.trials(), by_slot.trials());
-        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use astra_predict::{FeatureVec, PredEntry};
 use astra_store::{StoreOptions, VerdictKind};
 
 use crate::error::AstraError;
-use crate::parallel::{effective_workers, WorkerPool};
+use crate::parallel::{effective_workers, parallel_map};
 use crate::persist::{DriverStore, WarmState};
 use crate::plan::{
     build_units_fragmented, emit_schedule, emit_with_streams, DevicePlacement, ExecConfig,
@@ -174,7 +174,6 @@ fn fold_best(
 /// The simulation substrate a trial runs on: the device (or the full node
 /// topology when placement search is active), the clock mode, and the
 /// fault plan.
-#[derive(Clone, Copy)]
 struct SimTarget<'a> {
     dev: &'a DeviceSpec,
     topo: Option<&'a Topology>,
@@ -455,8 +454,8 @@ pub struct Report {
     /// off.
     pub store_corrupt_records: u64,
     /// Records appended to the store's journal during this `optimize`
-    /// call (samples, verdicts, quarantine marks, memos, predictor
-    /// snapshots). Zero with the store off.
+    /// call (admission verdicts, quarantine marks and full-run memos).
+    /// Zero with the store off.
     pub store_journal_appends: u64,
     /// Snapshot compactions performed during this `optimize` call. Zero
     /// with the store off.
@@ -496,11 +495,6 @@ pub struct Astra<'g> {
     /// count, so the salt each candidate draws — and therefore every
     /// injected fault — is worker-count invariant.
     fault_seq: u64,
-    /// Persistent worker pool for batch evaluation, created lazily on the
-    /// first batch with more than one memo miss when `workers > 1` and
-    /// reused for the optimizer's whole lifetime (no per-batch thread
-    /// spawns).
-    pool: Option<WorkerPool>,
     /// The learned cost predictor: model, pruning policy, epsilon RNG, and
     /// cumulative counters. Persists across `optimize` calls like the
     /// profile index, so steady-state re-exploration prunes from the first
@@ -581,7 +575,6 @@ impl<'g> Astra<'g> {
             admit_cache: HashMap::new(),
             stats: ExploreStats::default(),
             fault_seq: 0,
-            pool: None,
             pruner,
             store: None,
             store_error: None,
@@ -738,12 +731,12 @@ impl<'g> Astra<'g> {
     /// Every trial probes the memo table on the driver thread, in
     /// candidate order, before anything in the batch runs: a hit replays
     /// its memo right there, a miss becomes one simulation job that
-    /// captures its final boundary. The misses fan out over the persistent
-    /// worker pool, and their memos are absorbed and journaled in
-    /// candidate order once all of them finish. No trial can therefore see
-    /// a memo captured inside its own batch, and every counter is a pure
-    /// function of batch content: bit-identical at any worker count, and
-    /// zero with the cache off. A failed simulation fails the batch with
+    /// captures its final boundary. The misses fan out over
+    /// [`parallel_map`]'s scoped threads, and their memos are absorbed and
+    /// journaled in candidate order once all of them finish. No trial can
+    /// therefore see a memo captured inside its own batch, and every
+    /// counter is a pure function of batch content: bit-identical at any
+    /// worker count, and zero with the cache off. A failed simulation fails the batch with
     /// the first error in candidate order, once every memo is absorbed.
     fn run_batch(&mut self, prepared: Vec<Option<Prepared>>) -> Result<Vec<TrialOut>, AstraError> {
         let sim = self.sim_target();
@@ -768,32 +761,10 @@ impl<'g> Astra<'g> {
             }
         }
 
-        type Miss = (usize, Prepared, Result<(RunResult, Vec<EngineCheckpoint>), GpuError>);
-        let workers = self.workers();
-        let runs: Vec<Miss> = if workers > 1 && misses.len() > 1 {
-            let mut jobs: Vec<Box<dyn FnOnce() -> Miss + Send>> = Vec::with_capacity(misses.len());
-            for (i, p, caps) in misses {
-                let dev = self.dev.clone();
-                let topo = self.topo.cloned();
-                let (clock, faults) = (sim.clock, sim.faults);
-                jobs.push(Box::new(move || {
-                    let sim = SimTarget { dev: &dev, topo: topo.as_ref(), clock, faults };
-                    let res = sim.run(&p.sched, p.salt, None, &caps);
-                    (i, p, res)
-                }));
-            }
-            self.pool.get_or_insert_with(|| WorkerPool::new(workers)).run(jobs)
-        } else {
-            misses
-                .into_iter()
-                .map(|(i, p, caps)| {
-                    let res = sim.run(&p.sched, p.salt, None, &caps);
-                    (i, p, res)
-                })
-                .collect()
-        };
-
-        for (i, p, res) in runs {
+        let runs = parallel_map(self.workers(), &misses, |_, (_, p, caps)| {
+            sim.run(&p.sched, p.salt, None, caps)
+        });
+        for ((i, p, _), res) in misses.into_iter().zip(runs) {
             results[i] = match res {
                 Ok((r, captured)) => {
                     self.sim_absorb(p.salt, captured);

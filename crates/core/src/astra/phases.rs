@@ -200,8 +200,8 @@ impl Phase for FusionPhase {
     }
 
     /// Hits and misses are counted in candidate order, so the counters are
-    /// deterministic; the batch's missing geometries then build on the
-    /// worker pool.
+    /// deterministic; the batch's missing geometries then build through
+    /// [`parallel_map`].
     fn units(
         &self,
         astra: &mut Astra<'_>,
@@ -803,8 +803,8 @@ mod tests {
                 assert_eq!(space.vars.len(), probed);
                 assert!(space.vars.windows(2).all(|w| w[0].id < w[1].id), "vars in id order");
                 if let Some(mut tree) = space.tree {
-                    let asg = tree.next_trial().unwrap();
-                    assert!(asg.keys().eq(space.vars.iter().map(|v| &v.id)));
+                    assert!(tree.advance());
+                    assert!(tree.assignment().keys().eq(space.vars.iter().map(|v| &v.id)));
                     for var in &space.vars {
                         assert_eq!(tree.slot(&var.id), Some(var.slot));
                     }

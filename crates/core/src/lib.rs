@@ -74,7 +74,7 @@ pub use adaptive::{AdaptiveVar, ExploreMode, UpdateNode, UpdateTree};
 pub use astra::{Astra, AstraOptions, Dims, Report};
 pub use bucketing::{optimize_bucketed, BucketedReport};
 pub use error::AstraError;
-pub use parallel::{effective_workers, parallel_map, WorkerPool};
+pub use parallel::{effective_workers, parallel_map};
 pub use persist::compact_store;
 pub use plan::{
     bind_libs, build_allocation_plan, build_units, build_units_fragmented, candidate_features,

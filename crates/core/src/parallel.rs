@@ -1,28 +1,15 @@
-//! Worker pools for evaluating independent trial candidates.
+//! Scoped worker threads for independent units of work.
 //!
-//! The exploration driver batches upcoming trial configurations (see
-//! [`UpdateTree::lookahead`](crate::UpdateTree::lookahead)) and simulates
-//! them concurrently. Each unit of work is self-contained — its own
-//! [`Engine`](astra_gpu::Engine), its own schedule — so fanning it out
-//! changes wall-clock time only, never results: both pools return results
-//! in submission order, and the driver commits them to the update tree
-//! and profile index in candidate order.
-//!
-//! Two shapes of pool:
-//!
-//! * [`parallel_map`] — scoped threads, spawned per call. The closure may
-//!   borrow the caller's state, which is what plan building and the
-//!   static verifier need; the spawn/join round-trip per call is the
-//!   price.
-//! * [`WorkerPool`] — persistent threads, created once per driver and fed
-//!   owned (`'static`) jobs over a channel. The exploration loop runs
-//!   hundreds of small batches; respawning threads for each one is pure
-//!   overhead (it is why `workers=4` used to run at a fraction of
-//!   `workers=1` wall-clock on a loaded host), so batch evaluation goes
-//!   through this pool instead.
+//! [`parallel_map`] is the one fan-out helper in the optimizer: plan
+//! building and the exploration driver's memo misses both run through it.
+//! Its threads are scoped, so a closure may borrow the caller's state (the
+//! plan context, the device, the topology) and nothing is cloned or boxed
+//! per item. Each unit of work is self-contained, so fanning it out
+//! changes wall-clock time only, never results: results come back in item
+//! order, and the driver commits them to the update tree and profile
+//! index in candidate order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
 
 /// Resolves a requested worker count: `0` means one worker per available
 /// CPU core (falling back to 1 if the parallelism query fails), any other
@@ -35,8 +22,8 @@ pub fn effective_workers(requested: usize) -> usize {
     }
 }
 
-/// Applies `f` to every item on a pool of `workers` scoped threads and
-/// returns the results in item order.
+/// Applies `f` to every item on `workers` scoped threads and returns the
+/// results in item order.
 ///
 /// Work is distributed dynamically (an atomic next-item counter), so
 /// uneven per-item cost does not idle workers. With `workers <= 1` or
@@ -45,7 +32,8 @@ pub fn effective_workers(requested: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` to the caller.
+/// Propagates a panic from `f` to the caller with its original payload,
+/// once every other worker has run out of items.
 pub fn parallel_map<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -75,101 +63,13 @@ where
             }));
         }
         for h in handles {
-            for (i, r) in h.join().expect("worker panicked") {
+            let mine = h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (i, r) in mine {
                 slots[i] = Some(r);
             }
         }
     });
     slots.into_iter().map(|r| r.expect("every item computed")).collect()
-}
-
-/// A queued unit of work for a [`WorkerPool`] thread.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A persistent pool of worker threads fed owned jobs over a channel.
-///
-/// Workers block on a shared receiver and run jobs to completion; a job
-/// that panics is contained (the worker survives and the panic surfaces
-/// to the next [`WorkerPool::run`] caller). Dropping the pool closes the
-/// queue and joins every worker.
-#[derive(Debug)]
-pub struct WorkerPool {
-    queue: Option<mpsc::Sender<Job>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawns `workers` (at least one) threads that live until the pool
-    /// is dropped.
-    pub fn new(workers: usize) -> Self {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || loop {
-                    // Holding the lock across `recv` is fine: exactly one
-                    // idle worker waits on the channel, the rest wait on
-                    // the lock — either way the next job wakes one thread.
-                    let job = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-                    match job {
-                        // Contain panics so a poisoned job cannot strand
-                        // the jobs still queued behind it.
-                        Ok(job) => {
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                        }
-                        Err(_) => break, // pool dropped: queue closed
-                    }
-                })
-            })
-            .collect();
-        WorkerPool { queue: Some(tx), handles }
-    }
-
-    /// Threads in the pool.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Runs every job on the pool and returns the results in submission
-    /// order (completion order is up to the scheduler).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job panicked on a worker (its result never arrives).
-    pub fn run<R: Send + 'static>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() -> R + Send + 'static>>,
-    ) -> Vec<R> {
-        let n = jobs.len();
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
-        let queue = self.queue.as_ref().expect("queue lives until drop");
-        for (i, job) in jobs.into_iter().enumerate() {
-            let tx = tx.clone();
-            queue
-                .send(Box::new(move || {
-                    let _ = tx.send((i, job()));
-                }))
-                .expect("workers outlive the pool");
-        }
-        drop(tx);
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        for _ in 0..n {
-            let (i, r) = rx.recv().expect("a worker job panicked");
-            slots[i] = Some(r);
-        }
-        slots.into_iter().map(|r| r.expect("every job reports once")).collect()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        drop(self.queue.take());
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -212,46 +112,14 @@ mod tests {
     }
 
     #[test]
-    fn pool_returns_results_in_submission_order() {
-        let pool = WorkerPool::new(4);
-        for round in 0..3u64 {
-            // Reusing the pool across rounds is the whole point: no new
-            // threads between batches.
-            let jobs: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..23u64)
-                .map(|i| Box::new(move || i * 2 + round) as Box<dyn FnOnce() -> u64 + Send>)
-                .collect();
-            let out = pool.run(jobs);
-            assert_eq!(out, (0..23u64).map(|i| i * 2 + round).collect::<Vec<_>>());
-        }
-        assert_eq!(pool.workers(), 4);
-    }
-
-    #[test]
-    fn pool_handles_empty_and_single_job_batches() {
-        let pool = WorkerPool::new(2);
-        assert!(pool.run(Vec::<Box<dyn FnOnce() -> u8 + Send>>::new()).is_empty());
-        let one: Vec<Box<dyn FnOnce() -> u8 + Send>> = vec![Box::new(|| 9)];
-        assert_eq!(pool.run(one), vec![9]);
-    }
-
-    #[test]
-    fn pool_drop_joins_workers() {
-        let pool = WorkerPool::new(3);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            (0..10usize).map(|i| Box::new(move || i) as Box<dyn FnOnce() -> usize + Send>).collect();
-        let _ = pool.run(jobs);
-        drop(pool); // must not hang
-    }
-
-    #[test]
-    #[should_panic(expected = "a worker job panicked")]
-    fn pool_propagates_job_panics() {
-        let pool = WorkerPool::new(2);
-        let jobs: Vec<Box<dyn FnOnce() -> u8 + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("boom")),
-            Box::new(|| 2),
-        ];
-        let _ = pool.run(jobs);
+    #[should_panic(expected = "boom at 11")]
+    fn job_panics_reach_the_caller() {
+        let items: Vec<usize> = (0..24).collect();
+        let _ = parallel_map(4, &items, |_, &x| {
+            if x == 11 {
+                panic!("boom at {x}");
+            }
+            x
+        });
     }
 }

@@ -30,7 +30,6 @@
 //!   launch/allocation failures, stragglers) surfaced via
 //!   [`FaultSummary`] on every [`RunResult`].
 //! * [`AllocationPlan`] — arena placement + contiguity queries for fusion.
-//! * [`ProfilePlan`] — region profiling harvested from a run.
 //! * [`trace_json`] — Chrome-tracing export of a run's kernel spans.
 //!
 //! ## Example
@@ -58,7 +57,6 @@ mod fault;
 mod gemm;
 mod kernel;
 mod memory;
-mod profiler;
 mod schedule;
 mod topology;
 mod tracing;
@@ -76,7 +74,6 @@ pub use fault::{
 pub use gemm::{best_library, time_gemm, GemmLibrary, GemmShape, GemmTiming};
 pub use kernel::{KernelCost, KernelDesc};
 pub use memory::{AllocationPlan, BufId, Placement};
-pub use profiler::ProfilePlan;
 pub use topology::{LinkDesc, Topology};
 pub use tracing::trace_json;
 pub use schedule::{Cmd, EventId, Schedule, StreamId, Waits};

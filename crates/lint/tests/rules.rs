@@ -16,9 +16,9 @@ fn small_device(mem_bytes: u64) -> Topology {
     Topology::single(d)
 }
 
-/// Lints at one and four workers, asserts the rendered and JSON reports
-/// are bit-identical and that the memory scan alone gives the same error
-/// count and peaks, and returns the single-worker report.
+/// Lints at one worker and at 0 and 4, asserts the rendered and JSON
+/// reports are bit-identical and that the memory scan alone gives the same
+/// error count and peaks, and returns the single-worker report.
 fn lint_invariant(
     sched: &Schedule,
     topo: &Topology,
@@ -26,9 +26,11 @@ fn lint_invariant(
     buf_bytes: Option<&dyn Fn(BufId) -> u64>,
 ) -> LintReport {
     let one = lint(sched, topo, access, buf_bytes, &LintOptions { workers: 1 });
-    let four = lint(sched, topo, access, buf_bytes, &LintOptions { workers: 4 });
-    assert_eq!(one.render(), four.render(), "report must not depend on worker count");
-    assert_eq!(one.to_json(), four.to_json(), "JSON must not depend on worker count");
+    for workers in [0, 4] {
+        let other = lint(sched, topo, access, buf_bytes, &LintOptions { workers });
+        assert_eq!(one.render(), other.render(), "report depends on workers = {workers}");
+        assert_eq!(one.to_json(), other.to_json(), "JSON depends on workers = {workers}");
+    }
     let mem = lint_memory(sched, topo, access, buf_bytes);
     assert_eq!(mem.errors(), one.errors(), "the memory scan alone decides the verdict");
     assert_eq!(mem.peak_bytes, one.peak_bytes);

@@ -250,11 +250,11 @@ mod tests {
             );
         }
         let r1 = verify(&s, Some(&t), None, &VerifyOptions { workers: 1 });
-        let r4 = verify(&s, Some(&t), None, &VerifyOptions { workers: 4 });
-        let r9 = verify(&s, Some(&t), None, &VerifyOptions { workers: 9 });
-        assert_eq!(r1.render(), r4.render());
-        assert_eq!(r1.render(), r9.render());
-        assert_eq!(r1.to_json(), r4.to_json());
+        for workers in [0, 4, 9] {
+            let r = verify(&s, Some(&t), None, &VerifyOptions { workers });
+            assert_eq!(r1.render(), r.render(), "workers = {workers}");
+            assert_eq!(r1.to_json(), r.to_json(), "workers = {workers}");
+        }
         assert!(!r1.diagnostics.is_empty(), "fixture should actually find hazards");
     }
 
