@@ -16,15 +16,18 @@
 //! Each schedule reduces to one line:
 //!
 //! ```text
-//! <model>/<config>/<plan> cmds=<count> fnv=<fnv>
+//! <model>/<config>/<plan> cmds=<count> hash=<fnv> fnv=<fnv>
 //! ```
 //!
-//! `fnv` is FNV-1a of the prefix hash, `boundaries()`, `num_events`,
-//! `num_launches`, `stream_cmd_counts`, every command's tag, `render()`,
-//! and the engine's `total_ns` and event-time bits. A plan that does not
-//! build reads `err=<fnv(message)>`. The schedule representation is
-//! rewritten for speed from time to time; a rewrite must leave the fixture
-//! byte-identical. A deliberate change regenerates it with
+//! `hash` is FNV-1a of the prefix hash and every boundary's hash: the
+//! memo-key half, which moves only when the prefix-hash fold is
+//! redefined. `fnv` is FNV-1a of everything else emission decides: the
+//! boundary positions, `num_events`, `num_launches`, `stream_cmd_counts`,
+//! every command's tag, `render()`, and the engine's `total_ns` and
+//! event-time bits. A plan that does not build reads `err=<fnv(message)>`.
+//! The schedule representation is rewritten for speed from time to time;
+//! a rewrite must leave the fixture byte-identical, and a fold change may
+//! move only `hash` columns. A deliberate change regenerates it with
 //!
 //! ```text
 //! ASTRA_REGEN_GOLDEN=1 cargo test --test schedule_digests
@@ -64,11 +67,16 @@ fn configs(model: Model) -> Vec<(&'static str, ModelConfig)> {
 }
 
 /// Everything a schedule exposes that emission decides, then one engine
-/// run's makespan and event times, reduced to one line.
+/// run's makespan and event times, reduced to one line: the hashes in one
+/// column, the rest in the other.
 fn schedule_line(label: &str, sched: &Schedule, topo: &Topology) -> String {
+    let mut hashes = format!("hash={:016x}\n", sched.prefix_hash());
+    for &(_, h) in sched.boundaries() {
+        let _ = writeln!(hashes, "{h:016x}");
+    }
     let mut text = String::new();
-    let _ = writeln!(text, "hash={:016x}", sched.prefix_hash());
-    let _ = writeln!(text, "boundaries={:?}", sched.boundaries());
+    let positions: Vec<usize> = sched.boundaries().iter().map(|&(i, _)| i).collect();
+    let _ = writeln!(text, "boundaries={positions:?}");
     let _ = writeln!(text, "events={} launches={}", sched.num_events(), sched.num_launches());
     let _ = writeln!(text, "stream_cmds={:?}", sched.stream_cmd_counts());
     let tags: Vec<Option<u32>> = (0..sched.cmds().len()).map(|i| sched.tags()[i]).collect();
@@ -81,7 +89,12 @@ fn schedule_line(label: &str, sched: &Schedule, topo: &Topology) -> String {
     for (e, t) in run.event_ns.iter() {
         let _ = writeln!(text, "e{}={:016x}", e.0, t.to_bits());
     }
-    format!("{label} cmds={} fnv={:016x}", sched.cmds().len(), fnv1a64(text.as_bytes()))
+    format!(
+        "{label} cmds={} hash={:016x} fnv={:016x}",
+        sched.cmds().len(),
+        fnv1a64(hashes.as_bytes()),
+        fnv1a64(text.as_bytes())
+    )
 }
 
 fn err_line(label: &str, e: &impl std::fmt::Display) -> String {
