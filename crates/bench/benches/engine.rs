@@ -9,6 +9,7 @@ use std::hint::black_box;
 use astra_core::enumerate::{epoch_choices, partition_units, write_streams};
 use astra_core::{
     build_units, emit_schedule, emit_with_streams, ExecConfig, PlanContext, ProbeSpec, Unit,
+    WiringTemplate,
 };
 use astra_exec::{lower, native_schedule};
 use astra_gpu::{DeviceSpec, Engine};
@@ -86,5 +87,18 @@ fn emit_milstm_stream_trial() {
     let probes = ProbeSpec::epochs(epochs);
     report("emit_milstm_stream_trial", 10, 400, || {
         drop(black_box(emit_with_streams(STREAMS, &units, &streams, Some(&partition), &probes)));
+    });
+    // The same trial split the way the optimizer runs it: the geometry's
+    // wiring template once, then per trial a key pass (every memo probe)
+    // and, on a miss, the materialized schedule.
+    report("wiring_template_milstm_stream", 10, 400, || {
+        black_box(WiringTemplate::new(&units, Some(&partition), &probes));
+    });
+    let template = WiringTemplate::new(&units, Some(&partition), &probes);
+    report("key_milstm_stream_trial", 10, 400, || {
+        black_box(template.key(&units, STREAMS, &streams));
+    });
+    report("materialize_milstm_stream_trial", 10, 400, || {
+        drop(black_box(template.emit(&units, STREAMS, &streams)));
     });
 }

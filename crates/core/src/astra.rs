@@ -41,8 +41,8 @@ use crate::error::AstraError;
 use crate::parallel::{effective_workers, parallel_map};
 use crate::persist::{DriverStore, WarmState};
 use crate::plan::{
-    build_units_fragmented, emit_schedule, emit_with_streams, DevicePlacement, ExecConfig,
-    PlanCache, PlanContext, PlanKey, ProbeSpec, Probes, Unit,
+    build_units_fragmented, emit_schedule, unit_streams, DevicePlacement, ExecConfig, PlanCache,
+    PlanContext, PlanKey, ProbeSpec, Probes, Unit, WiringTemplate,
 };
 use crate::predictor::Pruner;
 use crate::profile::{ProfileIndex, ProfileKey};
@@ -102,14 +102,116 @@ struct ExploreStats {
     lint_rejects: u64,
 }
 
-/// One prepared candidate simulation: the emitted schedule, its probes,
-/// and the fault salt it runs under. Prepared sequentially in candidate
-/// order; the batch runner ([`Astra::run_batch`]) probes the memo table
-/// for it.
+/// One prepared candidate simulation: its wiring and the fault salt it
+/// runs under. Prepared sequentially in candidate order; the batch runner
+/// ([`Astra::run_batch`]) probes the memo table for it.
 struct Prepared {
-    sched: Schedule,
-    probes: Probes,
+    wiring: Wiring,
     salt: u64,
+}
+
+/// How a candidate is wired. A single-device candidate starts as a recipe
+/// over its geometry's [`WiringTemplate`] and is built into a schedule
+/// only when something needs the schedule: a memo miss, or an admission
+/// check that neither the verdict cache nor the store answers. A
+/// multi-device placement is emitted up front.
+enum Wiring {
+    /// Unit `i` of `units` on stream `streams[i]` of `num_streams`.
+    Recipe {
+        units: Arc<[Unit]>,
+        template: Rc<WiringTemplate>,
+        num_streams: usize,
+        streams: Rc<[usize]>,
+    },
+    /// The emitted schedule and its probes.
+    Built(Box<Schedule>, Probes),
+}
+
+/// A candidate's memo key: its final prefix hash, its command and
+/// wait-list counts (the wait count only sizes a recipe's schedule, and
+/// reads 0 for a built one), and its probes.
+struct TrialKey {
+    hash: u64,
+    cmds: usize,
+    waits: usize,
+    probes: Probes,
+}
+
+impl Wiring {
+    /// The candidate's memo key. A recipe folds it without building the
+    /// schedule.
+    fn key(&self) -> TrialKey {
+        match self {
+            Wiring::Recipe { units, template, num_streams, streams } => {
+                let (key, probes) = template.key(units, *num_streams, streams);
+                let (hash, cmds, waits) = (key.prefix_hash(), key.num_cmds(), key.num_waits());
+                TrialKey { hash, cmds, waits, probes }
+            }
+            Wiring::Built(sched, probes) => TrialKey {
+                hash: sched.prefix_hash(),
+                cmds: sched.cmds().len(),
+                waits: 0,
+                probes: probes.clone(),
+            },
+        }
+    }
+
+    /// The schedule and its probes, built if not yet.
+    fn into_built(mut self) -> (Schedule, Probes) {
+        self.schedule();
+        match self {
+            Wiring::Built(sched, probes) => (*sched, probes),
+            Wiring::Recipe { .. } => unreachable!("built above"),
+        }
+    }
+
+    /// The schedule, built on first use.
+    fn schedule(&mut self) -> &Schedule {
+        if let Wiring::Recipe { units, template, num_streams, streams } = self {
+            let (sched, probes) = template.emit(units, *num_streams, streams);
+            *self = Wiring::Built(Box::new(sched), probes);
+        }
+        match self {
+            Wiring::Built(sched, _) => sched,
+            Wiring::Recipe { .. } => unreachable!("built above"),
+        }
+    }
+
+    /// The schedule, built to the exact size `key` folded.
+    fn into_schedule(self, key: &TrialKey) -> Schedule {
+        match self {
+            Wiring::Recipe { units, template, num_streams, streams } => {
+                template.emit_sized(&units, num_streams, &streams, key.cmds, key.waits).0
+            }
+            Wiring::Built(sched, _) => *sched,
+        }
+    }
+}
+
+/// The wiring templates of one phase, one per unit allocation its
+/// candidates share, found by the allocation's identity. Each entry holds
+/// its allocation, so that identity cannot be reused while the entry
+/// lives.
+#[derive(Default)]
+struct Templates(Vec<(Arc<[Unit]>, Rc<WiringTemplate>)>);
+
+impl Templates {
+    /// The template of `units` under `phase`'s partition and probes.
+    fn get<P: Phase>(&mut self, phase: &P, units: &Arc<[Unit]>) -> Rc<WiringTemplate> {
+        if let Some((_, t)) = self.0.iter().find(|(u, _)| Arc::ptr_eq(u, units)) {
+            return Rc::clone(t);
+        }
+        let t = Rc::new(WiringTemplate::new(units, phase.partition(), phase.probe_spec()));
+        self.0.push((Arc::clone(units), Rc::clone(&t)));
+        t
+    }
+
+    /// Keeps only the templates of allocations in `batch`: the stream
+    /// phase's one geometry is wired from one template, while a phase
+    /// whose geometry changes every batch holds one batch's worth.
+    fn retain_for(&mut self, batch: &[Option<Arc<[Unit]>>]) {
+        self.0.retain(|(u, _)| batch.iter().flatten().any(|b| Arc::ptr_eq(u, b)));
+    }
 }
 
 /// A batch trial's outcome: the simulated run plus the probes that decode
@@ -190,18 +292,17 @@ impl<'a> SimTarget<'a> {
         }
     }
 
-    /// Simulates `sched` span-free under fault salt `salt`, resuming from
-    /// `resume` and capturing checkpoints at `caps`. Every trial that goes
-    /// through the memo table comes through here: the driver reads only
+    /// Simulates `sched` span-free and cold under fault salt `salt`,
+    /// capturing checkpoints at `caps`. Every trial that goes through the
+    /// memo table and misses comes through here: the driver reads only
     /// event times, totals and fault counts.
     fn run(
         &self,
         sched: &Schedule,
         salt: u64,
-        resume: Option<&EngineCheckpoint>,
         caps: &[usize],
     ) -> Result<(RunResult, Vec<EngineCheckpoint>), GpuError> {
-        self.engine(salt).without_spans().run_incremental(sched, resume, caps)
+        self.engine(salt).without_spans().run_incremental(sched, None, caps)
     }
 }
 
@@ -681,21 +782,6 @@ impl<'g> Astra<'g> {
         }
     }
 
-    /// Probes the memo table for `sched`'s finished run: the memo on a
-    /// hit, the final-boundary capture on a miss. Boundary-free schedules
-    /// and a disabled cache bypass entirely, counting nothing.
-    fn sim_probe(
-        &mut self,
-        sched: &Schedule,
-        salt: u64,
-    ) -> (Option<Arc<EngineCheckpoint>>, Vec<usize>) {
-        if !self.opts.sim_cache {
-            return (None, Vec::new());
-        }
-        let ctx = self.key_ctx();
-        self.sim_cache.probe_and_plan_ctx(sched, &ctx, salt)
-    }
-
     /// Commits the memo one run captured. Called in candidate order (the
     /// parallel stage only computes; all cache mutation is here).
     fn sim_absorb(&mut self, salt: u64, captured: Vec<EngineCheckpoint>) {
@@ -729,46 +815,56 @@ impl<'g> Astra<'g> {
     /// candidate order.
     ///
     /// Every trial probes the memo table on the driver thread, in
-    /// candidate order, before anything in the batch runs: a hit replays
-    /// its memo right there, a miss becomes one simulation job that
+    /// candidate order, before anything in the batch runs. The probe
+    /// folds the trial's memo key without building its schedule (see
+    /// [`Wiring::key`]): a hit replays the memo's result right there, and
+    /// only a miss builds the schedule, as one simulation job that
     /// captures its final boundary. The misses fan out over
     /// [`parallel_map`]'s scoped threads, and their memos are absorbed and
     /// journaled in candidate order once all of them finish. No trial can
     /// therefore see a memo captured inside its own batch, and every
     /// counter is a pure function of batch content: bit-identical at any
-    /// worker count, and zero with the cache off. A failed simulation fails the batch with
-    /// the first error in candidate order, once every memo is absorbed.
+    /// worker count, and zero with the cache off (every trial is then
+    /// built and simulated). A failed simulation fails the batch with the
+    /// first error in candidate order, once every memo is absorbed.
     fn run_batch(&mut self, prepared: Vec<Option<Prepared>>) -> Result<Vec<TrialOut>, AstraError> {
         let sim = self.sim_target();
+        let ctx = self.key_ctx();
         let mut results: Vec<Result<TrialOut, AstraError>> = Vec::with_capacity(prepared.len());
+        // (candidate, schedule, probes, salt, capture index)
         let mut misses = Vec::new();
         for (i, p) in prepared.into_iter().enumerate() {
-            let Some(p) = p else {
+            let Some(Prepared { wiring, salt }) = p else {
                 results.push(Ok(None));
                 continue;
             };
-            let (resume, caps) = self.sim_probe(&p.sched, p.salt);
-            match resume {
+            if !self.opts.sim_cache {
+                let (sched, probes) = wiring.into_built();
+                results.push(Ok(None));
+                misses.push((i, sched, probes, salt, Vec::new()));
+                continue;
+            }
+            let key = wiring.key();
+            match self.sim_cache.probe_key(&ctx, key.hash, key.cmds, salt) {
                 Some(ck) => results.push(
-                    sim.run(&p.sched, p.salt, Some(&ck), &[])
-                        .map(|(r, _)| Some((r, p.probes)))
-                        .map_err(Into::into),
+                    ck.finished_result(key.cmds).map(|r| Some((r, key.probes))).map_err(Into::into),
                 ),
                 None => {
                     results.push(Ok(None));
-                    misses.push((i, p, caps));
+                    let sched = wiring.into_schedule(&key);
+                    misses.push((i, sched, key.probes, salt, vec![key.cmds]));
                 }
             }
         }
 
-        let runs = parallel_map(self.workers(), &misses, |_, (_, p, caps)| {
-            sim.run(&p.sched, p.salt, None, caps)
+        let runs = parallel_map(self.workers(), &misses, |_, (_, sched, _, salt, caps)| {
+            sim.run(sched, *salt, caps)
         });
-        for ((i, p, _), res) in misses.into_iter().zip(runs) {
+        for ((i, _, probes, salt, _), res) in misses.into_iter().zip(runs) {
             results[i] = match res {
                 Ok((r, captured)) => {
-                    self.sim_absorb(p.salt, captured);
-                    Ok(Some((r, p.probes)))
+                    self.sim_absorb(salt, captured);
+                    Ok(Some((r, probes)))
                 }
                 Err(e) => Err(e.into()),
             };
@@ -894,7 +990,7 @@ impl<'g> Astra<'g> {
     /// (replicas, transfers, collectives) without changing the geometry.
     /// A switched-off check ([`AstraOptions::verify`],
     /// [`AstraOptions::lint`]) always passes, for free.
-    fn admit_candidate(&mut self, cfg: &ExecConfig, units: &[Unit], sched: &Schedule) -> bool {
+    fn admit_candidate(&mut self, cfg: &ExecConfig, units: &[Unit], wiring: &mut Wiring) -> bool {
         if !self.opts.verify && !self.opts.lint {
             return true;
         }
@@ -908,6 +1004,7 @@ impl<'g> Astra<'g> {
         let admit = (!self.opts.verify
             || self.verdict(VerdictKind::Verify, fp, |astra| {
                 let workers = astra.workers();
+                let sched = wiring.schedule();
                 let report = footprint
                     .get_or_insert_with(|| PlanFootprint::new(&astra.ctx, cfg, units, sched))
                     .verify(sched, workers);
@@ -919,6 +1016,7 @@ impl<'g> Astra<'g> {
             && (!self.opts.lint
                 || self.verdict(VerdictKind::Lint, fp, |astra| {
                     let topo = astra.lint_topology();
+                    let sched = wiring.schedule();
                     let clean = footprint
                         .get_or_insert_with(|| PlanFootprint::new(&astra.ctx, cfg, units, sched))
                         .lint_admits(sched, &topo);
@@ -1066,12 +1164,14 @@ impl<'g> Astra<'g> {
             let units = self.plan_cache.units_for(&self.ctx, &cfg)?;
             let playoff_partition =
                 if cfg.placement.is_single() { partition.as_ref() } else { None };
-            let (sched, _) =
+            let (sched, probes) =
                 emit_schedule(&self.ctx, &cfg, &units, playoff_partition, &ProbeSpec::none());
-            if !self.admit_candidate(&cfg, &units, &sched) {
+            let mut wiring = Wiring::Built(Box::new(sched), probes);
+            if !self.admit_candidate(&cfg, &units, &mut wiring) {
                 self.stats.quarantined += 1;
                 continue;
             }
+            let (sched, _) = wiring.into_built();
             let salt = self.fault_seq;
             self.fault_seq += 1;
             // The playoff's spans feed `device_utilization`: it is the one
@@ -1169,35 +1269,42 @@ impl<'g> Astra<'g> {
         })
     }
 
-    /// Emits candidate `c` for the attempt salted `salt`: on a fragmented
+    /// Wires candidate `c` for the attempt salted `salt`: on a fragmented
     /// build of its geometry when the salt draws a transient allocation
     /// failure (built outside the plan cache, so the clean geometry stays
     /// cached), else on its `clean` units. A fragmented build has the clean
     /// build's unit set, ids, dependencies and order — so partitions, probe
     /// specs and the trial's stream vector `streams` (see
     /// [`Phase::prepare`]) stay valid — and fails only where the clean
-    /// build does. Without a vector, `c.streams` places the units.
-    fn emit_attempt<P: Phase>(
+    /// build does. Without a vector, `c.streams` places the units. A
+    /// single-device candidate becomes a recipe over its geometry's
+    /// template from `templates`; a multi-device placement is emitted.
+    fn wire_attempt<P: Phase>(
         &self,
         phase: &P,
         c: &ExecConfig,
-        streams: Option<&[usize]>,
+        streams: Option<&Rc<[usize]>>,
         clean: &Arc<[Unit]>,
         salt: u64,
-    ) -> Option<(Arc<[Unit]>, Schedule, Probes)> {
+        templates: &mut Templates,
+    ) -> Option<(Arc<[Unit]>, Wiring)> {
         let units = match self.opts.faults.alloc_event(salt) {
             Some(word) => Arc::from(build_units_fragmented(&self.ctx, c, word).ok()?),
             None => Arc::clone(clean),
         };
-        let (partition, probe) = (phase.partition(), phase.probe_spec());
-        let (sched, probes) = match streams {
-            Some(streams) => {
-                debug_assert!(c.placement.is_single(), "stream vectors place one device");
-                emit_with_streams(c.num_streams, &units, streams, partition, probe)
-            }
-            None => emit_schedule(&self.ctx, c, &units, partition, probe),
+        if !c.placement.is_single() {
+            debug_assert!(streams.is_none(), "stream vectors place one device");
+            let (partition, probe) = (phase.partition(), phase.probe_spec());
+            let (sched, probes) = emit_schedule(&self.ctx, c, &units, partition, probe);
+            return Some((units, Wiring::Built(Box::new(sched), probes)));
+        }
+        let num_streams = c.num_streams.max(1);
+        let streams = match streams {
+            Some(v) => Rc::clone(v),
+            None => unit_streams(c, &units, num_streams).into(),
         };
-        Some((units, sched, probes))
+        let template = templates.get(phase, &units);
+        Some((Arc::clone(&units), Wiring::Recipe { units, template, num_streams, streams }))
     }
 
     /// Runs one exploration phase to completion — the custom wirer of
@@ -1208,8 +1315,9 @@ impl<'g> Astra<'g> {
     ///    per-unit stream vectors (see [`Phase::prepare`]), with one fault
     ///    salt per candidate assigned in candidate order before the batch
     ///    evaluates (so injected faults are worker-count invariant);
-    /// 2. prepared sequentially in candidate order: emitted (see
-    ///    [`Astra::emit_attempt`]) and admitted (see
+    /// 2. prepared sequentially in candidate order: wired (see
+    ///    [`Astra::wire_attempt`]; candidates sharing a unit allocation
+    ///    share one [`WiringTemplate`]) and admitted (see
     ///    [`Astra::admit_candidate`]) — fault-fragmented geometries skip
     ///    admission, since their placements differ from the clean plan a
     ///    cached verdict is keyed on;
@@ -1239,6 +1347,7 @@ impl<'g> Astra<'g> {
         let vars = phase.vars();
         // Committed per-variable measured minima, for the regret guard.
         let mut best_measured: BTreeMap<usize, f64> = BTreeMap::new();
+        let mut templates = Templates::default();
 
         loop {
             let batch = tree.lookahead(LOOKAHEAD_TRIALS);
@@ -1248,24 +1357,31 @@ impl<'g> Astra<'g> {
             // The tree picks one choice per slot; phases index by variable.
             let picks: Vec<Vec<usize>> =
                 batch.iter().map(|slots| vars.iter().map(|v| slots[v.slot]).collect()).collect();
-            let (cfgs, streams): (Vec<ExecConfig>, Vec<Option<Vec<usize>>>) =
-                picks.iter().map(|pick| phase.prepare(cfg, pick)).unzip();
+            let (cfgs, streams): (Vec<ExecConfig>, Vec<_>) = picks
+                .iter()
+                .map(|pick| {
+                    let (c, s) = phase.prepare(cfg, pick);
+                    (c, s.map(Rc::<[usize]>::from))
+                })
+                .unzip();
             let clean = phase.units(self, &cfgs)?;
 
             let salt0 = self.fault_seq;
             self.fault_seq += batch.len() as u64;
+            templates.retain_for(&clean);
             let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(cfgs.len());
             for (i, ((c, s), units)) in cfgs.iter().zip(&streams).zip(&clean).enumerate() {
                 let salt = salt0 + i as u64;
-                let emitted =
-                    units.as_ref().and_then(|u| self.emit_attempt(phase, c, s.as_deref(), u, salt));
-                prepared.push(emitted.and_then(|(units, sched, probes)| {
+                let wired = units
+                    .as_ref()
+                    .and_then(|u| self.wire_attempt(phase, c, s.as_ref(), u, salt, &mut templates));
+                prepared.push(wired.and_then(|(units, mut wiring)| {
                     let fragmented = self.opts.faults.alloc_event(salt).is_some();
-                    if !fragmented && !self.admit_candidate(c, &units, &sched) {
+                    if !fragmented && !self.admit_candidate(c, &units, &mut wiring) {
                         self.stats.quarantined += 1;
                         return None;
                     }
-                    Some(Prepared { sched, probes, salt })
+                    Some(Prepared { wiring, salt })
                 }));
             }
 
@@ -1337,13 +1453,13 @@ impl<'g> Astra<'g> {
                     self.stats.retries += 1;
                     let salt = FaultPlan::attempt_salt(salt, attempt);
                     let clean = clean[bi].as_ref().expect("measured candidates have units");
-                    let streams = streams[bi].as_deref();
-                    let Some((_, sched, p)) =
-                        self.emit_attempt(phase, &cfgs[bi], streams, clean, salt)
+                    let streams = streams[bi].as_ref();
+                    let Some((_, wiring)) =
+                        self.wire_attempt(phase, &cfgs[bi], streams, clean, salt, &mut templates)
                     else {
                         break false;
                     };
-                    let retry = self.run_batch(vec![Some(Prepared { sched, probes: p, salt })])?;
+                    let retry = self.run_batch(vec![Some(Prepared { wiring, salt })])?;
                     (run, probes) =
                         retry.into_iter().flatten().next().expect("a prepared trial runs");
                 };

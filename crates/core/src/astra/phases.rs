@@ -689,7 +689,7 @@ impl Phase for PlacementPhase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::astra::AstraOptions;
+    use crate::astra::{AstraOptions, Templates};
     use crate::plan::{emit_schedule, unit_streams};
     use astra_gpu::DeviceSpec;
     use astra_models::Model;
@@ -736,8 +736,22 @@ mod tests {
                     }
                     assert_eq!(materialized.streams, by_id, "{m}: materialized map");
                     assert_eq!(vector, unit_streams(&materialized, &phase.units, streams), "{m}");
-                    let (units, sched, probes) =
-                        astra.emit_attempt(&phase, &trial, Some(&vector), &phase.units, 0).unwrap();
+                    let vector: Rc<[usize]> = vector.into();
+                    let mut templates = Templates::default();
+                    let (units, wiring) = astra
+                        .wire_attempt(
+                            &phase,
+                            &trial,
+                            Some(&vector),
+                            &phase.units,
+                            0,
+                            &mut templates,
+                        )
+                        .unwrap();
+                    let key = wiring.key();
+                    let (sched, probes) = wiring.into_built();
+                    assert_eq!((key.hash, key.cmds), (sched.prefix_hash(), sched.cmds().len()));
+                    assert_eq!(key.probes, probes, "{m}: key-pass probes");
                     let (want, want_probes) = emit_schedule(
                         &astra.ctx,
                         &materialized,

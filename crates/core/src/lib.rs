@@ -81,7 +81,7 @@ pub use plan::{
     emit_schedule, emit_with_streams, epoch_features, flop_balanced_cuts, fusion_features,
     gradient_sync_bytes, kernel_features, placement_candidates, placement_features,
     DevicePlacement, ExecConfig, PlanCache, PlanContext, PlanKey, ProbeSpec, Probes, Unit, UnitId,
-    SYNTHETIC_BUF_BASE,
+    WiringTemplate, SYNTHETIC_BUF_BASE,
 };
 pub use profile::{ProfileIndex, ProfileKey, SampleStats};
 pub use recompute::{explore_recompute, peak_activation_bytes, RecomputePoint, RecomputeReport};

@@ -10,12 +10,13 @@
 //! and the profiling probes the custom wirer harvests.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use astra_exec::{fuse_elementwise_chains, lower, EwChain, Lowering};
 use astra_gpu::{
-    AllocationPlan, BufId, EventId, GemmLibrary, GemmShape, KernelDesc, Schedule, StreamId,
+    AllocationPlan, BufId, EventId, GemmLibrary, GemmShape, KernelDesc, Schedule, ScheduleKey,
+    StreamId,
 };
 use astra_ir::{Graph, NodeId, OpKind};
 use astra_predict::FeatureVec;
@@ -1052,7 +1053,8 @@ pub fn emit_schedule(
 ///
 /// When `partition` is `Some`, units are emitted super-epoch by super-epoch
 /// with device-wide barriers between super-epochs (§4.5.3); cross-stream
-/// dependencies synchronize through events.
+/// dependencies synchronize through events. A thin call into the wirer:
+/// [`WiringTemplate::new`], then [`WiringTemplate::emit`].
 ///
 /// # Panics
 ///
@@ -1064,151 +1066,432 @@ pub fn emit_with_streams(
     partition: Option<&Partition>,
     probe: &ProbeSpec,
 ) -> (Schedule, Probes) {
-    debug_assert_eq!(streams.len(), units.len(), "one stream per unit");
-    let num_streams = num_streams.max(1);
-    let mut probes = Probes::default();
+    WiringTemplate::new(units, partition, probe).emit(units, num_streams, streams)
+}
 
-    let stream_of: Vec<usize> =
-        streams[..units.len()].iter().map(|&s| s.min(num_streams - 1)).collect();
-    let cross = cross_stream_producers(units, &stream_of);
-    let needs_event = &cross.needs_event;
+/// Where the wirer ([`WiringTemplate::wire`]) puts a command: a
+/// [`Schedule`] stores it, a [`ScheduleKey`] only folds it into the memo
+/// key and numbers events. Both fold through the same command fold, so a
+/// key pass and a materialized schedule agree on the prefix hash, the
+/// command count and every event id.
+trait Sink {
+    /// A launch on `stream` after `waits` of the kernel `kernel` returns
+    /// (asked for only by a sink that stores it), whose digest is
+    /// `digest`, emitted for unit `unit`.
+    fn launch(
+        &mut self,
+        stream: StreamId,
+        kernel: impl FnOnce() -> KernelDesc,
+        digest: u64,
+        waits: &[EventId],
+        unit: usize,
+    );
+    /// A fresh event's record on `stream`.
+    fn record(&mut self, stream: StreamId) -> EventId;
+    /// A device-wide barrier.
+    fn barrier(&mut self);
+    /// A segment boundary at the current position (a key has none).
+    fn mark_boundary(&mut self) {}
+}
 
-    // Set regions report their block count; only set probes need it.
-    let mut blocks_per_set: HashMap<usize, usize> = HashMap::new();
-    if probe.sets {
-        for u in units {
-            if let (Some(si), UnitId::Block { .. }) = (u.set_idx, u.id) {
-                *blocks_per_set.entry(si).or_insert(0) += 1;
-            }
-        }
+impl Sink for Schedule {
+    /// Tags the launch with the unit index: the static verifier reads the
+    /// tags back to attach the unit's buffer footprint to the command (a
+    /// gather copy touches the same operands as its kernel).
+    fn launch(
+        &mut self,
+        stream: StreamId,
+        kernel: impl FnOnce() -> KernelDesc,
+        digest: u64,
+        waits: &[EventId],
+        unit: usize,
+    ) {
+        let c = self.launch_digested(stream, kernel(), digest, waits);
+        self.set_tag(c, unit as u32);
     }
-    // Size the schedule once: every launch and completion record, plus an
-    // upper bound on the probe records and barriers.
-    let mut probe_cmds = 2 * blocks_per_set.len();
-    if probe.shapes {
-        let shapes: HashSet<GemmShape> = units.iter().filter_map(|u| u.gemm_shape).collect();
-        probe_cmds += 2 * shapes.len();
+
+    fn record(&mut self, stream: StreamId) -> EventId {
+        Schedule::record(self, stream)
     }
-    // Whether each epoch of the partition is probed, in emission order.
-    let mut epoch_probed: Vec<bool> = Vec::new();
-    let mut epoch_end_cmds = 0;
-    if let Some(part) = partition {
-        for (sei, se) in part.super_epochs.iter().enumerate() {
-            probe_cmds += 2; // its barrier and its start record
-            for (ei, epoch) in se.epochs.iter().enumerate() {
-                let probed = probe.epochs.contains(&(sei, ei));
-                if probed {
-                    epoch_end_cmds += epoch.units.len().min(num_streams);
-                }
-                epoch_probed.push(probed);
-            }
-        }
+
+    fn barrier(&mut self) {
+        Schedule::barrier(self);
     }
-    probes.epoch_ends.reserve(epoch_end_cmds);
-    probe_cmds += epoch_end_cmds;
-    let cap_cmds = cross.launches + cross.records + probe_cmds + 1;
-    let mut sched = Schedule::with_capacity(num_streams, cap_cmds, cross.waits);
 
-    let mut done_event: Vec<Option<EventId>> = vec![None; units.len()];
-    let mut seen_sets: HashSet<usize> = HashSet::new();
-    let mut seen_shapes: HashSet<GemmShape> = HashSet::new();
-    let mut waits: Vec<EventId> = Vec::new();
+    fn mark_boundary(&mut self) {
+        Schedule::mark_boundary(self);
+    }
+}
 
-    let mut emit_unit = |sched: &mut Schedule, probes: &mut Probes, idx: usize, u: &Unit| {
-        let stream = StreamId(stream_of[idx]);
-        waits.clear();
-        waits.extend(
-            u.deps
-                .iter()
-                .filter_map(|&d| if stream_of[d] != stream.0 { done_event[d] } else { None }),
-        );
-        // Profiling probes: first block of each set, first GEMM per shape.
-        // The region opens before any gather copy so that chunk metrics
-        // charge the copies a denied allocation forces.
-        let probe_set = probe.sets
-            && matches!(u.id, UnitId::Block { .. })
-            && u.set_idx.is_some_and(|si| !seen_sets.contains(&si));
-        let probe_shape = probe.shapes && u.gemm_shape.is_some_and(|s| !seen_shapes.contains(&s));
-        let start_ev = if probe_set || probe_shape {
-            probes.probe_records += 1;
-            Some(sched.record(stream))
-        } else {
-            None
-        };
+impl Sink for ScheduleKey {
+    fn launch(
+        &mut self,
+        stream: StreamId,
+        _kernel: impl FnOnce() -> KernelDesc,
+        digest: u64,
+        waits: &[EventId],
+        _unit: usize,
+    ) {
+        ScheduleKey::launch(self, stream, digest, waits);
+    }
 
-        launch_unit(sched, stream, u.pre_copy_bytes, u.kernel, &waits, idx);
+    fn record(&mut self, stream: StreamId) -> EventId {
+        ScheduleKey::record(self, stream)
+    }
 
-        if needs_event[idx] {
-            done_event[idx] = Some(sched.record(stream));
-        }
-        if let Some(start) = start_ev {
-            let end = done_event[idx].unwrap_or_else(|| {
-                probes.probe_records += 1;
-                sched.record(stream)
-            });
-            done_event[idx] = Some(end);
-            if probe_set {
-                let si = u.set_idx.expect("probe_set implies set");
-                seen_sets.insert(si);
-                probes.set_regions.push((si, blocks_per_set[&si], start, end));
-            }
-            if probe_shape {
-                let shape = u.gemm_shape.expect("probe_shape implies gemm");
-                seen_shapes.insert(shape);
-                probes.shape_regions.push((shape, start, end));
-            }
-        }
-    };
+    fn barrier(&mut self) {
+        ScheduleKey::barrier(self);
+    }
+}
 
-    match partition {
-        None => {
-            for (i, u) in units.iter().enumerate() {
-                emit_unit(&mut sched, &mut probes, i, u);
-                sched.mark_boundary();
-            }
-        }
-        Some(part) => {
-            // Streams each epoch launched on, for its end-of-epoch probes.
-            let mut streams_used = vec![false; num_streams];
-            let mut probed = epoch_probed.iter();
-            for (sei, se) in part.super_epochs.iter().enumerate() {
-                if sei > 0 {
-                    sched.barrier();
-                }
-                let se_probed = probed.as_slice()[..se.epochs.len()].contains(&true);
-                if se_probed {
-                    let ev = sched.record(StreamId(0));
-                    probes.probe_records += 1;
-                    probes.se_starts.insert(sei, ev);
-                }
-                for (ei, epoch) in se.epochs.iter().enumerate() {
-                    streams_used.fill(false);
-                    for &ui in &epoch.units {
-                        streams_used[stream_of[ui]] = true;
-                        emit_unit(&mut sched, &mut probes, ui, &units[ui]);
-                        sched.mark_boundary();
+/// One step of a template's emission sequence.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Unit `i`: its probe region's start, gather copy, kernel, completion
+    /// record and probe region's end, then a boundary.
+    Unit(u32),
+    /// The barrier before every super-epoch but the first.
+    Barrier,
+    /// Super-epoch `sei`'s start record, when one of its epochs is probed.
+    SuperEpochStart(u32),
+    /// A probed epoch begins: its end records cover the streams its units
+    /// launch on.
+    EpochStart,
+    /// The `i`-th probed epoch ends (its position is
+    /// [`WiringTemplate::probed_epochs`]`[i]`): one record per stream it
+    /// launched on.
+    EpochEnd(u32),
+}
+
+/// A probe region around one unit's launches: the first block of a fusion
+/// set (with the set's block count) and/or the first GEMM of a shape.
+#[derive(Debug, Clone, Copy)]
+struct Region {
+    unit: u32,
+    set: Option<(usize, usize)>,
+    shape: Option<GemmShape>,
+}
+
+/// Everything about wiring one unit program under one partition and probe
+/// spec that no stream vector changes, built once per geometry: the
+/// emission order with its super-epoch, epoch and probe marks, flat
+/// dependency and consumer lists, and each unit's kernel and gather-copy
+/// digests. A trial is then a stream vector, and [`WiringTemplate::key`]
+/// folds its memo key and probes without building its schedule, while
+/// [`WiringTemplate::emit`] builds the schedule itself; both run the same
+/// wirer, so they agree exactly.
+///
+/// # Examples
+///
+/// ```
+/// use astra_core::{build_units, ExecConfig, PlanContext, ProbeSpec, WiringTemplate};
+/// use astra_models::{Model, ModelConfig};
+///
+/// let built = Model::Scrnn.build(&ModelConfig { seq_len: 2, ..Model::Scrnn.default_config(4) });
+/// let ctx = PlanContext::new(&built.graph);
+/// let units = build_units(&ctx, &ExecConfig::baseline()).unwrap();
+/// let template = WiringTemplate::new(&units, None, &ProbeSpec::fusion_sets());
+/// let streams: Vec<usize> = (0..units.len()).map(|i| i % 2).collect();
+/// let (key, key_probes) = template.key(&units, 2, &streams);
+/// let (sched, probes) = template.emit(&units, 2, &streams);
+/// assert_eq!(key.prefix_hash(), sched.prefix_hash());
+/// assert_eq!(key.num_cmds(), sched.cmds().len());
+/// assert_eq!(key_probes, probes);
+/// ```
+#[derive(Debug)]
+pub struct WiringTemplate {
+    steps: Vec<Step>,
+    /// `(super-epoch, epoch)` of each probed epoch, in emission order.
+    probed_epochs: Vec<(usize, usize)>,
+    /// Probe regions in emission order.
+    regions: Vec<Region>,
+    /// Unit `i` depends on `deps[dep_at[i]..dep_at[i + 1]]` and is
+    /// consumed by `cons[con_at[i]..con_at[i + 1]]`.
+    dep_at: Vec<u32>,
+    deps: Vec<u32>,
+    con_at: Vec<u32>,
+    cons: Vec<u32>,
+    /// Per unit: its kernel's digest and its gather copy's, if it has one.
+    digests: Vec<(u64, Option<u64>)>,
+    /// Launches every trial emits (kernels plus gather copies).
+    launches: usize,
+    /// The most dependencies of any unit.
+    max_deps: usize,
+    /// Units in probed epochs: a bound on the epoch end records.
+    probed_epoch_units: usize,
+}
+
+impl WiringTemplate {
+    /// The template of `units` emitted under `partition` (in unit order
+    /// without one) with the probes `probe` asks for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `u32::MAX` units, super-epochs or
+    /// probed epochs.
+    pub fn new(units: &[Unit], partition: Option<&Partition>, probe: &ProbeSpec) -> Self {
+        let n = units.len();
+        let idx = |i: usize| u32::try_from(i).expect("unit indices fit u32");
+        let mut steps = Vec::with_capacity(n + 1);
+        let mut probed_epoch_units = 0;
+        let mut probed_epochs = Vec::new();
+        match partition {
+            None => steps.extend((0..n).map(|i| Step::Unit(idx(i)))),
+            Some(part) => {
+                for (sei, se) in part.super_epochs.iter().enumerate() {
+                    if sei > 0 {
+                        steps.push(Step::Barrier);
                     }
-                    if probed.next() == Some(&true) {
-                        for s in (0..num_streams).filter(|&s| streams_used[s]) {
-                            probes.epoch_ends.push(((sei, ei), sched.record(StreamId(s))));
-                            probes.probe_records += 1;
+                    if (0..se.epochs.len()).any(|ei| probe.epochs.contains(&(sei, ei))) {
+                        steps.push(Step::SuperEpochStart(idx(sei)));
+                    }
+                    for (ei, epoch) in se.epochs.iter().enumerate() {
+                        let probed = probe.epochs.contains(&(sei, ei));
+                        if probed {
+                            steps.push(Step::EpochStart);
+                            probed_epoch_units += epoch.units.len();
+                        }
+                        steps.extend(epoch.units.iter().map(|&u| Step::Unit(idx(u))));
+                        if probed {
+                            steps.push(Step::EpochEnd(idx(probed_epochs.len())));
+                            probed_epochs.push((sei, ei));
                         }
                     }
                 }
             }
         }
+
+        // Probes open on the first block of each set and the first GEMM of
+        // each shape, in emission order; set regions report their block
+        // count.
+        let block_set = |u: &Unit| u.set_idx.filter(|_| matches!(u.id, UnitId::Block { .. }));
+        let mut blocks_per_set: Vec<usize> = Vec::new();
+        if probe.sets {
+            for si in units.iter().filter_map(block_set) {
+                if si >= blocks_per_set.len() {
+                    blocks_per_set.resize(si + 1, 0);
+                }
+                blocks_per_set[si] += 1;
+            }
+        }
+        let mut regions = Vec::new();
+        if probe.sets || probe.shapes {
+            let mut seen_sets = vec![false; blocks_per_set.len()];
+            let mut seen_shapes: Vec<GemmShape> = Vec::new();
+            for step in &steps {
+                let Step::Unit(i) = *step else { continue };
+                let u = &units[i as usize];
+                let set = block_set(u)
+                    .filter(|&si| probe.sets && !std::mem::replace(&mut seen_sets[si], true))
+                    .map(|si| (si, blocks_per_set[si]));
+                let shape = u.gemm_shape.filter(|s| probe.shapes && !seen_shapes.contains(s));
+                seen_shapes.extend(shape);
+                if set.is_some() || shape.is_some() {
+                    regions.push(Region { unit: i, set, shape });
+                }
+            }
+        }
+
+        let mut dep_at = Vec::with_capacity(n + 1);
+        let mut deps = Vec::new();
+        let mut consumers = vec![0u32; n + 1];
+        for u in units {
+            dep_at.push(idx(deps.len()));
+            deps.extend(u.deps.iter().map(|&d| idx(d)));
+            for &d in &u.deps {
+                consumers[d + 1] += 1;
+            }
+        }
+        dep_at.push(idx(deps.len()));
+        for i in 0..n {
+            consumers[i + 1] += consumers[i];
+        }
+        let con_at = consumers.clone();
+        let mut cons = vec![0u32; deps.len()];
+        for (c, u) in units.iter().enumerate() {
+            for &d in &u.deps {
+                cons[consumers[d] as usize] = idx(c);
+                consumers[d] += 1;
+            }
+        }
+
+        let digests = units
+            .iter()
+            .map(|u| {
+                let copy = (u.pre_copy_bytes > 0.0)
+                    .then(|| KernelDesc::MemCopy { bytes: u.pre_copy_bytes }.digest());
+                (u.kernel.digest(), copy)
+            })
+            .collect();
+        let copies = units.iter().filter(|u| u.pre_copy_bytes > 0.0).count();
+        WiringTemplate {
+            steps,
+            probed_epochs,
+            regions,
+            dep_at,
+            deps,
+            con_at,
+            cons,
+            digests,
+            launches: n + copies,
+            max_deps: units.iter().map(|u| u.deps.len()).max().unwrap_or(0),
+            probed_epoch_units,
+        }
     }
 
-    // Final boundary: a checkpoint here memoizes the *whole* run, so a cache
-    // hit replays the finished result without any simulation.
-    sched.mark_boundary();
-    debug_assert!(sched.cmds().len() <= cap_cmds, "emission outgrew its command capacity");
-    debug_assert!(
-        (0..sched.cmds().len()).map(|i| sched.cmd_waits(i).len()).sum::<usize>() <= cross.waits,
-        "emission outgrew its wait capacity"
-    );
+    /// The memo key of `units` wired on `num_streams` streams, unit `i` on
+    /// stream `streams[i]` (clamped as in [`emit_with_streams`]), and the
+    /// probes its schedule would carry, without building the schedule:
+    /// the returned key's prefix hash, command count and wait total are
+    /// [`WiringTemplate::emit`]'s schedule's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `units` is not the unit program the template was built
+    /// from (checked in debug builds) or `streams` is shorter than it.
+    pub fn key(
+        &self,
+        units: &[Unit],
+        num_streams: usize,
+        streams: &[usize],
+    ) -> (ScheduleKey, Probes) {
+        let num_streams = num_streams.max(1);
+        let mut key = ScheduleKey::new(num_streams);
+        let probes = self.wire(units, num_streams, streams, &mut key);
+        (key, probes)
+    }
 
-    (sched, probes)
+    /// The schedule of `units` wired on `num_streams` streams, unit `i` on
+    /// stream `streams[i]` (clamped as in [`emit_with_streams`]), and its
+    /// probes.
+    ///
+    /// # Panics
+    ///
+    /// As [`WiringTemplate::key`].
+    pub fn emit(
+        &self,
+        units: &[Unit],
+        num_streams: usize,
+        streams: &[usize],
+    ) -> (Schedule, Probes) {
+        let num_streams = num_streams.max(1);
+        // Every launch, a completion record per unit at most, and the
+        // probe records and barriers.
+        let cmds = self.launches
+            + units.len()
+            + 2 * self.regions.len()
+            + (self.steps.len() - units.len())
+            + self.probed_epoch_units
+            + 1;
+        self.emit_sized(units, num_streams, streams, cmds, self.deps.len())
+    }
+
+    /// [`WiringTemplate::emit`] into a schedule pre-sized for `cmds`
+    /// commands and `waits` wait-list entries (a key pass's exact counts).
+    pub(crate) fn emit_sized(
+        &self,
+        units: &[Unit],
+        num_streams: usize,
+        streams: &[usize],
+        cmds: usize,
+        waits: usize,
+    ) -> (Schedule, Probes) {
+        let mut sched = Schedule::with_capacity(num_streams.max(1), cmds, waits);
+        let probes = self.wire(units, num_streams.max(1), streams, &mut sched);
+        debug_assert!(sched.cmds().len() <= cmds, "emission outgrew its command capacity");
+        (sched, probes)
+    }
+
+    /// The wirer: emits the template's steps into `sink` with unit `i` on
+    /// stream `streams[i]` (clamped to the last of `num_streams`), and
+    /// returns the probes. Cross-stream dependencies wait on the
+    /// producer's completion event, recorded only for a unit with a
+    /// consumer on another stream. A probe region opens before the unit's
+    /// gather copy, so chunk metrics charge the copies a denied allocation
+    /// forces. A boundary follows every unit and closes the schedule.
+    fn wire<S: Sink>(
+        &self,
+        units: &[Unit],
+        num_streams: usize,
+        streams: &[usize],
+        sink: &mut S,
+    ) -> Probes {
+        debug_assert_eq!(units.len(), self.digests.len(), "a template wires its own units");
+        let last = num_streams - 1;
+        let stream = |i: u32| streams[i as usize].min(last);
+        let mut probes = Probes::default();
+        probes
+            .epoch_ends
+            .reserve(self.probed_epoch_units.min(self.probed_epochs.len() * num_streams));
+        let mut done: Vec<Option<EventId>> = vec![None; units.len()];
+        let mut wait_buf = vec![EventId(0); self.max_deps];
+        let mut used = vec![false; num_streams];
+        let mut regions = self.regions.iter().peekable();
+        for &step in &self.steps {
+            match step {
+                Step::Unit(i) => {
+                    let (ui, s) = (i as usize, stream(i));
+                    let sid = StreamId(s);
+                    let at = |at: &[u32]| at[ui] as usize..at[ui + 1] as usize;
+                    // Which dependencies cross streams depends on the trial,
+                    // so it is counted, not branched on.
+                    let mut n = 0;
+                    for &d in &self.deps[at(&self.dep_at)] {
+                        let e = done[d as usize];
+                        wait_buf[n] = e.unwrap_or(EventId(0));
+                        n += usize::from(stream(d) != s && e.is_some());
+                    }
+                    let mut waits = &wait_buf[..n];
+                    let region = regions.next_if(|r| r.unit == i);
+                    let start = region.map(|_| {
+                        probes.probe_records += 1;
+                        sink.record(sid)
+                    });
+                    let (kernel, copy) = self.digests[ui];
+                    if let Some(copy) = copy {
+                        let bytes = units[ui].pre_copy_bytes;
+                        sink.launch(sid, || KernelDesc::MemCopy { bytes }, copy, waits, ui);
+                        waits = &[];
+                    }
+                    sink.launch(sid, || units[ui].kernel, kernel, waits, ui);
+                    let cons = &self.cons[at(&self.con_at)];
+                    if cons.iter().fold(false, |cross, &c| cross | (stream(c) != s)) {
+                        done[ui] = Some(sink.record(sid));
+                    }
+                    if let (Some(r), Some(start)) = (region, start) {
+                        let end = *done[ui].get_or_insert_with(|| {
+                            probes.probe_records += 1;
+                            sink.record(sid)
+                        });
+                        if let Some((si, blocks)) = r.set {
+                            probes.set_regions.push((si, blocks, start, end));
+                        }
+                        if let Some(shape) = r.shape {
+                            probes.shape_regions.push((shape, start, end));
+                        }
+                    }
+                    used[s] = true;
+                    sink.mark_boundary();
+                }
+                Step::Barrier => sink.barrier(),
+                Step::SuperEpochStart(sei) => {
+                    probes.se_starts.insert(sei as usize, sink.record(StreamId(0)));
+                    probes.probe_records += 1;
+                }
+                Step::EpochStart => used.fill(false),
+                Step::EpochEnd(e) => {
+                    let pos = self.probed_epochs[e as usize];
+                    for s in (0..num_streams).filter(|&s| used[s]) {
+                        probes.epoch_ends.push((pos, sink.record(StreamId(s))));
+                        probes.probe_records += 1;
+                    }
+                }
+            }
+        }
+        // Final boundary: a memo captured here holds the whole run.
+        sink.mark_boundary();
+        probes
+    }
 }
 
 /// Stream of every unit under `cfg.streams`, clamped to `per` streams

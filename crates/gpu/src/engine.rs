@@ -389,6 +389,28 @@ impl EngineCheckpoint {
         self.spans
     }
 
+    /// The finished run this full-run memo holds, span-free, for a
+    /// schedule of `num_cmds` commands whose prefix hash is this
+    /// checkpoint's: exactly what a span-free
+    /// [`Engine::run_incremental`] resuming from it returns, without the
+    /// schedule. A caller that keyed the memo by a schedule's hash
+    /// replays it with this and never builds the schedule.
+    ///
+    /// # Errors
+    ///
+    /// [`GpuError::InvalidSchedule`] if the memo does not cover exactly
+    /// `num_cmds` commands (it was captured mid-run, or on another
+    /// schedule).
+    pub fn finished_result(&self, num_cmds: usize) -> Result<RunResult, GpuError> {
+        if self.cmd_idx != num_cmds {
+            return Err(GpuError::InvalidSchedule(format!(
+                "memo covers {} commands, the schedule has {num_cmds}",
+                self.cmd_idx
+            )));
+        }
+        Ok(self.result_so_far(false))
+    }
+
     /// The partial result at capture time, for a resume that does or does
     /// not record spans.
     fn result_so_far(&self, spans: bool) -> RunResult {

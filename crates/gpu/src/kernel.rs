@@ -93,11 +93,15 @@ pub enum KernelDesc {
 }
 
 impl KernelDesc {
-    /// Folds the variant tag and every field into the rolling schedule hash
-    /// (f64 fields by their bits, so `0.0` and `-0.0` differ). The
-    /// destructures are exhaustive: a new variant or field does not compile
-    /// until it is hashed.
-    pub(crate) fn fold_into(&self, h: u64) -> u64 {
+    /// A 64-bit digest of the variant tag and every field (f64 fields by
+    /// their bits, so `0.0` and `-0.0` differ): what a launch contributes
+    /// to its schedule's prefix hash for its kernel. An emitter that
+    /// launches one kernel many times can digest it once and pass the
+    /// digest to [`Schedule::launch_digested`](crate::Schedule::launch_digested).
+    /// The destructures are exhaustive: a new variant or field does not
+    /// compile until it is digested.
+    pub fn digest(&self) -> u64 {
+        let h = 0x4B45_524E;
         match *self {
             KernelDesc::Gemm { shape: GemmShape { m, k, n }, lib } => {
                 let lib = match lib {

@@ -1,9 +1,17 @@
 //! Randomized tests of the IR: autodiff correctness against finite
 //! differences on generated graphs, structural invariants of the
-//! generated backward pass, and the graph's consumer index against a
-//! brute-force scan. Cases come from a seeded in-tree PRNG so every run
-//! checks the same graphs.
+//! generated backward pass, the graph's consumer index against a
+//! brute-force scan, and the wirer's memo-key pass against the schedule
+//! it stands for on unit programs built from generated graphs. Cases come
+//! from a seeded in-tree PRNG so every run checks the same graphs.
 
+use std::collections::HashSet;
+
+use astra::core::enumerate::partition_units;
+use astra::core::{
+    build_units, build_units_fragmented, emit_with_streams, ExecConfig, PlanContext, ProbeSpec,
+    Unit, WiringTemplate,
+};
 use astra::ir::{
     append_backward, evaluate, Env, Graph, NodeId, Pass, Provenance, Shape, TensorId, TensorKind,
 };
@@ -250,4 +258,109 @@ fn consumer_index_matches_a_scan_on_random_graphs() {
             assert_eq!(g.consumers(TensorId(t as u32)), users.as_slice());
         }
     }
+}
+
+/// Coverage of the wirer's generated cases.
+#[derive(Default)]
+struct WireCoverage {
+    partitioned: usize,
+    epoch_ends: usize,
+    regions: usize,
+    waits: usize,
+    copies: usize,
+}
+
+/// Wires `units` under a random stream vector (entries past the stream
+/// count included, which clamp), with or without a super-epoch partition
+/// at a random budget, under a random probe spec (fusion sets, GEMM
+/// shapes, a random subset of the partition's epochs), and checks that
+/// the key pass agrees exactly with the schedule it stands for.
+fn check_key_pass(units: &[Unit], rng: &mut Rng64, label: &str, cov: &mut WireCoverage) {
+    let num_streams = rng.gen_range_usize(1, 4);
+    let streams: Vec<usize> =
+        (0..units.len()).map(|_| rng.gen_range_usize(0, num_streams)).collect();
+    let total: f64 = units.iter().map(|u| u.flops).sum();
+    let partition = (rng.gen_range_u32(0, 2) > 0).then(|| {
+        let share = [2.0, 4.0, 8.0, 32.0][rng.gen_range_usize(0, 3)];
+        partition_units(units, (total / share).max(1.0))
+    });
+    let mut epochs = HashSet::new();
+    for (sei, se) in partition.iter().flat_map(|p| p.super_epochs.iter().enumerate()) {
+        for ei in 0..se.epochs.len() {
+            if rng.gen_range_u32(0, 2) > 0 {
+                epochs.insert((sei, ei));
+            }
+        }
+    }
+    let probe = ProbeSpec {
+        sets: rng.gen_range_u32(0, 1) == 1,
+        shapes: rng.gen_range_u32(0, 1) == 1,
+        epochs,
+    };
+
+    let template = WiringTemplate::new(units, partition.as_ref(), &probe);
+    let (key, key_probes) = template.key(units, num_streams, &streams);
+    let (sched, probes) = template.emit(units, num_streams, &streams);
+    assert_eq!(key.prefix_hash(), sched.prefix_hash(), "{label}: prefix hash");
+    assert_eq!(key.num_cmds(), sched.cmds().len(), "{label}: command count");
+    let pooled: usize = (0..sched.cmds().len()).map(|i| sched.cmd_waits(i).len()).sum();
+    assert_eq!(key.num_waits(), pooled, "{label}: wait total");
+    assert_eq!(key_probes, probes, "{label}: probes");
+    assert_eq!(
+        sched.boundaries().last(),
+        Some(&(sched.cmds().len(), sched.prefix_hash())),
+        "{label}: a final boundary closes the schedule"
+    );
+    let direct = emit_with_streams(num_streams, units, &streams, partition.as_ref(), &probe);
+    assert_eq!((&sched, &probes), (&direct.0, &direct.1), "{label}: emit_with_streams");
+
+    cov.partitioned += usize::from(partition.is_some());
+    cov.epoch_ends += probes.epoch_ends.len();
+    cov.regions += probes.set_regions.len() + probes.shape_regions.len();
+    cov.waits += pooled;
+    cov.copies += units.iter().filter(|u| u.pre_copy_bytes > 0.0).count();
+}
+
+/// The wirer's key pass agrees with the schedule it stands for:
+/// [`WiringTemplate::key`] returns exactly the prefix hash, command count,
+/// wait total and probes of the schedule [`WiringTemplate::emit`]
+/// materializes, and that schedule is [`emit_with_streams`]' own, closed
+/// by a final boundary (see [`check_key_pass`] for the wiring inputs). The
+/// unit programs are built from generated training graphs, plus one
+/// fault-fragmented build of a tiny zoo model, whose denied allocation
+/// groups put gather copies ahead of some kernels.
+#[test]
+fn key_pass_matches_materialized_schedules() {
+    let mut rng = Rng64::new(0x6e7_4b3);
+    let mut cov = WireCoverage::default();
+    for case in 0..48usize {
+        let ops = draw_ops(&mut rng, 8);
+        let dims = (rng.gen_range_u32(2, 16) as u64, rng.gen_range_u32(2, 24) as u64);
+        let (mut g, _, loss) = random_net(&ops, dims);
+        append_backward(&mut g, loss);
+        let ctx = PlanContext::new(&g);
+        let units = build_units(&ctx, &ExecConfig::baseline()).expect("generated nets build");
+        check_key_pass(&units, &mut rng, &format!("case {case}"), &mut cov);
+    }
+    assert!(cov.partitioned > 10, "only {} partitioned cases", cov.partitioned);
+    assert!(cov.epoch_ends > 0 && cov.regions > 0 && cov.waits > 0, "probes and waits unexercised");
+
+    let mut c = Model::Scrnn.default_config(8);
+    (c.hidden, c.input, c.vocab, c.seq_len) = (64, 64, 128, 3);
+    let built = Model::Scrnn.build(&c);
+    let ctx = PlanContext::new(&built.graph);
+    let mut cfg = ExecConfig::baseline();
+    for set in &ctx.sets {
+        let widest = |chunks: Vec<usize>| chunks.into_iter().max().unwrap_or(1);
+        cfg.chunks.insert(set.id.clone(), (widest(set.row_chunks()), widest(set.col_chunks())));
+        if build_units(&ctx, &cfg).is_err() {
+            cfg.chunks.remove(&set.id);
+        }
+    }
+    let units = build_units_fragmented(&ctx, &cfg, 0x5555_5555_5555_5555).expect("it builds");
+    let copies = cov.copies;
+    for case in 0..4 {
+        check_key_pass(&units, &mut rng, &format!("fragmented {case}"), &mut cov);
+    }
+    assert!(cov.copies > copies, "the fragmented build has no gather copy");
 }

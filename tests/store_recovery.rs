@@ -465,3 +465,52 @@ fn retired_record_kinds_load_clean_and_compact_away() {
     assert!(retired_kinds.iter().all(|k| !counts.contains_key(*k)), "{counts:?}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A store whose memos sit under keys this build never produces — as in a
+/// store written before the prefix-hash fold changed — still works: it
+/// loads with no corrupt record, its first warm run replays nothing from
+/// those memos and so reaches the storeless plan with the storeless run's
+/// sim-cache counters, and the run after that replays every trial from the
+/// memos the first one journaled.
+#[test]
+fn memos_under_foreign_keys_load_clean_and_replay_after_one_cold_run() {
+    let built = tiny();
+    let dir = tmpdir("foreign-keys");
+    let reference = run(&built, &RunSpec::cold(1));
+    run(&built, &RunSpec::stored(&dir, 1));
+
+    // Rewrite the store with every memo's prefix hash bit-inverted: no
+    // schedule of this run hashes to those keys.
+    let records = stored_records(&dir);
+    let memos = records.iter().filter(|r| matches!(r, store::Record::Memo(_))).count();
+    assert!(memos > 0, "the cold run journals memos");
+    std::fs::remove_dir_all(&dir).unwrap();
+    {
+        let (mut st, _) = store::Store::open(&dir, &store::StoreOptions::default()).unwrap();
+        for mut rec in records {
+            if let store::Record::Memo(m) = &mut rec {
+                m.key.prefix_hash = !m.key.prefix_hash;
+            }
+            st.append(&rec).unwrap();
+        }
+        st.sync().unwrap();
+    }
+
+    let first = run(&built, &RunSpec::stored(&dir, 1));
+    assert_same_plan(&reference, &first, "first run over foreign memo keys vs storeless");
+    assert!(first.warm_start);
+    assert_eq!(first.store_corrupt_records, 0, "foreign memo keys are clean records");
+    assert_eq!(
+        (first.sim_cache_hits, first.sim_cache_misses),
+        (reference.sim_cache_hits, reference.sim_cache_misses),
+        "no foreign memo replays"
+    );
+    assert_eq!(first.store_journal_appends as usize, memos, "it journals its own memos");
+
+    let second = run(&built, &RunSpec::stored(&dir, 1));
+    assert_same_plan(&reference, &second, "second run vs storeless");
+    assert_eq!(second.store_corrupt_records, 0);
+    assert_eq!(second.sim_cache_misses, 0, "every trial replays");
+    assert!(second.sim_cache_hits > 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
