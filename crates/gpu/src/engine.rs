@@ -691,6 +691,12 @@ impl<'a> Engine<'a> {
                 // Full-run memo: the stored result IS the run.
                 return Ok((ck.result_so_far(self.spans), Vec::new()));
             }
+            if topo.is_none() {
+                // The prefix is not dispatched again, so check it here.
+                if let Some(idx) = cmds[..ck.cmd_idx].iter().position(needs_topology) {
+                    return Err(no_topology(idx));
+                }
+            }
         }
         let start_idx = resume.map_or(0, |ck| ck.cmd_idx);
         let mut caps: Vec<(usize, u64)> = Vec::with_capacity(capture_at.len());
@@ -769,8 +775,8 @@ impl<'a> Engine<'a> {
                     });
                 }
                 Cmd::Transfer { stream, bytes, src, dst, waits } => {
+                    let Some(t) = topo else { return Err(no_topology(idx)) };
                     cpu_ns += dev.dispatch_cost_ns;
-                    let t = topo.expect("multi-device schedules need a topology");
                     let link = if t.link().shared {
                         0
                     } else {
@@ -783,6 +789,9 @@ impl<'a> Engine<'a> {
                     });
                 }
                 Cmd::AllReduce { stream, bytes, group } => {
+                    if topo.is_none() {
+                        return Err(no_topology(idx));
+                    }
                     cpu_ns += dev.dispatch_cost_ns;
                     sim.streams[stream.0].queue.push_back(Item {
                         kind: ItemKind::AllReduce { id: group, bytes, cmd_idx: idx },
@@ -830,6 +839,20 @@ impl<'a> Engine<'a> {
         }
         Ok((sim.result, captured))
     }
+}
+
+/// Whether `cmd` crosses devices and so needs an engine with a
+/// [`Topology`] to price it.
+fn needs_topology(cmd: &Cmd) -> bool {
+    matches!(cmd, Cmd::Transfer { .. } | Cmd::AllReduce { .. })
+}
+
+/// The error for command `idx`, a transfer or all-reduce, on an engine
+/// without a topology.
+fn no_topology(idx: usize) -> GpuError {
+    GpuError::InvalidSchedule(format!(
+        "command {idx} is a transfer or all-reduce, which needs an engine with a topology"
+    ))
 }
 
 /// Engine-side fault state for one run: the per-run injector plus the
@@ -1157,7 +1180,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                     ItemKind::Transfer { bytes, link, cmd_idx } => {
                         let latency = self
                             .topo
-                            .expect("transfers need a topology")
+                            .expect("transfers are dispatched only with a topology")
                             .link()
                             .latency_ns;
                         let start = self.now;
@@ -1217,7 +1240,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
         if arrivals.len() < expect {
             return;
         }
-        let link = self.topo.expect("all-reduces need a topology").link();
+        let link = self.topo.expect("all-reduces are dispatched only with a topology").link();
         let last = arrivals.iter().map(|&(_, t, _, _)| t).fold(0.0_f64, f64::max);
         let bytes = arrivals.iter().map(|&(_, _, b, _)| b).max().unwrap_or(0);
         let mut devs: Vec<usize> =
@@ -2292,6 +2315,37 @@ mod tests {
         s.launch(StreamId(1), gemm(GemmShape::new(64, 256, 256)));
         let err = Engine::new(&dev).run(&s).unwrap_err();
         assert!(matches!(err, GpuError::InvalidSchedule(_)));
+    }
+
+    /// A transfer or all-reduce passes `Schedule`'s checks on one device
+    /// (the transfer's stream sits on its destination, device 0), but an
+    /// engine without a topology cannot price it: the run errors instead of
+    /// panicking, cold or resumed.
+    #[test]
+    fn transfers_and_allreduces_without_a_topology_error() {
+        let dev = DeviceSpec::p100();
+        let mut xfer = Schedule::new(1);
+        xfer.transfer(StreamId(0), 100, 1, 0, &[]);
+        let mut ar = Schedule::new(1);
+        ar.all_reduce(StreamId(0), 64, 0);
+        for s in [&xfer, &ar] {
+            let err = Engine::new(&dev).run(s).unwrap_err();
+            assert!(matches!(err, GpuError::InvalidSchedule(_)), "{err:?}");
+        }
+        // Captured under a topology, resumed without one.
+        let topo = Topology::single(dev.clone());
+        let mut s = Schedule::new(1);
+        s.launch(StreamId(0), gemm(GemmShape::new(64, 256, 256)));
+        s.all_reduce(StreamId(0), 64, 0);
+        s.mark_boundary();
+        s.launch(StreamId(0), gemm(GemmShape::new(64, 256, 256)));
+        s.mark_boundary();
+        let mid = s.boundaries()[0].0;
+        let (_, cks) = Engine::with_topology(&topo, ClockMode::Fixed, FaultPlan::none(), 0)
+            .run_incremental(&s, None, &[mid])
+            .unwrap();
+        let err = Engine::new(&dev).run_incremental(&s, Some(&cks[0]), &[]).unwrap_err();
+        assert!(matches!(err, GpuError::InvalidSchedule(_)), "{err:?}");
     }
 
     #[test]

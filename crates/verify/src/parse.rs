@@ -272,4 +272,18 @@ mod tests {
         assert!(parse_rendered("streams 1\nallreduce s0 64B\n").is_err(), "missing group");
         assert!(parse_rendered("streams 1\nallreduce s0 64B q7\n").is_err(), "bad group token");
     }
+
+    /// A one-device text may name a transfer from a device it never maps
+    /// and an all-reduce: both parse, and an engine without a topology
+    /// rejects them with an error rather than a panic.
+    #[test]
+    fn cross_device_text_on_one_device_errors_in_the_engine() {
+        use astra_gpu::{DeviceSpec, Engine, GpuError};
+        let dev = DeviceSpec::p100();
+        for text in ["streams 1\ntransfer s0 100B d1->d0\n", "streams 1\nallreduce s0 64B g0\n"] {
+            let s = parse_rendered(text).expect("parses");
+            let err = Engine::new(&dev).run(&s).unwrap_err();
+            assert!(matches!(err, GpuError::InvalidSchedule(_)), "{text}: {err:?}");
+        }
+    }
 }
