@@ -1,8 +1,9 @@
 //! Microbenchmarks of the discrete-event engine: one simulated mini-batch
-//! of the SC-RNN model, single-stream and with the multi-stream emitter;
-//! and of the emitter itself on a two-stream, super-epoch-partitioned plan
-//! and on the repository benchmark's MI-LSTM stream-phase trial (emission
-//! plus dropping the schedule, as each optimizer trial pays both).
+//! of the SC-RNN model, single-stream and with the multi-stream emitter,
+//! and the repository benchmark's MI-LSTM stream-phase trial run as the
+//! optimizer runs a memo miss; and of the emitter itself on a two-stream,
+//! super-epoch-partitioned plan and on that MI-LSTM trial (emission plus
+//! dropping the schedule, as each optimizer trial pays both).
 
 use std::hint::black_box;
 
@@ -12,7 +13,7 @@ use astra_core::{
     WiringTemplate,
 };
 use astra_exec::{lower, native_schedule};
-use astra_gpu::{DeviceSpec, Engine};
+use astra_gpu::{DeviceSpec, Engine, RunResult};
 use astra_models::{Model, ModelConfig};
 use astra_util::report;
 
@@ -62,14 +63,24 @@ fn main() {
         black_box(emit_schedule(&ctx, &cfg, &units, Some(&partition), &probes));
     });
 
-    emit_milstm_stream_trial();
+    milstm_stream_trial(&dev);
+}
+
+/// FNV-1a over a run's makespan and event-table bits: equal digests on
+/// two builds mean the engine returned the same bits.
+fn event_digest(r: &RunResult) -> u64 {
+    std::iter::once(r.total_ns)
+        .chain(r.event_ns.iter().map(|(_, t)| t))
+        .flat_map(|t| t.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 /// A stream-phase trial of the benchmark's MI-LSTM (`hutter(16)`, seq 8):
 /// the baseline geometry on 4 streams, the optimizer's partition budget
 /// (1/8 of the FLOPs per super-epoch), every epoch on its first stream
-/// mapping and probed. Each iteration emits the schedule and drops it.
-fn emit_milstm_stream_trial() {
+/// mapping and probed. The emission benches emit the schedule and drop it
+/// each iteration; the engine bench simulates it.
+fn milstm_stream_trial(dev: &DeviceSpec) {
     const STREAMS: usize = 4;
     let built = Model::MiLstm.build(&ModelConfig::hutter(16).with_seq_len(8));
     let ctx = PlanContext::new(&built.graph);
@@ -100,5 +111,21 @@ fn emit_milstm_stream_trial() {
     });
     report("materialize_milstm_stream_trial", 10, 400, || {
         drop(black_box(template.emit(&units, STREAMS, &streams)));
+    });
+    // The trial simulated as the driver simulates a memo miss: cold,
+    // span-free, capturing the final boundary.
+    let (sched, _) = template.emit(&units, STREAMS, &streams);
+    let full = [sched.cmds().len()];
+    let run = || Engine::new(dev).without_spans().run_incremental(&sched, None, &full);
+    let (result, _) = run().expect("the trial runs");
+    println!(
+        "engine_milstm_stream_trial: {} cmds, {} launches, {} records, events fnv {:016x}",
+        full[0],
+        result.num_launches,
+        result.num_records,
+        event_digest(&result)
+    );
+    report("engine_milstm_stream_trial", 10, 400, || {
+        black_box(run().expect("the trial runs"));
     });
 }
