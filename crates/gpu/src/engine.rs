@@ -20,11 +20,13 @@
 //! autoboost, kernel durations receive seeded multiplicative jitter, which is
 //! exactly the repeatability hazard the paper's §7 discusses.
 //!
-//! The hot path is allocation-free per command: queue items borrow their
-//! wait lists as slices of the schedule's one wait pool
-//! ([`Schedule::waits`]), execution rates are cached and recomputed
-//! only when the set of running kernels changes, and the span and queue
-//! buffers and the event table are pre-sized from the schedule's counters.
+//! The hot path is allocation-free per command: queue items are command
+//! indices, which read their kernel and wait list back from the schedule
+//! when they start; each distinct kernel is costed once per run; execution
+//! rates are cached and recomputed only when the set of running kernels
+//! changes; and the span and queue buffers and the event table are
+//! pre-sized from the schedule's counters. Each step of the event loop is
+//! two passes over the streams (see [`Sim::drain`]).
 //!
 //! # Span-free runs
 //!
@@ -46,13 +48,14 @@
 //! sequence of floating-point operations and RNG draws — clock jitter and
 //! fault draws included — is exactly the one a cold run performs.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use crate::clock::{Clock, ClockMode};
 use crate::device::DeviceSpec;
 use crate::error::GpuError;
 use crate::fault::{
     FaultInjector, FaultPlan, FaultSummary, ALLOC_RETRY_STALL_NS, LAUNCH_RETRY_OVERHEAD_FACTOR,
 };
+use crate::kernel::{KernelCost, KernelDesc};
 use crate::schedule::{Cmd, EventId, Schedule, StreamId};
 use crate::topology::Topology;
 
@@ -65,6 +68,57 @@ const EPS: f64 = 1e-6;
 /// stall on a kernel whose completion time rounds back to `now`.
 fn done_eps(now: f64) -> f64 {
     EPS + now.abs() * 1e-12
+}
+
+/// Sub-linear utilization of a grid of `blocks` thread blocks on a device
+/// with `slots` resident-block slots, tail-wave cliff included: the cost
+/// model's figure. Integer `div_ceil` counts the waves exactly as `f64`
+/// `ceil` of the quotient would below 2^53 blocks.
+fn utilization(blocks: u64, slots: u32) -> f64 {
+    let waves = blocks.div_ceil(u64::from(slots)).max(1);
+    (blocks as f64 / (waves as f64 * f64::from(slots))).sqrt()
+}
+
+/// Slots of a [`CostCache`]; a power of two.
+const COST_SLOTS: usize = 64;
+
+/// The solo costs of the kernels one run has started, by kernel and device.
+/// A cost is a pure function of the two, so a kernel launched many times is
+/// costed once. Direct-mapped: two kernels that share a slot evict each
+/// other and are costed again, which changes no result.
+struct CostCache(Vec<Option<CostEntry>>);
+
+struct CostEntry {
+    kernel: [u64; 5],
+    device: usize,
+    cost: KernelCost,
+    /// The kernel's utilization of its device when it runs alone.
+    solo: f64,
+}
+
+impl CostCache {
+    fn new() -> CostCache {
+        CostCache((0..COST_SLOTS).map(|_| None).collect())
+    }
+
+    /// `kernel`'s cost on `spec`, device `device` of the run, and its solo
+    /// utilization there.
+    fn get(&mut self, kernel: &KernelDesc, device: usize, spec: &DeviceSpec) -> (KernelCost, f64) {
+        let (words, _) = kernel.words();
+        let h = words
+            .iter()
+            .fold(device as u64, |h, &w| (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let slot = &mut self.0[(h >> (64 - COST_SLOTS.trailing_zeros())) as usize];
+        match slot {
+            Some(e) if e.kernel == words && e.device == device => (e.cost, e.solo),
+            _ => {
+                let cost = kernel.cost(spec);
+                let solo = utilization(u64::from(cost.demand_blocks), spec.total_slots());
+                *slot = Some(CostEntry { kernel: words, device, cost, solo });
+                (cost, solo)
+            }
+        }
+    }
 }
 
 /// Timing of one executed kernel.
@@ -250,87 +304,148 @@ impl PartialEq for EventTimes {
     }
 }
 
-#[derive(Debug, Clone)]
-enum ItemKind {
-    Kernel {
-        exec_ns: f64,
-        demand: u32,
-        cmd_idx: usize,
-    },
-    Record { event: EventId },
-    Barrier { id: usize },
-    /// Cross-device copy: `bytes` over link pool `link`.
-    Transfer { bytes: f64, link: u32, cmd_idx: usize },
-    /// All-reduce rendezvous participant for group `id`.
-    AllReduce { id: u32, bytes: u64, cmd_idx: usize },
-}
-
-#[derive(Debug, Clone)]
-struct Item<'s> {
-    kind: ItemKind,
+/// A dispatched command waiting in its stream's FIFO: the command's index
+/// in the schedule and the time the dispatcher issued it. What the command
+/// is — its kind, kernel and waits — is read back from the schedule when it
+/// reaches the head, so an item is two words and borrows nothing.
+#[derive(Debug, Clone, Copy)]
+struct Item {
+    cmd: usize,
     issue_ns: f64,
-    waits: &'s [EventId],
 }
 
-/// The in-flight item of one stream. Owns no schedule borrows — labels are
-/// rendered from the schedule by `cmd_idx` — so checkpoints can store these
-/// verbatim.
+/// The in-flight item of one stream, less when its phase ends, which the
+/// stream keeps beside it (see [`StreamState`]). Owns no schedule borrows —
+/// labels are rendered from the schedule by `cmd_idx` — so checkpoints can
+/// store these verbatim.
 #[derive(Debug, Clone)]
 enum Active {
     /// Launch-overhead phase: fixed duration, does not occupy slots.
-    Overhead {
-        until: f64,
-        exec_ns: f64,
-        demand: u32,
-        cmd_idx: usize,
-        start: f64,
-    },
-    /// Executing phase: `remaining` ns of work at unit rate, slot-sharing.
-    Work {
-        remaining: f64,
-        demand: u32,
-        cmd_idx: usize,
-        start: f64,
-    },
+    Overhead { exec_ns: f64, demand: u32, solo: f64, cmd_idx: usize, start: f64 },
+    /// Executing phase: ns of work at unit rate, slot-sharing. `solo` is
+    /// the kernel's utilisation of its device when it runs alone (see
+    /// [`Sim::ensure_rates`]).
+    Work { demand: u32, solo: f64, cmd_idx: usize, start: f64 },
     /// Fixed-duration item (event record).
-    Fixed { until: f64, event: Option<EventId> },
+    Fixed { event: Option<EventId> },
     /// Arrived at a barrier; waiting for the rest of the device.
     AtBarrier { id: usize },
     /// Link-latency phase of a cross-device transfer (does not consume
     /// bandwidth yet).
-    XferLat { until: f64, bytes: f64, link: u32, cmd_idx: usize, start: f64 },
-    /// Bandwidth phase of a transfer: `remaining` bytes at the link rate,
-    /// shared with other in-flight transfers on the same link pool.
-    Xfer { remaining: f64, link: u32, cmd_idx: usize, start: f64 },
+    XferLat { bytes: f64, link: u32, cmd_idx: usize, start: f64 },
+    /// Bandwidth phase of a transfer: bytes at the link rate, shared with
+    /// other in-flight transfers on the same link pool.
+    Xfer { link: u32, cmd_idx: usize, start: f64 },
     /// Arrived at an all-reduce rendezvous; waiting for the other
     /// participants of the group.
     AtAllReduce { id: u32 },
     /// Executing the ring all-reduce after the rendezvous released.
-    ArBusy { until: f64, cmd_idx: usize, start: f64 },
+    ArBusy { cmd_idx: usize, start: f64 },
 }
 
-#[derive(Debug, Default)]
-struct StreamState<'s> {
-    queue: VecDeque<Item<'s>>,
+/// One stream of the simulated device.
+///
+/// When the phase in flight ends is kept in two plain numbers rather than
+/// in [`Active`], so that the step loop reads and advances every stream
+/// without looking at what its item is: `until` is the end of a phase with
+/// a fixed end (launch overhead, event record, barrier release, transfer
+/// latency, all-reduce), `remaining` the work left in a work phase (a
+/// kernel's ns at unit rate, a transfer's bytes). Whichever does not apply
+/// is infinite, and both are for an idle stream or one at a rendezvous,
+/// so the phase ends at `min(until, now + remaining / rate)`.
+#[derive(Debug)]
+struct StreamState {
+    /// The stream's FIFO: every item dispatched to it, in order, of which
+    /// `queue[started..]` have not started. Nothing is ever removed, so it
+    /// is a vector and an index.
+    queue: Vec<Item>,
+    started: usize,
     active: Option<Active>,
+    until: f64,
+    remaining: f64,
+    /// Barriers this stream has arrived at. Every barrier is queued on
+    /// every stream in dispatch order, so this is the id of the next one.
+    barriers: usize,
+}
+
+impl StreamState {
+    /// An idle stream whose FIFO is `queue`.
+    fn new(queue: Vec<Item>) -> StreamState {
+        StreamState {
+            queue,
+            started: 0,
+            active: None,
+            until: f64::INFINITY,
+            remaining: f64::INFINITY,
+            barriers: 0,
+        }
+    }
+
+    /// Puts `active` in flight in a phase that ends at `until`, or never
+    /// (an infinite `until`) for a rendezvous.
+    fn start(&mut self, active: Active, until: f64) {
+        self.active = Some(active);
+        self.until = until;
+        self.remaining = f64::INFINITY;
+    }
+
+    /// Puts `active` in flight in a work phase with `remaining` work.
+    fn start_work(&mut self, active: Active, remaining: f64) {
+        self.active = Some(active);
+        self.until = f64::INFINITY;
+        self.remaining = remaining;
+    }
+
+    /// Takes the item in flight out, leaving the stream idle.
+    fn retire(&mut self) -> Active {
+        self.until = f64::INFINITY;
+        self.remaining = f64::INFINITY;
+        self.active.take().expect("only items in flight retire")
+    }
+
+    /// When the phase in flight ends at `now` if its work runs at `rate`:
+    /// infinite for an idle stream or one at a rendezvous. At unit rate
+    /// the quotient is `remaining` itself.
+    fn phase_end(&self, now: f64, rate: f64) -> f64 {
+        self.until.min(now + self.remaining / rate.max(1e-12))
+    }
+
+    /// The next item to start, if any is queued.
+    fn head(&self) -> Option<Item> {
+        self.queue.get(self.started).copied()
+    }
+
+    /// The items queued and not started.
+    fn waiting(&self) -> &[Item] {
+        &self.queue[self.started..]
+    }
+
+    /// Whether nothing is in flight and nothing is queued.
+    fn idle(&self) -> bool {
+        self.active.is_none() && self.started == self.queue.len()
+    }
 }
 
 /// One all-reduce rendezvous arrival: stream, arrival time, payload bytes,
 /// originating command index.
 pub type ArArrival = (usize, f64, u64, usize);
 
-/// One stream's state inside an [`EngineCheckpoint`]: the queued items
-/// (schedule borrows replaced by command indices) and the in-flight item.
+/// One stream's state inside an [`EngineCheckpoint`]: the queued items,
+/// the in-flight item with its phase end (see [`StreamState`]) and the
+/// barrier count.
 #[derive(Debug, Clone)]
 struct StreamCkpt {
-    queue: Vec<(ItemKind, f64)>,
+    queue: Vec<Item>,
     active: Option<Active>,
+    until: f64,
+    remaining: f64,
+    barriers: usize,
 }
 
 /// A snapshot of the engine mid-run, captured at a schedule boundary.
 ///
 /// Checkpoints own everything they need — per-stream queues and in-flight
-/// items (by command index, re-borrowed from the resuming schedule), barrier
+/// items (by command index, read back from the resuming schedule), barrier
 /// arrivals, cached execution rates, the dispatch clock (`cpu_ns`), the
 /// jitter clock, the fault injector, and the partial [`RunResult`] (spans
 /// completed so far, fault counts, and the run's one event table).
@@ -471,6 +586,8 @@ impl EngineCheckpoint {
     pub fn from_memo(parts: MemoParts) -> EngineCheckpoint {
         let mut result = parts.result;
         result.spans = Vec::new();
+        // A memo's streams are drained: each passed every barrier.
+        let barriers = parts.barrier_arrivals.len();
         EngineCheckpoint {
             cmd_idx: parts.cmd_idx,
             prefix_hash: parts.prefix_hash,
@@ -480,7 +597,13 @@ impl EngineCheckpoint {
             barrier_arrivals: parts.barrier_arrivals,
             ar_arrivals: parts.ar_arrivals,
             streams: (0..parts.num_streams)
-                .map(|_| StreamCkpt { queue: Vec::new(), active: None })
+                .map(|_| StreamCkpt {
+                    queue: Vec::new(),
+                    active: None,
+                    until: f64::INFINITY,
+                    remaining: f64::INFINITY,
+                    barriers,
+                })
                 .collect(),
             rates: parts.rates,
             rates_dirty: parts.rates_dirty,
@@ -755,77 +878,40 @@ impl<'a> Engine<'a> {
                 captured.push(sim.checkpoint(idx, caps[cap_j].1, cpu_ns));
                 cap_j += 1;
             }
-            match *cmd {
-                Cmd::Launch { stream, kernel, waits } => {
+            // Each command is queued by index: what it is and what it
+            // waits on is read back from the schedule at activation.
+            let stream = match *cmd {
+                Cmd::Launch { stream, .. } => {
                     cpu_ns += dev.dispatch_cost_ns;
-                    // Cost the kernel on the device its stream dispatches
-                    // onto (device 0 — i.e. `dev` — for single-device runs).
-                    let kdev = topo.map_or(dev, |t| {
-                        t.device(schedule.stream_device(stream))
-                    });
-                    let cost = kernel.cost(kdev);
-                    sim.streams[stream.0].queue.push_back(Item {
-                        kind: ItemKind::Kernel {
-                            exec_ns: cost.exec_ns,
-                            demand: cost.demand_blocks,
-                            cmd_idx: idx,
-                        },
-                        issue_ns: cpu_ns,
-                        waits: schedule.waits(waits),
-                    });
+                    stream
                 }
-                Cmd::Transfer { stream, bytes, src, dst, waits } => {
-                    let Some(t) = topo else { return Err(no_topology(idx)) };
-                    cpu_ns += dev.dispatch_cost_ns;
-                    let link = if t.link().shared {
-                        0
-                    } else {
-                        (src * t.num_devices() + dst) as u32 + 1
-                    };
-                    sim.streams[stream.0].queue.push_back(Item {
-                        kind: ItemKind::Transfer { bytes: bytes as f64, link, cmd_idx: idx },
-                        issue_ns: cpu_ns,
-                        waits: schedule.waits(waits),
-                    });
-                }
-                Cmd::AllReduce { stream, bytes, group } => {
+                Cmd::Transfer { stream, .. } | Cmd::AllReduce { stream, .. } => {
                     if topo.is_none() {
                         return Err(no_topology(idx));
                     }
                     cpu_ns += dev.dispatch_cost_ns;
-                    sim.streams[stream.0].queue.push_back(Item {
-                        kind: ItemKind::AllReduce { id: group, bytes, cmd_idx: idx },
-                        issue_ns: cpu_ns,
-                        waits: &[],
-                    });
+                    stream
                 }
-                Cmd::Record { stream, event } => {
+                Cmd::Record { stream, .. } => {
                     cpu_ns += dev.dispatch_cost_ns * 0.25;
-                    sim.streams[stream.0].queue.push_back(Item {
-                        kind: ItemKind::Record { event },
-                        issue_ns: cpu_ns,
-                        waits: &[],
-                    });
                     sim.result.num_records += 1;
+                    stream
                 }
                 Cmd::Barrier => {
                     cpu_ns += dev.dispatch_cost_ns;
-                    // Barriers are numbered in dispatch order.
-                    let id = sim.barrier_arrivals.len();
                     sim.barrier_arrivals.push(Vec::with_capacity(sim.num_streams));
                     for s in &mut sim.streams {
-                        s.queue.push_back(Item {
-                            kind: ItemKind::Barrier { id },
-                            issue_ns: cpu_ns,
-                            waits: &[],
-                        });
+                        s.queue.push(Item { cmd: idx, issue_ns: cpu_ns });
                     }
+                    continue;
                 }
                 Cmd::HostSync => {
                     let idle = sim.drain()?;
                     cpu_ns = cpu_ns.max(idle) + dev.host_roundtrip_ns;
+                    continue;
                 }
-            }
+            };
+            sim.streams[stream.0].queue.push(Item { cmd: idx, issue_ns: cpu_ns });
         }
         let idle = sim.drain()?;
         sim.result.total_ns = cpu_ns.max(idle);
@@ -887,6 +973,17 @@ impl Chaos {
     }
 }
 
+/// What [`Sim::activate_ready`] finds once it has started what it can.
+enum Next {
+    /// Every stream is idle and every queue empty.
+    Idle,
+    /// Work remains, and the first change comes at this time.
+    At(f64),
+    /// Work remains but nothing can change: a deadlock, unless the queues
+    /// are a prefix whose missing suffix would record what they wait on.
+    Stuck,
+}
+
 struct Sim<'s, 'd, 'c> {
     dev: &'d DeviceSpec,
     topo: Option<&'d Topology>,
@@ -896,9 +993,10 @@ struct Sim<'s, 'd, 'c> {
     num_devices: usize,
     clock: &'c mut Clock,
     chaos: Option<Chaos>,
-    streams: Vec<StreamState<'s>>,
+    streams: Vec<StreamState>,
     num_streams: usize,
-    /// The schedule, for rendering span labels and stall diagnostics.
+    /// The schedule: queued items are its command indices, and span labels
+    /// and stall diagnostics are rendered from it.
     schedule: &'s Schedule,
     /// Whether completed kernels append a span to `result.spans`.
     record_spans: bool,
@@ -917,6 +1015,7 @@ struct Sim<'s, 'd, 'c> {
     /// Set whenever the set of work-phase kernels changes (a kernel enters
     /// the work phase or completes); cleared by [`Sim::ensure_rates`].
     rates_dirty: bool,
+    costs: CostCache,
     /// The run so far: completed spans accumulate in `result.spans`, and
     /// `result.event_ns` is the event table waits resolve against.
     result: RunResult,
@@ -950,7 +1049,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             streams: schedule
                 .stream_cmd_counts()
                 .iter()
-                .map(|&n| StreamState { queue: VecDeque::with_capacity(n), active: None })
+                .map(|&n| StreamState::new(Vec::with_capacity(n)))
                 .collect(),
             num_streams,
             schedule,
@@ -961,17 +1060,19 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             ar_expect: schedule.allreduce_groups().iter().copied().collect(),
             rates: vec![1.0; num_streams],
             rates_dirty: true,
+            costs: CostCache::new(),
             result,
         }
     }
 
-    /// Rebuilds the simulation exactly as it was when `ck` was captured,
-    /// re-borrowing wait lists from `schedule` (sound: the matching boundary
-    /// hash guarantees the command prefix is identical). The event table is
-    /// re-sized for `schedule`: the shared prefix numbers the same events,
-    /// and only those can have fired. A span-free resume drops the
-    /// checkpoint's spans; a span-recording resume needs a span-recording
-    /// checkpoint (checked by the caller).
+    /// Rebuilds the simulation exactly as it was when `ck` was captured.
+    /// Queued items are command indices, which mean the same commands in
+    /// `schedule` (sound: the matching boundary hash guarantees the command
+    /// prefix is identical). The event table is re-sized for `schedule`:
+    /// the shared prefix numbers the same events, and only those can have
+    /// fired. A span-free resume drops the checkpoint's spans; a
+    /// span-recording resume needs a span-recording checkpoint (checked by
+    /// the caller).
     fn restore(
         dev: &'d DeviceSpec,
         topo: Option<&'d Topology>,
@@ -981,22 +1082,20 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
         record_spans: bool,
     ) -> Self {
         let counts = schedule.stream_cmd_counts();
-        let streams: Vec<StreamState<'s>> = ck
+        let streams: Vec<StreamState> = ck
             .streams
             .iter()
-            .enumerate()
-            .map(|(si, st)| {
-                let mut queue = VecDeque::with_capacity(counts[si]);
-                for (kind, issue_ns) in &st.queue {
-                    let waits: &'s [EventId] = match *kind {
-                        ItemKind::Kernel { cmd_idx, .. } | ItemKind::Transfer { cmd_idx, .. } => {
-                            schedule.cmd_waits(cmd_idx)
-                        }
-                        _ => &[],
-                    };
-                    queue.push_back(Item { kind: kind.clone(), issue_ns: *issue_ns, waits });
+            .zip(counts)
+            .map(|(st, &n)| {
+                let mut queue = Vec::with_capacity(n.max(st.queue.len()));
+                queue.extend_from_slice(&st.queue);
+                StreamState {
+                    active: st.active.clone(),
+                    until: st.until,
+                    remaining: st.remaining,
+                    barriers: st.barriers,
+                    ..StreamState::new(queue)
                 }
-                StreamState { queue, active: st.active.clone() }
             })
             .collect();
         let mut result = ck.result_so_far(record_spans);
@@ -1018,6 +1117,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             ar_expect: schedule.allreduce_groups().iter().copied().collect(),
             rates: ck.rates.clone(),
             rates_dirty: ck.rates_dirty,
+            costs: CostCache::new(),
             result,
         }
     }
@@ -1042,8 +1142,11 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                 .streams
                 .iter()
                 .map(|s| StreamCkpt {
-                    queue: s.queue.iter().map(|it| (it.kind.clone(), it.issue_ns)).collect(),
+                    queue: s.waiting().to_vec(),
                     active: s.active.clone(),
+                    until: s.until,
+                    remaining: s.remaining,
+                    barriers: s.barriers,
                 })
                 .collect(),
             rates: self.rates.clone(),
@@ -1078,143 +1181,160 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
     /// drain still reports real deadlocks.
     fn advance_prefix(&mut self) {
         loop {
-            let any_idle =
-                self.streams.iter().any(|s| s.active.is_none() && s.queue.is_empty());
-            if any_idle {
+            if self.streams.iter().any(StreamState::idle) {
                 return;
             }
-            self.activate_ready();
-            if self.all_idle() {
-                return;
-            }
-            self.ensure_rates();
-            let Some(t_next) = self.next_event_time() else { return };
-            self.advance_to(t_next);
-            self.complete_finished();
+            let Next::At(t_next) = self.activate_ready() else { return };
+            self.advance_and_complete(t_next);
         }
     }
 
     /// Runs the device until every queue is empty and every stream idle.
     /// Returns the idle time.
+    ///
+    /// Each step is two passes over the streams: one activates what is
+    /// ready and finds the next time anything changes
+    /// ([`Sim::activate_ready`]), the other moves there and retires what
+    /// finished ([`Sim::advance_and_complete`]).
     fn drain(&mut self) -> Result<f64, GpuError> {
         loop {
-            self.activate_ready();
-            if self.all_idle() {
-                return Ok(self.now);
+            match self.activate_ready() {
+                Next::At(t_next) => self.advance_and_complete(t_next),
+                Next::Idle => return Ok(self.now),
+                Next::Stuck => return Err(GpuError::Deadlock(self.describe_stall())),
             }
+        }
+    }
+
+    /// Starts every idle stream's head item whose preconditions hold at
+    /// `now`, in one pass over the streams, and finds the next time
+    /// anything changes: the earliest phase end of an item in flight, or
+    /// issue time of a head whose waits have all fired.
+    ///
+    /// One pass reaches the fixed point. A head is ready once its issue
+    /// time has passed and its waits have fired, and activation changes
+    /// neither: `now` moves and events fire only in
+    /// [`Sim::advance_and_complete`]. Nor does activation change the set of
+    /// work-phase kernels, so the rates priced before the pass hold after
+    /// it. A barrier or all-reduce that an activation releases rewrites
+    /// only streams already in flight; as some of those may have been
+    /// passed already, the next time is then found afresh.
+    fn activate_ready(&mut self) -> Next {
+        if self.rates_dirty && !self.streams.iter().all(StreamState::idle) {
             self.ensure_rates();
-            let t_next = self.next_event_time();
-            let Some(t_next) = t_next else {
-                return Err(GpuError::Deadlock(self.describe_stall()));
-            };
-            self.advance_to(t_next);
-            self.complete_finished();
         }
-    }
-
-    fn all_idle(&self) -> bool {
-        self.streams.iter().all(|s| s.active.is_none() && s.queue.is_empty())
-    }
-
-    /// Starts every stream-head item whose preconditions hold at `now`.
-    /// Loops to a fixed point because one activation can release another.
-    fn activate_ready(&mut self) {
-        loop {
-            let mut changed = false;
-            for si in 0..self.streams.len() {
-                if self.streams[si].active.is_some() {
-                    continue;
-                }
-                let Some(head) = self.streams[si].queue.front() else { continue };
-                if head.issue_ns > self.now + EPS {
-                    continue;
-                }
-                let fired = self.now + EPS;
-                let waits_ok = head.waits.iter().all(|&e| self.result.event_ns.fired_by(e, fired));
-                if !waits_ok {
-                    continue;
-                }
-                let item = self.streams[si].queue.pop_front().expect("head exists");
-                let sync_penalty = if item.waits.is_empty() {
-                    0.0
+        let now = self.now;
+        let fired = now + EPS;
+        let floor = now - EPS;
+        let mut pending = false;
+        let mut released = false;
+        let mut t = f64::INFINITY;
+        for si in 0..self.streams.len() {
+            let stream = &self.streams[si];
+            let cand = if stream.active.is_some() {
+                stream.phase_end(now, self.rates[si])
+            } else if let Some(head) = stream.head() {
+                let waits = self.schedule.cmd_waits(head.cmd);
+                if head.issue_ns > fired {
+                    // A head stalled purely on its issue time is a future event.
+                    let known = waits.iter().all(|&e| self.result.event_ns.get(e).is_some());
+                    if known { head.issue_ns } else { f64::INFINITY }
+                } else if waits.iter().all(|&e| self.result.event_ns.fired_by(e, fired)) {
+                    self.streams[si].started += 1;
+                    released |= self.activate(si, head, !waits.is_empty());
+                    self.streams[si].phase_end(now, self.rates[si])
                 } else {
-                    self.dev.stream_sync_cost_ns
-                };
-                match item.kind {
-                    ItemKind::Kernel { exec_ns, demand, cmd_idx } => {
-                        let jitter = self.clock.jitter_factor();
-                        let mut exec_ns = exec_ns * jitter;
-                        let mut overhead_ns = self.dev.launch_overhead_ns + sync_penalty;
-                        if let Some(chaos) = &mut self.chaos {
-                            if chaos.injector.draw_launch_retry() {
-                                overhead_ns +=
-                                    LAUNCH_RETRY_OVERHEAD_FACTOR * self.dev.launch_overhead_ns;
-                                self.result.faults.launch_retries += 1;
-                            }
-                            if let Some(f) = chaos.injector.draw_spike() {
-                                exec_ns *= f;
-                                self.result.faults.timing_spikes += 1;
-                            }
-                            exec_ns *= chaos.straggle[si];
-                        }
-                        let start = self.now;
-                        self.streams[si].active = Some(Active::Overhead {
-                            until: self.now + overhead_ns,
-                            exec_ns,
-                            demand,
-                            cmd_idx,
-                            start,
-                        });
-                    }
-                    ItemKind::Record { event } => {
-                        self.streams[si].active = Some(Active::Fixed {
-                            until: self.now + self.dev.event_record_cost_ns,
-                            event: Some(event),
-                        });
-                    }
-                    ItemKind::Barrier { id } => {
-                        self.barrier_arrivals[id].push((si, self.now));
-                        self.streams[si].active = Some(Active::AtBarrier { id });
-                        self.try_release_barrier(id);
-                    }
-                    ItemKind::Transfer { bytes, link, cmd_idx } => {
-                        let latency = self
-                            .topo
-                            .expect("transfers are dispatched only with a topology")
-                            .link()
-                            .latency_ns;
-                        let start = self.now;
-                        self.streams[si].active = Some(Active::XferLat {
-                            until: self.now + latency + sync_penalty,
-                            bytes,
-                            link,
-                            cmd_idx,
-                            start,
-                        });
-                    }
-                    ItemKind::AllReduce { id, bytes, cmd_idx } => {
-                        self.ar_arrivals
-                            .entry(id)
-                            .or_default()
-                            .push((si, self.now, bytes, cmd_idx));
-                        self.streams[si].active = Some(Active::AtAllReduce { id });
-                        self.try_release_allreduce(id);
-                    }
+                    f64::INFINITY
                 }
-                changed = true;
-            }
-            if !changed {
-                return;
+            } else {
+                continue;
+            };
+            pending = true;
+            // An infinite candidate leaves the minimum as it is.
+            if cand > floor {
+                t = t.min(cand);
             }
         }
+        if released {
+            t = self.next_event_time();
+        }
+        match (pending, t.is_finite()) {
+            (false, _) => Next::Idle,
+            (true, true) => Next::At(t),
+            (true, false) => Next::Stuck,
+        }
+    }
+
+    /// Starts `item`, just popped from stream `si`'s queue. `synced` says
+    /// whether it waited on events, which costs a cross-stream sync.
+    /// Returns whether it released a barrier or all-reduce.
+    fn activate(&mut self, si: usize, item: Item, synced: bool) -> bool {
+        let sync_penalty = if synced { self.dev.stream_sync_cost_ns } else { 0.0 };
+        let now = self.now;
+        let (active, until) = match self.schedule.cmds()[item.cmd] {
+            Cmd::Launch { kernel, .. } => {
+                // Cost the kernel on the device its stream dispatches onto
+                // (device 0 — i.e. `dev` — for single-device runs).
+                let device = self.stream_dev[si];
+                let (cost, solo) = self.costs.get(&kernel, device, self.device_spec(device));
+                let jitter = self.clock.jitter_factor();
+                let mut exec_ns = cost.exec_ns * jitter;
+                let mut overhead_ns = self.dev.launch_overhead_ns + sync_penalty;
+                if let Some(chaos) = &mut self.chaos {
+                    if chaos.injector.draw_launch_retry() {
+                        overhead_ns += LAUNCH_RETRY_OVERHEAD_FACTOR * self.dev.launch_overhead_ns;
+                        self.result.faults.launch_retries += 1;
+                    }
+                    if let Some(f) = chaos.injector.draw_spike() {
+                        exec_ns *= f;
+                        self.result.faults.timing_spikes += 1;
+                    }
+                    exec_ns *= chaos.straggle[si];
+                }
+                let active = Active::Overhead {
+                    exec_ns,
+                    demand: cost.demand_blocks,
+                    solo,
+                    cmd_idx: item.cmd,
+                    start: now,
+                };
+                (active, now + overhead_ns)
+            }
+            Cmd::Record { event, .. } => {
+                (Active::Fixed { event: Some(event) }, now + self.dev.event_record_cost_ns)
+            }
+            Cmd::Barrier => {
+                let id = self.streams[si].barriers;
+                self.streams[si].barriers += 1;
+                self.barrier_arrivals[id].push((si, now));
+                self.streams[si].start(Active::AtBarrier { id }, f64::INFINITY);
+                return self.try_release_barrier(id);
+            }
+            Cmd::Transfer { bytes, src, dst, .. } => {
+                let t = self.topo.expect("transfers are dispatched only with a topology");
+                let link = if t.link().shared { 0 } else { (src * t.num_devices() + dst) as u32 + 1 };
+                let active =
+                    Active::XferLat { bytes: bytes as f64, link, cmd_idx: item.cmd, start: now };
+                (active, now + t.link().latency_ns + sync_penalty)
+            }
+            Cmd::AllReduce { bytes, group, .. } => {
+                self.ar_arrivals.entry(group).or_default().push((si, now, bytes, item.cmd));
+                self.streams[si].start(Active::AtAllReduce { id: group }, f64::INFINITY);
+                return self.try_release_allreduce(group);
+            }
+            Cmd::HostSync => unreachable!("host syncs are never queued"),
+        };
+        self.streams[si].start(active, until);
+        false
     }
 
     /// If every stream has arrived at barrier `id`, convert the arrivals into
-    /// fixed items finishing at `max(arrivals) + barrier cost`.
-    fn try_release_barrier(&mut self, id: usize) {
+    /// fixed items finishing at `max(arrivals) + barrier cost`. Returns
+    /// whether it released.
+    fn try_release_barrier(&mut self, id: usize) -> bool {
         let arrivals = &self.barrier_arrivals[id];
         if arrivals.len() < self.num_streams {
-            return;
+            return false;
         }
         let release = arrivals.iter().map(|&(_, t)| t).fold(0.0_f64, f64::max)
             + self.dev.barrier_sync_cost_ns;
@@ -1222,10 +1342,11 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
         for si in members {
             if let Some(Active::AtBarrier { id: bid }) = self.streams[si].active {
                 if bid == id {
-                    self.streams[si].active = Some(Active::Fixed { until: release, event: None });
+                    self.streams[si].start(Active::Fixed { event: None }, release);
                 }
             }
         }
+        true
     }
 
     /// If every expected participant has arrived at all-reduce `id`, release
@@ -1233,12 +1354,12 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
     /// all-reduce over the topology link completes, measured from the last
     /// arrival. Participant count for the ring cost is the number of
     /// *distinct devices* involved (two streams of one device reduce
-    /// locally for free).
-    fn try_release_allreduce(&mut self, id: u32) {
+    /// locally for free). Returns whether it released.
+    fn try_release_allreduce(&mut self, id: u32) -> bool {
         let expect = *self.ar_expect.get(&id).unwrap_or(&usize::MAX);
-        let Some(arrivals) = self.ar_arrivals.get(&id) else { return };
+        let Some(arrivals) = self.ar_arrivals.get(&id) else { return false };
         if arrivals.len() < expect {
-            return;
+            return false;
         }
         let link = self.topo.expect("all-reduces are dispatched only with a topology").link();
         let last = arrivals.iter().map(|&(_, t, _, _)| t).fold(0.0_f64, f64::max);
@@ -1253,10 +1374,16 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
         for (si, start, cmd_idx) in members {
             if let Some(Active::AtAllReduce { id: aid }) = self.streams[si].active {
                 if aid == id {
-                    self.streams[si].active = Some(Active::ArBusy { until, cmd_idx, start });
+                    self.streams[si].start(Active::ArBusy { cmd_idx, start }, until);
                 }
             }
         }
+        true
+    }
+
+    /// Device `device` of the run: the topology's, or the engine's one.
+    fn device_spec(&self, device: usize) -> &'d DeviceSpec {
+        self.topo.map_or(self.dev, |t| t.device(device))
     }
 
     /// Refreshes the cached per-stream execution rates if the set of
@@ -1270,53 +1397,42 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
     /// already-saturating kernels split the device with no free bonus.
     ///
     /// `rate_i = (d_i / D) * U(D) / U(d_i)`, with `U` the same wave-aware
-    /// utilization the solo cost model uses. A single kernel gets rate 1.
+    /// utilization the solo cost model uses ([`utilization`]) and `U(d_i)`
+    /// the kernel's `solo` figure. A kernel alone on its device (kernels
+    /// with no thread blocks aside) gets exactly rate 1, which the formula
+    /// also gives: `D = d_i`, so it is `1 * U(d_i) / U(d_i)`.
     fn ensure_rates(&mut self) {
         if !self.rates_dirty {
             return;
         }
         self.rates_dirty = false;
-        for r in &mut self.rates {
-            *r = 1.0;
-        }
+        self.rates.fill(1.0);
         // Processor sharing is per device: each device's work-phase kernels
-        // share that device's slot pool. With one device this is exactly the
-        // historical single-pool computation (same operations in the same
-        // order, so cached results stay bit-identical).
+        // share that device's slot pool.
         for dev_idx in 0..self.num_devices {
-            let spec = match self.topo {
-                Some(t) => t.device(dev_idx),
-                None => self.dev,
-            };
-            let slots = f64::from(spec.total_slots());
-            let util = |blocks: f64| -> f64 {
-                if blocks <= 0.0 {
-                    return 1.0;
-                }
-                let waves = (blocks / slots).ceil().max(1.0);
-                (blocks / (waves * slots)).sqrt()
-            };
-            let mut total = 0.0_f64;
-            for (si, s) in self.streams.iter().enumerate() {
-                if self.stream_dev[si] != dev_idx {
-                    continue;
-                }
-                if let Some(Active::Work { demand, .. }) = &s.active {
-                    total += f64::from(*demand);
+            let mut total = 0_u64;
+            let mut sharing = 0;
+            for (s, &d) in self.streams.iter().zip(self.stream_dev) {
+                if let (true, Some(Active::Work { demand, .. })) = (d == dev_idx, &s.active) {
+                    if *demand > 0 {
+                        total += u64::from(*demand);
+                        sharing += 1;
+                    }
                 }
             }
-            if total <= 0.0 {
+            if sharing < 2 {
                 continue;
             }
-            let joint = util(total);
+            let joint = utilization(total, self.device_spec(dev_idx).total_slots());
+            // A sum of u32 demands over the streams is exact in an f64.
+            let total = total as f64;
             for (si, s) in self.streams.iter().enumerate() {
                 if self.stream_dev[si] != dev_idx {
                     continue;
                 }
-                if let Some(Active::Work { demand, .. }) = &s.active {
-                    let d = f64::from(*demand);
-                    if d > 0.0 {
-                        self.rates[si] = (d / total) * joint / util(d);
+                if let Some(Active::Work { demand, solo, .. }) = &s.active {
+                    if *demand > 0 {
+                        self.rates[si] = (f64::from(*demand) / total) * joint / solo;
                     }
                 }
             }
@@ -1326,135 +1442,92 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
         // point-to-point fabric. The cached "rate" is in bytes/ns.
         if let Some(t) = self.topo {
             let bw = t.link().bytes_per_ns();
-            let mut counts: HashMap<u32, u32> = HashMap::new();
-            for s in &self.streams {
-                if let Some(Active::Xfer { link, .. }) = &s.active {
-                    *counts.entry(*link).or_insert(0) += 1;
-                }
-            }
-            for (si, s) in self.streams.iter().enumerate() {
-                if let Some(Active::Xfer { link, .. }) = &s.active {
-                    self.rates[si] = bw / f64::from(counts[link]);
-                }
+            for si in 0..self.streams.len() {
+                let Some(Active::Xfer { link, .. }) = self.streams[si].active else { continue };
+                let on_link = self
+                    .streams
+                    .iter()
+                    .filter(|s| matches!(s.active, Some(Active::Xfer { link: l, .. }) if l == link))
+                    .count();
+                self.rates[si] = bw / on_link as f64;
             }
         }
     }
 
-    /// The next simulation timestamp at which anything changes. Relies on
-    /// [`Sim::ensure_rates`] having been called since the last work-set
-    /// change.
-    fn next_event_time(&self) -> Option<f64> {
-        let mut t: Option<f64> = None;
-        let mut consider = |cand: f64| {
-            if cand.is_finite() && cand > self.now - EPS {
-                t = Some(match t {
-                    Some(cur) => cur.min(cand),
-                    None => cand,
-                });
-            }
-        };
-        for (si, s) in self.streams.iter().enumerate() {
-            match &s.active {
-                Some(Active::Overhead { until, .. }) => consider(*until),
-                Some(Active::Work { remaining, .. }) => {
-                    let rate = self.rates[si];
-                    consider(self.now + remaining / rate.max(1e-12));
+    /// The next time anything changes, infinite if nothing can: what
+    /// [`Sim::activate_ready`] finds, over the streams as they stand.
+    fn next_event_time(&self) -> f64 {
+        let floor = self.now - EPS;
+        let mut t = f64::INFINITY;
+        for (s, &rate) in self.streams.iter().zip(&self.rates) {
+            let cand = match (&s.active, s.head()) {
+                (Some(_), _) => s.phase_end(self.now, rate),
+                (None, Some(head)) if head.issue_ns > self.now + EPS => {
+                    let waits = self.schedule.cmd_waits(head.cmd);
+                    let known = waits.iter().all(|&e| self.result.event_ns.get(e).is_some());
+                    if known { head.issue_ns } else { f64::INFINITY }
                 }
-                Some(Active::Fixed { until, .. }) => consider(*until),
-                Some(Active::XferLat { until, .. }) => consider(*until),
-                Some(Active::Xfer { remaining, .. }) => {
-                    let rate = self.rates[si];
-                    consider(self.now + remaining / rate.max(1e-12));
-                }
-                Some(Active::ArBusy { until, .. }) => consider(*until),
-                Some(Active::AtBarrier { .. }) | Some(Active::AtAllReduce { .. }) => {}
-                None => {
-                    // A head stalled purely on its issue time is a future event.
-                    if let Some(head) = s.queue.front() {
-                        if head.issue_ns > self.now + EPS {
-                            let waits_known = head
-                                .waits
-                                .iter()
-                                .all(|&e| self.result.event_ns.get(e).is_some());
-                            if waits_known {
-                                consider(head.issue_ns);
-                            }
-                        }
-                    }
-                }
+                (None, _) => continue,
+            };
+            if cand > floor {
+                t = t.min(cand);
             }
         }
         t
     }
 
-    /// Advances time to `t`, burning work according to the cached rates.
-    fn advance_to(&mut self, t: f64) {
+    /// Advances time to `t`, burning work-phase progress at the cached
+    /// rates, and retires every item finished by then (see
+    /// [`Sim::finish`]), in one pass over the streams. Retiring one
+    /// stream's item changes no other stream's progress: rates are only
+    /// re-priced by the next [`Sim::ensure_rates`].
+    ///
+    /// The pass does not look at what the streams run. A stream outside a
+    /// work phase has infinite `remaining`, which burning leaves infinite,
+    /// and one outside a fixed phase has infinite `until`.
+    fn advance_and_complete(&mut self, t: f64) {
         let dt = (t - self.now).max(0.0);
-        if dt > 0.0 {
-            for (si, s) in self.streams.iter_mut().enumerate() {
-                match &mut s.active {
-                    Some(Active::Work { remaining, .. })
-                    | Some(Active::Xfer { remaining, .. }) => {
-                        *remaining -= self.rates[si] * dt;
-                    }
-                    _ => {}
-                }
+        self.now = t;
+        let slack = done_eps(t);
+        let due = t + slack;
+        for si in 0..self.streams.len() {
+            let stream = &mut self.streams[si];
+            if dt > 0.0 {
+                stream.remaining -= self.rates[si] * dt;
+            }
+            if stream.until <= due || stream.remaining <= slack {
+                self.finish(si);
             }
         }
-        self.now = t;
     }
 
-    /// Retires finished items and phase-transitions kernels out of their
-    /// launch-overhead phase.
-    fn complete_finished(&mut self) {
-        let slack = done_eps(self.now);
-        for si in 0..self.streams.len() {
-            let finished = match &self.streams[si].active {
-                Some(Active::Overhead { until, .. }) => *until <= self.now + slack,
-                Some(Active::Work { remaining, .. }) => *remaining <= slack,
-                Some(Active::Fixed { until, .. }) => *until <= self.now + slack,
-                Some(Active::XferLat { until, .. }) => *until <= self.now + slack,
-                Some(Active::Xfer { remaining, .. }) => *remaining <= slack,
-                Some(Active::ArBusy { until, .. }) => *until <= self.now + slack,
-                _ => false,
-            };
-            if !finished {
-                continue;
+    /// Retires stream `si`'s finished item, or moves a kernel or transfer
+    /// from its fixed-latency phase into its work phase.
+    fn finish(&mut self, si: usize) {
+        let stream = &mut self.streams[si];
+        match stream.retire() {
+            Active::Overhead { exec_ns, demand, solo, cmd_idx, start } => {
+                stream.start_work(Active::Work { demand, solo, cmd_idx, start }, exec_ns);
+                self.rates_dirty = true;
             }
-            match self.streams[si].active.take().expect("checked above") {
-                Active::Overhead { exec_ns, demand, cmd_idx, start, .. } => {
-                    self.streams[si].active = Some(Active::Work {
-                        remaining: exec_ns,
-                        demand,
-                        cmd_idx,
-                        start,
-                    });
-                    self.rates_dirty = true;
+            Active::Work { cmd_idx, start, .. } | Active::Xfer { cmd_idx, start, .. } => {
+                self.push_span(si, cmd_idx, start);
+                self.rates_dirty = true;
+            }
+            Active::Fixed { event } => {
+                if let Some(ev) = event {
+                    self.result.event_ns.fire(ev, self.now);
                 }
-                Active::Work { cmd_idx, start, .. } => {
-                    self.push_span(si, cmd_idx, start);
-                    self.rates_dirty = true;
-                }
-                Active::Fixed { event, .. } => {
-                    if let Some(ev) = event {
-                        self.result.event_ns.fire(ev, self.now);
-                    }
-                }
-                Active::XferLat { bytes, link, cmd_idx, start, .. } => {
-                    self.streams[si].active =
-                        Some(Active::Xfer { remaining: bytes, link, cmd_idx, start });
-                    self.rates_dirty = true;
-                }
-                Active::Xfer { cmd_idx, start, .. } => {
-                    self.push_span(si, cmd_idx, start);
-                    self.rates_dirty = true;
-                }
-                Active::ArBusy { cmd_idx, start, .. } => {
-                    self.push_span(si, cmd_idx, start);
-                }
-                Active::AtBarrier { .. } | Active::AtAllReduce { .. } => {
-                    unreachable!("rendezvous items finish as Fixed/ArBusy")
-                }
+            }
+            Active::XferLat { bytes, link, cmd_idx, start } => {
+                stream.start_work(Active::Xfer { link, cmd_idx, start }, bytes);
+                self.rates_dirty = true;
+            }
+            Active::ArBusy { cmd_idx, start } => {
+                self.push_span(si, cmd_idx, start);
+            }
+            Active::AtBarrier { .. } | Active::AtAllReduce { .. } => {
+                unreachable!("rendezvous items finish as Fixed/ArBusy")
             }
         }
     }
@@ -1486,43 +1559,50 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                 Some(Active::AtBarrier { id }) => {
                     parts.push(format!("stream {si} stuck at barrier {id}"));
                 }
-                Some(Active::Work { remaining, demand, cmd_idx, .. }) => {
+                Some(Active::Work { demand, cmd_idx, .. }) => {
                     let label = self.span_label(*cmd_idx);
                     parts.push(format!(
-                        "stream {si} running '{label}' with remaining {remaining} (demand {demand}) that never completes"
+                        "stream {si} running '{label}' with remaining {} (demand {demand}) that never completes",
+                        s.remaining
                     ));
                 }
-                Some(Active::Overhead { until, cmd_idx, .. }) => {
+                Some(Active::Overhead { cmd_idx, .. }) => {
                     let label = self.span_label(*cmd_idx);
                     parts.push(format!(
-                        "stream {si} in launch overhead of '{label}' until {until}"
+                        "stream {si} in launch overhead of '{label}' until {}",
+                        s.until
                     ));
                 }
-                Some(Active::Fixed { until, .. }) => {
-                    parts.push(format!("stream {si} in fixed item until {until}"));
+                Some(Active::Fixed { .. }) => {
+                    parts.push(format!("stream {si} in fixed item until {}", s.until));
                 }
                 Some(Active::AtAllReduce { id }) => {
                     parts.push(format!(
                         "stream {si} stuck at all-reduce group {id} waiting for peers"
                     ));
                 }
-                Some(Active::XferLat { until, cmd_idx, .. }) => {
-                    let label = self.span_label(*cmd_idx);
-                    parts.push(format!("stream {si} in transfer latency of '{label}' until {until}"));
-                }
-                Some(Active::Xfer { remaining, cmd_idx, .. }) => {
+                Some(Active::XferLat { cmd_idx, .. }) => {
                     let label = self.span_label(*cmd_idx);
                     parts.push(format!(
-                        "stream {si} transferring '{label}' with {remaining} bytes left"
+                        "stream {si} in transfer latency of '{label}' until {}",
+                        s.until
                     ));
                 }
-                Some(Active::ArBusy { until, .. }) => {
-                    parts.push(format!("stream {si} in all-reduce until {until}"));
+                Some(Active::Xfer { cmd_idx, .. }) => {
+                    let label = self.span_label(*cmd_idx);
+                    parts.push(format!(
+                        "stream {si} transferring '{label}' with {} bytes left",
+                        s.remaining
+                    ));
+                }
+                Some(Active::ArBusy { .. }) => {
+                    parts.push(format!("stream {si} in all-reduce until {}", s.until));
                 }
                 None => {
-                    if let Some(head) = s.queue.front() {
-                        let missing: Vec<String> = head
-                            .waits
+                    if let Some(head) = s.head() {
+                        let missing: Vec<String> = self
+                            .schedule
+                            .cmd_waits(head.cmd)
                             .iter()
                             .filter(|&&e| self.result.event_ns.get(e).is_none())
                             .map(|e| format!("{e:?}"))
@@ -1550,10 +1630,46 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
 mod tests {
     use super::*;
     use crate::gemm::{GemmLibrary, GemmShape};
-    use crate::kernel::KernelDesc;
 
     fn gemm(shape: GemmShape) -> KernelDesc {
         KernelDesc::Gemm { shape, lib: GemmLibrary::CublasLike }
+    }
+
+    #[test]
+    fn integer_waves_match_the_float_ceiling() {
+        for slots in [1_u32, 7, 56, 112, 3584] {
+            let s = u64::from(slots);
+            let near_waves = (1..40).flat_map(|w| [w * s - 1, w * s, w * s + 1]);
+            for blocks in (1..600).chain(near_waves).chain([u64::from(u32::MAX), 1 << 40]) {
+                let waves = (blocks as f64 / f64::from(slots)).ceil().max(1.0);
+                let float = (blocks as f64 / (waves * f64::from(slots))).sqrt();
+                assert_eq!(utilization(blocks, slots).to_bits(), float.to_bits(), "{blocks}/{slots}");
+            }
+        }
+    }
+
+    #[test]
+    fn cost_cache_returns_each_kernels_own_cost() {
+        let (p100, v100) = (DeviceSpec::p100(), DeviceSpec::v100());
+        let kernels: Vec<KernelDesc> = (1..200_u64)
+            .map(|i| gemm(GemmShape::new(i, 64, 32)))
+            .chain([0.0, -0.0].map(|bytes| KernelDesc::MemCopy { bytes }))
+            .collect();
+        let mut cache = CostCache::new();
+        // Twice over, on two devices: more kernels than slots, so the
+        // second round both hits and re-costs evicted entries.
+        for _ in 0..2 {
+            for k in &kernels {
+                for (device, spec) in [(0, &p100), (1, &v100)] {
+                    let (cost, solo) = cache.get(k, device, spec);
+                    let own = k.cost(spec);
+                    assert_eq!(cost.exec_ns.to_bits(), own.exec_ns.to_bits());
+                    assert_eq!(cost.demand_blocks, own.demand_blocks);
+                    let util = utilization(u64::from(own.demand_blocks), spec.total_slots());
+                    assert_eq!(solo.to_bits(), util.to_bits());
+                }
+            }
+        }
     }
 
     #[test]
