@@ -470,6 +470,9 @@ pub struct EngineCheckpoint {
     now: f64,
     barrier_arrivals: Vec<Vec<(usize, f64)>>,
     ar_arrivals: Vec<(u32, Vec<ArArrival>)>,
+    /// Every stream's state, or none when every stream is drained (idle,
+    /// nothing queued), as in every full-run memo: a drained stream has
+    /// passed every barrier, which is all there is to restore.
     streams: Vec<StreamCkpt>,
     rates: Vec<f64>,
     rates_dirty: bool,
@@ -549,11 +552,7 @@ impl EngineCheckpoint {
     /// dropped, and [`EngineCheckpoint::from_memo`] rebuilds a span-free
     /// checkpoint.
     pub fn export_memo(&self) -> Option<MemoParts> {
-        let drained = self
-            .streams
-            .iter()
-            .all(|s| s.queue.is_empty() && s.active.is_none());
-        if !drained || self.chaos.is_some() {
+        if !self.streams.is_empty() || self.chaos.is_some() {
             return None;
         }
         Some(MemoParts {
@@ -586,8 +585,6 @@ impl EngineCheckpoint {
     pub fn from_memo(parts: MemoParts) -> EngineCheckpoint {
         let mut result = parts.result;
         result.spans = Vec::new();
-        // A memo's streams are drained: each passed every barrier.
-        let barriers = parts.barrier_arrivals.len();
         EngineCheckpoint {
             cmd_idx: parts.cmd_idx,
             prefix_hash: parts.prefix_hash,
@@ -596,15 +593,7 @@ impl EngineCheckpoint {
             now: parts.now,
             barrier_arrivals: parts.barrier_arrivals,
             ar_arrivals: parts.ar_arrivals,
-            streams: (0..parts.num_streams)
-                .map(|_| StreamCkpt {
-                    queue: Vec::new(),
-                    active: None,
-                    until: f64::INFINITY,
-                    remaining: f64::INFINITY,
-                    barriers,
-                })
-                .collect(),
+            streams: Vec::new(),
             rates: parts.rates,
             rates_dirty: parts.rates_dirty,
             clock: Clock::from_parts(parts.clock_mode, parts.clock_rng_state),
@@ -1082,22 +1071,30 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
         record_spans: bool,
     ) -> Self {
         let counts = schedule.stream_cmd_counts();
-        let streams: Vec<StreamState> = ck
-            .streams
-            .iter()
-            .zip(counts)
-            .map(|(st, &n)| {
-                let mut queue = Vec::with_capacity(n.max(st.queue.len()));
-                queue.extend_from_slice(&st.queue);
-                StreamState {
-                    active: st.active.clone(),
-                    until: st.until,
-                    remaining: st.remaining,
-                    barriers: st.barriers,
-                    ..StreamState::new(queue)
-                }
-            })
-            .collect();
+        let streams: Vec<StreamState> = if ck.streams.is_empty() {
+            // Every stream was drained, so each passed every barrier.
+            let barriers = ck.barrier_arrivals.len();
+            counts
+                .iter()
+                .map(|&n| StreamState { barriers, ..StreamState::new(Vec::with_capacity(n)) })
+                .collect()
+        } else {
+            ck.streams
+                .iter()
+                .zip(counts)
+                .map(|(st, &n)| {
+                    let mut queue = Vec::with_capacity(n.max(st.queue.len()));
+                    queue.extend_from_slice(&st.queue);
+                    StreamState {
+                        active: st.active.clone(),
+                        until: st.until,
+                        remaining: st.remaining,
+                        barriers: st.barriers,
+                        ..StreamState::new(queue)
+                    }
+                })
+                .collect()
+        };
         let mut result = ck.result_so_far(record_spans);
         result.event_ns.resize(schedule.num_events());
         Sim {
@@ -1138,17 +1135,20 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             now: self.now,
             barrier_arrivals: self.barrier_arrivals.clone(),
             ar_arrivals,
-            streams: self
-                .streams
-                .iter()
-                .map(|s| StreamCkpt {
-                    queue: s.waiting().to_vec(),
-                    active: s.active.clone(),
-                    until: s.until,
-                    remaining: s.remaining,
-                    barriers: s.barriers,
-                })
-                .collect(),
+            streams: if self.streams.iter().all(StreamState::idle) {
+                Vec::new()
+            } else {
+                self.streams
+                    .iter()
+                    .map(|s| StreamCkpt {
+                        queue: s.waiting().to_vec(),
+                        active: s.active.clone(),
+                        until: s.until,
+                        remaining: s.remaining,
+                        barriers: s.barriers,
+                    })
+                    .collect()
+            },
             rates: self.rates.clone(),
             rates_dirty: self.rates_dirty,
             clock: self.clock.clone(),
@@ -1164,7 +1164,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
     ///
     /// The stop rule: as long as *every* stream is busy, future items cannot
     /// activate — they sit behind the prefix items in their FIFO — and
-    /// cannot appear as `next_event_time` candidates, so the processed chain
+    /// cannot be candidates for the next event time, so the processed chain
     /// is a verbatim prefix of the cold run's chain (same floating-point
     /// operations, same jitter/fault draw order). The moment any stream
     /// drains idle, a cold run's next steps may involve a future item on it
@@ -1217,8 +1217,9 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
     /// [`Sim::advance_and_complete`]. Nor does activation change the set of
     /// work-phase kernels, so the rates priced before the pass hold after
     /// it. A barrier or all-reduce that an activation releases rewrites
-    /// only streams already in flight; as some of those may have been
-    /// passed already, the next time is then found afresh.
+    /// only streams already in flight, and gives each the phase end it
+    /// gives the activated stream, which the pass then takes in: the
+    /// streams it passed before, waiting at the rendezvous, had none.
     fn activate_ready(&mut self) -> Next {
         if self.rates_dirty && !self.streams.iter().all(StreamState::idle) {
             self.ensure_rates();
@@ -1227,7 +1228,6 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
         let fired = now + EPS;
         let floor = now - EPS;
         let mut pending = false;
-        let mut released = false;
         let mut t = f64::INFINITY;
         for si in 0..self.streams.len() {
             let stream = &self.streams[si];
@@ -1241,7 +1241,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                     if known { head.issue_ns } else { f64::INFINITY }
                 } else if waits.iter().all(|&e| self.result.event_ns.fired_by(e, fired)) {
                     self.streams[si].started += 1;
-                    released |= self.activate(si, head, !waits.is_empty());
+                    self.activate(si, head, !waits.is_empty());
                     self.streams[si].phase_end(now, self.rates[si])
                 } else {
                     f64::INFINITY
@@ -1255,9 +1255,6 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                 t = t.min(cand);
             }
         }
-        if released {
-            t = self.next_event_time();
-        }
         match (pending, t.is_finite()) {
             (false, _) => Next::Idle,
             (true, true) => Next::At(t),
@@ -1267,8 +1264,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
 
     /// Starts `item`, just popped from stream `si`'s queue. `synced` says
     /// whether it waited on events, which costs a cross-stream sync.
-    /// Returns whether it released a barrier or all-reduce.
-    fn activate(&mut self, si: usize, item: Item, synced: bool) -> bool {
+    fn activate(&mut self, si: usize, item: Item, synced: bool) {
         let sync_penalty = if synced { self.dev.stream_sync_cost_ns } else { 0.0 };
         let now = self.now;
         let (active, until) = match self.schedule.cmds()[item.cmd] {
@@ -1308,7 +1304,8 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                 self.streams[si].barriers += 1;
                 self.barrier_arrivals[id].push((si, now));
                 self.streams[si].start(Active::AtBarrier { id }, f64::INFINITY);
-                return self.try_release_barrier(id);
+                self.try_release_barrier(id);
+                return;
             }
             Cmd::Transfer { bytes, src, dst, .. } => {
                 let t = self.topo.expect("transfers are dispatched only with a topology");
@@ -1320,21 +1317,20 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             Cmd::AllReduce { bytes, group, .. } => {
                 self.ar_arrivals.entry(group).or_default().push((si, now, bytes, item.cmd));
                 self.streams[si].start(Active::AtAllReduce { id: group }, f64::INFINITY);
-                return self.try_release_allreduce(group);
+                self.try_release_allreduce(group);
+                return;
             }
             Cmd::HostSync => unreachable!("host syncs are never queued"),
         };
         self.streams[si].start(active, until);
-        false
     }
 
     /// If every stream has arrived at barrier `id`, convert the arrivals into
-    /// fixed items finishing at `max(arrivals) + barrier cost`. Returns
-    /// whether it released.
-    fn try_release_barrier(&mut self, id: usize) -> bool {
+    /// fixed items finishing at `max(arrivals) + barrier cost`.
+    fn try_release_barrier(&mut self, id: usize) {
         let arrivals = &self.barrier_arrivals[id];
         if arrivals.len() < self.num_streams {
-            return false;
+            return;
         }
         let release = arrivals.iter().map(|&(_, t)| t).fold(0.0_f64, f64::max)
             + self.dev.barrier_sync_cost_ns;
@@ -1346,7 +1342,6 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                 }
             }
         }
-        true
     }
 
     /// If every expected participant has arrived at all-reduce `id`, release
@@ -1354,12 +1349,12 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
     /// all-reduce over the topology link completes, measured from the last
     /// arrival. Participant count for the ring cost is the number of
     /// *distinct devices* involved (two streams of one device reduce
-    /// locally for free). Returns whether it released.
-    fn try_release_allreduce(&mut self, id: u32) -> bool {
+    /// locally for free).
+    fn try_release_allreduce(&mut self, id: u32) {
         let expect = *self.ar_expect.get(&id).unwrap_or(&usize::MAX);
-        let Some(arrivals) = self.ar_arrivals.get(&id) else { return false };
+        let Some(arrivals) = self.ar_arrivals.get(&id) else { return };
         if arrivals.len() < expect {
-            return false;
+            return;
         }
         let link = self.topo.expect("all-reduces are dispatched only with a topology").link();
         let last = arrivals.iter().map(|&(_, t, _, _)| t).fold(0.0_f64, f64::max);
@@ -1378,7 +1373,6 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                 }
             }
         }
-        true
     }
 
     /// Device `device` of the run: the topology's, or the engine's one.
@@ -1452,28 +1446,6 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                 self.rates[si] = bw / on_link as f64;
             }
         }
-    }
-
-    /// The next time anything changes, infinite if nothing can: what
-    /// [`Sim::activate_ready`] finds, over the streams as they stand.
-    fn next_event_time(&self) -> f64 {
-        let floor = self.now - EPS;
-        let mut t = f64::INFINITY;
-        for (s, &rate) in self.streams.iter().zip(&self.rates) {
-            let cand = match (&s.active, s.head()) {
-                (Some(_), _) => s.phase_end(self.now, rate),
-                (None, Some(head)) if head.issue_ns > self.now + EPS => {
-                    let waits = self.schedule.cmd_waits(head.cmd);
-                    let known = waits.iter().all(|&e| self.result.event_ns.get(e).is_some());
-                    if known { head.issue_ns } else { f64::INFINITY }
-                }
-                (None, _) => continue,
-            };
-            if cand > floor {
-                t = t.min(cand);
-            }
-        }
-        t
     }
 
     /// Advances time to `t`, burning work-phase progress at the cached
@@ -2029,6 +2001,15 @@ mod tests {
             s.launch(StreamId(i % 2), gemm(GemmShape::new(128, 256, 256)));
             s.mark_boundary();
         }
+        // A boundary with every stream drained, after one barrier and
+        // before another that stream 1 reaches first: its checkpoint holds
+        // no per-stream state.
+        s.host_sync();
+        s.mark_boundary();
+        s.launch(StreamId(0), gemm(GemmShape::new(64, 128, 256)));
+        s.barrier();
+        s.launch(StreamId(1), gemm(GemmShape::new(64, 128, 256)));
+        s.mark_boundary();
         s
     }
 
