@@ -323,7 +323,7 @@ enum Active {
     /// Launch-overhead phase: fixed duration, does not occupy slots.
     Overhead { exec_ns: f64, demand: u32, solo: f64, cmd_idx: usize, start: f64 },
     /// Executing phase: ns of work at unit rate, slot-sharing. `solo` is
-    /// the kernel's utilisation of its device when it runs alone (see
+    /// the kernel's utilization of its device when it runs alone (see
     /// [`Sim::ensure_rates`]).
     Work { demand: u32, solo: f64, cmd_idx: usize, start: f64 },
     /// Fixed-duration item (event record).
@@ -353,7 +353,7 @@ enum Active {
 /// kernel's ns at unit rate, a transfer's bytes). Whichever does not apply
 /// is infinite, and both are for an idle stream or one at a rendezvous,
 /// so the phase ends at `min(until, now + remaining / rate)`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct StreamState {
     /// The stream's FIFO: every item dispatched to it, in order, of which
     /// `queue[started..]` have not started. Nothing is ever removed, so it
@@ -430,18 +430,6 @@ impl StreamState {
 /// originating command index.
 pub type ArArrival = (usize, f64, u64, usize);
 
-/// One stream's state inside an [`EngineCheckpoint`]: the queued items,
-/// the in-flight item with its phase end (see [`StreamState`]) and the
-/// barrier count.
-#[derive(Debug, Clone)]
-struct StreamCkpt {
-    queue: Vec<Item>,
-    active: Option<Active>,
-    until: f64,
-    remaining: f64,
-    barriers: usize,
-}
-
 /// A snapshot of the engine mid-run, captured at a schedule boundary.
 ///
 /// Checkpoints own everything they need — per-stream queues and in-flight
@@ -470,10 +458,11 @@ pub struct EngineCheckpoint {
     now: f64,
     barrier_arrivals: Vec<Vec<(usize, f64)>>,
     ar_arrivals: Vec<(u32, Vec<ArArrival>)>,
-    /// Every stream's state, or none when every stream is drained (idle,
-    /// nothing queued), as in every full-run memo: a drained stream has
-    /// passed every barrier, which is all there is to restore.
-    streams: Vec<StreamCkpt>,
+    /// Every stream's state, its FIFO holding only the items not started;
+    /// or none when every stream is drained (idle, nothing queued), as in
+    /// every full-run memo: a drained stream has passed every barrier,
+    /// which is all there is to restore.
+    streams: Vec<StreamState>,
     rates: Vec<f64>,
     rates_dirty: bool,
     clock: Clock,
@@ -1083,15 +1072,9 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                 .iter()
                 .zip(counts)
                 .map(|(st, &n)| {
-                    let mut queue = Vec::with_capacity(n.max(st.queue.len()));
-                    queue.extend_from_slice(&st.queue);
-                    StreamState {
-                        active: st.active.clone(),
-                        until: st.until,
-                        remaining: st.remaining,
-                        barriers: st.barriers,
-                        ..StreamState::new(queue)
-                    }
+                    let mut st = st.clone();
+                    st.queue.reserve(n.saturating_sub(st.queue.len()));
+                    st
                 })
                 .collect()
         };
@@ -1140,12 +1123,11 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             } else {
                 self.streams
                     .iter()
-                    .map(|s| StreamCkpt {
+                    .map(|s| StreamState {
                         queue: s.waiting().to_vec(),
+                        started: 0,
                         active: s.active.clone(),
-                        until: s.until,
-                        remaining: s.remaining,
-                        barriers: s.barriers,
+                        ..*s
                     })
                     .collect()
             },
