@@ -24,11 +24,6 @@ fi
 echo "== build (release) =="
 cargo build --release
 
-echo "== bench targets (release build, not run) =="
-# `cargo test` builds no bench target, so a bench that stops compiling
-# would otherwise go unnoticed.
-cargo build --release --workspace --benches
-
 echo "== tier-1 tests (every workspace crate) =="
 cargo test -q --workspace
 

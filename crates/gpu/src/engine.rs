@@ -55,7 +55,7 @@ use crate::error::GpuError;
 use crate::fault::{
     FaultInjector, FaultPlan, FaultSummary, ALLOC_RETRY_STALL_NS, LAUNCH_RETRY_OVERHEAD_FACTOR,
 };
-use crate::kernel::{KernelCost, KernelDesc};
+use crate::gemm::utilization;
 use crate::schedule::{Cmd, EventId, Schedule, StreamId};
 use crate::topology::Topology;
 
@@ -68,57 +68,6 @@ const EPS: f64 = 1e-6;
 /// stall on a kernel whose completion time rounds back to `now`.
 fn done_eps(now: f64) -> f64 {
     EPS + now.abs() * 1e-12
-}
-
-/// Sub-linear utilization of a grid of `blocks` thread blocks on a device
-/// with `slots` resident-block slots, tail-wave cliff included: the cost
-/// model's figure. Integer `div_ceil` counts the waves exactly as `f64`
-/// `ceil` of the quotient would below 2^53 blocks.
-fn utilization(blocks: u64, slots: u32) -> f64 {
-    let waves = blocks.div_ceil(u64::from(slots)).max(1);
-    (blocks as f64 / (waves as f64 * f64::from(slots))).sqrt()
-}
-
-/// Slots of a [`CostCache`]; a power of two.
-const COST_SLOTS: usize = 64;
-
-/// The solo costs of the kernels one run has started, by kernel and device.
-/// A cost is a pure function of the two, so a kernel launched many times is
-/// costed once. Direct-mapped: two kernels that share a slot evict each
-/// other and are costed again, which changes no result.
-struct CostCache(Vec<Option<CostEntry>>);
-
-struct CostEntry {
-    kernel: [u64; 5],
-    device: usize,
-    cost: KernelCost,
-    /// The kernel's utilization of its device when it runs alone.
-    solo: f64,
-}
-
-impl CostCache {
-    fn new() -> CostCache {
-        CostCache((0..COST_SLOTS).map(|_| None).collect())
-    }
-
-    /// `kernel`'s cost on `spec`, device `device` of the run, and its solo
-    /// utilization there.
-    fn get(&mut self, kernel: &KernelDesc, device: usize, spec: &DeviceSpec) -> (KernelCost, f64) {
-        let (words, _) = kernel.words();
-        let h = words
-            .iter()
-            .fold(device as u64, |h, &w| (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let slot = &mut self.0[(h >> (64 - COST_SLOTS.trailing_zeros())) as usize];
-        match slot {
-            Some(e) if e.kernel == words && e.device == device => (e.cost, e.solo),
-            _ => {
-                let cost = kernel.cost(spec);
-                let solo = utilization(u64::from(cost.demand_blocks), spec.total_slots());
-                *slot = Some(CostEntry { kernel: words, device, cost, solo });
-                (cost, solo)
-            }
-        }
-    }
 }
 
 /// Timing of one executed kernel.
@@ -767,6 +716,12 @@ impl<'a> Engine<'a> {
                 schedule.num_devices()
             )));
         }
+        if topo.is_none() && schedule.num_link_cmds() > 0 {
+            return Err(GpuError::InvalidSchedule(format!(
+                "schedule has {} transfers or all-reduces, which need an engine with a topology",
+                schedule.num_link_cmds()
+            )));
+        }
         if let Some(ck) = resume {
             if ck.num_streams != schedule.num_streams() {
                 return Err(GpuError::InvalidSchedule(format!(
@@ -791,12 +746,6 @@ impl<'a> Engine<'a> {
             if ck.cmd_idx == cmds.len() {
                 // Full-run memo: the stored result IS the run.
                 return Ok((ck.result_so_far(self.spans), Vec::new()));
-            }
-            if topo.is_none() {
-                // The prefix is not dispatched again, so check it here.
-                if let Some(idx) = cmds[..ck.cmd_idx].iter().position(needs_topology) {
-                    return Err(no_topology(idx));
-                }
             }
         }
         let start_idx = resume.map_or(0, |ck| ck.cmd_idx);
@@ -859,14 +808,9 @@ impl<'a> Engine<'a> {
             // Each command is queued by index: what it is and what it
             // waits on is read back from the schedule at activation.
             let stream = match *cmd {
-                Cmd::Launch { stream, .. } => {
-                    cpu_ns += dev.dispatch_cost_ns;
-                    stream
-                }
-                Cmd::Transfer { stream, .. } | Cmd::AllReduce { stream, .. } => {
-                    if topo.is_none() {
-                        return Err(no_topology(idx));
-                    }
+                Cmd::Launch { stream, .. }
+                | Cmd::Transfer { stream, .. }
+                | Cmd::AllReduce { stream, .. } => {
                     cpu_ns += dev.dispatch_cost_ns;
                     stream
                 }
@@ -903,20 +847,6 @@ impl<'a> Engine<'a> {
         }
         Ok((sim.result, captured))
     }
-}
-
-/// Whether `cmd` crosses devices and so needs an engine with a
-/// [`Topology`] to price it.
-fn needs_topology(cmd: &Cmd) -> bool {
-    matches!(cmd, Cmd::Transfer { .. } | Cmd::AllReduce { .. })
-}
-
-/// The error for command `idx`, a transfer or all-reduce, on an engine
-/// without a topology.
-fn no_topology(idx: usize) -> GpuError {
-    GpuError::InvalidSchedule(format!(
-        "command {idx} is a transfer or all-reduce, which needs an engine with a topology"
-    ))
 }
 
 /// Engine-side fault state for one run: the per-run injector plus the
@@ -993,7 +923,6 @@ struct Sim<'s, 'd, 'c> {
     /// Set whenever the set of work-phase kernels changes (a kernel enters
     /// the work phase or completes); cleared by [`Sim::ensure_rates`].
     rates_dirty: bool,
-    costs: CostCache,
     /// The run so far: completed spans accumulate in `result.spans`, and
     /// `result.event_ns` is the event table waits resolve against.
     result: RunResult,
@@ -1038,7 +967,6 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             ar_expect: schedule.allreduce_groups().iter().copied().collect(),
             rates: vec![1.0; num_streams],
             rates_dirty: true,
-            costs: CostCache::new(),
             result,
         }
     }
@@ -1097,7 +1025,6 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             ar_expect: schedule.allreduce_groups().iter().copied().collect(),
             rates: ck.rates.clone(),
             rates_dirty: ck.rates_dirty,
-            costs: CostCache::new(),
             result,
         }
     }
@@ -1254,7 +1181,9 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
                 // Cost the kernel on the device its stream dispatches onto
                 // (device 0 — i.e. `dev` — for single-device runs).
                 let device = self.stream_dev[si];
-                let (cost, solo) = self.costs.get(&kernel, device, self.device_spec(device));
+                let spec = self.device_spec(device);
+                let cost = kernel.cost(spec);
+                let solo = utilization(u64::from(cost.demand_blocks), spec);
                 let jitter = self.clock.jitter_factor();
                 let mut exec_ns = cost.exec_ns * jitter;
                 let mut overhead_ns = self.dev.launch_overhead_ns + sync_penalty;
@@ -1399,7 +1328,7 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
             if sharing < 2 {
                 continue;
             }
-            let joint = utilization(total, self.device_spec(dev_idx).total_slots());
+            let joint = utilization(total, self.device_spec(dev_idx));
             // A sum of u32 demands over the streams is exact in an f64.
             let total = total as f64;
             for (si, s) in self.streams.iter().enumerate() {
@@ -1584,46 +1513,10 @@ impl<'s, 'd, 'c> Sim<'s, 'd, 'c> {
 mod tests {
     use super::*;
     use crate::gemm::{GemmLibrary, GemmShape};
+    use crate::kernel::KernelDesc;
 
     fn gemm(shape: GemmShape) -> KernelDesc {
         KernelDesc::Gemm { shape, lib: GemmLibrary::CublasLike }
-    }
-
-    #[test]
-    fn integer_waves_match_the_float_ceiling() {
-        for slots in [1_u32, 7, 56, 112, 3584] {
-            let s = u64::from(slots);
-            let near_waves = (1..40).flat_map(|w| [w * s - 1, w * s, w * s + 1]);
-            for blocks in (1..600).chain(near_waves).chain([u64::from(u32::MAX), 1 << 40]) {
-                let waves = (blocks as f64 / f64::from(slots)).ceil().max(1.0);
-                let float = (blocks as f64 / (waves * f64::from(slots))).sqrt();
-                assert_eq!(utilization(blocks, slots).to_bits(), float.to_bits(), "{blocks}/{slots}");
-            }
-        }
-    }
-
-    #[test]
-    fn cost_cache_returns_each_kernels_own_cost() {
-        let (p100, v100) = (DeviceSpec::p100(), DeviceSpec::v100());
-        let kernels: Vec<KernelDesc> = (1..200_u64)
-            .map(|i| gemm(GemmShape::new(i, 64, 32)))
-            .chain([0.0, -0.0].map(|bytes| KernelDesc::MemCopy { bytes }))
-            .collect();
-        let mut cache = CostCache::new();
-        // Twice over, on two devices: more kernels than slots, so the
-        // second round both hits and re-costs evicted entries.
-        for _ in 0..2 {
-            for k in &kernels {
-                for (device, spec) in [(0, &p100), (1, &v100)] {
-                    let (cost, solo) = cache.get(k, device, spec);
-                    let own = k.cost(spec);
-                    assert_eq!(cost.exec_ns.to_bits(), own.exec_ns.to_bits());
-                    assert_eq!(cost.demand_blocks, own.demand_blocks);
-                    let util = utilization(u64::from(own.demand_blocks), spec.total_slots());
-                    assert_eq!(solo.to_bits(), util.to_bits());
-                }
-            }
-        }
     }
 
     #[test]

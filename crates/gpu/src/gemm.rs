@@ -143,8 +143,11 @@ fn div_ceil(a: u64, b: u64) -> u64 {
 }
 
 /// Sub-linear utilization of `blocks` thread blocks on a device, including
-/// the tail-wave performance cliff.
-fn utilization(blocks: u64, dev: &DeviceSpec) -> f64 {
+/// the tail-wave performance cliff. The engine prices a kernel running
+/// alone and a device's concurrent kernels with it too. Integer `div_ceil`
+/// counts the waves exactly as `f64` `ceil` of the quotient would below
+/// 2^53 blocks.
+pub(crate) fn utilization(blocks: u64, dev: &DeviceSpec) -> f64 {
     let slots = dev.total_slots() as u64;
     let waves = div_ceil(blocks, slots).max(1);
     ((blocks as f64) / ((waves * slots) as f64)).sqrt()
@@ -346,6 +349,20 @@ mod tests {
         let gain_early = per(1) - per(2);
         let gain_late = per(8) - per(16);
         assert!(gain_early > gain_late);
+    }
+
+    #[test]
+    fn integer_waves_match_the_float_ceiling() {
+        for slots in [1_u32, 7, 56, 112, 3584] {
+            let dev = DeviceSpec { sm_count: slots, blocks_per_sm: 1, ..DeviceSpec::p100() };
+            let s = u64::from(slots);
+            let near_waves = (1..40).flat_map(|w| [w * s - 1, w * s, w * s + 1]);
+            for blocks in (1..600).chain(near_waves).chain([u64::from(u32::MAX), 1 << 40]) {
+                let waves = (blocks as f64 / f64::from(slots)).ceil().max(1.0);
+                let float = (blocks as f64 / (waves * f64::from(slots))).sqrt();
+                assert_eq!(utilization(blocks, &dev).to_bits(), float.to_bits(), "{blocks}/{slots}");
+            }
+        }
     }
 
     #[test]

@@ -98,17 +98,10 @@ impl KernelDesc {
     /// to its schedule's prefix hash for its kernel. An emitter that
     /// launches one kernel many times can digest it once and pass the
     /// digest to [`Schedule::launch_digested`](crate::Schedule::launch_digested).
+    /// The destructures are exhaustive: a new variant or field does not
+    /// compile until it is digested.
     pub fn digest(&self) -> u64 {
-        let (words, len) = self.words();
-        words[..len].iter().fold(0x4B45_524E, |h, &w| fold_hash(h, w))
-    }
-
-    /// The variant tag and every field as words (f64 fields by their bits),
-    /// zero-padded to five, and how many are used. Two kernels with equal
-    /// words are the same kernel bit for bit, so they cost the same on any
-    /// device. The destructures are exhaustive: a new variant or field does
-    /// not compile until it is listed.
-    pub(crate) fn words(&self) -> ([u64; 5], usize) {
+        let h = 0x4B45_524E;
         match *self {
             KernelDesc::Gemm { shape: GemmShape { m, k, n }, lib } => {
                 let lib = match lib {
@@ -116,21 +109,26 @@ impl KernelDesc {
                     GemmLibrary::OaiWide => 1,
                     GemmLibrary::OaiTall => 2,
                 };
-                ([0, m, k, n, lib], 5)
+                [0, m, k, n, lib].into_iter().fold(h, fold_hash)
             }
-            KernelDesc::Elementwise { elements, flops_per_element, inputs, outputs } => (
-                [1, elements, flops_per_element.to_bits(), u64::from(inputs), u64::from(outputs)],
-                5,
-            ),
-            KernelDesc::Softmax { rows, cols } => ([2, rows, cols, 0, 0], 3),
-            KernelDesc::EmbeddingLookup { rows, width } => ([3, rows, width, 0, 0], 3),
+            KernelDesc::Elementwise { elements, flops_per_element, inputs, outputs } => {
+                [1, elements, flops_per_element.to_bits(), u64::from(inputs), u64::from(outputs)]
+                    .into_iter()
+                    .fold(h, fold_hash)
+            }
+            KernelDesc::Softmax { rows, cols } => [2, rows, cols].into_iter().fold(h, fold_hash),
+            KernelDesc::EmbeddingLookup { rows, width } => {
+                [3, rows, width].into_iter().fold(h, fold_hash)
+            }
             KernelDesc::Compound { flops, bytes } => {
-                ([4, flops.to_bits(), bytes.to_bits(), 0, 0], 3)
+                [4, flops.to_bits(), bytes.to_bits()].into_iter().fold(h, fold_hash)
             }
-            KernelDesc::MemCopy { bytes } => ([5, bytes.to_bits(), 0, 0, 0], 2),
-            KernelDesc::HostRoundtrip { bytes } => ([6, bytes.to_bits(), 0, 0, 0], 2),
+            KernelDesc::MemCopy { bytes } => [5, bytes.to_bits()].into_iter().fold(h, fold_hash),
+            KernelDesc::HostRoundtrip { bytes } => {
+                [6, bytes.to_bits()].into_iter().fold(h, fold_hash)
+            }
             KernelDesc::Conv { batch, gemm_m, gemm_k, gemm_n } => {
-                ([7, batch, gemm_m, gemm_k, gemm_n], 5)
+                [7, batch, gemm_m, gemm_k, gemm_n].into_iter().fold(h, fold_hash)
             }
         }
     }

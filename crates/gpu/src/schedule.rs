@@ -328,6 +328,8 @@ pub struct Schedule {
     labels: Vec<(usize, String)>,
     next_event: u32,
     num_launches: usize,
+    // Transfers and all-reduces: the commands priced on a topology's link.
+    num_link_cmds: usize,
     // Queue items each stream will receive (launches + records + barriers),
     // maintained incrementally so the engine can pre-size its FIFOs.
     stream_cmds: Vec<usize>,
@@ -394,6 +396,7 @@ impl Schedule {
             labels: Vec::new(),
             next_event: 0,
             num_launches: 0,
+            num_link_cmds: 0,
             stream_cmds: vec![0; num_streams],
             prefix_hash: seed_hash(num_streams),
             boundaries: Vec::new(),
@@ -537,6 +540,13 @@ impl Schedule {
     /// Number of kernel launches in the schedule.
     pub fn num_launches(&self) -> usize {
         self.num_launches
+    }
+
+    /// Number of transfers and all-reduces in the schedule: the commands
+    /// an engine prices on a [`Topology`](crate::Topology)'s link, so it
+    /// can run them only with one.
+    pub fn num_link_cmds(&self) -> usize {
+        self.num_link_cmds
     }
 
     /// Number of events recorded so far. [`Schedule::record`] numbers
@@ -749,6 +759,7 @@ impl Schedule {
             "transfer stream must live on the destination device"
         );
         self.stream_cmds[stream.0] += 1;
+        self.num_link_cmds += 1;
         let range = self.pool_waits(waits);
         self.push(Cmd::Transfer { stream, bytes, src, dst, waits: range }, 0, waits, None)
     }
@@ -762,6 +773,7 @@ impl Schedule {
     pub fn all_reduce(&mut self, stream: StreamId, bytes: u64, group: u32) -> usize {
         self.check_stream(stream);
         self.stream_cmds[stream.0] += 1;
+        self.num_link_cmds += 1;
         match self.allreduce_expect.iter_mut().find(|(g, _)| *g == group) {
             Some((_, n)) => *n += 1,
             None => self.allreduce_expect.push((group, 1)),
