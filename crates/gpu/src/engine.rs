@@ -22,11 +22,10 @@
 //!
 //! The hot path is allocation-free per command: queue items are command
 //! indices, which read their kernel and wait list back from the schedule
-//! when they start; each distinct kernel is costed once per run; execution
-//! rates are cached and recomputed only when the set of running kernels
-//! changes; and the span and queue buffers and the event table are
-//! pre-sized from the schedule's counters. Each step of the event loop is
-//! two passes over the streams (see [`Sim::drain`]).
+//! when they start; execution rates are cached and recomputed only when
+//! the set of running kernels changes; and the span and queue buffers and
+//! the event table are pre-sized from the schedule's counters. Each step
+//! of the event loop is two passes over the streams (see [`Sim::drain`]).
 //!
 //! # Span-free runs
 //!
