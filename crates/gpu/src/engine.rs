@@ -670,7 +670,9 @@ impl<'a> Engine<'a> {
     ///
     /// Returns [`GpuError::Deadlock`] if the schedule waits on an event that
     /// can never fire (e.g. a wait that precedes its record in program order
-    /// on a blocked stream).
+    /// on a blocked stream), and [`GpuError::InvalidSchedule`] if it spans
+    /// more devices than the engine has, or holds a transfer or all-reduce
+    /// while the engine has no [`Topology`].
     pub fn run(&mut self, schedule: &Schedule) -> Result<RunResult, GpuError> {
         self.run_incremental(schedule, None, &[]).map(|(result, _)| result)
     }
@@ -697,8 +699,7 @@ impl<'a> Engine<'a> {
     /// [`GpuError::InvalidSchedule`] if the resume checkpoint does not match
     /// a boundary of `schedule` (or disagrees on the stream count, or is
     /// span-free while this engine records spans), or if a capture index is
-    /// not a marked boundary. [`GpuError::Deadlock`] as in
-    /// [`Engine::run`].
+    /// not a marked boundary; and as in [`Engine::run`].
     pub fn run_incremental(
         &mut self,
         schedule: &Schedule,
